@@ -1,26 +1,20 @@
 /* One-pass multi-granularity sweep kernel: C fast path.
  *
- * Mirrors the generated-Python runner in kernel.py operation for
- * operation so every statistic — including IEEE-754 double
- * accumulations — is bit-identical to replaying each geometry through
- * CodeCacheSimulator.  Compile WITHOUT -ffast-math and WITH
- * -ffp-contract=off: fused multiply-adds would change double rounding
- * and break the field-identical contract.
- *
- * The single deliberate gap: multi-victim unit evictions emit unlink
- * records in CPython set-iteration order, which this kernel does not
- * replicate.  Instead it logs each unit eviction event's victims and
- * their surviving-source counts (in victim insertion order) and leaves
- * unlink_overhead for those geometries to the Python caller, which
- * re-folds the event costs using a real Python set.  Events whose
- * victims all have zero survivors contribute exactly +0.0 and are not
- * logged.
+ * Simulates the same geometries as the generated-Python runner in
+ * kernel.py and produces the same integer counters, which equal those
+ * of replaying each geometry through CodeCacheSimulator.  The kernel
+ * keeps no floating point at all: the overheads of Equations 2-4 are
+ * priced from these counters by the caller's stats records, so the
+ * order in which victims and events are counted is free.
  */
 
 #include <stdlib.h>
 #include <string.h>
 
 typedef long long i64;
+
+/* Counters written per geometry; the layout is read by ckernel.py. */
+#define N_OUT 10
 
 typedef struct {
     int kind;      /* 0 = flush (links only), 1 = unit, 2 = fifo */
@@ -39,10 +33,9 @@ typedef struct {
     int *queue;
     int qhead, qtail;
     i64 fused;     /* flush / fifo resident bytes */
-    /* Eq. 1 counters */
+    /* counters */
     i64 misses, ins, inv, evb, evB, ulops, ulrem, intra, inter;
     i64 live, plive;
-    double mo, evo, ulo;
 } Geom;
 
 static void free_geoms(Geom *geoms, int n_geoms, unsigned int *residency)
@@ -62,25 +55,22 @@ static void free_geoms(Geom *geoms, int n_geoms, unsigned int *residency)
     free(residency);
 }
 
-/* Returns 0 on success, -1 on log-buffer overflow, -2 on bad geometry
- * count, -3 on allocation failure. */
+/* Writes N_OUT counters per geometry to out.  Returns 0 on success,
+ * -2 on bad geometry count, -3 on allocation failure. */
 int one_pass(
     i64 n_acc, const int *trace,
-    int n_blocks, const i64 *sizes, const double *mc,
+    int n_blocks, const i64 *sizes,
     int track_links,
     const int *in_idx, const int *in_dat,
     const int *on_idx, const int *on_dat,
     const unsigned char *sf,
     int n_geoms, const int *kinds, const i64 *caps, const i64 *ucaps,
     const int *ucounts,
-    double ev_s, double ev_i, double ul_s, double ul_i,
-    i64 *out_i, double *out_d,
-    int *ev_geom, i64 *ev_start, int *ev_vic, int *ev_sur,
-    i64 ev_cap, i64 vic_cap, i64 *log_counts)
+    i64 *out)
 {
     Geom *geoms;
     unsigned int *residency, full;
-    i64 a, ne = 0, nv = 0;
+    i64 a;
     int g, k;
 
     if (n_geoms < 1 || n_geoms > 31)
@@ -136,11 +126,9 @@ int one_pass(
         int sid = trace[a];
         unsigned int mask = residency[sid];
         i64 size;
-        double cost;
         if (mask == full)
             continue;
         size = sizes[sid];
-        cost = mc[sid];
         for (g = 0; g < n_geoms; g++) {
             Geom *G;
             unsigned int bit = 1u << g, nb = ~bit;
@@ -149,7 +137,6 @@ int one_pass(
             G = &geoms[g];
             G->misses++;
             G->ins += size;
-            G->mo += cost;
             if (G->kind == 0) {
                 /* -- FLUSH: one unit, links tracked.  A flush drops
                  * every live link with the code — no unlink records. */
@@ -158,7 +145,6 @@ int one_pass(
                     G->inv++;
                     G->evb += G->blen;
                     G->evB += G->fused;
-                    G->evo += ev_s * (double)G->fused + ev_i;
                     for (k = 0; k < G->blen; k++) {
                         int v = G->blocks[k];
                         residency[v] &= nb;
@@ -193,17 +179,14 @@ int one_pass(
                     f = G->fill;
                     h = G->uhead[f];
                     if (h >= 0) {
-                        i64 used = G->uused[f];
                         int v, vlen = 0;
                         G->inv++;
-                        G->evB += used;
-                        G->evo += ev_s * (double)used + ev_i;
+                        G->evB += G->uused[f];
                         if (track_links) {
                             /* Dead-link scan with every victim still
                              * flagged: links to co-victims are live
                              * until the event drops them. */
-                            i64 dead = 0, vstart = nv;
-                            int any = 0;
+                            i64 dead = 0;
                             for (v = h; v >= 0; v = G->next[v]) {
                                 vlen++;
                                 dead += sf[v];
@@ -215,33 +198,17 @@ int one_pass(
                                 G->res[v] = 0;
                                 G->ua[v] = -1;
                             }
-                            /* Survivor counts; victims logged in
-                             * insertion order for the caller's
-                             * set-order unlink fold. */
+                            /* Survivor counts: co-victims are already
+                             * unflagged, so they never count. */
                             for (v = h; v >= 0; v = G->next[v]) {
                                 i64 sur = 0;
                                 for (k = in_idx[v]; k < in_idx[v + 1]; k++)
                                     sur += G->res[in_dat[k]];
-                                dead += sur;
                                 if (sur) {
                                     G->ulops++;
                                     G->ulrem += sur;
-                                    any = 1;
+                                    dead += sur;
                                 }
-                                if (nv >= vic_cap)
-                                    goto overflow;
-                                ev_vic[nv] = v;
-                                ev_sur[nv] = (int)sur;
-                                nv++;
-                            }
-                            if (any) {
-                                if (ne >= ev_cap)
-                                    goto overflow;
-                                ev_geom[ne] = g;
-                                ev_start[ne] = vstart;
-                                ne++;
-                            } else {
-                                nv = vstart;
                             }
                             G->live -= dead;
                         } else {
@@ -299,42 +266,29 @@ int one_pass(
             } else {
                 /* -- FIFO: byte-granularity circular buffer; every
                  * victim is its own eviction event. */
-                if (G->fused + size > G->cap) {
-                    double evo_l = 0.0, ulo_l = 0.0;
-                    while (G->fused + size > G->cap) {
-                        int v = G->queue[G->qhead];
-                        i64 vs = sizes[v];
-                        G->qhead++;
-                        if (G->qhead > n_blocks)
-                            G->qhead = 0;
-                        G->fused -= vs;
-                        G->inv++;
-                        G->evB += vs;
-                        if (track_links) {
-                            i64 sur = 0, outd = 0;
-                            evo_l += ev_s * (double)vs + ev_i;
-                            for (k = in_idx[v]; k < in_idx[v + 1]; k++)
-                                sur += G->res[in_dat[k]];
-                            if (sur) {
-                                G->ulops++;
-                                G->ulrem += sur;
-                                ulo_l += ul_s * (double)sur + ul_i;
-                            }
-                            for (k = on_idx[v]; k < on_idx[v + 1]; k++)
-                                outd += G->res[on_dat[k]];
-                            G->live -= sur + sf[v] + outd;
-                            G->res[v] = 0;
-                        } else {
-                            /* The untracked engine accounts each
-                             * eviction event directly. */
-                            G->evo += ev_s * (double)vs + ev_i;
-                        }
-                        residency[v] &= nb;
-                    }
+                while (G->fused + size > G->cap) {
+                    int v = G->queue[G->qhead];
+                    i64 vs = sizes[v];
+                    G->qhead++;
+                    if (G->qhead > n_blocks)
+                        G->qhead = 0;
+                    G->fused -= vs;
+                    G->inv++;
+                    G->evB += vs;
                     if (track_links) {
-                        G->evo += evo_l;
-                        G->ulo += ulo_l;
+                        i64 sur = 0, outd = 0;
+                        for (k = in_idx[v]; k < in_idx[v + 1]; k++)
+                            sur += G->res[in_dat[k]];
+                        if (sur) {
+                            G->ulops++;
+                            G->ulrem += sur;
+                        }
+                        for (k = on_idx[v]; k < on_idx[v + 1]; k++)
+                            outd += G->res[on_dat[k]];
+                        G->live -= sur + sf[v] + outd;
+                        G->res[v] = 0;
                     }
+                    residency[v] &= nb;
                 }
                 G->queue[G->qtail] = sid;
                 G->qtail++;
@@ -363,8 +317,7 @@ int one_pass(
 
     for (g = 0; g < n_geoms; g++) {
         Geom *G = &geoms[g];
-        i64 *oi = out_i + (i64)g * 10;
-        double *od = out_d + (i64)g * 3;
+        i64 *oi = out + (i64)g * N_OUT;
         oi[0] = G->misses;
         oi[1] = G->ins;
         oi[2] = G->inv;
@@ -375,18 +328,9 @@ int one_pass(
         oi[7] = G->intra;
         oi[8] = G->inter;
         oi[9] = G->plive;
-        od[0] = G->mo;
-        od[1] = G->evo;
-        od[2] = G->ulo;
     }
-    log_counts[0] = ne;
-    log_counts[1] = nv;
     free_geoms(geoms, n_geoms, residency);
     return 0;
-
-overflow:
-    free_geoms(geoms, n_geoms, residency);
-    return -1;
 
 oom:
     free_geoms(geoms, n_geoms, residency);

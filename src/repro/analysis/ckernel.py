@@ -1,23 +1,20 @@
 """ctypes loader and marshalling for the one-pass C fast path.
 
-The C kernel (``_onepass.c``) mirrors the generated-Python runner in
-:mod:`repro.analysis.kernel` operation for operation, so its output is
-bit-identical — including IEEE-754 double accumulation — to replaying
-each geometry through ``CodeCacheSimulator``.  This module compiles it
-on first use with the system C compiler (``gcc`` by default, override
-with ``REPRO_KERNEL_CC``), caches the shared object in the system temp
-directory keyed by a source hash, and falls back cleanly: every entry
-point degrades to ``None``/``False`` when no compiler is available, and
+The C kernel (``_onepass.c``) simulates the same geometries as the
+generated-Python runner in :mod:`repro.analysis.kernel` and returns the
+same integer counters, which equal those of replaying each geometry
+through ``CodeCacheSimulator``.  It keeps no floating point: the
+overheads of Equations 2-4 are priced from the counters by the stats
+records the caller builds, so C and Python agree because the accounting
+is exact, not because they share a summation order.
+
+This module compiles the kernel on first use with the system C compiler
+(``gcc`` by default, override with ``REPRO_KERNEL_CC``), caches the
+shared object in the system temp directory keyed by a source hash, and
+falls back cleanly: every entry point degrades to ``None``/``False``
+when no compiler is available, and
 :func:`repro.analysis.kernel.one_pass_grid` then uses the pure-Python
 engine.
-
-The one piece of the statistics contract C cannot reproduce is the
-CPython set-iteration order in which multi-victim unit evictions emit
-unlink records (``LinkManager.on_evict`` iterates ``set(evicted)``).
-The kernel therefore logs each unit eviction event's victims and
-survivor counts in insertion order, and :func:`run_geometries` re-folds
-those events here using a real Python set, accumulating
-``unlink_overhead`` in exactly the order replay would.
 """
 
 from __future__ import annotations
@@ -41,8 +38,15 @@ KIND_CODES = {"flush": 0, "unit": 1, "fifo": 2}
 
 _SOURCE = Path(__file__).with_name("_onepass.c")
 
-_INT_FIELDS = 10
-_DOUBLE_FIELDS = 3
+#: The counters the kernel writes per geometry, in order (``N_OUT`` in
+#: the C source).  Link counters stay zero when links are untracked;
+#: the last slot is the peak live-link count, scaled to bytes here.
+_OUT_FIELDS = (
+    "misses", "inserted_bytes", "eviction_invocations", "evicted_blocks",
+    "evicted_bytes", "unlink_operations", "links_removed",
+    "links_established_intra", "links_established_inter",
+    "peak_backpointer_bytes",
+)
 
 _lib = None
 _lib_error: str | None = None
@@ -63,11 +67,9 @@ def _compile(source_path: Path, so_path: Path) -> None:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(so_path.parent))
     os.close(fd)
     try:
-        # -ffp-contract=off: a fused multiply-add would change double
-        # rounding and break the field-identical contract with replay.
         subprocess.run(
-            [compiler, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-             "-o", tmp, str(source_path)],
+            [compiler, "-O2", "-fPIC", "-shared", "-o", tmp,
+             str(source_path)],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp, so_path)
@@ -79,19 +81,15 @@ def _compile(source_path: Path, so_path: Path) -> None:
 def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     c_i64 = ctypes.c_longlong
     c_int = ctypes.c_int
-    c_dbl = ctypes.c_double
     p = ctypes.c_void_p
     lib.one_pass.restype = c_int
     lib.one_pass.argtypes = [
         c_i64, p,                 # n_acc, trace
-        c_int, p, p,              # n_blocks, sizes, mc
+        c_int, p,                 # n_blocks, sizes
         c_int,                    # track_links
         p, p, p, p, p,            # in_idx, in_dat, on_idx, on_dat, sf
         c_int, p, p, p, p,        # n_geoms, kinds, caps, ucaps, ucounts
-        c_dbl, c_dbl, c_dbl, c_dbl,
-        p, p,                     # out_i, out_d
-        p, p, p, p,               # ev_geom, ev_start, ev_vic, ev_sur
-        c_i64, c_i64, p,          # ev_cap, vic_cap, log_counts
+        p,                        # out
     ]
     return lib
 
@@ -125,17 +123,13 @@ def available() -> bool:
     return load() is not None
 
 
-def _population_arrays(population, overhead_model, track_links):
+def _population_arrays(population, track_links):
     """Contiguous C views of the population, memoized per population."""
     data = population.c_data
     if "sizes" not in data:
         data["sizes"] = np.ascontiguousarray(population.sizes,
                                              dtype=np.int64)
         data["sf"] = np.zeros(1, dtype=np.uint8)
-    key = ("mc", overhead_model.miss.slope, overhead_model.miss.intercept)
-    if key not in data:
-        data[key] = np.ascontiguousarray(
-            population.miss_costs(overhead_model), dtype=np.float64)
     if track_links and "in_idx" not in data:
         def csr(lists):
             idx = np.zeros(population.count + 1, dtype=np.int32)
@@ -148,7 +142,7 @@ def _population_arrays(population, overhead_model, track_links):
         data["on_idx"], data["on_dat"] = csr(population.out_nonself)
         data["sf"] = np.ascontiguousarray(population.self_flags,
                                           dtype=np.uint8)
-    return data, data[key]
+    return data
 
 
 def _trace_array(population, trace) -> np.ndarray:
@@ -171,126 +165,45 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
 
 
 def run_geometries(population, trace, kinds, caps, ucaps, ucounts,
-                   overhead_model, track_links):
+                   track_links):
     """Run the C kernel over one geometry set.
 
-    Returns a list of per-geometry stats dicts (same keys as the
-    Python runner's return templates), or ``None`` when the C path is
-    unavailable or refused the shape — the caller then falls back to
-    the Python engine.
+    Returns a list of per-geometry counter dicts keyed by
+    :class:`~repro.core.metrics.SimulationStats` field names, or
+    ``None`` when the C path is unavailable or refused the shape — the
+    caller then falls back to the Python engine.
     """
     lib = load()
     if lib is None or len(kinds) > MAX_GEOMETRIES:
         return None
-    data, mc = _population_arrays(population, overhead_model, track_links)
+    data = _population_arrays(population, track_links)
     trace_arr = _trace_array(population, trace)
-    n_acc = len(trace_arr)
     n_geoms = len(kinds)
     kind_codes = np.ascontiguousarray(
         [KIND_CODES[kind] for kind in kinds], dtype=np.int32)
     caps_arr = np.ascontiguousarray(caps, dtype=np.int64)
     ucaps_arr = np.ascontiguousarray(ucaps, dtype=np.int64)
     ucounts_arr = np.ascontiguousarray(ucounts, dtype=np.int32)
-    out_i = np.zeros(n_geoms * _INT_FIELDS, dtype=np.int64)
-    out_d = np.zeros(n_geoms * _DOUBLE_FIELDS, dtype=np.float64)
-
-    n_unit_links = (sum(1 for kind in kinds if kind == "unit")
-                    if track_links else 0)
-    log_cap = max(1, n_unit_links * (n_acc + 1))
-    ev_geom = np.zeros(log_cap, dtype=np.int32)
-    ev_start = np.zeros(log_cap, dtype=np.int64)
-    ev_vic = np.zeros(log_cap, dtype=np.int32)
-    ev_sur = np.zeros(log_cap, dtype=np.int32)
-    log_counts = np.zeros(2, dtype=np.int64)
-
+    out = np.zeros(n_geoms * len(_OUT_FIELDS), dtype=np.int64)
     if track_links:
         in_idx, in_dat = data["in_idx"], data["in_dat"]
         on_idx, on_dat = data["on_idx"], data["on_dat"]
     else:
         in_idx = in_dat = on_idx = on_dat = _EMPTY_I32
     status = lib.one_pass(
-        n_acc, _ptr(trace_arr),
-        population.count, _ptr(data["sizes"]), _ptr(mc),
+        len(trace_arr), _ptr(trace_arr),
+        population.count, _ptr(data["sizes"]),
         1 if track_links else 0,
         _ptr(in_idx), _ptr(in_dat), _ptr(on_idx), _ptr(on_dat),
         _ptr(data["sf"]),
         n_geoms, _ptr(kind_codes), _ptr(caps_arr), _ptr(ucaps_arr),
         _ptr(ucounts_arr),
-        overhead_model.eviction.slope, overhead_model.eviction.intercept,
-        overhead_model.unlink.slope, overhead_model.unlink.intercept,
-        _ptr(out_i), _ptr(out_d),
-        _ptr(ev_geom), _ptr(ev_start), _ptr(ev_vic), _ptr(ev_sur),
-        log_cap, log_cap, _ptr(log_counts),
+        _ptr(out),
     )
     if status != 0:
         return None
 
-    unit_ulo = _fold_unit_unlinks(
-        n_geoms, log_counts, ev_geom, ev_start, ev_vic, ev_sur,
-        overhead_model.unlink.slope, overhead_model.unlink.intercept)
-
-    results = []
-    for g, kind in enumerate(kinds):
-        oi = out_i[g * _INT_FIELDS:(g + 1) * _INT_FIELDS]
-        od = out_d[g * _DOUBLE_FIELDS:(g + 1) * _DOUBLE_FIELDS]
-        stats = dict(
-            misses=int(oi[0]), inserted_bytes=int(oi[1]),
-            miss_overhead=float(od[0]),
-            eviction_invocations=int(oi[2]), evicted_blocks=int(oi[3]),
-            evicted_bytes=int(oi[4]), eviction_overhead=float(od[1]),
-        )
-        if track_links:
-            peak = int(oi[9]) * BACKPOINTER_ENTRY_BYTES
-            if kind == "flush":
-                stats.update(links_established_intra=int(oi[7]),
-                             peak_backpointer_bytes=peak)
-            else:
-                unlink = unit_ulo[g] if kind == "unit" else float(od[2])
-                stats.update(
-                    unlink_operations=int(oi[5]), links_removed=int(oi[6]),
-                    unlink_overhead=unlink,
-                    links_established_intra=int(oi[7]),
-                    links_established_inter=int(oi[8]),
-                    peak_backpointer_bytes=peak,
-                )
-        results.append(stats)
-    return results
-
-
-def _fold_unit_unlinks(n_geoms, log_counts, ev_geom, ev_start, ev_vic,
-                       ev_sur, ul_s, ul_i):
-    """Accumulate unit-eviction unlink overhead in replay's order.
-
-    Each logged event is one multi-block unit eviction; replay iterates
-    ``set(evicted)`` when emitting unlink records, so the per-event
-    costs are re-summed here over a genuine Python set of the victim
-    ids.  Event-to-event accumulation order is the C kernel's event
-    order, which is trace order — the same order replay's per-miss
-    accounting runs in.
-    """
-    ulo = [0.0] * n_geoms
-    n_events = int(log_counts[0])
-    if not n_events:
-        return ulo
-    n_victims = int(log_counts[1])
-    geoms = ev_geom[:n_events].tolist()
-    starts = ev_start[:n_events].tolist()
-    starts.append(n_victims)
-    victims = ev_vic[:n_victims].tolist()
-    survivors = ev_sur[:n_victims].tolist()
-    for event in range(n_events):
-        lo = starts[event]
-        hi = starts[event + 1]
-        if hi - lo == 1:
-            # Single victim, logged only when it had survivors.
-            event_cost = ul_s * survivors[lo] + ul_i
-        else:
-            row = victims[lo:hi]
-            sur_of = dict(zip(row, survivors[lo:hi]))
-            event_cost = 0.0
-            for victim in set(row):
-                count = sur_of[victim]
-                if count:
-                    event_cost += ul_s * count + ul_i
-        ulo[geoms[event]] += event_cost
-    return ulo
+    rows = out.reshape(n_geoms, len(_OUT_FIELDS)).tolist()
+    for row in rows:
+        row[-1] *= BACKPOINTER_ENTRY_BYTES  # peak live links -> bytes
+    return [dict(zip(_OUT_FIELDS, row)) for row in rows]

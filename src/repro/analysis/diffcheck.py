@@ -9,9 +9,9 @@ ladder, and diffs them at two grains:
 * **per access** — hit/miss verdict, the evicted-block tuples of every
   eviction invocation, and the number of links unpatched must match
   exactly; the first divergence is reported with its trace position.
-* **final stats** — every integer counter must match exactly; overhead
-  floats must agree to relative 1e-9 (the two sides may legally sum the
-  same per-event charges in different orders).
+* **final stats** — the whole records must be equal.  Every field is
+  an integer counter or the overhead model, and the overheads are
+  derived from the counters, so equality is exact: no float tolerance.
 
 A clean diff means the fast implementation and the obviously-correct
 one agree access for access on every rung — the strongest correctness
@@ -21,7 +21,6 @@ statement this repo can make short of the original DynamoRIO logs.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 from repro.core.cache import ConfigurationError
@@ -44,19 +43,6 @@ DEFAULT_BENCHMARKS = ("gzip", "mcf", "bzip2")
 DEFAULT_TRACE_ACCESSES = 6000
 
 DEFAULT_PRESSURES = (2.0, 10.0)
-
-#: Relative tolerance for overhead floats (identical charges, possibly
-#: summed in a different order).
-FLOAT_RTOL = 1e-9
-
-_INT_FIELDS = (
-    "accesses", "hits", "misses", "inserted_bytes",
-    "eviction_invocations", "evicted_blocks", "evicted_bytes",
-    "unlink_operations", "links_removed",
-    "links_established_intra", "links_established_inter",
-    "peak_backpointer_bytes", "preemptive_flushes",
-)
-_FLOAT_FIELDS = ("miss_overhead", "eviction_overhead", "unlink_overhead")
 
 
 @dataclass(frozen=True)
@@ -149,16 +135,16 @@ def _diff_outcomes(optimized: list[AccessOutcome],
 
 def _diff_stats(optimized: SimulationStats,
                 reference: SimulationStats) -> list[str]:
-    problems = []
-    for name in _INT_FIELDS:
-        a, b = getattr(optimized, name), getattr(reference, name)
-        if a != b:
-            problems.append(f"{name}: {a} vs {b}")
-    for name in _FLOAT_FIELDS:
-        a, b = getattr(optimized, name), getattr(reference, name)
-        if not math.isclose(a, b, rel_tol=FLOAT_RTOL, abs_tol=1e-6):
-            problems.append(f"{name}: {a!r} vs {b!r}")
-    return problems
+    """One ``field: a vs b`` line per differing field (empty when the
+    records are equal)."""
+    if optimized == reference:
+        return []
+    return [
+        f"{f.name}: {getattr(optimized, f.name)!r} vs "
+        f"{getattr(reference, f.name)!r}"
+        for f in dataclasses.fields(SimulationStats)
+        if getattr(optimized, f.name) != getattr(reference, f.name)
+    ]
 
 
 def diff_check(
@@ -295,10 +281,9 @@ def kernel_check(
 
     Runs the same (benchmark, policy, pressure) grid twice per
     link-tracking mode — once through the one-pass kernel, once through
-    full replay — and requires every statistics field to be *exactly*
-    equal.  The kernel's contract is bit-identity (including IEEE-754
-    double accumulation order), so unlike :func:`diff_check` no float
-    tolerance applies.
+    full replay — and requires the records to be equal, field for
+    field.  Both sides count the same integers and derive the overheads
+    from them, so equality is exact.
     """
     if scale <= 0:
         raise ConfigurationError("scale must be positive")
@@ -330,15 +315,11 @@ def kernel_check(
             for point, want in replay.stats.items():
                 got = kernel.stats[point]
                 report.cells += 1
-                got_dict = dataclasses.asdict(got)
-                want_dict = dataclasses.asdict(want)
-                if got_dict != want_dict:
-                    diffs = {key: (got_dict[key], want_dict[key])
-                             for key in got_dict
-                             if got_dict[key] != want_dict[key]}
+                for problem in _diff_stats(got, want):
                     report.mismatches.append(DiffMismatch(
                         benchmark, point[1], point[2], "stats",
-                        f"links={track_links}: kernel vs replay {diffs}"))
+                        f"links={track_links}: kernel vs replay "
+                        f"{problem}"))
         if progress is not None:
             progress(f"kernel-checked {benchmark}")
     return report

@@ -22,26 +22,23 @@ tracking) the kernel renders one flat Python function with every miss
 body inlined behind its residency-bit test and every counter held in a
 local variable, then compiles and memoizes the function.  Compared to
 dispatching per-geometry closures this removes all per-miss call
-overhead and nonlocal-cell traffic, and the per-access size, cost, and
+overhead and nonlocal-cell traffic, and the per-access size and
 adjacency loads are shared by every geometry that misses on the same
-access.  The generated code is batched array code — dense precomputed
-sizes, per-model miss costs, deduplicated adjacency, flat per-frontier
-buffers, no per-access object churn — and counts neighbour residency
-with C-speed ``sum(map(bytearray.__getitem__, ...))`` scans.
+access.  The generated code is batched array code — dense sizes,
+deduplicated adjacency, flat per-frontier buffers, no per-access object
+churn — and counts neighbour residency with C-speed
+``sum(map(bytearray.__getitem__, ...))`` scans.
 
 Equivalence contract
 --------------------
 Kernel output is *field-identical* to per-point
-:class:`~repro.core.simulator.CodeCacheSimulator` replay — including the
-float accumulators, which requires mirroring the replay loops'
-accumulation grouping exactly:
-
-* links mode charges ``miss_overhead`` once per miss and runs one
-  ``_account_evictions`` batch per miss (locals summed over the miss's
-  events, then one ``+=`` per field);
-* the no-links batched path keeps running totals over the whole trace;
-* unlink records are generated in ``set(evicted)`` iteration order, and
-  records for a whole event batch are costed before any links drop.
+:class:`~repro.core.simulator.CodeCacheSimulator` replay.  Every field
+the kernel produces is an integer counter, and the overheads of
+Equations 2-4 are derived from those counters by the stats record under
+the model it carries (:class:`~repro.core.metrics.SimulationStats`), so
+agreeing on the counters *is* agreeing on the overheads.  Counter sums
+do not depend on the order events are counted in, so the kernel is free
+to visit victims, events and geometries in whatever order is fastest.
 
 Link accounting needs no per-geometry link maps: with a static link
 graph, a link ``(s, t)`` is live in geometry *g* exactly when both
@@ -146,14 +143,12 @@ class _Population:
 
     One workload is swept at many pressures (and, under slice sharding,
     by many tasks in the same worker process), so the flattening work —
-    sizes, per-model miss costs, deduplicated adjacency — is memoized
-    per :class:`SuperblockSet` (weakly, so it dies with the workload).
+    sizes, deduplicated adjacency — is memoized per
+    :class:`SuperblockSet` (weakly, so it dies with the workload).
     """
 
-    __slots__ = ("count", "remap", "sizes", "_miss_costs", "_pre",
-                 "out_lists", "in_lists", "out_nonself", "self_flags",
-                 "nbr_all", "nbr_get", "in_get", "outns_get",
-                 "unit_nbr_get", "c_data", "__weakref__")
+    __slots__ = ("count", "remap", "sizes", "in_lists", "out_nonself",
+                 "self_flags", "py_links", "c_data", "__weakref__")
 
     def __init__(self, superblocks: SuperblockSet) -> None:
         sids = superblocks.sids
@@ -165,50 +160,23 @@ class _Population:
         else:
             self.remap = {sid: index for index, sid in enumerate(sids)}
             self.sizes = [size_map[sid] for sid in sids]
-        self._miss_costs: dict[tuple, list[float]] = {}
-        self._pre: dict[tuple, list[tuple]] = {}
-        self.out_lists: list[tuple[int, ...]] | None = None
-        self.in_lists: list[tuple[int, ...]] = []
+        #: Deduplicated adjacency in dense indices, built by
+        #: :meth:`ensure_links`: incoming sources and outgoing targets
+        #: (self-loops excluded from both), plus a self-loop flag.
+        self.in_lists: list[tuple[int, ...]] | None = None
         self.out_nonself: list[tuple[int, ...]] = []
         self.self_flags: list[int] = []
-        self.nbr_all: list[tuple[int, ...]] = []
-        self.nbr_get: list = []
-        self.in_get: list = []
-        self.outns_get: list = []
-        self.unit_nbr_get: list = []
+        #: The generated-Python runner's link arguments, built on the
+        #: first Python-engine run (see :meth:`python_link_args`).
+        self.py_links: dict | None = None
         #: ckernel's memo for contiguous C-side views of these arrays.
         self.c_data: dict = {}
 
-    def miss_costs(self, model: OverheadModel) -> list[float]:
-        key = (model.miss.slope, model.miss.intercept)
-        costs = self._miss_costs.get(key)
-        if costs is None:
-            slope, intercept = key
-            costs = [slope * size + intercept for size in self.sizes]
-            self._miss_costs[key] = costs
-        return costs
-
-    def prelude(self, model: OverheadModel, track_links: bool) -> list:
-        """Per-sid miss prelude rows, so the hot loop pays one index
-        plus one tuple unpack instead of one lookup per array."""
-        key = (model.miss.slope, model.miss.intercept, track_links)
-        rows = self._pre.get(key)
-        if rows is None:
-            mc = self.miss_costs(model)
-            if track_links:
-                rows = list(zip(self.sizes, mc, self.nbr_all,
-                                self.self_flags))
-            else:
-                rows = list(zip(self.sizes, mc))
-            self._pre[key] = rows
-        return rows
-
     def ensure_links(self, superblocks: SuperblockSet) -> None:
-        if self.out_lists is not None:
+        if self.in_lists is not None:
             return
         remap = self.remap
-        out_lists, in_lists = [], []
-        out_nonself, self_flags, nbr_all = [], [], []
+        in_lists, out_nonself, self_flags = [], [], []
         sids = (superblocks.sids if remap is not None
                 else range(self.count))
         for index, sid in enumerate(sids):
@@ -217,30 +185,44 @@ class _Population:
             if remap is not None:
                 outgoing = [remap[t] for t in outgoing]
                 incoming = [remap[s] for s in incoming]
-            out_lists.append(tuple(outgoing))
             in_lists.append(tuple(incoming))
             nonself = tuple(t for t in outgoing if t != index)
             out_nonself.append(nonself)
             self_flags.append(1 if len(nonself) != len(outgoing) else 0)
-            nbr_all.append(nonself + in_lists[-1])
-        self.out_lists = out_lists
         self.in_lists = in_lists
         self.out_nonself = out_nonself
         self.self_flags = self_flags
-        self.nbr_all = nbr_all
-        # Precompiled neighbour gathers.  Residency arrays carry one
-        # extra always-zero sentinel slot (index ``count``; the unit
-        # map's sentinel stays -1), and every index tuple is padded
-        # with two sentinels so itemgetter always returns a tuple and
-        # the gathered values sum without any per-item dispatch.
-        pad = (self.count, self.count)
-        self.nbr_get = [itemgetter(*(t + pad)) for t in nbr_all]
-        self.in_get = [itemgetter(*(t + pad)) for t in in_lists]
-        self.outns_get = [itemgetter(*(t + pad)) for t in out_nonself]
-        self.unit_nbr_get = [
-            itemgetter(*(out + inc + pad))
-            for out, inc in zip(out_lists, in_lists)
-        ]
+
+    def python_link_args(self) -> dict:
+        """Prelude rows and precompiled neighbour gathers for the
+        generated-Python runner, built on its first use — the C engine
+        marshals CSR arrays from the adjacency lists instead.
+
+        Residency arrays carry one extra always-zero sentinel slot
+        (index ``count``; the unit map's sentinel stays -1), and every
+        index tuple is padded with two sentinels so itemgetter always
+        returns a tuple and the gathered values sum without any
+        per-item dispatch.
+        """
+        if self.py_links is None:
+            pad = (self.count, self.count)
+            nbr_all = [out + inc for out, inc
+                       in zip(self.out_nonself, self.in_lists)]
+            self.py_links = dict(
+                pre=list(zip(self.sizes, nbr_all, self.self_flags)),
+                self_flags=self.self_flags,
+                nbr_get=[itemgetter(*(t + pad)) for t in nbr_all],
+                in_get=[itemgetter(*(t + pad)) for t in self.in_lists],
+                outns_get=[itemgetter(*(t + pad))
+                           for t in self.out_nonself],
+                # A self-loop joins the block's own unit: intra-unit.
+                unit_nbr_get=[
+                    itemgetter(*(t + ((index,) if flag else ()) + pad))
+                    for index, (t, flag)
+                    in enumerate(zip(nbr_all, self.self_flags))
+                ],
+            )
+        return self.py_links
 
 
 _POPULATIONS: "weakref.WeakKeyDictionary[SuperblockSet, _Population]" = (
@@ -269,24 +251,13 @@ def _resolve_engine(engine: str | None) -> str:
     return engine
 
 
-def _c_max_geometries() -> int:
-    try:
-        from repro.analysis import ckernel
-    except ImportError:
-        return 1 << 30  # no splitting needed; Python masks are unbounded
-    return ckernel.MAX_GEOMETRIES
-
-
-def _run_c_engine(population, trace, kinds, caps, ucaps, ucounts,
-                  overhead_model, track_links):
-    """Run the grid through the compiled kernel, or return ``None``
-    when it is unavailable (no compiler, no numpy, shape refused)."""
+def _ckernel():
+    """The compiled engine's module, or ``None`` when numpy is missing."""
     try:
         from repro.analysis import ckernel
     except ImportError:
         return None
-    return ckernel.run_geometries(population, trace, kinds, caps, ucaps,
-                                  ucounts, overhead_model, track_links)
+    return ckernel
 
 
 def one_pass_sweep(
@@ -413,27 +384,20 @@ def one_pass_grid(
             caps[index] = key[1]
 
     mode = _resolve_engine(engine)
+    ckernel = _ckernel() if mode != "py" else None
     geometry_stats = None
-    if mode != "py":
-        if len(geometries) > _c_max_geometries() and len(capacities) > 1:
-            # Too many distinct geometries for one 32-bit residency
-            # mask: split the capacity axis and recurse.
-            half = len(capacities) // 2
-            shared = dict(overhead_model=overhead_model,
-                          track_links=track_links, benchmark=benchmark,
-                          engine=engine)
-            return (one_pass_grid(superblocks, trace, capacities[:half],
-                                  configs, **shared)
-                    + one_pass_grid(superblocks, trace, capacities[half:],
-                                    configs, **shared))
-        geometry_stats = _run_c_engine(population, trace, kinds, caps,
-                                       ucaps, ucounts, overhead_model,
-                                       track_links)
-        if geometry_stats is None and mode == "c":
-            from repro.analysis import ckernel
-            raise RuntimeError(
-                f"C kernel engine unavailable: {ckernel.load_error()}"
-            )
+    if ckernel is not None and ckernel.available():
+        if len(geometries) > ckernel.MAX_GEOMETRIES:
+            return _split_grid(superblocks, trace, capacities, configs,
+                               overhead_model=overhead_model,
+                               track_links=track_links,
+                               benchmark=benchmark, engine=engine)
+        geometry_stats = ckernel.run_geometries(
+            population, trace, kinds, caps, ucaps, ucounts, track_links)
+    if geometry_stats is None and mode == "c":
+        reason = (ckernel.load_error() if ckernel is not None
+                  else "numpy is not importable")
+        raise RuntimeError(f"C kernel engine unavailable: {reason}")
 
     if geometry_stats is None:
         runner = _runner(tuple(kinds), track_links)
@@ -450,26 +414,15 @@ def one_pass_grid(
         kwargs = dict(
             trace=py_trace,
             residency=[0] * population.count,
-            pre=population.prelude(overhead_model, track_links),
             sizes=population.sizes,
             n_blocks=population.count,
-            ev_s=overhead_model.eviction.slope,
-            ev_i=overhead_model.eviction.intercept,
             _sum=sum,
             _deque=deque,
             **geometry_kwargs,
         )
         if track_links:
-            kwargs.update(
-                ul_s=overhead_model.unlink.slope,
-                ul_i=overhead_model.unlink.intercept,
-                bp_bytes=BACKPOINTER_ENTRY_BYTES,
-                self_flags=population.self_flags,
-                nbr_get=population.nbr_get,
-                in_get=population.in_get,
-                outns_get=population.outns_get,
-                unit_nbr_get=population.unit_nbr_get,
-            )
+            kwargs.update(bp_bytes=BACKPOINTER_ENTRY_BYTES,
+                          **population.python_link_args())
         geometry_stats = runner(**kwargs)
 
     accesses = len(trace)
@@ -477,14 +430,33 @@ def one_pass_grid(
     for row in cell_geometry:
         cell: dict[str, SimulationStats] = {}
         for config, geometry in zip(configs, row):
-            stats = SimulationStats(**geometry_stats[geometry])
-            stats.policy_name = config.name
-            stats.benchmark = benchmark
-            stats.accesses = accesses
+            stats = SimulationStats(policy_name=config.name,
+                                    benchmark=benchmark,
+                                    accesses=accesses,
+                                    overhead_model=overhead_model,
+                                    **geometry_stats[geometry])
             stats.hits = accesses - stats.misses
             cell[config.name] = stats
         results.append(cell)
     return results
+
+
+def _split_grid(superblocks, trace, capacities, configs, **shared):
+    """Run a grid with too many distinct geometries for one 32-bit C
+    residency mask as two half grids: halve the capacity axis, or the
+    config axis when only one capacity remains."""
+    if len(capacities) > 1:
+        half = len(capacities) // 2
+        return (one_pass_grid(superblocks, trace, capacities[:half],
+                              configs, **shared)
+                + one_pass_grid(superblocks, trace, capacities[half:],
+                                configs, **shared))
+    half = len(configs) // 2
+    left = one_pass_grid(superblocks, trace, capacities, configs[:half],
+                         **shared)
+    right = one_pass_grid(superblocks, trace, capacities, configs[half:],
+                          **shared)
+    return [{**head, **tail} for head, tail in zip(left, right)]
 
 
 # -- Generated hot loop ------------------------------------------------------
@@ -494,14 +466,15 @@ def one_pass_grid(
 # the complement of its residency bit.  Every temporary is suffixed
 # with the geometry index so inlined bodies stay independent.  Mutable
 # frontier state is created inside the generated function (fresh per
-# call); read-only arrays, capacities, and cost coefficients arrive as
-# parameters, which keeps one compiled function reusable for every
-# capacity and overhead model that shares the same geometry shape.
+# call); read-only arrays and capacities arrive as parameters, which
+# keeps one compiled function reusable for every capacity that shares
+# the same geometry shape.  Only integer counters are kept: the
+# overheads are priced from them afterwards.
 
-_SHARED_PARAMS = ("trace", "residency", "pre", "sizes", "n_blocks",
-                  "ev_s", "ev_i", "_sum", "_deque")
-_LINK_PARAMS = ("ul_s", "ul_i", "bp_bytes", "self_flags",
-                "nbr_get", "in_get", "outns_get", "unit_nbr_get")
+_SHARED_PARAMS = ("trace", "residency", "sizes", "n_blocks", "_sum",
+                  "_deque")
+_LINK_PARAMS = ("pre", "bp_bytes", "self_flags", "nbr_get", "in_get",
+                "outns_get", "unit_nbr_get")
 
 _UNIT_PARAMS = ("ucap_@i@", "ucount_@i@")
 _CAP_PARAMS = ("cap_@i@",)
@@ -509,15 +482,12 @@ _CAP_PARAMS = ("cap_@i@",)
 _COUNTER_INIT = """\
 misses_@i@ = 0
 ins_@i@ = 0
-mo_@i@ = 0.0
 evB_@i@ = 0
-evo_@i@ = 0.0
 """
 
 _LINK_COUNTER_INIT = """\
 ulops_@i@ = 0
 ulrem_@i@ = 0
-ulo_@i@ = 0.0
 intra_@i@ = 0
 inter_@i@ = 0
 live_@i@ = 0
@@ -528,7 +498,6 @@ res_@i@ = bytearray(n_blocks + 1)
 _MISS_PRELUDE = """\
 misses_@i@ += 1
 ins_@i@ += size
-mo_@i@ += mcs
 """
 
 _UNIT_INIT = _COUNTER_INIT + """\
@@ -539,9 +508,7 @@ units_@i@ = [[] for _unused in range(ucount_@i@)]
 used_@i@ = [0] * ucount_@i@
 """
 
-# UnitCache semantics, links untracked: running totals over the whole
-# trace, eviction overhead accumulated per event, exactly like
-# CodeCacheSimulator._process_batched.
+# UnitCache semantics, links untracked.
 _UNIT_BODY = _MISS_PRELUDE + """\
 if used_@i@[fill_@i@] + size > ucap_@i@:
     fill_@i@ += 1
@@ -552,7 +519,6 @@ if used_@i@[fill_@i@] + size > ucap_@i@:
         inv_@i@ += 1
         evb_@i@ += len(victims_@i@)
         evB_@i@ += used_@i@[fill_@i@]
-        evo_@i@ += ev_s * used_@i@[fill_@i@] + ev_i
         for v_@i@ in victims_@i@:
             residency[v_@i@] &= @nb@
         units_@i@[fill_@i@] = []
@@ -562,9 +528,9 @@ used_@i@[fill_@i@] += size
 """
 
 _UNIT_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@, miss_overhead=mo_@i@,
+dict(misses=misses_@i@, inserted_bytes=ins_@i@,
      eviction_invocations=inv_@i@, evicted_blocks=evb_@i@,
-     evicted_bytes=evB_@i@, eviction_overhead=evo_@i@)
+     evicted_bytes=evB_@i@)
 """
 
 _FIFO_INIT = _COUNTER_INIT + """\
@@ -584,16 +550,15 @@ while fused_@i@ + size > cap_@i@:
     fused_@i@ -= vs_@i@
     nev_@i@ += 1
     evB_@i@ += vs_@i@
-    evo_@i@ += ev_s * vs_@i@ + ev_i
     residency[v_@i@] &= @nb@
 append_@i@(sid)
 fused_@i@ += size
 """
 
 _FIFO_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@, miss_overhead=mo_@i@,
+dict(misses=misses_@i@, inserted_bytes=ins_@i@,
      eviction_invocations=nev_@i@, evicted_blocks=nev_@i@,
-     evicted_bytes=evB_@i@, eviction_overhead=evo_@i@)
+     evicted_bytes=evB_@i@)
 """
 
 _FLUSH_LINKS_INIT = _COUNTER_INIT + _LINK_COUNTER_INIT + """\
@@ -614,7 +579,6 @@ if fused_@i@ + size > cap_@i@:
     inv_@i@ += 1
     evb_@i@ += len(blocks_@i@)
     evB_@i@ += fused_@i@
-    evo_@i@ += ev_s * fused_@i@ + ev_i
     for v_@i@ in blocks_@i@:
         residency[v_@i@] &= @nb@
     res_@i@ = bytearray(n_blocks + 1)
@@ -640,10 +604,9 @@ elif sf:
 """
 
 _FLUSH_LINKS_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@, miss_overhead=mo_@i@,
+dict(misses=misses_@i@, inserted_bytes=ins_@i@,
      eviction_invocations=inv_@i@, evicted_blocks=evb_@i@,
-     evicted_bytes=evB_@i@, eviction_overhead=evo_@i@,
-     links_established_intra=intra_@i@,
+     evicted_bytes=evB_@i@, links_established_intra=intra_@i@,
      peak_backpointer_bytes=plive_@i@ * bp_bytes)
 """
 
@@ -655,11 +618,10 @@ ua_@i@ = [-1] * (n_blocks + 1)
 # accounting.  A unit eviction is one event: the out-side dead-link
 # scan runs with every victim still flagged resident (links to
 # co-victims are live until the event drops them), the flags then
-# clear, and the in-side survivor counts — taken in set(victims)
-# iteration order, the order LinkManager.on_evict emits unlink records
-# in — become plain residency sums with the co-victim exclusion built
-# in.  ua_@i@[x] is the unit holding x, or -1 when absent, answering
-# residency and link classification with one load.
+# clear, and the in-side survivor counts become plain residency sums
+# with the co-victim exclusion built in.  ua_@i@[x] is the unit holding
+# x, or -1 when absent, answering residency and link classification
+# with one load.
 _UNIT_LINKS_BODY = _MISS_PRELUDE + """\
 if used_@i@[fill_@i@] + size > ucap_@i@:
     fill_@i@ += 1
@@ -670,7 +632,6 @@ if used_@i@[fill_@i@] + size > ucap_@i@:
         inv_@i@ += 1
         evb_@i@ += len(victims_@i@)
         evB_@i@ += used_@i@[fill_@i@]
-        evo_@i@ += ev_s * used_@i@[fill_@i@] + ev_i
         dead_@i@ = 0
         for v_@i@ in victims_@i@:
             dead_@i@ += self_flags[v_@i@] + _sum(
@@ -679,15 +640,12 @@ if used_@i@[fill_@i@] + size > ucap_@i@:
             residency[v_@i@] &= @nb@
             res_@i@[v_@i@] = 0
             ua_@i@[v_@i@] = -1
-        ulo_l_@i@ = 0.0
-        for v_@i@ in set(victims_@i@):
+        for v_@i@ in victims_@i@:
             sur_@i@ = _sum(in_get[v_@i@](res_@i@))
             if sur_@i@:
                 ulops_@i@ += 1
                 ulrem_@i@ += sur_@i@
-                ulo_l_@i@ += ul_s * sur_@i@ + ul_i
-            dead_@i@ += sur_@i@
-        ulo_@i@ += ulo_l_@i@
+                dead_@i@ += sur_@i@
         live_@i@ -= dead_@i@
         units_@i@[fill_@i@] = []
         used_@i@[fill_@i@] = 0
@@ -707,11 +665,10 @@ if est_@i@:
 """
 
 _UNIT_LINKS_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@, miss_overhead=mo_@i@,
+dict(misses=misses_@i@, inserted_bytes=ins_@i@,
      eviction_invocations=inv_@i@, evicted_blocks=evb_@i@,
-     evicted_bytes=evB_@i@, eviction_overhead=evo_@i@,
-     unlink_operations=ulops_@i@, links_removed=ulrem_@i@,
-     unlink_overhead=ulo_@i@, links_established_intra=intra_@i@,
+     evicted_bytes=evB_@i@, unlink_operations=ulops_@i@,
+     links_removed=ulrem_@i@, links_established_intra=intra_@i@,
      links_established_inter=inter_@i@,
      peak_backpointer_bytes=plive_@i@ * bp_bytes)
 """
@@ -722,32 +679,23 @@ _FIFO_LINKS_INIT = _FIFO_INIT + _LINK_COUNTER_INIT
 # its own event, processed sequentially: a later victim of the same
 # miss still counts as a surviving source for an earlier one (its links
 # have not dropped yet), which the residency flags reproduce because
-# each victim's flag clears only when its event is processed.  Event
-# costs for one miss are summed into locals and flushed with one +=
-# per field, matching _account_evictions.  Each block is its own unit,
-# so only self-loops are intra-unit.
+# each victim's flag clears only when its event is processed.  Each
+# block is its own unit, so only self-loops are intra-unit.
 _FIFO_LINKS_BODY = _MISS_PRELUDE + """\
-if fused_@i@ + size > cap_@i@:
-    evo_l_@i@ = 0.0
-    ulo_l_@i@ = 0.0
-    while fused_@i@ + size > cap_@i@:
-        v_@i@ = popleft_@i@()
-        vs_@i@ = sizes[v_@i@]
-        fused_@i@ -= vs_@i@
-        nev_@i@ += 1
-        evB_@i@ += vs_@i@
-        evo_l_@i@ += ev_s * vs_@i@ + ev_i
-        sur_@i@ = _sum(in_get[v_@i@](res_@i@))
-        if sur_@i@:
-            ulops_@i@ += 1
-            ulrem_@i@ += sur_@i@
-            ulo_l_@i@ += ul_s * sur_@i@ + ul_i
-        live_@i@ -= sur_@i@ + self_flags[v_@i@] + _sum(
-            outns_get[v_@i@](res_@i@))
-        residency[v_@i@] &= @nb@
-        res_@i@[v_@i@] = 0
-    evo_@i@ += evo_l_@i@
-    ulo_@i@ += ulo_l_@i@
+while fused_@i@ + size > cap_@i@:
+    v_@i@ = popleft_@i@()
+    vs_@i@ = sizes[v_@i@]
+    fused_@i@ -= vs_@i@
+    nev_@i@ += 1
+    evB_@i@ += vs_@i@
+    sur_@i@ = _sum(in_get[v_@i@](res_@i@))
+    if sur_@i@:
+        ulops_@i@ += 1
+        ulrem_@i@ += sur_@i@
+    live_@i@ -= sur_@i@ + self_flags[v_@i@] + _sum(
+        outns_get[v_@i@](res_@i@))
+    residency[v_@i@] &= @nb@
+    res_@i@[v_@i@] = 0
 append_@i@(sid)
 fused_@i@ += size
 res_@i@[sid] = 1
@@ -767,11 +715,10 @@ elif sf:
 """
 
 _FIFO_LINKS_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@, miss_overhead=mo_@i@,
+dict(misses=misses_@i@, inserted_bytes=ins_@i@,
      eviction_invocations=nev_@i@, evicted_blocks=nev_@i@,
-     evicted_bytes=evB_@i@, eviction_overhead=evo_@i@,
-     unlink_operations=ulops_@i@, links_removed=ulrem_@i@,
-     unlink_overhead=ulo_@i@, links_established_intra=intra_@i@,
+     evicted_bytes=evB_@i@, unlink_operations=ulops_@i@,
+     links_removed=ulrem_@i@, links_established_intra=intra_@i@,
      links_established_inter=inter_@i@,
      peak_backpointer_bytes=plive_@i@ * bp_bytes)
 """
@@ -815,9 +762,9 @@ def render_runner_source(kinds: tuple[str, ...],
                            "        ").lstrip())
     full = (1 << len(kinds)) - 1
     if track_links:
-        prelude = ["        size, mcs, nbrs, sf = pre[sid]"]
+        prelude = ["        size, nbrs, sf = pre[sid]"]
     else:
-        prelude = ["        size, mcs = pre[sid]"]
+        prelude = ["        size = sizes[sid]"]
     return "\n".join([
         f"def _kernel_run({', '.join(params)}):",
         "".join(inits),

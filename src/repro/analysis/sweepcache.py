@@ -51,8 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Simulator/workload semantics version.  Bump whenever a code change
 #: alters what a sweep produces for the same inputs; old entries then
 #: miss instead of silently serving stale numbers.  "2" adds the
-#: fault-tolerance report field to SweepResult.
-CACHE_VERSION = "2"
+#: fault-tolerance report field to SweepResult; "3" stores the
+#: overheads as the records' model instead of accumulated floats.
+CACHE_VERSION = "3"
 
 ENV_CACHE_DIR = "REPRO_SWEEP_CACHE_DIR"
 ENV_CACHE = "REPRO_SWEEP_CACHE"

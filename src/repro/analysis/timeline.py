@@ -81,7 +81,8 @@ def record_timeline(
         overhead_model=overhead_model, track_links=track_links,
     )
     points: list[TimelinePoint] = []
-    totals = SimulationStats(policy_name=policy.name)
+    totals = SimulationStats(policy_name=policy.name,
+                             overhead_model=overhead_model)
     cursor = 0
     while cursor < len(trace):
         chunk = trace[cursor:cursor + window]

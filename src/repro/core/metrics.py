@@ -9,13 +9,26 @@ count) and the relative series of Figures 8, 10, 11, 14 and 15.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+from repro.core.overhead import OverheadModel, PAPER_MODEL
 
 
 @dataclass
 class SimulationStats:
-    """Counters and overhead accumulators for one simulation run."""
+    """Integer counters for one simulation run, plus the overhead model
+    that prices them.
+
+    The three overheads (Equations 2-4) are not accumulated: each model
+    is linear, so a run's total is ``slope * quantity + intercept *
+    count`` over the counters below, whatever order the run charged its
+    events in.  Every engine therefore reports the same overheads
+    exactly when it reports the same counters, and re-pricing a finished
+    run under another model is ``dataclasses.replace(stats,
+    overhead_model=other)``.
+    """
 
     policy_name: str = ""
     benchmark: str = ""
@@ -30,13 +43,39 @@ class SimulationStats:
     links_removed: int = 0
     links_established_intra: int = 0
     links_established_inter: int = 0
-    miss_overhead: float = 0.0
-    eviction_overhead: float = 0.0
-    unlink_overhead: float = 0.0
     peak_backpointer_bytes: int = 0
     preemptive_flushes: int = 0
+    overhead_model: OverheadModel = PAPER_MODEL
+
+    def __setstate__(self, state: dict) -> None:
+        # Records pickled before the overheads became derived carry them
+        # as float fields and name no model; the counters are the run,
+        # and the paper's model priced every such record.
+        for name in ("miss_overhead", "eviction_overhead",
+                     "unlink_overhead"):
+            state.pop(name, None)
+        state.setdefault("overhead_model", PAPER_MODEL)
+        self.__dict__.update(state)
 
     # -- Derived metrics -----------------------------------------------------
+
+    @property
+    def miss_overhead(self) -> float:
+        """Equation 3 over every miss: regeneration plus insertion."""
+        return self.overhead_model.miss.total(self.inserted_bytes,
+                                              self.misses)
+
+    @property
+    def eviction_overhead(self) -> float:
+        """Equation 2 over every eviction invocation."""
+        return self.overhead_model.eviction.total(self.evicted_bytes,
+                                                  self.eviction_invocations)
+
+    @property
+    def unlink_overhead(self) -> float:
+        """Equation 4 over every unlink operation."""
+        return self.overhead_model.unlink.total(self.links_removed,
+                                                self.unlink_operations)
 
     @property
     def miss_rate(self) -> float:
@@ -78,10 +117,16 @@ class SimulationStats:
 
     def merged_with(self, other: "SimulationStats") -> "SimulationStats":
         """Return the sum of two stats records (labels kept from ``self``
-        unless empty)."""
+        unless empty).  Both must be priced under the same model."""
+        if self.overhead_model != other.overhead_model:
+            raise ValueError(
+                "cannot merge stats priced under different overhead "
+                f"models: {self.overhead_model} vs {other.overhead_model}"
+            )
         merged = SimulationStats(
             policy_name=self.policy_name or other.policy_name,
             benchmark=self.benchmark or other.benchmark,
+            overhead_model=self.overhead_model,
         )
         for name in _SUMMABLE_FIELDS:
             setattr(merged, name, getattr(self, name) + getattr(other, name))
@@ -125,36 +170,25 @@ _SUMMABLE_FIELDS = (
     "links_removed",
     "links_established_intra",
     "links_established_inter",
-    "miss_overhead",
-    "eviction_overhead",
-    "unlink_overhead",
     "preemptive_flushes",
 )
 
 
-def repriced_overhead(stats: "SimulationStats", model,
+def repriced_overhead(stats: SimulationStats, model: OverheadModel,
                       include_links: bool = True) -> float:
     """Re-price a finished run's management overhead under a different
     :class:`~repro.core.overhead.OverheadModel`.
 
-    Overhead attribution is linear in the counters a run records
-    (misses and inserted bytes, eviction invocations and evicted bytes,
-    unlink operations and links removed), so any run can be re-costed
-    exactly without re-simulating — the basis of the overhead-model
-    sensitivity study.
+    The overheads are derived from the run's counters (misses and
+    inserted bytes, eviction invocations and evicted bytes, unlink
+    operations and links removed), so re-pricing is the same formula
+    under another model — exact, with no re-simulation.  It is the
+    basis of the overhead-model sensitivity study.
     """
-    total = (
-        model.miss.slope * stats.inserted_bytes
-        + model.miss.intercept * stats.misses
-        + model.eviction.slope * stats.evicted_bytes
-        + model.eviction.intercept * stats.eviction_invocations
-    )
+    repriced = dataclasses.replace(stats, overhead_model=model)
     if include_links:
-        total += (
-            model.unlink.slope * stats.links_removed
-            + model.unlink.intercept * stats.unlink_operations
-        )
-    return total
+        return repriced.total_overhead
+    return repriced.management_overhead
 
 
 def unified_miss_rate(stats: Iterable[SimulationStats]) -> float:

@@ -25,6 +25,12 @@ class LinearCost:
             raise ValueError(f"cost quantity must be non-negative: {quantity}")
         return self.slope * quantity + self.intercept
 
+    def total(self, quantity: int, count: int) -> float:
+        """The summed cost of *count* charges whose quantities add up
+        to *quantity* — exact by linearity, whatever the per-charge
+        split."""
+        return self.slope * quantity + self.intercept * count
+
 
 @dataclass(frozen=True)
 class OverheadModel:

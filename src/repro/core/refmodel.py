@@ -423,20 +423,16 @@ class ReferenceSimulator:
 
     def _account_eviction(self, blocks: tuple[int, ...],
                           stats: SimulationStats) -> int:
-        """Charge one eviction invocation (and its unlinking) to
+        """Count one eviction invocation (and its unlinking) into
         *stats*; returns the number of links removed."""
-        model = self.model
-        evicted_bytes = sum(self._sizes[s] for s in blocks)
         stats.eviction_invocations += 1
         stats.evicted_blocks += len(blocks)
-        stats.evicted_bytes += evicted_bytes
-        stats.eviction_overhead += model.eviction_cost(evicted_bytes)
+        stats.evicted_bytes += sum(self._sizes[s] for s in blocks)
         links_removed = 0
         if self.track_links:
             for _, count in self._drop_links(blocks):
                 stats.unlink_operations += 1
                 stats.links_removed += count
-                stats.unlink_overhead += model.unlink_cost(count)
                 links_removed += count
         return links_removed
 
@@ -445,9 +441,9 @@ class ReferenceSimulator:
         if hasattr(trace, "tolist"):
             trace = trace.tolist()
         stats = SimulationStats(policy_name=self.policy_name,
-                                benchmark=benchmark)
+                                benchmark=benchmark,
+                                overhead_model=self.model)
         outcomes: list[AccessOutcome] = []
-        model = self.model
         store = self.store
         # The PREEMPT store exposes a pre-residency-decision hook; the
         # production simulator calls ``policy.on_access`` in the same
@@ -483,7 +479,6 @@ class ReferenceSimulator:
             stats.misses += 1
             size = self._sizes[sid]
             stats.inserted_bytes += size
-            stats.miss_overhead += model.miss_cost(size)
             for blocks in store.insert(sid, size):
                 events.append(blocks)
                 links_removed += self._account_eviction(blocks, stats)

@@ -5,9 +5,10 @@ that a code cache would manage including actual region sizes and
 inter-region links") through a code cache simulator, then attached the
 analytical overhead penalties of Equations 2-4.  This module is that
 simulator: it consumes a stream of superblock accesses, maintains the
-cache under a chosen eviction policy, tracks chaining links, and charges
-the overhead model for every miss, eviction invocation and unlink
-operation.
+cache under a chosen eviction policy, tracks chaining links, and counts
+every miss, eviction invocation and unlink operation.  The overheads of
+Equations 2-4 are priced from those counts by the stats record (see
+:class:`~repro.core.metrics.SimulationStats`).
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class CodeCacheSimulator:
                 observer: AccessObserver | None = None) -> SimulationStats:
         """Replay *trace* (an iterable of superblock ids); return stats."""
         stats = SimulationStats(policy_name=self.policy.name,
-                                benchmark=benchmark)
+                                benchmark=benchmark,
+                                overhead_model=self.overhead_model)
         if hasattr(trace, "tolist"):
             # Plain ints hash measurably faster than numpy scalars in
             # the dict lookups that dominate the hot loop.
@@ -128,7 +130,6 @@ class CodeCacheSimulator:
             self._process_batched(trace, stats)
         else:
             insert = policy.insert
-            miss_cost = self.overhead_model.miss_cost
             for sid in trace:
                 stats.accesses += 1
                 if watches_accesses:
@@ -151,7 +152,6 @@ class CodeCacheSimulator:
                 stats.misses += 1
                 size = sizes[sid]
                 stats.inserted_bytes += size
-                stats.miss_overhead += miss_cost(size)
                 events = insert(sid, size)
                 if events:
                     self._account_evictions(events, stats)
@@ -218,7 +218,6 @@ class CodeCacheSimulator:
             if before_insert is not None:
                 before_insert(sid, size)
             stats.inserted_bytes += size
-            stats.miss_overhead += self.overhead_model.miss_cost(size)
             events = policy.insert(sid, size)
             if events:
                 if on_evictions is None:
@@ -249,7 +248,6 @@ class CodeCacheSimulator:
         sizes = self.superblocks.sizes()
         contains = policy.contains
         insert = policy.insert
-        miss_cost = self.overhead_model.miss_cost
         checker = self.checker
         cadence = checker.cadence if checker is not None else 0
         until_check = cadence
@@ -281,7 +279,6 @@ class CodeCacheSimulator:
                     stats.misses += 1
                     size = sizes[sid]
                     stats.inserted_bytes += size
-                    stats.miss_overhead += miss_cost(size)
                     inserted = insert(sid, size)
                     if inserted:
                         self._account_evictions(inserted, stats)
@@ -320,7 +317,6 @@ class CodeCacheSimulator:
                 stats.misses += 1
                 size = sizes[sid]
                 stats.inserted_bytes += size
-                stats.miss_overhead += miss_cost(size)
                 inserted = insert(sid, size)
                 if inserted:
                     self._account_evictions(inserted, stats)
@@ -376,14 +372,9 @@ class CodeCacheSimulator:
         sizes = self.superblocks.sizes()
         contains = policy.contains
         insert = policy.insert
-        model = self.overhead_model
-        miss_cost = model.miss_cost
-        eviction_cost = model.eviction_cost
         accesses = hits = misses = 0
         inserted_bytes = 0
-        miss_overhead = 0.0
         invocations = evicted_blocks = evicted_bytes = 0
-        eviction_overhead = 0.0
         for sid in trace:
             accesses += 1
             if contains(sid):
@@ -392,50 +383,29 @@ class CodeCacheSimulator:
             misses += 1
             size = sizes[sid]
             inserted_bytes += size
-            miss_overhead += miss_cost(size)
             for event in insert(sid, size):
                 invocations += 1
                 evicted_blocks += len(event.blocks)
                 evicted_bytes += event.bytes_evicted
-                eviction_overhead += eviction_cost(event.bytes_evicted)
         stats.accesses += accesses
         stats.hits += hits
         stats.misses += misses
         stats.inserted_bytes += inserted_bytes
-        stats.miss_overhead += miss_overhead
         stats.eviction_invocations += invocations
         stats.evicted_blocks += evicted_blocks
         stats.evicted_bytes += evicted_bytes
-        stats.eviction_overhead += eviction_overhead
 
     def _account_evictions(self, events, stats: SimulationStats) -> None:
-        """Charge eviction and unlinking costs for a batch of events."""
-        model = self.overhead_model
+        """Count a batch of eviction events and their unlinking."""
         links = self.links
-        eviction_cost = model.eviction_cost
-        unlink_cost = model.unlink_cost
-        invocations = blocks = evicted_bytes = 0
-        eviction_overhead = 0.0
-        unlink_operations = links_removed = 0
-        unlink_overhead = 0.0
         for event in events:
-            invocations += 1
-            blocks += len(event.blocks)
-            evicted_bytes += event.bytes_evicted
-            eviction_overhead += eviction_cost(event.bytes_evicted)
+            stats.eviction_invocations += 1
+            stats.evicted_blocks += len(event.blocks)
+            stats.evicted_bytes += event.bytes_evicted
             if links is not None:
                 for record in links.on_evict(event.blocks):
-                    unlink_operations += 1
-                    links_removed += record.links_removed
-                    unlink_overhead += unlink_cost(record.links_removed)
-        stats.eviction_invocations += invocations
-        stats.evicted_blocks += blocks
-        stats.evicted_bytes += evicted_bytes
-        stats.eviction_overhead += eviction_overhead
-        if links is not None:
-            stats.unlink_operations += unlink_operations
-            stats.links_removed += links_removed
-            stats.unlink_overhead += unlink_overhead
+                    stats.unlink_operations += 1
+                    stats.links_removed += record.links_removed
 
 
 def simulate(

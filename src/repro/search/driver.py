@@ -52,8 +52,10 @@ from repro.workloads.registry import (
     default_trace_accesses,
 )
 
-#: Bump when the checkpoint payload shape changes.
-CHECKPOINT_FORMAT = 1
+#: Bump when the checkpoint payload shape changes.  2: memoized
+#: eviction overheads are derived from integer counters, so a format-1
+#: memo would mix in the old float accumulations.
+CHECKPOINT_FORMAT = 2
 
 #: Default fitness benchmarks: a small, diverse registry slice (large
 #: and small populations, loopy and flat link graphs).

@@ -12,6 +12,12 @@ capacity) and serves every tenant from it:
   attributed to their *owner* (the tenant whose code was evicted), so
   per-tenant byte conservation (inserted − evicted == resident) holds
   tenant by tenant, and Equation 1 is reportable per tenant and unified.
+  Each tenant's overheads are priced from its own counters, so its
+  Equation 2 cost covers the eviction invocations its inserts triggered
+  and the bytes it lost — not the bytes other tenants lost to its
+  inserts.  The unified record merges the counters, so its Equation 2
+  cost is the whole service's, and the per-tenant costs sum to it up to
+  float rounding.
 * **Quotas (Memshare-style)** — each tenant has a hard byte quota on
   resident code.  A miss that would push its owner past the quota first
   reclaims the tenant's *own* oldest blocks (targeted eviction through
@@ -214,13 +220,14 @@ class TenantState:
     """One attached tenant: namespace, stats, quota and residency."""
 
     def __init__(self, name: str, slot: int, sizes: list[int],
-                 quota: TenantQuota) -> None:
+                 quota: TenantQuota, overhead_model: OverheadModel) -> None:
         self.name = name
         self.slot = slot
         self.offset = slot * NAMESPACE_STRIDE
         self.block_count = len(sizes)
         self.quota = quota
-        self.stats = SimulationStats(benchmark=name)
+        self.stats = SimulationStats(benchmark=name,
+                                     overhead_model=overhead_model)
         self.resident_bytes = 0
         #: Resident gids in insertion order — the victim order for
         #: quota and pressure reclaim (oldest first, FIFO-faithful).
@@ -540,7 +547,7 @@ class SharedArena:
                                 f"hash collision)"
                             )
             tenant = TenantState(name, len(self._by_slot), block_sizes,
-                                 quota)
+                                 quota, self.simulator.overhead_model)
             if self.persister is not None:
                 self.persister.log_attach(name, block_sizes, quota,
                                           block_digests)
@@ -742,20 +749,16 @@ class SharedArena:
         return self._by_slot[gid // NAMESPACE_STRIDE]
 
     def _attribute_events(self, events, inserter_stats) -> None:
-        """Split eviction events: the work (invocations, Equation 2/3
-        overhead) is charged to the stats record driving the insert; the
-        evicted blocks and bytes are attributed to their owners, keeping
-        per-tenant byte conservation exact."""
+        """Split eviction events: the invocations are counted on the
+        stats record driving the insert; the evicted blocks and bytes
+        are attributed to their owners, keeping per-tenant byte
+        conservation exact."""
         if self.sharing is not None:
             self._attribute_events_shared(events, inserter_stats)
             return
-        eviction_cost = self.simulator.overhead_model.eviction_cost
         sizes = self._blocks.sizes()
         for event in events:
             inserter_stats.eviction_invocations += 1
-            inserter_stats.eviction_overhead += eviction_cost(
-                event.bytes_evicted
-            )
             for gid in event.blocks:
                 owner = self._owner_of(gid)
                 size = sizes[gid]
@@ -772,13 +775,9 @@ class SharedArena:
         split (slot order), so Σ per-owner evicted_bytes equals the
         physical bytes and the merged Equation 1 conservation stays an
         integer identity."""
-        eviction_cost = self.simulator.overhead_model.eviction_cost
         sharing = self.sharing
         for event in events:
             inserter_stats.eviction_invocations += 1
-            inserter_stats.eviction_overhead += eviction_cost(
-                event.bytes_evicted
-            )
             for gid in event.blocks:
                 entry = sharing.by_gid[gid]
                 size = entry.size
@@ -983,8 +982,9 @@ class SharedArena:
         records = ([t.stats for t in self._tenants.values()]
                    + self._closed_stats)
         if not records:
-            return SimulationStats(policy_name=self.policy.name,
-                                   benchmark="unified")
+            return SimulationStats(
+                policy_name=self.policy.name, benchmark="unified",
+                overhead_model=self.simulator.overhead_model)
         merged = merge_all(records)
         merged.policy_name = self.policy.name
         merged.benchmark = "unified"

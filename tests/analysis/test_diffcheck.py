@@ -13,6 +13,7 @@ from repro.analysis.diffcheck import (
 )
 from repro.core.cache import ConfigurationError
 from repro.core.metrics import SimulationStats
+from repro.core.overhead import FREE_MODEL
 from repro.core.refmodel import AccessOutcome
 
 
@@ -92,12 +93,17 @@ class TestDivergenceDetection:
         assert any("hits" in p for p in problems)
         assert any("misses" in p for p in problems)
 
-    def test_stats_float_tolerance(self):
-        a = SimulationStats(miss_overhead=1000.0)
-        b = SimulationStats(miss_overhead=1000.0 * (1 + 1e-12))
-        assert _diff_stats(a, b) == []
-        c = SimulationStats(miss_overhead=1001.0)
-        assert _diff_stats(a, c)
+    def test_stats_compare_whole_records(self):
+        a = SimulationStats(misses=4, inserted_bytes=400)
+        assert _diff_stats(a, SimulationStats(misses=4,
+                                              inserted_bytes=400)) == []
+        # Records priced under different models differ, even with
+        # identical counters: no float tolerance hides a model change.
+        repriced = SimulationStats(misses=4, inserted_bytes=400,
+                                   overhead_model=FREE_MODEL)
+        problems = _diff_stats(a, repriced)
+        assert len(problems) == 1
+        assert problems[0].startswith("overhead_model:")
 
     def test_report_render_shapes(self):
         report = DiffReport(runs=2, accesses_compared=100)

@@ -29,9 +29,14 @@ from repro.core.policies import (
     UnitFifoPolicy,
     granularity_ladder,
 )
+from repro.core.pressure import pressured_capacity
 from repro.core.simulator import CodeCacheSimulator
 from repro.core.superblock import Superblock, SuperblockSet
-from repro.workloads.registry import build_workload, spec_benchmarks
+from repro.workloads.registry import (
+    build_workload,
+    get_benchmark,
+    spec_benchmarks,
+)
 
 
 def _population(count=12, size=48, sparse=False):
@@ -199,6 +204,25 @@ class TestEngines:
             for name in py_cell:
                 assert (dataclasses.asdict(auto_cell[name])
                         == dataclasses.asdict(py_cell[name]))
+
+
+    @pytest.mark.skipif(not ckernel.available(),
+                        reason="C kernel unavailable")
+    def test_c_engine_splits_configs_past_geometry_cap(self):
+        # One capacity with 39 rungs that all resolve to distinct unit
+        # counts: more geometries than one C residency mask holds, and
+        # no capacity axis left to split, so the config axis splits.
+        workload = build_workload(get_benchmark("gcc"), scale=0.25,
+                                  trace_accesses=3000)
+        blocks = workload.superblocks
+        capacity = pressured_capacity(blocks, 2)
+        configs = ladder_kernel_configs(tuple(range(1, 40)))
+        c = one_pass_grid(blocks, workload.trace, [capacity], configs,
+                          engine="c")
+        py = one_pass_grid(blocks, workload.trace, [capacity], configs,
+                           engine="py")
+        assert list(c[0]) == [config.name for config in configs]
+        assert c == py
 
 
 class TestSweepRouting:

@@ -3,22 +3,23 @@
 The kernel's whole contract is that batching every (capacity, rung)
 geometry into one trace traversal changes nothing observable.  These
 tests drive randomized populations, link graphs, traces, capacity sets,
-and unit ladders through both engines of
-:func:`repro.analysis.kernel.one_pass_grid` and through
+unit ladders and overhead models through both engines of
+:func:`repro.analysis.kernel.one_pass_grid`, through
 :class:`~repro.core.simulator.CodeCacheSimulator` replay — including
-replay under the paranoid invariant checker — and require bit-identical
-statistics everywhere.
+replay under the paranoid invariant checker — and through the
+reference model, and require equal records everywhere.
 """
 
 import dataclasses
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ckernel
 from repro.analysis.kernel import ladder_kernel_configs, one_pass_grid
+from repro.core.overhead import LinearCost, OverheadModel
 from repro.core.policies import granularity_ladder
+from repro.core.refmodel import reference_ladder
 from repro.core.simulator import CodeCacheSimulator
 from repro.core.superblock import Superblock, SuperblockSet
 
@@ -95,13 +96,7 @@ def test_kernel_matches_replay_bit_for_bit(scenario):
 def test_kernel_matches_paranoid_checked_replay(scenario):
     """The kernel agrees with replay even when replay runs under the
     paranoid invariant checker — so a checked run certifies the same
-    numbers the fast path produces.
-
-    Counters must match exactly; overhead floats to relative 1e-9,
-    because the checked simulator legally sums the same per-event
-    charges in a different order than the unchecked batched loop (the
-    same tolerance the differential oracle uses).
-    """
+    numbers the fast path produces."""
     population, trace, capacities, unit_counts, track_links = scenario
     configs = ladder_kernel_configs(unit_counts)
     grid = one_pass_grid(population, trace, capacities, configs,
@@ -110,12 +105,53 @@ def test_kernel_matches_paranoid_checked_replay(scenario):
                         track_links, check_level="paranoid")
     for cell, want_cell in zip(grid, want):
         for name, want_record in want_cell.items():
-            got = dataclasses.asdict(cell[name])
-            for field_name, want_value in want_record.items():
-                got_value = got[field_name]
-                if isinstance(want_value, float):
-                    assert math.isclose(got_value, want_value,
-                                        rel_tol=1e-9, abs_tol=1e-6), (
-                        name, field_name)
-                else:
-                    assert got_value == want_value, (name, field_name)
+            assert dataclasses.asdict(cell[name]) == want_record, name
+
+
+_COEFFICIENT = st.floats(0.0, 5000.0, allow_nan=False)
+
+
+@st.composite
+def _model(draw):
+    def cost():
+        return LinearCost(draw(_COEFFICIENT), draw(_COEFFICIENT))
+    return OverheadModel(miss=cost(), eviction=cost(), unlink=cost())
+
+
+@given(_scenario(), _model(), _model())
+@settings(max_examples=25, deadline=None)
+def test_every_engine_prices_any_model_identically(scenario, model, other):
+    """Under a random overhead model the C kernel, the Python kernel,
+    replay and the reference simulator return equal records; re-pricing
+    a finished record under a second model equals re-simulating."""
+    population, trace, capacities, unit_counts, track_links = scenario
+    configs = ladder_kernel_configs(unit_counts)
+    engines = ["py"] + (["c"] if ckernel.available() else [])
+    grids = {
+        engine: one_pass_grid(population, trace, capacities, configs,
+                              overhead_model=model,
+                              track_links=track_links, engine=engine)
+        for engine in engines
+    }
+    references = dict(reference_ladder(unit_counts=unit_counts))
+
+    def replay(policy, capacity, priced_under):
+        simulator = CodeCacheSimulator(population, policy, capacity,
+                                       overhead_model=priced_under,
+                                       track_links=track_links)
+        record = simulator.process(trace)
+        record.policy_name = policy.name
+        return record
+
+    for index, capacity in enumerate(capacities):
+        for policy, fresh in zip(granularity_ladder(unit_counts=unit_counts),
+                                 granularity_ladder(unit_counts=unit_counts)):
+            record = replay(policy, capacity, model)
+            reference = references[policy.name](
+                population, capacity, model=model, track_links=track_links)
+            assert reference.run(trace).stats == record, policy.name
+            for engine, grid in grids.items():
+                assert grid[index][policy.name] == record, (engine,
+                                                            policy.name)
+            repriced = dataclasses.replace(record, overhead_model=other)
+            assert repriced == replay(fresh, capacity, other), policy.name

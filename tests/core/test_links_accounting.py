@@ -32,7 +32,7 @@ class TestLinkAccounting:
         # unlink operations: slope * links + intercept per operation.
         expected = (PAPER_MODEL.unlink.slope * stats.links_removed
                     + PAPER_MODEL.unlink.intercept * stats.unlink_operations)
-        assert stats.unlink_overhead == pytest.approx(expected)
+        assert stats.unlink_overhead == expected
 
     def test_backpointer_tables_are_consistent(self, run):
         _, simulator, stats = run
@@ -72,10 +72,10 @@ class TestLinkAccounting:
         expected = (PAPER_MODEL.eviction.slope * stats.evicted_bytes
                     + PAPER_MODEL.eviction.intercept
                     * stats.eviction_invocations)
-        assert stats.eviction_overhead == pytest.approx(expected)
+        assert stats.eviction_overhead == expected
 
     def test_miss_overhead_matches_equation_3_exactly(self, run):
         workload, _, stats = run
         expected = (PAPER_MODEL.miss.slope * stats.inserted_bytes
                     + PAPER_MODEL.miss.intercept * stats.misses)
-        assert stats.miss_overhead == pytest.approx(expected)
+        assert stats.miss_overhead == expected

@@ -9,6 +9,12 @@ from repro.core.metrics import (
     relative_series,
     unified_miss_rate,
 )
+from repro.core.overhead import (
+    FREE_MODEL,
+    PAPER_MODEL,
+    LinearCost,
+    OverheadModel,
+)
 
 
 def _stats(accesses, misses, **kwargs):
@@ -25,10 +31,28 @@ class TestDerivedMetrics:
         assert SimulationStats().miss_rate == 0.0
 
     def test_overhead_views(self):
-        stats = SimulationStats(miss_overhead=10.0, eviction_overhead=5.0,
-                                unlink_overhead=2.0)
+        model = OverheadModel(miss=LinearCost(2.0, 3.0),
+                              eviction=LinearCost(1.0, 4.0),
+                              unlink=LinearCost(0.5, 1.0))
+        stats = SimulationStats(misses=2, inserted_bytes=2,
+                                eviction_invocations=1, evicted_bytes=1,
+                                unlink_operations=1, links_removed=2,
+                                overhead_model=model)
+        assert stats.miss_overhead == 10.0
+        assert stats.eviction_overhead == 5.0
+        assert stats.unlink_overhead == 2.0
         assert stats.management_overhead == 15.0
         assert stats.total_overhead == 17.0
+
+    def test_overheads_are_priced_from_counters(self):
+        stats = SimulationStats(misses=3, inserted_bytes=700,
+                                eviction_invocations=2, evicted_bytes=500,
+                                unlink_operations=4, links_removed=9)
+        assert stats.overhead_model == PAPER_MODEL
+        assert stats.miss_overhead == 75.4 * 700 + 1922.0 * 3
+        assert stats.eviction_overhead == 2.77 * 500 + 3055.0 * 2
+        assert stats.unlink_overhead == 296.5 * 9 + 95.7 * 4
+        assert SimulationStats(overhead_model=FREE_MODEL).total_overhead == 0
 
     def test_inter_unit_fraction(self):
         stats = SimulationStats(links_established_intra=3,
@@ -69,6 +93,16 @@ class TestMerging:
     def test_merge_all_empty_rejected(self):
         with pytest.raises(ValueError):
             merge_all([])
+
+    def test_merged_keeps_the_shared_model(self):
+        a = _stats(10, 2, overhead_model=FREE_MODEL)
+        b = _stats(20, 4, overhead_model=FREE_MODEL)
+        assert a.merged_with(b).overhead_model == FREE_MODEL
+
+    def test_merging_across_models_is_refused(self):
+        with pytest.raises(ValueError, match="overhead models"):
+            _stats(10, 2).merged_with(
+                _stats(10, 2, overhead_model=FREE_MODEL))
 
 
 class TestUnifiedMissRate:

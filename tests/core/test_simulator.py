@@ -56,9 +56,7 @@ class TestOverheadCharging:
     def test_miss_overhead_exact(self):
         blocks = _uniform_blocks(1, size=230)
         stats = simulate(blocks, FlushPolicy(), 400, [0, 0, 0])
-        assert stats.miss_overhead == pytest.approx(
-            PAPER_MODEL.miss_cost(230)
-        )
+        assert stats.miss_overhead == PAPER_MODEL.miss_cost(230)
         assert stats.eviction_overhead == 0.0
 
     def test_eviction_overhead_exact(self):
@@ -67,9 +65,7 @@ class TestOverheadCharging:
         stats = simulate(blocks, FlushPolicy(), 200, [0, 1, 2])
         assert stats.eviction_invocations == 1
         assert stats.evicted_bytes == 200
-        assert stats.eviction_overhead == pytest.approx(
-            PAPER_MODEL.eviction_cost(200)
-        )
+        assert stats.eviction_overhead == PAPER_MODEL.eviction_cost(200)
 
     def test_unlink_overhead_charged_for_surviving_sources(self):
         blocks = SuperblockSet([
@@ -90,9 +86,7 @@ class TestOverheadCharging:
         stats2 = simulate(blocks2, UnitFifoPolicy(2), 200, [0, 1, 2])
         assert stats2.unlink_operations == 1
         assert stats2.links_removed == 1
-        assert stats2.unlink_overhead == pytest.approx(
-            PAPER_MODEL.unlink_cost(1)
-        )
+        assert stats2.unlink_overhead == PAPER_MODEL.unlink_cost(1)
         assert stats.unlink_overhead == 0.0
 
     def test_free_model_charges_nothing(self):

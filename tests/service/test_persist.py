@@ -3,6 +3,8 @@ back with field-identical per-tenant stats, degrade gracefully on
 corrupt artifacts, and apply every sequenced batch exactly once."""
 
 import asyncio
+import copy
+import dataclasses
 import json
 
 import pytest
@@ -389,6 +391,58 @@ class TestParkAndResume:
             await service.drain()
 
         asyncio.run(scenario())
+
+
+def _to_legacy_layout(stats) -> None:
+    """Rewrite *stats* in place into the layout records were pickled
+    with before the overheads became derived: three float fields and
+    no overhead model.  The floats are deliberately stale — restore
+    must re-derive the overheads from the counters, not trust them."""
+    state = vars(stats)
+    del state["overhead_model"]
+    state.update(miss_overhead=-1.0, eviction_overhead=-2.0,
+                 unlink_overhead=-3.0)
+
+
+class TestLegacyStatsLayout:
+    def test_snapshot_with_float_overhead_fields_restores(self, tmp_path):
+        persister = ArenaPersister(tmp_path, snapshot_interval=10**9)
+        arena, _ = recover_arena(persister, policy="8-unit",
+                                 capacity_bytes=64 * 1024,
+                                 max_block_bytes=8192)
+        arena.attach("a", [4096] * 24)
+        arena.attach("b", [3000] * 24)
+        arena.access_many("a", list(range(24)) * 2, tseq=1)
+        arena.access_many("b", list(range(24)) * 2, tseq=1)
+        arena.detach("b")
+        want = {t.name: dataclasses.replace(t.stats)
+                for t in arena.tenants()}
+        unified = arena.unified_stats()
+        assert unified.eviction_invocations > 0
+
+        state = copy.deepcopy(arena.snapshot_state())
+        legacy = {id(record): record for record in
+                  [t.stats for t in state["by_slot"]]
+                  + state["closed_stats"]}
+        for record in legacy.values():
+            _to_legacy_layout(record)
+        assert persister.write_snapshot(state, arena.total_accesses)
+        persister.close()
+
+        restored, report = recover_arena(
+            ArenaPersister(tmp_path, snapshot_interval=10**9),
+            policy="8-unit", capacity_bytes=64 * 1024,
+            max_block_bytes=8192)
+        assert report["snapshot_loaded"]
+        assert report["records_replayed"] == 0
+        for tenant in restored.tenants():
+            stats = tenant.stats
+            assert stats == want[tenant.name]
+            assert "miss_overhead" not in vars(stats)
+            assert stats.to_dict()["eviction_overhead"] == (
+                2.77 * stats.evicted_bytes
+                + 3055.0 * stats.eviction_invocations)
+        assert restored.unified_stats() == unified
 
 
 class TestPersisterUnit:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core.cache import ConfigurationError
+from repro.core.overhead import LinearCost, OverheadModel
 from repro.core.policies import (
     EvictionPolicy,
     FineGrainedFifoPolicy,
@@ -139,6 +140,36 @@ class TestPerTenantAccounting:
         assert (unified.inserted_bytes - unified.evicted_bytes
                 == arena.resident_bytes)
         arena.check_now()  # a clean final paranoid pass
+
+    def test_tenant_eq2_costs_sum_to_unified(self, policy_spec):
+        """Each tenant's Equation 2 cost is priced from its own counters
+        (the invocations its inserts triggered, the bytes it lost) under
+        the arena's model; together they are the service's cost."""
+        model = OverheadModel(miss=LinearCost(70.0, 2000.0),
+                              eviction=LinearCost(3.0, 3000.0),
+                              unlink=LinearCost(300.0, 100.0))
+        arena = _arena(make_policy(policy_spec), capacity=48 * 1024,
+                       overhead_model=model)
+        rng = random.Random(7)
+        for name, seed in (("a", 1), ("b", 2), ("c", 3)):
+            arena.attach(name, _sizes(120, seed=seed, high=1024))
+        for _ in range(4000):
+            arena.access(rng.choice("abc"), rng.randrange(120))
+        arena.detach("c")
+        unified = arena.unified_stats()
+        assert unified.overhead_model == model
+        assert unified.eviction_invocations > 0
+        assert unified.eviction_overhead == (
+            3.0 * unified.evicted_bytes
+            + 3000.0 * unified.eviction_invocations)
+        tenants = arena.tenants()
+        for tenant in tenants:
+            stats = tenant.stats
+            assert stats.eviction_overhead == (
+                3.0 * stats.evicted_bytes
+                + 3000.0 * stats.eviction_invocations)
+        assert sum(t.stats.eviction_overhead for t in tenants) == (
+            pytest.approx(unified.eviction_overhead, rel=1e-12))
 
     def test_detach_preserves_unified_conservation(self, policy_spec):
         arena = _arena(make_policy(policy_spec), capacity=48 * 1024,
