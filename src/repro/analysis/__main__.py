@@ -123,6 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--diff-preempt", action="store_true",
                         help="extend diff-check's ladder with Dynamo's "
                              "preemptive-flush policy")
+    parser.add_argument("--diff-priority", action="store_true",
+                        help="extend diff-check with the policy search's "
+                             "seed priority functions and the committed "
+                             "winner")
     parser.add_argument("--baselines", default=benchgate.DEFAULT_BASELINES,
                         help="bench-gate baselines file "
                              "(default: %(default)s)")
@@ -216,6 +220,8 @@ def _run_diff_check(args: argparse.Namespace) -> bool:
         pressures=pressures,
         include_lru=args.diff_lru,
         include_preempt=args.diff_preempt,
+        priority_expressions=(diffcheck.priority_panel()
+                              if args.diff_priority else ()),
         check_level=args.check,
         progress=lambda line: print(f"  {line}", file=sys.stderr),
     )

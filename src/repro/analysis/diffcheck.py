@@ -16,22 +16,31 @@ ladder, and diffs them at two grains:
 A clean diff means the fast implementation and the obviously-correct
 one agree access for access on every rung — the strongest correctness
 statement this repo can make short of the original DynamoRIO logs.
+Beyond the ladder, the LRU arena, PREEMPT and priority-function
+policies (the search's seeds and committed winner, see
+:func:`priority_panel`) can be diffed too.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.cache import ConfigurationError
 from repro.core.metrics import SimulationStats
 from repro.core.overhead import OverheadModel, PAPER_MODEL
 from repro.core.policies import STANDARD_UNIT_COUNTS
 from repro.core.pressure import pressured_capacity
-from repro.core.refmodel import AccessOutcome, reference_ladder
+from repro.core.refmodel import (AccessOutcome, ReferenceSimulator,
+                                 reference_ladder)
 from repro.core.simulator import CodeCacheSimulator
 from repro.analysis.sweep import ladder_policy_factories, run_sweep
 from repro.workloads.registry import all_benchmarks, build_workload
+
+if TYPE_CHECKING:
+    from repro.search.expr import Expr
 
 #: Benchmarks the CLI diffs by default: the three smallest SPEC
 #: populations, so the quadratic reference model stays fast.
@@ -147,6 +156,40 @@ def _diff_stats(optimized: SimulationStats,
     ]
 
 
+def priority_panel() -> tuple[tuple[str, Expr], ...]:
+    """The priority functions ``--diff-priority`` diffs: the search's
+    seed expressions and the winner the committed ``BENCH_search.json``
+    reports (a test keeps the two in step)."""
+    from repro.search.driver import seed_expressions
+    from repro.search.expr import Binary, Feature, Unary
+
+    winner = Unary("neg", Binary("mul", Feature("size"), Unary(
+        "log1p", Binary("sub", Feature("out_degree"), Feature("size")))))
+    return (*seed_expressions(), ("winner", winner))
+
+
+def _cells(ladder, priority_expressions, superblocks, capacity: int,
+           model: OverheadModel, track_links: bool) -> list:
+    """``(name, production policy, reference builder)`` for every policy
+    diffed at one geometry."""
+    cells = [
+        (name, factory(), partial(build, superblocks, capacity,
+                                  model=model, track_links=track_links))
+        for (name, factory), (_, build) in ladder
+    ]
+    if priority_expressions:
+        from repro.search.priority import PriorityFunctionPolicy
+    for name, expression in priority_expressions:
+        cells.append((
+            name,
+            PriorityFunctionPolicy(expression, superblocks, name=name),
+            partial(ReferenceSimulator.for_priority, superblocks, capacity,
+                    expression, name=name, overhead_model=model,
+                    track_links=track_links),
+        ))
+    return cells
+
+
 def diff_check(
     benchmarks: tuple[str, ...] = DEFAULT_BENCHMARKS,
     scale: float = 1.0,
@@ -156,6 +199,7 @@ def diff_check(
     include_fine: bool = True,
     include_lru: bool = False,
     include_preempt: bool = False,
+    priority_expressions: Sequence[tuple[str, Expr]] = (),
     overhead_model: OverheadModel = PAPER_MODEL,
     track_links: bool = True,
     check_level: str | None = None,
@@ -172,6 +216,10 @@ def diff_check(
     the reference byte arena; ``include_preempt`` extends it with
     Dynamo's preemptive flush, diffing the phase detector's flush
     timing and accounting against the op-for-op reference detector.
+    ``priority_expressions`` — ``(name, expression)`` pairs, e.g.
+    :func:`priority_panel` — adds one priority-function policy per
+    expression, diffing its compiled victim chooser against the
+    interpreter-scored reference.
     """
     if scale <= 0:
         raise ConfigurationError("scale must be positive")
@@ -187,6 +235,9 @@ def diff_check(
     reference = reference_ladder(include_fine, tuple(unit_counts),
                                  include_lru=include_lru,
                                  include_preempt=include_preempt)
+    ladder = list(zip(production, reference))
+    assert all(name == ref_name for (name, _), (ref_name, _) in ladder), \
+        "ladders out of step"
     report = DiffReport()
     for benchmark in benchmarks:
         spec = _spec_by_name(benchmark)
@@ -196,9 +247,9 @@ def diff_check(
         trace = workload.trace.tolist()
         for pressure in pressures:
             capacity = pressured_capacity(superblocks, pressure)
-            for (name, factory), (ref_name, build) in zip(production,
-                                                          reference):
-                assert name == ref_name, "ladders out of step"
+            for name, policy, build in _cells(ladder, priority_expressions,
+                                              superblocks, capacity,
+                                              overhead_model, track_links):
                 outcomes: list[AccessOutcome] = []
 
                 def observe(index, sid, hit, evictions, links_removed):
@@ -206,7 +257,7 @@ def diff_check(
                         index, sid, hit, evictions, links_removed))
 
                 simulator = CodeCacheSimulator(
-                    superblocks, factory(), capacity,
+                    superblocks, policy, capacity,
                     overhead_model=overhead_model,
                     track_links=track_links,
                     check_level=check_level,
@@ -218,10 +269,7 @@ def diff_check(
                 opt_stats = simulator.process(trace, benchmark=benchmark,
                                               observer=observe)
                 opt_stats.policy_name = name
-                ref_run = build(superblocks, capacity,
-                                model=overhead_model,
-                                track_links=track_links)
-                ref_result = ref_run.run(trace, benchmark=benchmark)
+                ref_result = build().run(trace, benchmark=benchmark)
                 report.runs += 1
                 report.accesses_compared += len(outcomes)
                 divergence = _diff_outcomes(outcomes, ref_result.outcomes)

@@ -23,13 +23,16 @@ What is deliberately mirrored from the spec (not from the code):
   from *surviving* blocks.
 
 The reference model covers the paper's granularity ladder (FLUSH,
-2..512 units, fine-grained FIFO), the Section 3.3 LRU byte arena, and
+2..512 units, fine-grained FIFO), the Section 3.3 LRU byte arena,
 Dynamo's PREEMPT policy — the phase detector is re-implemented with the
 production arithmetic op for op (EMA updates, warmup/cooldown gates,
 fill test) over recomputed-from-scratch occupancy, so a drift in either
-the detector or the flush bookkeeping shows up as a diff.  Adaptive and
-generational policies remain under the runtime invariant checker only
-(see ROADMAP open items).
+the detector or the flush bookkeeping shows up as a diff — and the
+search's priority-function policies, scored by the expression
+language's interpreter (``repro.search.expr.evaluate``) over feature
+vectors rebuilt from scratch.  Adaptive and generational policies
+remain under the runtime invariant checker only (see ROADMAP open
+items).
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ class _ReferencePreemptStore(_ReferenceUnitStore):
         self.accesses = 0
         self.cooldown_until = 0
 
-    def before_access(self, hit: bool) -> list[tuple[int, ...]]:
+    def before_access(self, sid: int, hit: bool) -> list[tuple[int, ...]]:
         """The pre-residency-decision hook: update the detector with the
         hinted hit/miss and flush preemptively on a detected phase
         change.  Returns the eviction invocations it caused."""
@@ -262,11 +265,100 @@ class _ReferenceLruStore:
         return evictions
 
 
+class _ReferencePriorityStore:
+    """Priority-function eviction, recomputed-from-scratch flavour.
+
+    Mirrors :class:`~repro.search.priority.PriorityFunctionPolicy` from
+    its spec: the per-block clocks advance in the access-watching hook,
+    every feature vector is rebuilt from those clocks, the static link
+    graph and a summed occupancy, and each victim is the minimum of an
+    explicit ``(evaluate(...), insertion sequence, sid)`` key over the
+    resident list.  Nothing here runs the production policy's compiled
+    chooser.
+    """
+
+    def __init__(self, capacity_bytes: int, superblocks: SuperblockSet,
+                 expression) -> None:
+        from repro.search.expr import evaluate
+
+        self.evaluate = evaluate
+        self.expression = expression
+        self.capacity = capacity_bytes
+        self.superblocks = superblocks
+        self.sizes = dict(superblocks.sizes())
+        #: Resident blocks, oldest insertion first.
+        self.order: list[int] = []
+        self.seq: dict[int, int] = {}
+        self.next_seq = 0
+        self.clock = 0
+        self.inserted_at: dict[int, int] = {}
+        self.touched_at: dict[int, int] = {}
+        self.hits: dict[int, int] = {}
+
+    def resident(self, sid: int) -> bool:
+        return sid in self.order
+
+    def unit_key(self, sid: int) -> int:
+        # Every block is its own eviction unit; the id is the unit key.
+        if sid not in self.order:
+            raise KeyError(sid)
+        return sid
+
+    def touch(self, sid: int) -> None:
+        """Hits are recorded by :meth:`before_access`."""
+
+    def before_access(self, sid: int, hit: bool) -> list[tuple[int, ...]]:
+        """Advance the access clock; a hit refreshes *sid*'s recency and
+        hotness.  Never evicts."""
+        self.clock += 1
+        if hit:
+            self.touched_at[sid] = self.clock
+            self.hits[sid] += 1
+        return []
+
+    def _used(self) -> int:
+        return sum(self.sizes[s] for s in self.order)
+
+    def features(self, sid: int) -> dict[str, float]:
+        return {
+            "age": float(self.clock - self.inserted_at[sid]),
+            "size": float(self.sizes[sid]),
+            "in_degree": float(len(self.superblocks.incoming(sid))),
+            "out_degree": float(len(self.superblocks.outgoing(sid))),
+            "hotness": float(self.hits[sid]),
+            "recency": float(self.clock - self.touched_at[sid]),
+            "occupancy": self._used() / self.capacity,
+        }
+
+    def _key(self, sid: int) -> tuple[float, int, int]:
+        score = self.evaluate(self.expression, self.features(sid))
+        return (score, self.seq[sid], sid)
+
+    def insert(self, sid: int, size: int) -> list[tuple[int, ...]]:
+        assert sid not in self.order, f"double insert of {sid}"
+        evictions: list[tuple[int, ...]] = []
+        while self._used() + size > self.capacity:
+            victim = min(self.order, key=self._key)
+            self.order.remove(victim)
+            for clocks in (self.seq, self.inserted_at, self.touched_at,
+                           self.hits):
+                del clocks[victim]
+            evictions.append((victim,))
+        self.order.append(sid)
+        self.seq[sid] = self.next_seq
+        self.next_seq += 1
+        self.inserted_at[sid] = self.clock
+        self.touched_at[sid] = self.clock
+        self.hits[sid] = 0
+        return evictions
+
+
 class ReferenceSimulator:
     """Replays a trace with first-principles bookkeeping.
 
-    Build one with :meth:`for_unit_policy` (``unit_count = 1`` is FLUSH)
-    or :meth:`for_fine_fifo`, mirroring how the production ladder clamps
+    Build one with :meth:`for_unit_policy` (``unit_count = 1`` is FLUSH),
+    :meth:`for_fine_fifo`, :meth:`for_lru`, :meth:`for_preempt` or
+    :meth:`for_priority`, mirroring how the production ladder clamps
     unit counts so both sides simulate the same geometry.
     """
 
@@ -372,6 +464,26 @@ class ReferenceSimulator:
         return cls(superblocks, capacity_bytes, store, "PREEMPT",
                    overhead_model=overhead_model, track_links=track_links)
 
+    @classmethod
+    def for_priority(cls, superblocks: SuperblockSet, capacity_bytes: int,
+                     expression, name: str = "priority",
+                     overhead_model: OverheadModel = PAPER_MODEL,
+                     track_links: bool = True) -> "ReferenceSimulator":
+        """Reference for a priority-function policy scoring with
+        *expression* (a :mod:`repro.search.expr` tree)."""
+        if capacity_bytes <= 0:
+            raise ConfigurationError("capacity_bytes must be positive")
+        max_block = superblocks.max_block_bytes
+        if max_block > capacity_bytes:
+            raise ConfigurationError(
+                f"cache capacity {capacity_bytes} B cannot hold the "
+                f"largest superblock ({max_block} B)"
+            )
+        store = _ReferencePriorityStore(capacity_bytes, superblocks,
+                                        expression)
+        return cls(superblocks, capacity_bytes, store, name,
+                   overhead_model=overhead_model, track_links=track_links)
+
     # -- Link semantics (from the spec, not from LinkManager) ---------------
 
     def _establish_links(self, sid: int) -> None:
@@ -445,9 +557,10 @@ class ReferenceSimulator:
                                 overhead_model=self.model)
         outcomes: list[AccessOutcome] = []
         store = self.store
-        # The PREEMPT store exposes a pre-residency-decision hook; the
-        # production simulator calls ``policy.on_access`` in the same
-        # position, with the pre-hook residency probe as the hint.
+        # Access-watching stores (PREEMPT, priority) expose a
+        # pre-residency-decision hook; the production simulator calls
+        # ``policy.on_access`` in the same position, with the pre-hook
+        # residency probe as the hint.
         before_access = getattr(store, "before_access", None)
         index = 0
         for sid in trace:
@@ -457,7 +570,7 @@ class ReferenceSimulator:
             links_removed = 0
             if before_access is not None:
                 hinted = store.resident(sid)
-                preemptive = before_access(hinted)
+                preemptive = before_access(sid, hinted)
                 if preemptive:
                     stats.preemptive_flushes += len(preemptive)
                     for blocks in preemptive:

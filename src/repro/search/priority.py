@@ -7,7 +7,9 @@ whose feature vector (see :data:`repro.search.expr.FEATURES`) evaluates
 lowest under a pluggable expression tree.  With the constant-score
 expression the policy degenerates to exactly fine-grained FIFO (ties
 break on insertion order), which is how the search's FIFO-equivalent
-seed candidate works.
+seed candidate works.  Victims are chosen by a straight-line scan
+compiled once per expression (:func:`repro.search.expr.compile_chooser`),
+which scores exactly as :func:`repro.search.expr.evaluate` does.
 
 The policy is fully serializable — ``to_spec``/``from_spec`` round-trip
 through the JSON policy-spec registry in :mod:`repro.core.policies` —
@@ -19,7 +21,7 @@ tenancy reclaim and sharing machinery despite its bespoke storage.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.core.cache import ConfigurationError, EvictionEvent
 from repro.core.policies import EvictionPolicy, register_policy_kind
@@ -50,15 +52,12 @@ class PriorityFunctionPolicy(EvictionPolicy):
         self.name = name
         self.expression = expression
         self._superblocks = superblocks
-        self._capacity = 0
-        self._used = 0
-        self._clock = 0
-        self._next_seq = 0
-        self._sizes: dict[int, int] = {}
-        self._insert_seq: dict[int, int] = {}
-        self._insert_clock: dict[int, int] = {}
-        self._last_touch: dict[int, int] = {}
-        self._hits: dict[int, int] = {}
+        #: Static link degrees, computed once per block on first insert.
+        self._in_degree: dict[int, float] = {}
+        self._out_degree: dict[int, float] = {}
+        #: The compiled chooser (see ``_choose_victim``); never pickled.
+        self._chooser: Callable[..., int] | None = None
+        self._reset(0)
 
     def configure(self, capacity_bytes: int, max_block_bytes: int) -> None:
         if max_block_bytes > capacity_bytes:
@@ -66,16 +65,26 @@ class PriorityFunctionPolicy(EvictionPolicy):
                 f"cache capacity {capacity_bytes} B cannot hold the largest "
                 f"superblock ({max_block_bytes} B)"
             )
+        self._reset(capacity_bytes)
+        self._configured = True
+
+    def _reset(self, capacity_bytes: int) -> None:
         self._capacity = capacity_bytes
         self._used = 0
         self._clock = 0
-        self._next_seq = 0
-        self._sizes = {}
-        self._insert_seq = {}
-        self._insert_clock = {}
-        self._last_touch = {}
-        self._hits = {}
-        self._configured = True
+        #: Resident blocks in insertion order: the chooser's tie-break.
+        self._sizes: dict[int, int] = {}
+        self._insert_clock: dict[int, int] = {}
+        self._last_touch: dict[int, int] = {}
+        self._hits: dict[int, int] = {}
+
+    def __getstate__(self) -> dict:
+        # A generated function does not pickle (service arena snapshots
+        # pickle the policy); the restored policy recompiles on its next
+        # victim, from the per-process memo.
+        state = self.__dict__.copy()
+        state["_chooser"] = None
+        return state
 
     # -- Policy surface -----------------------------------------------------
 
@@ -102,15 +111,19 @@ class PriorityFunctionPolicy(EvictionPolicy):
             )
         events: list[EvictionEvent] = []
         while self._used + size_bytes > self._capacity:
-            victim = self._choose_victim()
-            events.append(self._evict(victim))
+            events.append(self._evict(self._choose_victim()))
         self._sizes[sid] = size_bytes
-        self._insert_seq[sid] = self._next_seq
-        self._next_seq += 1
         self._insert_clock[sid] = self._clock
         self._last_touch[sid] = self._clock
         self._hits[sid] = 0
         self._used += size_bytes
+        if sid not in self._in_degree:
+            blocks = self._superblocks
+            if blocks is not None and sid in blocks:
+                self._in_degree[sid] = float(len(blocks.incoming(sid)))
+                self._out_degree[sid] = float(len(blocks.outgoing(sid)))
+            else:
+                self._in_degree[sid] = self._out_degree[sid] = 0.0
         return events
 
     def unit_of(self, sid: int) -> int:
@@ -160,37 +173,35 @@ class PriorityFunctionPolicy(EvictionPolicy):
         """The feature vector the expression sees for resident *sid*."""
         if sid not in self._sizes:
             raise KeyError(sid)
-        in_degree = 0.0
-        out_degree = 0.0
-        if self._superblocks is not None and sid in self._superblocks:
-            in_degree = float(len(self._superblocks.incoming(sid)))
-            out_degree = float(len(self._superblocks.outgoing(sid)))
         return {
             "age": float(self._clock - self._insert_clock[sid]),
             "size": float(self._sizes[sid]),
-            "in_degree": in_degree,
-            "out_degree": out_degree,
+            "in_degree": self._in_degree[sid],
+            "out_degree": self._out_degree[sid],
             "hotness": float(self._hits[sid]),
             "recency": float(self._clock - self._last_touch[sid]),
-            "occupancy": (self._used / self._capacity
-                          if self._capacity else 0.0),
+            "occupancy": self._occupancy(),
         }
 
-    def score_of(self, sid: int) -> float:
-        return expr_mod.evaluate(self.expression, self.features_of(sid))
+    def _occupancy(self) -> float:
+        return self._used / self._capacity if self._capacity else 0.0
 
     def _choose_victim(self) -> int:
-        # Deterministic: ties on score break on insertion order, then
-        # id — a constant expression therefore yields exact FIFO.
-        return min(
-            self._sizes,
-            key=lambda sid: (self.score_of(sid), self._insert_seq[sid], sid),
-        )
+        # The chooser scores every resident block as ``evaluate`` would
+        # and keeps the first strictly lowest one; ``_sizes`` iterates
+        # in insertion order, so ties break on insertion order and a
+        # constant expression yields exact FIFO.
+        chooser = self._chooser
+        if chooser is None:
+            chooser = self._chooser = expr_mod.compile_chooser(
+                self.expression)
+        return chooser(self._sizes, self._insert_clock, self._last_touch,
+                       self._hits, self._clock, self._occupancy(),
+                       self._in_degree, self._out_degree)
 
     def _evict(self, sid: int) -> EvictionEvent:
         size = self._sizes.pop(sid)
         self._used -= size
-        del self._insert_seq[sid]
         del self._insert_clock[sid]
         del self._last_touch[sid]
         del self._hits[sid]

@@ -1,6 +1,9 @@
 """The differential oracle: clean passes, engineered divergences, and
 the ``diff-check`` CLI command."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.__main__ import main
@@ -10,11 +13,16 @@ from repro.analysis.diffcheck import (
     _diff_outcomes,
     _diff_stats,
     diff_check,
+    priority_panel,
 )
 from repro.core.cache import ConfigurationError
 from repro.core.metrics import SimulationStats
 from repro.core.overhead import FREE_MODEL
 from repro.core.refmodel import AccessOutcome
+from repro.search import expr as expr_mod
+from repro.search.driver import seed_expressions
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 class TestDiffCheck:
@@ -175,6 +183,34 @@ class TestPreemptDiff:
                             trace_accesses=400, pressures=(2.0,),
                             unit_counts=(1,))
         assert report.runs == 2  # FLUSH + FIFO, no PREEMPT
+
+
+class TestPriorityDiff:
+    def test_priority_panel_diffs_clean(self):
+        report = diff_check(benchmarks=("gzip",), scale=0.2,
+                            trace_accesses=1500, pressures=(10.0,),
+                            unit_counts=(), include_fine=False,
+                            priority_expressions=priority_panel())
+        # Three seeds and the committed winner at one pressure.
+        assert report.runs == 4
+        assert report.ok, report.render()
+
+    def test_panel_holds_the_committed_winner(self):
+        report = json.loads((REPO / "BENCH_search.json").read_text())
+        panel = dict(priority_panel())
+        assert expr_mod.to_dict(panel["winner"]) == \
+            report["search"]["best"]["expression"]
+        assert [name for name in panel if name != "winner"] == [
+            name for name, _ in seed_expressions()]
+
+    def test_diff_priority_flag(self, capsys):
+        code = main(["diff-check", "--scale", "0.1",
+                     "--trace-accesses", "600", "--pressures", "2",
+                     "--diff-benchmarks", "gzip", "--diff-priority"])
+        out = capsys.readouterr().out
+        assert code == 0
+        # The 11-rung ladder plus the four priority functions.
+        assert "15 run(s)" in out and "PASS" in out
 
 
 class TestKernelCheck:

@@ -247,3 +247,44 @@ class TestPreemptSemantics:
             ReferenceSimulator.for_preempt(blocks, 0)
         with pytest.raises(ConfigurationError):
             ReferenceSimulator.for_preempt(blocks, 50)
+
+
+class TestPrioritySemantics:
+    """``for_priority``: interpreter-scored victims over from-scratch
+    feature vectors, ties on insertion order."""
+
+    def test_hits_refresh_recency(self):
+        from repro.search.expr import Feature, Unary
+
+        blocks = _population({0: 50, 1: 50, 2: 50, 3: 50})
+        trace = [0, 1, 2, 0, 3]
+        # At the fifth access the recencies are 0 -> 1, 1 -> 3, 2 -> 2:
+        # scoring recency evicts the hit block, -recency the stalest.
+        mru = ReferenceSimulator.for_priority(
+            blocks, 150, Feature("recency"), track_links=False)
+        assert mru.run(trace).outcomes[4].evictions == ((0,),)
+        lru = ReferenceSimulator.for_priority(
+            blocks, 150, Unary("neg", Feature("recency")),
+            track_links=False)
+        assert lru.run(trace).outcomes[4].evictions == ((1,),)
+
+    def test_constant_score_is_fine_grained_fifo(self):
+        from repro.search.expr import Const
+
+        blocks = _population({0: 40, 1: 70, 2: 30, 3: 60, 4: 50},
+                             links={0: (1, 2), 3: (0,), 4: (4,)})
+        trace = [0, 1, 2, 3, 0, 4, 1, 2, 4, 3, 0]
+        fifo = ReferenceSimulator.for_fine_fifo(blocks, 150).run(trace)
+        flat = ReferenceSimulator.for_priority(
+            blocks, 150, Const(0.0), name="FIFO").run(trace)
+        assert flat.outcomes == fifo.outcomes
+        assert flat.stats == fifo.stats
+
+    def test_invalid_capacity_rejected(self):
+        from repro.search.expr import Const
+
+        blocks = _population({0: 100})
+        with pytest.raises(ConfigurationError):
+            ReferenceSimulator.for_priority(blocks, 0, Const(0.0))
+        with pytest.raises(ConfigurationError):
+            ReferenceSimulator.for_priority(blocks, 50, Const(0.0))

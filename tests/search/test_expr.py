@@ -1,6 +1,7 @@
-"""The expression language: totality, JSON round-trip, and the closure
-of seeded mutation over the bounded language (the three properties the
-search's correctness rests on)."""
+"""The expression language: totality, JSON round-trip, the closure of
+seeded mutation over the bounded language (the three properties the
+search's correctness rests on), and the compiled victim chooser's
+agreement with the interpreter."""
 
 import json
 import math
@@ -23,6 +24,8 @@ from repro.search.expr import (
     ExpressionError,
     Feature,
     Unary,
+    compile_chooser,
+    compile_scorer,
     count_nodes,
     depth,
     evaluate,
@@ -162,3 +165,107 @@ class TestMutation:
             assert count_nodes(tree) <= MAX_NODES
             assert depth(tree) <= MAX_DEPTH
             assert math.isfinite(evaluate(tree, features))
+
+
+#: Feature values at the language's edges: signed zero-ish values on
+#: both sides of the protected-division threshold, and magnitudes whose
+#: products overflow into the score clamp.
+_EDGE_VALUES = (0.0, 1e-10, -1e-10, 1e-9, -1e-9, 5e17, -5e17, 1e18, -1e18,
+                1.0, -2.5)
+
+
+def _edge_floats():
+    return st.one_of(st.sampled_from(_EDGE_VALUES),
+                     st.floats(-1e6, 1e6, allow_nan=False,
+                               allow_infinity=False))
+
+
+def _closure_trees():
+    """Generated trees after up to three seeded mutation steps."""
+    return st.tuples(_expressions(), st.integers(0, 2**32 - 1),
+                     st.integers(0, 3)).map(_mutated)
+
+
+def _mutated(drawn):
+    tree, seed, steps = drawn
+    rng = random.Random(seed)
+    for _ in range(steps):
+        tree = mutate(tree, rng)
+    return tree
+
+
+_BLOCK_FEATURES = tuple(name for name in FEATURES if name != "occupancy")
+
+
+class TestCompiledChooser:
+    @given(_closure_trees(),
+           st.lists(st.integers(0, 10**6), min_size=1, max_size=8,
+                    unique=True),
+           st.data(), _edge_floats())
+    @settings(max_examples=300, deadline=None)
+    def test_chooser_matches_the_interpreter(self, tree, sids, data,
+                                             occupancy):
+        # ``sids`` are in insertion order and deliberately unsorted, so
+        # a chooser that broke ties on sid instead would be caught.
+        rows = {sid: data.draw(st.fixed_dictionaries(
+                    {name: _edge_floats() for name in _BLOCK_FEATURES}))
+                for sid in sids}
+        clock = 0
+        sizes = {sid: row["size"] for sid, row in rows.items()}
+        insert_clock = {sid: -row["age"] for sid, row in rows.items()}
+        last_touch = {sid: -row["recency"] for sid, row in rows.items()}
+        hits = {sid: row["hotness"] for sid, row in rows.items()}
+        in_degree = {sid: row["in_degree"] for sid, row in rows.items()}
+        out_degree = {sid: row["out_degree"] for sid, row in rows.items()}
+        args = (sizes, insert_clock, last_touch, hits, clock, occupancy,
+                in_degree, out_degree)
+        oracle = {
+            sid: evaluate(tree, {
+                "age": float(clock - insert_clock[sid]),
+                "size": float(sizes[sid]),
+                "in_degree": in_degree[sid],
+                "out_degree": out_degree[sid],
+                "hotness": float(hits[sid]),
+                "recency": float(clock - last_touch[sid]),
+                "occupancy": occupancy,
+            })
+            for sid in sids
+        }
+        assert compile_scorer(tree)(*args) == oracle
+        seq = {sid: index for index, sid in enumerate(sids)}
+        assert compile_chooser(tree)(*args) == min(
+            sids, key=lambda sid: (oracle[sid], seq[sid], sid))
+
+    def test_every_operator_matches_the_interpreter_at_the_edges(self):
+        pairs = [(a, b) for a in _EDGE_VALUES for b in _EDGE_VALUES]
+        sizes = dict.fromkeys(range(len(pairs)), 1)
+        insert_clock = {sid: -a for sid, (a, _) in enumerate(pairs)}
+        last_touch = {sid: -b for sid, (_, b) in enumerate(pairs)}
+        trees = [Binary(op, Feature("age"), Feature("recency"))
+                 for op in BINARY_OPS]
+        trees += [Unary(op, Feature("age")) for op in UNARY_OPS]
+        for tree in trees:
+            scores = compile_scorer(tree)(sizes, insert_clock, last_touch,
+                                          {}, 0, 0.0, {}, {})
+            for sid, (a, b) in enumerate(pairs):
+                features = dict.fromkeys(FEATURES, 0.0)
+                features.update(age=a, recency=b)
+                assert scores[sid] == evaluate(tree, features), (tree, a, b)
+
+    def test_compiled_once_per_expression(self):
+        tree = Binary("sub", Feature("hotness"),
+                      Unary("log1p", Feature("age")))
+        twin = expr_mod.loads(expr_mod.dumps(tree))
+        assert compile_chooser(tree) is compile_chooser(twin)
+
+    def test_reads_only_the_features_the_tree_uses(self):
+        source = expr_mod.render_chooser_source(
+            Unary("neg", Feature("age")))
+        assert "insert_clock[sid]" in source
+        for unused in ("hits[sid]", "last_touch[sid]", "in_degree[sid]",
+                       "out_degree[sid]", "float(size)", "occupancy)"):
+            assert unused not in source
+
+    def test_empty_cache_has_no_victim(self):
+        assert compile_chooser(Feature("age"))(
+            {}, {}, {}, {}, 0, 0.0, {}, {}) is None

@@ -1,13 +1,17 @@
 """PriorityFunctionPolicy: determinism, the FIFO-equivalent seed,
-targeted eviction, feature plumbing, and spec round-trips."""
+targeted eviction, feature plumbing, spec round-trips, snapshot safety,
+and access-for-access agreement with the reference model."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.diffcheck import diff_check
 from repro.core.cache import ConfigurationError
+from repro.core.metrics import SimulationStats
 from repro.core.policies import FineGrainedFifoPolicy, policy_from_spec
 from repro.core.pressure import pressured_capacity
 from repro.core.simulator import CodeCacheSimulator
@@ -17,6 +21,7 @@ from repro.search.driver import seed_expressions
 from repro.search.expr import Binary, Const, Feature, Unary
 from repro.search.priority import PriorityFunctionPolicy
 from repro.workloads.registry import all_benchmarks, build_workload
+from tests.search.test_expr import _expressions
 
 GZIP = next(spec for spec in all_benchmarks() if spec.name == "gzip")
 
@@ -216,3 +221,52 @@ def test_random_mutants_simulate_deterministically(expr_seed, trace_seed):
         return log
 
     assert run() == run()
+
+
+class TestSnapshotSafety:
+    def test_pickled_mid_trace_policy_finishes_like_an_uninterrupted_one(
+            self, workload):
+        """A service arena snapshot pickles the configured policy after
+        its chooser has compiled; the restored copy must carry on
+        exactly where the original would have."""
+        expression = dict(seed_expressions())["seed-size"]
+        capacity = pressured_capacity(workload.superblocks, 10.0)
+        trace = workload.trace.tolist()
+
+        def start():
+            policy = PriorityFunctionPolicy(expression,
+                                            workload.superblocks)
+            return (CodeCacheSimulator(workload.superblocks, policy,
+                                       capacity),
+                    SimulationStats(policy_name=policy.name))
+
+        def run(simulator, stats, accesses):
+            return [(sid, *simulator.step(sid, stats)) for sid in accesses]
+
+        simulator, stats = start()
+        want = run(simulator, stats, trace)
+        half = len(trace) // 2
+        first, first_stats = start()
+        got = run(first, first_stats, trace[:half])
+        # Victims were chosen before the snapshot, so the chooser had
+        # compiled.
+        assert first_stats.eviction_invocations > 0
+        restored, restored_stats = pickle.loads(
+            pickle.dumps((first, first_stats)))
+        got += run(restored, restored_stats, trace[half:])
+        assert got == want
+        assert restored_stats == stats
+
+
+@given(_expressions(), st.sampled_from(("gzip", "mcf")))
+@settings(max_examples=20, deadline=None)
+def test_random_trees_match_the_reference_access_for_access(tree, benchmark):
+    """The compiled chooser against ``ReferenceSimulator.for_priority``
+    (interpreter scores, from-scratch features, explicit tie-break key):
+    same victims at every access and equal stats, links tracked."""
+    report = diff_check(benchmarks=(benchmark,), scale=0.15,
+                        trace_accesses=800, pressures=(2.0, 10.0),
+                        unit_counts=(), include_fine=False,
+                        priority_expressions=(("random", tree),))
+    assert report.runs == 2
+    assert report.ok, report.render()
