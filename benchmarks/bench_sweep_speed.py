@@ -83,8 +83,9 @@ def run_bench() -> dict:
     # The parallel entry point mirrors full_sweep: pressure-sharded
     # tasks, with plan_jobs degrading the pool to the inline engine
     # when it cannot win (single CPU, or tiny per-task work).
-    planned = plan_tasks(specs, scale=SCALE, trace_accesses=TRACE_ACCESSES,
-                         pressures=PRESSURES, unit_counts=UNIT_COUNTS,
+    ladder = ladder_policy_factories(UNIT_COUNTS)
+    planned = plan_tasks(specs, ladder, scale=SCALE,
+                         trace_accesses=TRACE_ACCESSES, pressures=PRESSURES,
                          shard="pressure")
     per_task = (sum(estimate_task_accesses(task) for task in planned)
                 // len(planned))
@@ -95,17 +96,15 @@ def run_bench() -> dict:
         workloads = build_suite(specs, scale=SCALE,
                                 trace_accesses=TRACE_ACCESSES)
         started = time.perf_counter()
-        result = run_sweep(workloads, ladder_policy_factories(UNIT_COUNTS),
-                           pressures=PRESSURES, check_level=check_level,
-                           one_pass=one_pass)
+        result = run_sweep(workloads, ladder, pressures=PRESSURES,
+                           check_level=check_level, one_pass=one_pass)
         return time.perf_counter() - started, result
 
     def parallel_once(checkpoints=None):
         started = time.perf_counter()
-        result = run_sweep_parallel(specs, scale=SCALE,
+        result = run_sweep_parallel(specs, ladder, scale=SCALE,
                                     trace_accesses=TRACE_ACCESSES,
                                     pressures=PRESSURES,
-                                    unit_counts=UNIT_COUNTS,
                                     jobs=effective_jobs,
                                     checkpoints=checkpoints,
                                     one_pass=True, shard="pressure")

@@ -107,12 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run simulations under the invariant "
                              "checker at this level (default: "
                              f"{ENV_CHECK_LEVEL} or off)")
-    parser.add_argument("--one-pass", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="route eligible sweep ladder rungs through "
-                             "the one-pass multi-granularity kernel "
-                             "(default: REPRO_SWEEP_ONE_PASS, on); "
-                             "--no-one-pass forces full replay")
     parser.add_argument("--diff-benchmarks", nargs="+", metavar="NAME",
                         default=list(diffcheck.DEFAULT_BENCHMARKS),
                         help="benchmarks the diff-check and kernel-check "
@@ -302,8 +296,7 @@ def main(argv: list[str] | None = None) -> int:
                     use_cache=False if args.no_cache else None,
                     task_timeout=args.task_timeout,
                     max_retries=args.max_retries,
-                    resume=args.resume,
-                    one_pass=args.one_pass)
+                    resume=args.resume)
     requested = []
     for raw in args.artifacts:
         name = _ALIASES.get(raw, raw)

@@ -85,7 +85,8 @@ class CheckpointStore:
         except FileNotFoundError:
             return None
         except OSError as exc:
-            self._quarantine(path, f"unreadable ({exc})")
+            self._quarantine(path, _slab_warning(f"unreadable ({exc})",
+                                                 path))
             return None
         try:
             payload = faults.fire("checkpoint.load",
@@ -93,7 +94,7 @@ class CheckpointStore:
             records = pickle.loads(payload)
             _validate_records(records)
         except Exception as exc:
-            self._quarantine(path, f"corrupt ({exc})")
+            self._quarantine(path, _slab_warning(f"corrupt ({exc})", path))
             return None
         self.loaded += 1
         return records
@@ -149,7 +150,7 @@ class CheckpointStore:
         except FileNotFoundError:
             return None
         except OSError as exc:
-            self._quarantine(path, f"unreadable ({exc})")
+            self._quarantine(path, f"quarantined unreadable ({exc}): {name}")
             return None
         self.loaded += 1
         return payload
@@ -177,13 +178,15 @@ class CheckpointStore:
 
     def quarantine_blob(self, name: str, reason: str) -> None:
         """Move the blob stored under *name* into quarantine (corrupt
-        content detected by the caller's own validation)."""
+        content detected by the caller's own validation).  The warning
+        is the caller's *reason* and the blob's name."""
         path = self.blob_path(name)
         if path.exists():
-            self._quarantine(path, reason)
+            self._quarantine(path, f"quarantined {reason}: {name}")
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a bad checkpoint aside instead of silently deleting it."""
+    def _quarantine(self, path: Path, warning: str) -> None:
+        """Move a bad file aside instead of silently deleting it, and
+        warn with the caller's *warning* text."""
         quarantine = self.root / QUARANTINE_DIR
         try:
             quarantine.mkdir(parents=True, exist_ok=True)
@@ -195,12 +198,7 @@ class CheckpointStore:
                 pass
         self.quarantined += 1
         sweepcache.note_quarantine()
-        warnings.warn(
-            f"quarantined {reason} sweep checkpoint {path.name}; "
-            "its slab will be re-simulated",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warnings.warn(warning, RuntimeWarning, stacklevel=3)
 
     def discard(self, tasks: list[SweepTask] | tuple[SweepTask, ...]) -> int:
         """Remove the checkpoints for *tasks* (after a completed sweep)."""
@@ -239,6 +237,11 @@ class CheckpointStore:
         if not quarantine.is_dir():
             return []
         return sorted(quarantine.glob("*.pkl"))
+
+
+def _slab_warning(reason: str, path: Path) -> str:
+    return (f"quarantined {reason} sweep checkpoint {path.name}; "
+            "its slab will be re-simulated")
 
 
 def _validate_records(records) -> None:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.cache import ConfigurationError
 from repro.core.metrics import SimulationStats
 from repro.core.overhead import OverheadModel, PAPER_MODEL
-from repro.core.policies import STANDARD_UNIT_COUNTS
+from repro.core.policies import STANDARD_UNIT_COUNTS, policy_from_spec
 from repro.core.pressure import pressured_capacity
 from repro.core.refmodel import (AccessOutcome, ReferenceSimulator,
                                  reference_ladder)
@@ -173,9 +173,10 @@ def _cells(ladder, priority_expressions, superblocks, capacity: int,
     """``(name, production policy, reference builder)`` for every policy
     diffed at one geometry."""
     cells = [
-        (name, factory(), partial(build, superblocks, capacity,
-                                  model=model, track_links=track_links))
-        for (name, factory), (_, build) in ladder
+        (name, policy_from_spec(spec, superblocks),
+         partial(build, superblocks, capacity, model=model,
+                 track_links=track_links))
+        for spec, (name, build) in ladder
     ]
     if priority_expressions:
         from repro.search.priority import PriorityFunctionPolicy
@@ -236,8 +237,8 @@ def diff_check(
                                  include_lru=include_lru,
                                  include_preempt=include_preempt)
     ladder = list(zip(production, reference))
-    assert all(name == ref_name for (name, _), (ref_name, _) in ladder), \
-        "ladders out of step"
+    assert all(policy_from_spec(spec).name == name
+               for spec, (name, _) in ladder), "ladders out of step"
     report = DiffReport()
     for benchmark in benchmarks:
         spec = _spec_by_name(benchmark)
@@ -341,7 +342,7 @@ def kernel_check(
         raise ConfigurationError("trace_accesses must be >= 1")
     if not pressures or min(pressures) < 1:
         raise ConfigurationError("pressure factors must be >= 1")
-    factories = ladder_policy_factories(unit_counts, include_fine)
+    ladder = ladder_policy_factories(unit_counts, include_fine)
     report = KernelCheckReport()
     for benchmark in benchmarks:
         spec = _spec_by_name(benchmark)
@@ -351,11 +352,11 @@ def kernel_check(
             # check_level="off" on both sides: the kernel has no
             # invariant hooks, so an inherited REPRO_CHECK_LEVEL would
             # silently turn this into replay-vs-replay.
-            kernel = run_sweep([workload], factories, pressures=pressures,
+            kernel = run_sweep([workload], ladder, pressures=pressures,
                                overhead_model=overhead_model,
                                track_links=track_links,
                                check_level="off", one_pass=True)
-            replay = run_sweep([workload], factories, pressures=pressures,
+            replay = run_sweep([workload], ladder, pressures=pressures,
                                overhead_model=overhead_model,
                                track_links=track_links,
                                check_level="off", one_pass=False)

@@ -73,10 +73,10 @@ from repro.core.links import BACKPOINTER_ENTRY_BYTES
 from repro.core.metrics import SimulationStats
 from repro.core.overhead import OverheadModel, PAPER_MODEL
 from repro.core.policies import (
-    STANDARD_UNIT_COUNTS,
-    FineGrainedFifoPolicy,
-    FlushPolicy,
-    UnitFifoPolicy,
+    LADDER_KINDS,
+    PolicySpec,
+    policy_from_spec,
+    policy_spec,
 )
 from repro.core.superblock import SuperblockSet
 
@@ -102,40 +102,25 @@ class KernelConfig:
                 f"unit count must be >= 1, got {self.unit_count}"
             )
 
+    @classmethod
+    def from_spec(cls, spec: PolicySpec) -> "KernelConfig | None":
+        """The rung a policy spec describes, or ``None`` when it needs
+        replay.
 
-def ladder_kernel_configs(
-    unit_counts: tuple[int, ...] = STANDARD_UNIT_COUNTS,
-    include_fine: bool = True,
-) -> list[KernelConfig]:
-    """Kernel configs matching :func:`~repro.analysis.sweep.
-    ladder_policy_factories` name for name."""
-    configs = [
-        KernelConfig(name="FLUSH" if count == 1 else f"{count}-unit",
-                     kind="unit", unit_count=count)
-        for count in unit_counts
-    ]
-    if include_fine:
-        configs.append(KernelConfig(name="FIFO", kind="fifo"))
-    return configs
-
-
-def classify_policy(name: str,
-                    factory: Callable[[], object]) -> KernelConfig | None:
-    """Map a ``(name, factory)`` sweep entry to a kernel config, or
-    ``None`` when the policy is not one-pass eligible.
-
-    Eligibility is deliberately exact-type: subclasses other than the
-    pure-rename :class:`FlushPolicy` may override behaviour, and the
-    stateful policies (PREEMPT, GEN, ADAPT, LRU) genuinely need replay.
-    """
-    probe = factory()
-    kind = type(probe)
-    if kind is FlushPolicy or kind is UnitFifoPolicy:
-        return KernelConfig(name=name, kind="unit",
-                            unit_count=probe.requested_unit_count)
-    if kind is FineGrainedFifoPolicy:
-        return KernelConfig(name=name, kind="fifo")
-    return None
+        Eligibility is the spec's kind (:data:`~repro.core.policies.
+        LADDER_KINDS`): the stateful kinds (PREEMPT, GEN, LRU, priority
+        functions) watch accesses or keep extra state.  The config
+        carries the built policy's name, so a spec's ``name`` overrides
+        it here exactly as in replay.
+        """
+        spec = policy_spec(spec)
+        if spec.get("kind") not in LADDER_KINDS:
+            return None
+        policy = policy_from_spec(spec)
+        if spec["kind"] == "fifo":
+            return cls(name=policy.name, kind="fifo")
+        return cls(name=policy.name, kind="unit",
+                   unit_count=policy.requested_unit_count)
 
 
 class _Population:

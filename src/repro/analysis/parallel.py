@@ -42,16 +42,10 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import faults
 from repro.analysis import sweepcache
-from repro.analysis.kernel import classify_policy, one_pass_grid
 from repro.core.metrics import SimulationStats
 from repro.core.overhead import PAPER_MODEL, OverheadModel
-from repro.core.policies import (
-    STANDARD_UNIT_COUNTS,
-    granularity_ladder,
-    policy_from_spec,
-)
-from repro.core.pressure import STANDARD_PRESSURE_FACTORS, pressured_capacity
-from repro.core.simulator import CodeCacheSimulator
+from repro.core.policies import PolicySpec, policy_spec
+from repro.core.pressure import STANDARD_PRESSURE_FACTORS
 from repro.workloads.registry import (
     BenchmarkSpec,
     build_workload,
@@ -83,27 +77,34 @@ class SweepTask:
     """
 
     spec: BenchmarkSpec
+    #: The slab's policies as canonical-JSON specs (see
+    #: :func:`canonical_specs`).  Strings rather than dicts so the task
+    #: stays frozen/hashable; workers rebuild each policy with the
+    #: workload's superblocks bound.
+    policy_specs: tuple[str, ...]
     scale: float = 1.0
     trace_accesses: int | None = None
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS
-    unit_counts: tuple[int, ...] = STANDARD_UNIT_COUNTS
-    include_fine: bool = True
     overhead_model: OverheadModel = PAPER_MODEL
     track_links: bool = True
-    #: Route eligible ladder rungs through the one-pass kernel.
-    one_pass: bool = False
+    #: Route eligible specs through the one-pass kernel.
+    one_pass: bool = True
     #: Display name in fault reports; empty means the spec's name.
     label: str = ""
-    #: Injected policies: canonical-JSON policy specs (see
-    #: :func:`repro.core.policies.policy_from_spec`), replayed *instead
-    #: of* the granularity ladder when set.  Strings rather than dicts
-    #: so the task stays frozen/hashable; workers rebuild each policy
-    #: with the workload's superblocks bound.
-    policy_specs: tuple[str, ...] | None = None
 
     @property
     def display_name(self) -> str:
         return self.label or self.spec.name
+
+
+def canonical_specs(policy_specs: Sequence[PolicySpec]) -> tuple[str, ...]:
+    """Policy specs (mappings or shorthand) as canonical JSON strings:
+    the form a :class:`SweepTask` carries and :func:`task_key` hashes."""
+    return tuple(
+        json.dumps(dict(policy_spec(spec)), sort_keys=True,
+                   separators=(",", ":"))
+        for spec in policy_specs
+    )
 
 
 def task_key(task: SweepTask) -> str:
@@ -121,15 +122,10 @@ def task_key(task: SweepTask) -> str:
         "scale": float(task.scale),
         "trace_accesses": task.trace_accesses,
         "pressures": [float(pressure) for pressure in task.pressures],
-        "unit_counts": [int(count) for count in task.unit_counts],
-        "include_fine": bool(task.include_fine),
+        "policy_specs": list(task.policy_specs),
         "overhead_model": sweepcache.model_token(task.overhead_model),
         "track_links": bool(task.track_links),
     }
-    if task.policy_specs is not None:
-        # Only injected-policy tasks carry the key (keeps every
-        # pre-existing ladder checkpoint key stable).
-        payload["policy_specs"] = list(task.policy_specs)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -310,11 +306,7 @@ def estimate_task_accesses(task: SweepTask) -> int:
     else:
         blocks = max(1, round(task.spec.superblock_count * task.scale))
         per_cell = default_trace_accesses(blocks)
-    if task.policy_specs is not None:
-        rungs = len(task.policy_specs)
-    else:
-        rungs = len(task.unit_counts) + (1 if task.include_fine else 0)
-    return per_cell * len(task.pressures) * max(1, rungs)
+    return per_cell * len(task.pressures) * max(1, len(task.policy_specs))
 
 
 def plan_jobs(
@@ -349,18 +341,17 @@ def plan_jobs(
 
 def plan_tasks(
     specs: Sequence[BenchmarkSpec],
+    policy_specs: Sequence[PolicySpec],
     scale: float = 1.0,
     trace_accesses: int | None = None,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
-    unit_counts: tuple[int, ...] = STANDARD_UNIT_COUNTS,
-    include_fine: bool = True,
     overhead_model: OverheadModel = PAPER_MODEL,
     track_links: bool = True,
-    one_pass: bool = False,
+    one_pass: bool = True,
     shard: str = "benchmark",
-    policy_specs: Sequence[str] | None = None,
 ) -> list[SweepTask]:
-    """Materialize the task list for a sweep over *specs*.
+    """Materialize the task list for sweeping *policy_specs* over the
+    benchmark *specs*.
 
     ``shard="benchmark"`` is the classic one-task-per-benchmark slab.
     ``shard="pressure"`` splits each benchmark into one task per
@@ -368,9 +359,7 @@ def plan_tasks(
     a pool better and map one-to-one onto one-pass kernel invocations;
     slice tasks are labelled ``name@pN`` in fault reports.  Tasks are
     ordered spec-major, so per-benchmark consumers can treat the last
-    slice of a spec as that benchmark's completion.  ``policy_specs``
-    (canonical-JSON strings) replaces the granularity ladder with
-    injected policies on every task — the policy-search seam.
+    slice of a spec as that benchmark's completion.
     """
     if shard not in ("benchmark", "pressure"):
         raise ValueError(
@@ -378,15 +367,12 @@ def plan_tasks(
             "expected 'benchmark' or 'pressure'"
         )
     shared = dict(
+        policy_specs=canonical_specs(policy_specs),
         scale=scale,
         trace_accesses=trace_accesses,
-        unit_counts=tuple(unit_counts),
-        include_fine=include_fine,
         overhead_model=overhead_model,
         track_links=track_links,
         one_pass=one_pass,
-        policy_specs=(tuple(policy_specs)
-                      if policy_specs is not None else None),
     )
     pressures = tuple(pressures)
     tasks: list[SweepTask] = []
@@ -424,101 +410,21 @@ def _task_workload(task: SweepTask):
     return workload
 
 
-def _simulate_one_pass(task: SweepTask, workload) -> list[GridRecord] | None:
-    """Simulate the slab through the one-pass kernel, or ``None``.
-
-    Returns ``None`` when any ladder rung is ineligible (a stateful
-    policy needs replay); the caller then replays the whole slab so the
-    slab stays internally consistent.  Record order is identical to
-    replay: pressure-outer, ladder-order inner.
-    """
-    configs = []
-    for policy in granularity_ladder(include_fine=task.include_fine,
-                                     unit_counts=task.unit_counts):
-        config = classify_policy(policy.name, lambda policy=policy: policy)
-        if config is None:
-            return None
-        configs.append(config)
-    capacities = [pressured_capacity(workload.superblocks, pressure)
-                  for pressure in task.pressures]
-    grid = one_pass_grid(workload.superblocks, workload.trace, capacities,
-                         configs, overhead_model=task.overhead_model,
-                         track_links=task.track_links,
-                         benchmark=workload.name)
-    return [
-        (workload.name, config.name, pressure, cell[config.name])
-        for pressure, cell in zip(task.pressures, grid)
-        for config in configs
-    ]
-
-
 def simulate_task(task: SweepTask) -> list[GridRecord]:
     """Rebuild the task's workload and simulate its whole grid slab.
 
-    Runs inside a worker process (or inline for the serial path); the
-    loop order matches the serial engine's per-workload order exactly.
-    With ``task.one_pass`` the slab goes through the one-pass kernel
-    when every ladder rung is eligible, falling back to full replay
-    otherwise — either way the records are field-identical.  Injected
-    ``policy_specs`` always replay: an arbitrary priority function is
-    stateful per access, which the kernel cannot express.
+    Runs inside a worker process (or inline for the serial path)
+    through :func:`repro.analysis.sweep.simulate_slab`, the code the
+    serial engine runs per workload, so the records are identical.
     """
-    workload = _task_workload(task)
-    if task.policy_specs is not None:
-        return _simulate_specs(task, workload)
-    if task.one_pass:
-        records = _simulate_one_pass(task, workload)
-        if records is not None:
-            return records
-    records: list[GridRecord] = []
-    for pressure in task.pressures:
-        capacity = pressured_capacity(workload.superblocks, pressure)
-        # A fresh ladder per pressure: policies are stateful once
-        # configured.  granularity_ladder names its rungs identically to
-        # sweep.ladder_policy_factories (FLUSH, "N-unit", FIFO).
-        for policy in granularity_ladder(include_fine=task.include_fine,
-                                         unit_counts=task.unit_counts):
-            name = policy.name
-            simulator = CodeCacheSimulator(
-                workload.superblocks,
-                policy,
-                capacity,
-                overhead_model=task.overhead_model,
-                track_links=task.track_links,
-            )
-            record = simulator.process(workload.trace,
-                                       benchmark=workload.name)
-            record.policy_name = name
-            records.append((workload.name, name, pressure, record))
-    return records
+    from repro.analysis.sweep import simulate_slab  # sweep imports us
 
-
-def _simulate_specs(task: SweepTask, workload) -> list[GridRecord]:
-    """Replay a slab of injected policies (``task.policy_specs``).
-
-    Record order matches the ladder path: pressure-outer, spec-order
-    inner.  Each policy is rebuilt fresh per pressure from its JSON
-    spec with the workload's superblocks bound, so link-degree features
-    see the real static graph.
-    """
-    specs = [json.loads(raw) for raw in task.policy_specs]
-    records: list[GridRecord] = []
-    for pressure in task.pressures:
-        capacity = pressured_capacity(workload.superblocks, pressure)
-        for spec in specs:
-            policy = policy_from_spec(spec, workload.superblocks)
-            simulator = CodeCacheSimulator(
-                workload.superblocks,
-                policy,
-                capacity,
-                overhead_model=task.overhead_model,
-                track_links=task.track_links,
-            )
-            record = simulator.process(workload.trace,
-                                       benchmark=workload.name)
-            record.policy_name = policy.name
-            records.append((workload.name, policy.name, pressure, record))
-    return records
+    return simulate_slab(_task_workload(task),
+                         [json.loads(raw) for raw in task.policy_specs],
+                         task.pressures,
+                         overhead_model=task.overhead_model,
+                         track_links=task.track_links,
+                         one_pass=task.one_pass)
 
 
 def _attempt_task(task: SweepTask, key: str, attempt: int) -> list[GridRecord]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.metrics import repriced_overhead
 from repro.core.overhead import PAPER_MODEL, LinearCost, OverheadModel
-from repro.core.policies import granularity_ladder
+from repro.core.policies import UnitFifoPolicy, granularity_ladder
 from repro.core.pressure import pressured_capacity
 from repro.core.simulator import simulate
 from repro.workloads.registry import BenchmarkSpec, build_workload
@@ -68,7 +68,7 @@ class SensitivityReport:
 
 
 _MEDIUM_NAMES = frozenset(
-    f"{count}-unit" for count in (2, 4, 8, 16, 32, 64)
+    UnitFifoPolicy(count).name for count in (2, 4, 8, 16, 32, 64)
 )
 
 

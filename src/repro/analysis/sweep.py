@@ -17,17 +17,16 @@ both engines produce field-for-field identical statistics.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.analysis import sweepcache
 from repro.analysis.checkpoint import CheckpointStore, resume_enabled_by_env
-from repro.analysis.kernel import KernelConfig, classify_policy, one_pass_grid
+from repro.analysis.kernel import KernelConfig, one_pass_grid
 from repro.analysis.parallel import (
     FaultTolerance,
+    GridRecord,
     SweepFailure,
     estimate_task_accesses,
     imap_tasks,
@@ -38,16 +37,15 @@ from repro.analysis.parallel import (
     timeout_from_env,
 )
 from repro.core.invariants import resolve_check_level
-from repro.core.lru import LruPolicy
 from repro.core.metrics import SimulationStats, unified_miss_rate
 from repro.core.overhead import PAPER_MODEL, OverheadModel
 from repro.core.policies import (
     STANDARD_UNIT_COUNTS,
-    EvictionPolicy,
     FineGrainedFifoPolicy,
     FlushPolicy,
-    PreemptiveFlushPolicy,
-    UnitFifoPolicy,
+    PolicySpec,
+    ladder_specs,
+    policy_from_spec,
 )
 from repro.core.pressure import STANDARD_PRESSURE_FACTORS, pressured_capacity
 from repro.core.simulator import CodeCacheSimulator
@@ -58,21 +56,9 @@ from repro.workloads.registry import (
     build_suite,
 )
 
-PolicyFactory = Callable[[], EvictionPolicy]
-
-#: Display name of the finest-grained rung.
-FINE_NAME = "FIFO"
-FLUSH_NAME = "FLUSH"
-
-ENV_ONE_PASS = "REPRO_SWEEP_ONE_PASS"
-
-
-def one_pass_from_env() -> bool:
-    """Whether ``REPRO_SWEEP_ONE_PASS`` permits the one-pass kernel
-    (default yes; the kernel is field-identical to replay, so the knob
-    exists for A/B timing and debugging, not correctness)."""
-    flag = os.environ.get(ENV_ONE_PASS, "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
+#: Grid names of the coarsest and finest rungs.
+FLUSH_NAME = FlushPolicy().name
+FINE_NAME = FineGrainedFifoPolicy().name
 
 
 def ladder_policy_factories(
@@ -80,36 +66,35 @@ def ladder_policy_factories(
     include_fine: bool = True,
     include_lru: bool = False,
     include_preempt: bool = False,
-) -> list[tuple[str, PolicyFactory]]:
-    """(name, factory) pairs for the standard policy ladder.
+) -> list[dict]:
+    """Policy specs for the standard ladder, as the sweep engines take
+    them (the name is kept for existing callers).
 
     ``include_lru`` appends the Section 3.3 LRU arena last (off by
     default: it is a fragmentation study policy, not a rung of the
     paper's granularity ladder); ``include_preempt`` likewise appends
     Dynamo's preemptive flush with its default detector.
     """
-    factories: list[tuple[str, PolicyFactory]] = []
-    for count in unit_counts:
-        if count == 1:
-            factories.append((FLUSH_NAME, FlushPolicy))
-        else:
-            factories.append(
-                (f"{count}-unit", _unit_factory(count))
-            )
-    if include_fine:
-        factories.append((FINE_NAME, FineGrainedFifoPolicy))
+    specs = ladder_specs(tuple(unit_counts), include_fine)
     if include_lru:
-        factories.append(("LRU", LruPolicy))
+        specs.append({"kind": "lru"})
     if include_preempt:
-        factories.append(("PREEMPT", PreemptiveFlushPolicy))
-    return factories
+        specs.append({"kind": "preempt"})
+    return specs
 
 
-def _unit_factory(count: int) -> PolicyFactory:
-    def make() -> UnitFifoPolicy:
-        return UnitFifoPolicy(count)
-
-    return make
+def policy_names(policy_specs: Sequence[PolicySpec]) -> tuple[str, ...]:
+    """The grid name of each spec: its built policy's name, which a
+    spec's ``name`` overrides.  Two specs may not share a name, since
+    they would share one grid cell."""
+    names = tuple(policy_from_spec(spec).name for spec in policy_specs)
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(
+            f"policy specs must carry unique names; repeated: "
+            f"{', '.join(repeated)}"
+        )
+    return names
 
 
 @dataclass
@@ -183,83 +168,53 @@ class SweepResult:
         return fractions
 
 
-def _split_ladder(
-    policy_factories: Sequence[tuple[str, PolicyFactory]],
-) -> tuple[list[KernelConfig], list[tuple[str, PolicyFactory]]]:
-    """Partition a policy ladder into one-pass-eligible kernel configs
-    and (name, factory) pairs that genuinely need replay."""
-    kernel_configs: list[KernelConfig] = []
-    replay: list[tuple[str, PolicyFactory]] = []
-    for name, factory in policy_factories:
-        config = classify_policy(name, factory)
-        if config is None:
-            replay.append((name, factory))
-        else:
-            kernel_configs.append(config)
-    return kernel_configs, replay
-
-
-def run_sweep(
-    workloads: Sequence[Workload],
-    policy_factories: Sequence[tuple[str, PolicyFactory]],
-    pressures: Iterable[float] = STANDARD_PRESSURE_FACTORS,
+def simulate_slab(
+    workload: Workload,
+    policy_specs: Sequence[PolicySpec],
+    pressures: Sequence[float],
     overhead_model: OverheadModel = PAPER_MODEL,
     track_links: bool = True,
-    progress: Callable[[str], None] | None = None,
     check_level: str | None = None,
-    one_pass: bool | None = None,
-) -> SweepResult:
-    """Simulate every (workload, policy, pressure) combination.
+    one_pass: bool = True,
+) -> list[GridRecord]:
+    """Simulate one workload's (pressure x policy) slab — the code both
+    sweep engines run.
 
-    ``progress`` (if given) receives one line per completed benchmark.
-    ``check_level`` runs every simulation under the invariant checker
-    (:mod:`repro.core.invariants`); ``None`` defers to
-    ``REPRO_CHECK_LEVEL`` (default ``off``), which is also how pool
-    workers of the parallel engine pick the level up.  Results served
-    from the sweep cache were validated when first simulated, not per
-    hit.
-
-    ``one_pass`` routes the ladder rungs the one-pass kernel can
-    express (FLUSH, N-unit, FIFO) through
-    :func:`repro.analysis.kernel.one_pass_grid`, which evaluates the
-    whole (pressure x rung) grid per workload in a single trace
-    traversal; stateful policies still replay.  ``None`` defers to
-    :func:`configure` / ``REPRO_SWEEP_ONE_PASS`` (default on).  The
-    kernel is field-identical to replay, but it has no invariant hooks,
-    so any active check level forces full replay.
+    With ``one_pass`` the specs whose kind the one-pass kernel can
+    express (:meth:`KernelConfig.from_spec`) are evaluated together in
+    a single trace traversal by :func:`repro.analysis.kernel.
+    one_pass_grid`; every other spec replays through
+    :class:`CodeCacheSimulator` with the workload's superblocks bound,
+    one fresh policy per pressure.  The kernel is field-identical to
+    replay, but it has no invariant hooks, so an active check level
+    (``None`` defers to ``REPRO_CHECK_LEVEL``) forces replay.  Records
+    come out pressure-outer, spec-order inner.
     """
-    pressures = tuple(pressures)
-    started = time.perf_counter()
-    kernel_configs: list[KernelConfig] = []
-    replay_factories = list(policy_factories)
-    if (_default_one_pass(one_pass)
-            and resolve_check_level(check_level) == "off"):
-        kernel_configs, replay_factories = _split_ladder(policy_factories)
-    stats: dict[tuple[str, str, float], SimulationStats] = {}
-    for workload in workloads:
-        superblocks = workload.superblocks
-        capacities = [pressured_capacity(superblocks, pressure)
-                      for pressure in pressures]
-        if kernel_configs:
-            grid = one_pass_grid(
-                superblocks,
-                workload.trace,
-                capacities,
-                kernel_configs,
-                overhead_model=overhead_model,
-                track_links=track_links,
-                benchmark=workload.name,
-            )
-            for pressure, cell in zip(pressures, grid):
-                for config in kernel_configs:
-                    stats[(workload.name, config.name, pressure)] = (
-                        cell[config.name]
-                    )
-        for pressure, capacity in zip(pressures, capacities):
-            for name, factory in replay_factories:
+    superblocks = workload.superblocks
+    capacities = [pressured_capacity(superblocks, pressure)
+                  for pressure in pressures]
+    configs: dict[int, KernelConfig] = {}
+    if one_pass and resolve_check_level(check_level) == "off":
+        for index, spec in enumerate(policy_specs):
+            config = KernelConfig.from_spec(spec)
+            if config is not None:
+                configs[index] = config
+    cells: list[dict[str, SimulationStats]] = [{} for _ in capacities]
+    if configs:
+        cells = one_pass_grid(superblocks, workload.trace, capacities,
+                              list(configs.values()),
+                              overhead_model=overhead_model,
+                              track_links=track_links,
+                              benchmark=workload.name)
+    records: list[GridRecord] = []
+    for pressure, capacity, cell in zip(pressures, capacities, cells):
+        for index, spec in enumerate(policy_specs):
+            if index in configs:
+                record = cell[configs[index].name]
+            else:
                 simulator = CodeCacheSimulator(
                     superblocks,
-                    factory(),
+                    policy_from_spec(spec, superblocks),
                     capacity,
                     overhead_model=overhead_model,
                     track_links=track_links,
@@ -272,12 +227,50 @@ def run_sweep(
                 )
                 record = simulator.process(workload.trace,
                                            benchmark=workload.name)
-                record.policy_name = name
-                stats[(workload.name, name, pressure)] = record
+            records.append((workload.name, record.policy_name, pressure,
+                            record))
+    return records
+
+
+def run_sweep(
+    workloads: Sequence[Workload],
+    policy_specs: Sequence[PolicySpec],
+    pressures: Iterable[float] = STANDARD_PRESSURE_FACTORS,
+    overhead_model: OverheadModel = PAPER_MODEL,
+    track_links: bool = True,
+    progress: Callable[[str], None] | None = None,
+    check_level: str | None = None,
+    one_pass: bool = True,
+) -> SweepResult:
+    """Simulate every (workload, policy, pressure) combination.
+
+    *policy_specs* are policy specs or their shorthand (see
+    :func:`repro.core.policies.policy_from_spec`), each built afresh
+    per cell with the workload's superblocks bound.  ``progress`` (if
+    given) receives one line per completed benchmark.
+    ``check_level`` runs every simulation under the invariant checker
+    (:mod:`repro.core.invariants`); ``None`` defers to
+    ``REPRO_CHECK_LEVEL`` (default ``off``), which is also how pool
+    workers of the parallel engine pick the level up.  Results served
+    from the sweep cache were validated when first simulated, not per
+    hit.  ``one_pass`` lets :func:`simulate_slab` route the specs the
+    one-pass kernel can express through it (the result is the same
+    either way; ``False`` forces replay for A/B checks).
+    """
+    pressures = tuple(pressures)
+    started = time.perf_counter()
+    names = policy_names(policy_specs)
+    stats: dict[tuple[str, str, float], SimulationStats] = {}
+    for workload in workloads:
+        for benchmark, policy, pressure, record in simulate_slab(
+                workload, policy_specs, pressures,
+                overhead_model=overhead_model, track_links=track_links,
+                check_level=check_level, one_pass=one_pass):
+            stats[(benchmark, policy, pressure)] = record
         if progress is not None:
             progress(f"swept {workload.name}")
     return SweepResult(
-        policy_names=tuple(name for name, _ in policy_factories),
+        policy_names=names,
         pressures=pressures,
         benchmark_names=tuple(w.name for w in workloads),
         stats=stats,
@@ -287,11 +280,10 @@ def run_sweep(
 
 def run_sweep_parallel(
     specs: Sequence[BenchmarkSpec],
+    policy_specs: Sequence[PolicySpec],
     scale: float = 1.0,
     trace_accesses: int | None = None,
     pressures: Iterable[float] = STANDARD_PRESSURE_FACTORS,
-    unit_counts: Sequence[int] = STANDARD_UNIT_COUNTS,
-    include_fine: bool = True,
     overhead_model: OverheadModel = PAPER_MODEL,
     track_links: bool = True,
     jobs: int = 0,
@@ -299,9 +291,8 @@ def run_sweep_parallel(
     task_timeout: float | None = None,
     max_retries: int | None = None,
     checkpoints: CheckpointStore | None = None,
-    one_pass: bool | None = None,
+    one_pass: bool = True,
     shard: str = "benchmark",
-    policy_specs: Sequence[Mapping] | None = None,
 ) -> SweepResult:
     """Parallel counterpart of :func:`run_sweep`, over registry *specs*.
 
@@ -310,12 +301,11 @@ def run_sweep_parallel(
     task by default, or one (benchmark, pressure) slice per task with
     ``shard="pressure"`` (see :func:`~repro.analysis.parallel.
     plan_tasks`).  Workers rebuild their workload from the spec's seed
-    rather than receiving a pickled trace, so the resulting grid is
-    field-for-field identical to the serial engine's on the same specs.
-    ``one_pass`` (default: :func:`configure` / ``REPRO_SWEEP_ONE_PASS``)
-    lets workers batch eligible ladder rungs through the one-pass
-    kernel; an active ``REPRO_CHECK_LEVEL`` forces replay, exactly as
-    in :func:`run_sweep`.
+    rather than receiving a pickled trace, and simulate their slab with
+    :func:`simulate_slab`, so the resulting grid is field-for-field
+    identical to the serial engine's on the same specs.  The policy
+    specs travel as canonical JSON and are part of each slab's
+    checkpoint key.
 
     Execution is fault tolerant: attempts that fail or exceed
     *task_timeout* seconds are retried up to *max_retries* times
@@ -325,45 +315,20 @@ def run_sweep_parallel(
     slabs are streamed to disk and already-checkpointed slabs are not
     re-simulated.  The returned grid's ``fault_report`` records what
     was retried, timed out, degraded, or resumed.
-
-    ``policy_specs`` (JSON-safe mappings for
-    :func:`repro.core.policies.policy_from_spec`, each carrying a
-    unique ``name``) replaces the granularity ladder with injected
-    policies — the evaluation seam the policy search drives.  Injected
-    policies always replay (the one-pass kernel cannot express them),
-    and their slabs checkpoint under keys that include the specs.
     """
     pressures = tuple(pressures)
-    unit_counts = tuple(unit_counts)
     started = time.perf_counter()
-    spec_blobs: tuple[str, ...] | None = None
-    spec_names: tuple[str, ...] | None = None
-    if policy_specs is not None:
-        spec_blobs = tuple(
-            json.dumps(dict(spec), sort_keys=True, separators=(",", ":"))
-            for spec in policy_specs
-        )
-        spec_names = tuple(str(spec.get("name", spec.get("kind", "?")))
-                           for spec in policy_specs)
-        if len(set(spec_names)) != len(spec_names):
-            raise ValueError(
-                f"policy specs must carry unique names, got {spec_names}"
-            )
-    use_kernel = (policy_specs is None
-                  and _default_one_pass(one_pass)
-                  and resolve_check_level(None) == "off")
+    names = policy_names(policy_specs)
     tasks = plan_tasks(
         specs,
+        policy_specs,
         scale=scale,
         trace_accesses=trace_accesses,
         pressures=pressures,
-        unit_counts=unit_counts,
-        include_fine=include_fine,
         overhead_model=overhead_model,
         track_links=track_links,
-        one_pass=use_kernel,
+        one_pass=one_pass,
         shard=shard,
-        policy_specs=spec_blobs,
     )
     tolerance_kwargs = {}
     if task_timeout is not None:
@@ -385,10 +350,7 @@ def run_sweep_parallel(
         if progress is not None and last_for_spec[task.spec.name] == index:
             progress(f"swept {task.spec.name}")
     return SweepResult(
-        policy_names=(spec_names if spec_names is not None else tuple(
-            name for name, _ in ladder_policy_factories(unit_counts,
-                                                        include_fine)
-        )),
+        policy_names=names,
         pressures=pressures,
         benchmark_names=tuple(
             dict.fromkeys(task.spec.name for task in tasks)
@@ -414,7 +376,6 @@ _DEFAULTS: dict[str, int | float | bool | None] = {
     "task_timeout": None,
     "max_retries": None,
     "resume": None,
-    "one_pass": None,
 }
 
 
@@ -424,21 +385,19 @@ def configure(
     task_timeout: float | None = None,
     max_retries: int | None = None,
     resume: bool | None = None,
-    one_pass: bool | None = None,
 ) -> None:
     """Set process-wide defaults for :func:`full_sweep`.
 
     ``None`` for any knob restores environment-driven resolution for
     it (``REPRO_SWEEP_JOBS``, ``REPRO_SWEEP_CACHE``,
     ``REPRO_SWEEP_TIMEOUT``, ``REPRO_SWEEP_RETRIES``,
-    ``REPRO_SWEEP_RESUME``, ``REPRO_SWEEP_ONE_PASS`` respectively).
+    ``REPRO_SWEEP_RESUME`` respectively).
     """
     _DEFAULTS["jobs"] = jobs
     _DEFAULTS["use_cache"] = use_cache
     _DEFAULTS["task_timeout"] = task_timeout
     _DEFAULTS["max_retries"] = max_retries
     _DEFAULTS["resume"] = resume
-    _DEFAULTS["one_pass"] = one_pass
 
 
 def _default_jobs(jobs: int | None) -> int | None:
@@ -481,14 +440,6 @@ def _default_resume(resume: bool | None) -> bool:
     return resume_enabled_by_env()
 
 
-def _default_one_pass(one_pass: bool | None) -> bool:
-    if one_pass is not None:
-        return one_pass
-    if _DEFAULTS["one_pass"] is not None:
-        return bool(_DEFAULTS["one_pass"])
-    return one_pass_from_env()
-
-
 def full_sweep(
     scale: float = 1.0,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
@@ -499,7 +450,6 @@ def full_sweep(
     task_timeout: float | None = None,
     max_retries: int | None = None,
     resume: bool | None = None,
-    one_pass: bool | None = None,
 ) -> SweepResult:
     """The all-benchmarks, all-policies grid, cached per configuration.
 
@@ -524,9 +474,8 @@ def full_sweep(
     re-simulates only its unfinished benchmarks.  Checkpoints are
     discarded once the full grid completes.
 
-    Both engines route eligible ladder rungs through the one-pass
-    kernel unless ``one_pass`` (or ``REPRO_SWEEP_ONE_PASS`` /
-    ``--no-one-pass``) disables it.  Parallel runs shard one
+    Both engines route the ladder through the one-pass kernel unless a
+    check level is active.  Parallel runs shard one
     (benchmark, pressure) slice per task, and the worker count is
     chosen by :func:`~repro.analysis.parallel.plan_jobs`: a pool that
     cannot beat the inline engine (single CPU, or tiny per-task work)
@@ -554,17 +503,11 @@ def full_sweep(
         if cached is not None:
             _SWEEP_CACHE[key] = cached
             return cached
-    task_kwargs = dict(
-        scale=scale,
-        trace_accesses=trace_accesses,
-        pressures=pressures,
-        unit_counts=unit_counts,
-        include_fine=True,
-        overhead_model=PAPER_MODEL,
-        track_links=True,
-        shard="pressure",
-    )
-    planned = plan_tasks(specs, **task_kwargs)
+    ladder = ladder_policy_factories(unit_counts)
+    planned = plan_tasks(specs, ladder, scale=scale,
+                         trace_accesses=trace_accesses, pressures=pressures,
+                         overhead_model=PAPER_MODEL, track_links=True,
+                         shard="pressure")
     per_task = (sum(estimate_task_accesses(task) for task in planned)
                 // len(planned)) if planned else None
     effective_jobs = plan_jobs(_default_jobs(jobs),
@@ -575,15 +518,14 @@ def full_sweep(
                        if _default_resume(resume) else None)
         result = run_sweep_parallel(
             specs,
+            ladder,
             scale=scale,
             trace_accesses=trace_accesses,
             pressures=pressures,
-            unit_counts=unit_counts,
             jobs=effective_jobs,
             task_timeout=_default_task_timeout(task_timeout),
             max_retries=_default_max_retries(max_retries),
             checkpoints=checkpoints,
-            one_pass=one_pass,
             shard="pressure",
         )
         if checkpoints is not None:
@@ -596,13 +538,8 @@ def full_sweep(
     else:
         workloads = build_suite(specs, scale=scale,
                                 trace_accesses=trace_accesses)
-        result = run_sweep(
-            workloads,
-            ladder_policy_factories(unit_counts),
-            pressures=pressures,
-            track_links=True,
-            one_pass=one_pass,
-        )
+        result = run_sweep(workloads, ladder, pressures=pressures,
+                           track_links=True)
     if disk_key is not None:
         sweepcache.store(disk_key, result, extra_meta={
             "scale": scale,

@@ -24,6 +24,8 @@ from repro.core.policies import (
     PreemptiveFlushPolicy,
     UnitFifoPolicy,
     granularity_ladder,
+    ladder_specs,
+    policy_from_spec,
 )
 from repro.core.links import (
     BACKPOINTER_ENTRY_BYTES,
@@ -86,6 +88,8 @@ __all__ = [
     "PreemptiveFlushPolicy",
     "UnitFifoPolicy",
     "granularity_ladder",
+    "ladder_specs",
+    "policy_from_spec",
     "BACKPOINTER_ENTRY_BYTES",
     "LinkManager",
     "UnlinkRecord",

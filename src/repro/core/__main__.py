@@ -16,12 +16,9 @@ import argparse
 import sys
 
 from repro.analysis.report import format_table
+from repro.core.cache import ConfigurationError
 from repro.core.invariants import CHECK_LEVELS, ENV_CHECK_LEVEL
-from repro.core.policies import (
-    FineGrainedFifoPolicy,
-    FlushPolicy,
-    UnitFifoPolicy,
-)
+from repro.core.policies import SHORTHAND_FORMS, policy_from_spec
 from repro.core.pressure import pressured_capacity
 from repro.core.simulator import simulate
 from repro.dbt.logio import load_log
@@ -36,8 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("log", help="event log saved by python -m repro.dbt")
     parser.add_argument("--units", nargs="+",
                         default=["1", "2", "4", "8", "16", "fifo"],
-                        help="policy ladder: unit counts and/or 'fifo' "
-                             "(default: 1 2 4 8 16 fifo)")
+                        help=f"policy ladder, each entry one of "
+                             f"{SHORTHAND_FORMS} (default: 1 2 4 8 16 fifo)")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--capacity", type=int, default=None,
                        help="cache capacity in bytes")
@@ -52,27 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policies(tokens: list[str]):
-    for token in tokens:
-        if token == "fifo":
-            yield FineGrainedFifoPolicy()
-            continue
-        try:
-            count = int(token)
-        except ValueError:
-            raise SystemExit(
-                f"error: --units entries must be integers or 'fifo', "
-                f"got {token!r}"
-            )
-        if count < 1:
-            raise SystemExit(
-                f"error: --units entries must be >= 1, got {count}"
-            )
-        yield FlushPolicy() if count == 1 else UnitFifoPolicy(count)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        policies = [policy_from_spec(token) for token in args.units]
+    except ConfigurationError as exc:
+        raise SystemExit(f"error: --units: {exc}")
     if args.capacity is not None and args.capacity < 1:
         raise SystemExit(
             f"error: --capacity must be >= 1, got {args.capacity}"
@@ -97,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"Replaying {args.log}: {len(population)} superblocks, "
           f"{len(trace)} accesses, cache = {capacity} bytes")
     rows = []
-    for policy in _policies(args.units):
+    for policy in policies:
         stats = simulate(
             population, policy, capacity, trace,
             track_links=not args.no_links,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Union
 
 from repro.core.cache import (
     CircularBlockBuffer,
@@ -200,7 +200,6 @@ class FlushPolicy(UnitFifoPolicy):
 
     def __init__(self) -> None:
         super().__init__(unit_count=1)
-        self.name = "FLUSH"
 
 
 class FineGrainedFifoPolicy(EvictionPolicy):
@@ -433,15 +432,29 @@ class GenerationalPolicy(EvictionPolicy):
 # -- Policy-spec registry -----------------------------------------------------
 #
 # A policy *spec* is a small JSON-safe mapping ({"kind": ..., ...}) that
-# names a policy kind plus its parameters.  Specs are what crosses
-# process boundaries: the parallel sweep engine ships them to pool
-# workers (SweepTask.policy_specs) and the search driver checkpoints
-# them, so a worker can rebuild any policy — including a discovered
-# PriorityFunctionPolicy — from a few hundred bytes.
+# names a policy kind plus its parameters; it is the one way to build a
+# policy.  Specs are what crosses process boundaries: the sweep engine
+# ships them to pool workers (SweepTask.policy_specs) and the search
+# driver checkpoints them, so a worker can rebuild any policy —
+# including a discovered PriorityFunctionPolicy — from a few hundred
+# bytes.  The CLIs' policy strings (``fifo``, ``64-unit``, ...) are a
+# shorthand for specs, expanded by :func:`policy_spec`.
 
+PolicySpec = Union[Mapping, str]
 PolicyBuilder = Callable[[Mapping, object], EvictionPolicy]
 
 _POLICY_BUILDERS: dict[str, PolicyBuilder] = {}
+
+#: The kinds of the granularity ladder's rungs.  Their policies act
+#: only on insert, so the one-pass kernel simulates them and the DBT
+#: runtime, which never calls ``on_access``, can run them.
+LADDER_KINDS = ("flush", "unit", "fifo")
+
+#: Kinds the shorthand names by a bare word (they take no parameters).
+_WORD_KINDS = ("flush", "fifo", "preempt", "gen", "lru")
+
+SHORTHAND_FORMS = (f"{', '.join(_WORD_KINDS)}, or a unit count like "
+                   f"64 / 64-unit")
 
 
 def register_policy_kind(kind: str, builder: PolicyBuilder) -> None:
@@ -460,6 +473,36 @@ def registered_policy_kinds() -> tuple[str, ...]:
     return tuple(sorted(_POLICY_BUILDERS))
 
 
+def _unit_spec(count: int) -> dict:
+    return ({"kind": "flush"} if count == 1
+            else {"kind": "unit", "unit_count": count})
+
+
+def policy_spec(spec: PolicySpec) -> Mapping:
+    """*spec* as a spec mapping, expanding the CLI shorthand.
+
+    Mappings pass through unchanged.  A string is, case-insensitively,
+    a parameterless kind (``flush``, ``fifo``, ``preempt``, ``gen``,
+    ``lru``) or a unit count (``64`` or ``64-unit``; ``1`` is FLUSH).
+    """
+    if isinstance(spec, Mapping):
+        return spec
+    if not isinstance(spec, str):
+        raise ConfigurationError(
+            f"policy spec must be a mapping or a string, got "
+            f"{type(spec).__name__}"
+        )
+    token = spec.strip().lower()
+    if token in _WORD_KINDS:
+        return {"kind": token}
+    count = token.removesuffix("-unit")
+    if count.isdigit() and int(count) >= 1:
+        return _unit_spec(int(count))
+    raise ConfigurationError(
+        f"unknown policy {spec!r}; expected {SHORTHAND_FORMS}"
+    )
+
+
 def _named(policy: EvictionPolicy, spec: Mapping) -> EvictionPolicy:
     name = spec.get("name")
     if name is not None:
@@ -469,12 +512,19 @@ def _named(policy: EvictionPolicy, spec: Mapping) -> EvictionPolicy:
 
 def _build_unit(spec: Mapping, superblocks) -> EvictionPolicy:
     unit_count = spec.get("unit_count")
-    if not isinstance(unit_count, int) or unit_count < 1:
+    if (isinstance(unit_count, bool) or not isinstance(unit_count, int)
+            or unit_count < 1):
         raise ConfigurationError(
             f"unit policy spec needs a positive integer 'unit_count', "
             f"got {unit_count!r}"
         )
     return _named(UnitFifoPolicy(unit_count), spec)
+
+
+def _build_lru(spec: Mapping, superblocks) -> EvictionPolicy:
+    from repro.core.lru import LruPolicy  # lru imports this module
+
+    return _named(LruPolicy(), spec)
 
 
 register_policy_kind("flush", lambda spec, _: _named(FlushPolicy(), spec))
@@ -485,19 +535,17 @@ register_policy_kind(
     "preempt", lambda spec, _: _named(PreemptiveFlushPolicy(), spec))
 register_policy_kind(
     "gen", lambda spec, _: _named(GenerationalPolicy(), spec))
+register_policy_kind("lru", _build_lru)
 
 
-def policy_from_spec(spec: Mapping, superblocks=None) -> EvictionPolicy:
-    """Build a fresh (unconfigured) policy from a JSON-safe spec.
+def policy_from_spec(spec: PolicySpec, superblocks=None) -> EvictionPolicy:
+    """Build a fresh (unconfigured) policy from a spec or its shorthand.
 
     The ``priority`` kind self-registers on import of
     :mod:`repro.search.priority`; it is imported lazily here so the
     core package keeps no static dependency on the search subsystem.
     """
-    if not isinstance(spec, Mapping):
-        raise ConfigurationError(
-            f"policy spec must be a mapping, got {type(spec).__name__}"
-        )
+    spec = policy_spec(spec)
     kind = spec.get("kind")
     if kind == "priority" and kind not in _POLICY_BUILDERS:
         import repro.search.priority  # noqa: F401 - registers the kind
@@ -510,17 +558,23 @@ def policy_from_spec(spec: Mapping, superblocks=None) -> EvictionPolicy:
     return builder(spec, superblocks)
 
 
+def ladder_specs(unit_counts: tuple[int, ...] = STANDARD_UNIT_COUNTS,
+                 include_fine: bool = True) -> list[dict]:
+    """The paper's standard policy ladder as specs, coarse to fine.
+
+    A unit count of 1 is FLUSH.  With *include_fine* the finest-grained
+    FIFO policy is appended as the last rung.
+    """
+    specs = [_unit_spec(count) for count in unit_counts]
+    if include_fine:
+        specs.append({"kind": "fifo"})
+    return specs
+
+
 def granularity_ladder(include_fine: bool = True,
                        unit_counts: tuple[int, ...] = STANDARD_UNIT_COUNTS,
                        ) -> list[EvictionPolicy]:
-    """Build the paper's standard policy ladder, coarse to fine.
-
-    ``unit_counts`` must start at 1 (FLUSH).  With *include_fine* the
-    finest-grained FIFO policy is appended as the last rung.
-    """
-    ladder: list[EvictionPolicy] = []
-    for count in unit_counts:
-        ladder.append(FlushPolicy() if count == 1 else UnitFifoPolicy(count))
-    if include_fine:
-        ladder.append(FineGrainedFifoPolicy())
-    return ladder
+    """Build the paper's standard policy ladder, coarse to fine
+    (:func:`ladder_specs`, one fresh policy per rung)."""
+    return [policy_from_spec(spec)
+            for spec in ladder_specs(unit_counts, include_fine)]

@@ -18,11 +18,8 @@ import sys
 from pathlib import Path
 
 from repro.analysis.report import format_table
-from repro.core.policies import (
-    FineGrainedFifoPolicy,
-    FlushPolicy,
-    UnitFifoPolicy,
-)
+from repro.core.cache import ConfigurationError
+from repro.core.policies import LADDER_KINDS, policy_from_spec, policy_spec
 from repro.dbt.logio import save_log
 from repro.dbt.runtime import DBTRuntime
 from repro.isa.assembler import assemble
@@ -49,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="code cache capacity (default: unbounded)")
     parser.add_argument("--units", default="flush",
                         help="eviction policy: 'flush', 'fifo', or a "
-                             "unit count (default flush)")
+                             "unit count like 8 / 8-unit (default flush)")
     parser.add_argument("--hot-threshold", type=int, default=50,
                         help="superblock hotness threshold (default 50)")
     parser.add_argument("--no-chaining", action="store_true",
@@ -77,30 +74,25 @@ def _load_program(name: str, entry: str | None):
     return assemble(path.read_text(), entry=entry, name=path.stem)
 
 
-def _make_policy(units: str):
-    if units == "flush":
-        return FlushPolicy()
-    if units == "fifo":
-        return FineGrainedFifoPolicy()
-    try:
-        count = int(units)
-    except ValueError:
-        raise SystemExit(
-            f"error: --units must be 'flush', 'fifo' or an integer, "
-            f"got {units!r}"
-        )
-    return FlushPolicy() if count == 1 else UnitFifoPolicy(count)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        spec = policy_spec(args.units)
+    except ConfigurationError as exc:
+        raise SystemExit(f"error: --units: {exc}")
+    if spec["kind"] not in LADDER_KINDS:
+        # The runtime never calls on_access, so only the ladder runs.
+        raise SystemExit(
+            f"error: --units must be 'flush', 'fifo' or a unit count, "
+            f"got {args.units!r}"
+        )
     program = _load_program(args.program, args.entry)
     if args.dump_asm:
         print(disassemble(program, addresses=True), end="")
         return 0
     runtime = DBTRuntime(
         program,
-        policy=_make_policy(args.units),
+        policy=policy_from_spec(spec),
         cache_capacity=args.cache_bytes,
         chaining_enabled=not args.no_chaining,
         memory_protection=not args.no_memprotect,

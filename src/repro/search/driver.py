@@ -41,10 +41,9 @@ from repro.analysis.checkpoint import CheckpointStore
 from repro.analysis.parallel import plan_jobs
 from repro.analysis.sweep import run_sweep, run_sweep_parallel
 from repro.core.metrics import SimulationStats, unified_miss_rate
-from repro.core.policies import UnitFifoPolicy
+from repro.core.policies import policy_from_spec
 from repro.search import expr as expr_mod
 from repro.search.expr import Binary, Const, Expr, Feature, Unary
-from repro.search.priority import PriorityFunctionPolicy
 from repro.workloads.multiprogram import build_scenario, scenario_names
 from repro.workloads.registry import (
     benchmarks_by_names,
@@ -217,56 +216,45 @@ def _fitness_from_records(records: Sequence[SimulationStats],
 
 
 def _evaluate_policies(
-    entries: Sequence[tuple[str, dict, Callable]],
+    policy_specs: Sequence[dict],
     config: SearchConfig,
     jobs: int | None,
     sweep_checkpoints: CheckpointStore | None,
 ) -> dict[str, tuple[float, float]]:
-    """Score policies over the fitness set; returns name -> fitness.
+    """Score named policy specs over the fitness set; returns name ->
+    fitness.
 
-    *entries* are ``(name, policy_spec, scenario_factory)`` triples:
-    the spec rides ``run_sweep_parallel(policy_specs=...)`` across the
-    registry benchmarks (fan-out, retries, per-slab checkpoints), and
-    the factory — ``superblocks -> policy`` — covers the hostile
-    scenarios, which are combined workloads without a registry spec and
-    therefore replay through the serial engine.
+    The specs ride ``run_sweep_parallel(policy_specs=...)`` across the
+    registry benchmarks (fan-out, retries, per-slab checkpoints); the
+    hostile scenarios are combined workloads without a registry spec,
+    so they run through the serial engine.
     """
-    if not entries:
+    if not policy_specs:
         return {}
     specs = benchmarks_by_names(config.benchmarks)
     per_task = ((config.trace_accesses
                  or default_trace_accesses(specs[0].superblock_count))
-                * len(entries))
+                * len(policy_specs))
     effective_jobs = plan_jobs(0 if jobs is None else jobs,
                                task_count=len(specs),
                                per_task_accesses=per_task)
     result = run_sweep_parallel(
         specs,
+        policy_specs,
         scale=config.scale,
         trace_accesses=config.trace_accesses,
         pressures=(config.pressure,),
         jobs=effective_jobs,
         checkpoints=sweep_checkpoints,
-        policy_specs=[spec for _, spec, _ in entries],
     )
     records: dict[str, list[SimulationStats]] = {
         name: list(result.records(name, config.pressure))
-        for name, _, _ in entries
+        for name in result.policy_names
     }
     for workload in _scenario_workloads(config):
-        factories = [
-            (name, (lambda factory=factory,
-                    superblocks=workload.superblocks:
-                    factory(superblocks)))
-            for name, _, factory in entries
-        ]
-        scenario_result = run_sweep(
-            [workload],
-            factories,
-            pressures=(config.pressure,),
-            one_pass=False,
-        )
-        for name, _, _ in entries:
+        scenario_result = run_sweep([workload], policy_specs,
+                                    pressures=(config.pressure,))
+        for name in result.policy_names:
             records[name].append(
                 scenario_result.get(workload.name, name, config.pressure))
     return {name: _fitness_from_records(recs)
@@ -275,15 +263,13 @@ def _evaluate_policies(
 
 def _evaluate_baseline(config: SearchConfig, jobs: int | None,
                        sweep_checkpoints: CheckpointStore | None) -> dict:
-    units = config.baseline_units
-    name = f"{units}-unit-baseline"
-    spec = {"kind": "unit", "unit_count": units, "name": name}
-    fitness = _evaluate_policies(
-        [(name, spec, lambda superblocks: UnitFifoPolicy(units))],
-        config, jobs, sweep_checkpoints,
-    )[name]
+    spec = {"kind": "unit", "unit_count": config.baseline_units}
+    policy_name = policy_from_spec(spec).name
+    name = f"{policy_name}-baseline"
+    fitness = _evaluate_policies([{**spec, "name": name}], config, jobs,
+                                 sweep_checkpoints)[name]
     return {
-        "policy": f"{units}-unit",
+        "policy": policy_name,
         "miss_rate": fitness[0],
         "eviction_overhead": fitness[1],
     }
@@ -301,21 +287,15 @@ def _evaluate_generation(state: SearchState, jobs: int | None,
             pending[key] = candidate
     if not pending:
         return
-    entries = [
-        (
-            candidate.name,
-            {
-                "kind": "priority",
-                "name": candidate.name,
-                "expression": expr_mod.to_dict(candidate.expression),
-            },
-            (lambda superblocks, expression=candidate.expression,
-             name=candidate.name:
-             PriorityFunctionPolicy(expression, superblocks, name=name)),
-        )
+    policy_specs = [
+        {
+            "kind": "priority",
+            "name": candidate.name,
+            "expression": expr_mod.to_dict(candidate.expression),
+        }
         for candidate in pending.values()
     ]
-    fitness = _evaluate_policies(entries, state.config, jobs,
+    fitness = _evaluate_policies(policy_specs, state.config, jobs,
                                  sweep_checkpoints)
     for key, candidate in pending.items():
         state.scores[key] = fitness[candidate.name]
@@ -585,17 +565,6 @@ def build_report(state: SearchState) -> dict:
     }
 
 
-def candidate_policy(payload: Mapping, superblocks=None,
-                     ) -> PriorityFunctionPolicy:
-    """Rebuild the report's best policy (``report["search"]["best"]``)
-    as a live policy — the replay-best entry point."""
-    return PriorityFunctionPolicy(
-        expr_mod.from_dict(payload["expression"]),
-        superblocks=superblocks,
-        name=str(payload.get("name", "best")),
-    )
-
-
 def replay_best(report: Mapping, check_level: str = "light",
                 tolerance: float = 1e-12) -> dict:
     """Re-validate a report's winner through the ordinary replay
@@ -626,6 +595,8 @@ def replay_best(report: Mapping, check_level: str = "light",
         baseline_units=token["baseline_units"],
     )
     best = search["best"]
+    spec = {"kind": "priority", "name": best["name"],
+            "expression": best["expression"]}
     workloads = [
         build_workload(spec, scale=config.scale,
                        trace_accesses=config.trace_accesses)
@@ -634,15 +605,9 @@ def replay_best(report: Mapping, check_level: str = "light",
     workloads.extend(_scenario_workloads(config))
     records: list[SimulationStats] = []
     for workload in workloads:
-        result = run_sweep(
-            [workload],
-            [(best["name"],
-              (lambda superblocks=workload.superblocks:
-               candidate_policy(best, superblocks)))],
-            pressures=(config.pressure,),
-            check_level=check_level,
-            one_pass=False,
-        )
+        result = run_sweep([workload], [spec],
+                           pressures=(config.pressure,),
+                           check_level=check_level)
         records.append(result.get(workload.name, best["name"],
                                   config.pressure))
     miss = unified_miss_rate(records)
@@ -670,7 +635,6 @@ __all__ = [
     "SearchState",
     "best_lineage",
     "build_report",
-    "candidate_policy",
     "default_search_root",
     "load_state",
     "replay_best",

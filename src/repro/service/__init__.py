@@ -43,7 +43,7 @@ Run ``python -m repro.service serve`` / ``load`` / ``route`` / ``admin``
 
 from repro.service.server import CacheService, ServiceConfig
 from repro.service.supervisor import ShardSupervisor
-from repro.service.tenancy import SharedArena, TenantQuota, make_policy
+from repro.service.tenancy import SharedArena, TenantQuota
 
 __all__ = [
     "CacheService",
@@ -51,5 +51,4 @@ __all__ = [
     "ShardSupervisor",
     "SharedArena",
     "TenantQuota",
-    "make_policy",
 ]

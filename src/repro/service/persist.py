@@ -69,6 +69,7 @@ from pathlib import Path
 
 from repro import faults
 from repro.analysis.checkpoint import QUARANTINE_DIR, CheckpointStore
+from repro.core.policies import policy_from_spec
 
 #: Blob name of the arena snapshot inside the persister's store.
 SNAPSHOT_BLOB = "arena-snapshot.pkl"
@@ -549,10 +550,10 @@ def recover_arena(
     record stops replay there (the remainder is quarantined with the
     log file), and an empty directory yields a fresh arena.
     """
-    from repro.service.tenancy import SharedArena, TenantQuota, make_policy
+    from repro.service.tenancy import SharedArena, TenantQuota
 
     started = time.monotonic()
-    fresh_policy = make_policy(policy)
+    fresh_policy = policy_from_spec(policy)
     arena_kwargs = dict(
         max_block_bytes=max_block_bytes,
         pressure_threshold=pressure_threshold,

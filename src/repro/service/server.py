@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from repro import faults
 from repro.core.cache import ConfigurationError
+from repro.core.policies import policy_from_spec
 from repro.service import protocol
 from repro.service.persist import (
     DEFAULT_SNAPSHOT_INTERVAL,
@@ -40,12 +41,7 @@ from repro.service.session import (
     Session,
     SessionError,
 )
-from repro.service.tenancy import (
-    SharedArena,
-    TenantQuota,
-    content_digests,
-    make_policy,
-)
+from repro.service.tenancy import SharedArena, TenantQuota, content_digests
 from repro.workloads.registry import build_workload, get_benchmark
 
 
@@ -139,7 +135,7 @@ class CacheService:
             )
         else:
             self.arena = SharedArena(
-                make_policy(self.config.policy),
+                policy_from_spec(self.config.policy),
                 self.config.capacity_bytes,
                 **arena_kwargs,
             )

@@ -67,14 +67,7 @@ from repro.core.invariants import (
 )
 from repro.core.metrics import SimulationStats, merge_all, unified_miss_rate
 from repro.core.overhead import PAPER_MODEL, OverheadModel
-from repro.core.policies import (
-    EvictionPolicy,
-    FineGrainedFifoPolicy,
-    FlushPolicy,
-    GenerationalPolicy,
-    PreemptiveFlushPolicy,
-    UnitFifoPolicy,
-)
+from repro.core.policies import EvictionPolicy
 from repro.core.simulator import CodeCacheSimulator
 
 #: Global ids are ``slot * NAMESPACE_STRIDE + local_sid`` — 4M blocks per
@@ -144,36 +137,6 @@ class SharingState:
         #: The shared policy evicted a co-owned block (bytes split
         #: across owners largest-remainder).
         self.shared_policy_evictions = 0
-
-
-def make_policy(spec: str) -> EvictionPolicy:
-    """Build an eviction policy from a CLI-friendly name.
-
-    Accepts ``flush``, ``fifo``, ``preempt``, ``gen``, ``<n>-unit``, or
-    a bare unit count (``64``).
-    """
-    token = spec.strip().lower()
-    if token in ("flush", "1", "1-unit"):
-        return FlushPolicy()
-    if token == "fifo":
-        return FineGrainedFifoPolicy()
-    if token == "preempt":
-        return PreemptiveFlushPolicy()
-    if token == "gen":
-        return GenerationalPolicy()
-    count_token = token[:-5] if token.endswith("-unit") else token
-    try:
-        count = int(count_token)
-    except ValueError:
-        raise ConfigurationError(
-            f"unknown policy {spec!r}; expected flush, fifo, preempt, "
-            f"gen, or a unit count like 64 / 64-unit"
-        ) from None
-    if count < 1:
-        raise ConfigurationError(
-            f"unit count must be >= 1, got {count}"
-        )
-    return UnitFifoPolicy(count)
 
 
 @dataclass(frozen=True)

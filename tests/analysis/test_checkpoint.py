@@ -8,12 +8,18 @@ import pytest
 from repro import faults
 from repro.analysis import sweepcache
 from repro.analysis.checkpoint import CheckpointStore, resume_enabled_by_env
-from repro.analysis.parallel import SweepTask, simulate_task, task_key
+from repro.analysis.parallel import (
+    SweepTask,
+    canonical_specs,
+    simulate_task,
+    task_key,
+)
+from repro.core.policies import ladder_specs
 from repro.workloads.registry import spec_benchmarks
 
 SPECS = spec_benchmarks()[:2]
-TASK_KWARGS = dict(scale=0.1, trace_accesses=1200,
-                   pressures=(2.0,), unit_counts=(1, 4))
+TASK_KWARGS = dict(policy_specs=canonical_specs(ladder_specs((1, 4))),
+                   scale=0.1, trace_accesses=1200, pressures=(2.0,))
 
 
 def _task(index=0, **overrides):
@@ -44,8 +50,13 @@ class TestTaskKey:
         assert base != task_key(_task(scale=0.2))
         assert base != task_key(_task(trace_accesses=999))
         assert base != task_key(_task(pressures=(2.0, 6.0)))
-        assert base != task_key(_task(unit_counts=(1, 8)))
-        assert base != task_key(_task(include_fine=False))
+        for other in (ladder_specs((1, 8)),
+                      ladder_specs((1, 4), include_fine=False),
+                      [*ladder_specs((1, 4)), {"kind": "gen"}],
+                      [*ladder_specs((1,)), {"kind": "unit", "unit_count": 4,
+                                             "name": "four"}, "fifo"]):
+            assert base != task_key(_task(policy_specs=canonical_specs(
+                other)))
         assert base != task_key(_task(track_links=False))
 
 

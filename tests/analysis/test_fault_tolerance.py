@@ -19,6 +19,7 @@ from repro.analysis.parallel import (
     SweepError,
     SweepFailure,
     SweepTask,
+    canonical_specs,
     imap_tasks,
 )
 from repro.analysis.sweep import (
@@ -32,6 +33,8 @@ from repro.workloads.registry import build_suite, spec_benchmarks
 
 SPECS = spec_benchmarks()[:3]
 UNIT_COUNTS = (1, 4)
+LADDER = ladder_policy_factories(UNIT_COUNTS)
+LADDER_JSON = canonical_specs(LADDER)
 PRESSURES = (2, 6)
 BUILD_KWARGS = dict(scale=0.15, trace_accesses=2500)
 #: No-backoff tolerance so retry tests don't sleep.
@@ -48,14 +51,12 @@ def _disarm():
 @pytest.fixture(scope="module")
 def serial_grid():
     workloads = build_suite(SPECS, **BUILD_KWARGS)
-    return run_sweep(workloads, ladder_policy_factories(UNIT_COUNTS),
-                     pressures=PRESSURES)
+    return run_sweep(workloads, LADDER, pressures=PRESSURES)
 
 
 def _parallel(jobs=2, **kwargs):
-    return run_sweep_parallel(SPECS, pressures=PRESSURES,
-                              unit_counts=UNIT_COUNTS, jobs=jobs,
-                              **BUILD_KWARGS, **kwargs)
+    return run_sweep_parallel(SPECS, LADDER, pressures=PRESSURES,
+                              jobs=jobs, **BUILD_KWARGS, **kwargs)
 
 
 def _assert_identical(serial, other):
@@ -90,8 +91,8 @@ class TestRetries:
     def test_single_task_fault_is_isolated(self, serial_grid):
         """Only the targeted task retries; the rest run clean."""
         from repro.analysis.parallel import task_key
-        target = SweepTask(spec=SPECS[1], pressures=PRESSURES,
-                           unit_counts=UNIT_COUNTS, **BUILD_KWARGS)
+        target = SweepTask(spec=SPECS[1], policy_specs=LADDER_JSON,
+                           pressures=PRESSURES, **BUILD_KWARGS)
         with faults.plan(faults.FaultSpec(point="sweep.worker",
                                           mode="raise", times=1,
                                           keys=(task_key(target),))):
@@ -143,8 +144,8 @@ class TestCheckpointResume:
         store = CheckpointStore(tmp_path / "ckpt")
         # "Interrupt" after two of three benchmarks by running a
         # truncated grid against the same store.
-        partial = run_sweep_parallel(SPECS[:2], pressures=PRESSURES,
-                                     unit_counts=UNIT_COUNTS, jobs=2,
+        partial = run_sweep_parallel(SPECS[:2], LADDER,
+                                     pressures=PRESSURES, jobs=2,
                                      checkpoints=store, **BUILD_KWARGS)
         assert partial.fault_report.simulated == [
             spec.name for spec in SPECS[:2]
@@ -170,8 +171,8 @@ class TestCheckpointResume:
         _parallel(jobs=2, checkpoints=store)
         # Tear one checkpoint file; its slab must be re-simulated and
         # the evidence moved into quarantine.
-        victim = SweepTask(spec=SPECS[0], pressures=PRESSURES,
-                           unit_counts=UNIT_COUNTS, **BUILD_KWARGS)
+        victim = SweepTask(spec=SPECS[0], policy_specs=LADDER_JSON,
+                           pressures=PRESSURES, **BUILD_KWARGS)
         fresh = CheckpointStore(store.root)
         fresh.path(victim).write_bytes(b"half a pickle")
         with pytest.warns(RuntimeWarning, match="quarantined"):
@@ -190,8 +191,7 @@ class TestCheckpointResume:
                                                         serial_grid):
         """Resume + one worker death per task at once: still exact."""
         store = CheckpointStore(tmp_path / "ckpt")
-        run_sweep_parallel(SPECS[:1], pressures=PRESSURES,
-                           unit_counts=UNIT_COUNTS, jobs=2,
+        run_sweep_parallel(SPECS[:1], LADDER, pressures=PRESSURES, jobs=2,
                            checkpoints=store, **BUILD_KWARGS)
         with faults.plan(faults.FaultSpec(point="sweep.worker",
                                           mode="raise", times=1)):
@@ -207,8 +207,8 @@ class TestCheckpointResume:
 class TestImapTasksContract:
     def test_order_preserved_with_failures(self):
         tasks = [
-            SweepTask(spec=spec, pressures=(2,), unit_counts=(1,),
-                      include_fine=False, **BUILD_KWARGS)
+            SweepTask(spec=spec, policy_specs=canonical_specs(["flush"]),
+                      pressures=(2,), **BUILD_KWARGS)
             for spec in SPECS
         ]
         with faults.plan(faults.FaultSpec(point="sweep.worker",
@@ -221,8 +221,8 @@ class TestImapTasksContract:
 
     def test_caller_supplied_failure_report_is_filled(self):
         tasks = [
-            SweepTask(spec=spec, pressures=(2,), unit_counts=(1,),
-                      include_fine=False, **BUILD_KWARGS)
+            SweepTask(spec=spec, policy_specs=canonical_specs(["flush"]),
+                      pressures=(2,), **BUILD_KWARGS)
             for spec in SPECS[:2]
         ]
         report = SweepFailure()

@@ -14,21 +14,16 @@ import pytest
 from repro.analysis import ckernel
 from repro.analysis.kernel import (
     KernelConfig,
-    classify_policy,
-    ladder_kernel_configs,
     one_pass_grid,
     one_pass_sweep,
 )
-from repro.analysis.sweep import ladder_policy_factories, run_sweep
-from repro.core.cache import ConfigurationError
-from repro.core.lru import LruPolicy
-from repro.core.policies import (
-    FineGrainedFifoPolicy,
-    FlushPolicy,
-    GenerationalPolicy,
-    UnitFifoPolicy,
-    granularity_ladder,
+from repro.analysis.sweep import (
+    ladder_policy_factories,
+    policy_names,
+    run_sweep,
 )
+from repro.core.cache import ConfigurationError
+from repro.core.policies import granularity_ladder, ladder_specs
 from repro.core.pressure import pressured_capacity
 from repro.core.simulator import CodeCacheSimulator
 from repro.core.superblock import Superblock, SuperblockSet
@@ -54,21 +49,28 @@ def _trace(sids, length=300):
     return [sids[(i * 5 + i // 3) % len(sids)] for i in range(length)]
 
 
+def _ladder_configs(unit_counts, include_fine=True):
+    return [KernelConfig.from_spec(spec)
+            for spec in ladder_specs(unit_counts, include_fine)]
+
+
 class TestClassification:
     def test_ladder_policies_are_eligible(self):
-        assert classify_policy("FLUSH", FlushPolicy).kind == "unit"
-        config = classify_policy("8-unit", lambda: UnitFifoPolicy(8))
-        assert (config.kind, config.unit_count) == ("unit", 8)
-        assert classify_policy("FIFO", FineGrainedFifoPolicy).kind == "fifo"
+        assert KernelConfig.from_spec("flush") == KernelConfig(
+            name="FLUSH", kind="unit", unit_count=1)
+        config = KernelConfig.from_spec({"kind": "unit", "unit_count": 8})
+        assert (config.name, config.kind, config.unit_count) == (
+            "8-unit", "unit", 8)
+        assert KernelConfig.from_spec({"kind": "fifo"}).kind == "fifo"
 
     def test_stateful_policies_need_replay(self):
-        assert classify_policy("LRU", LruPolicy) is None
-        assert classify_policy("GEN", GenerationalPolicy) is None
+        assert KernelConfig.from_spec("lru") is None
+        assert KernelConfig.from_spec({"kind": "gen"}) is None
 
     def test_ladder_configs_match_factory_names(self):
-        configs = ladder_kernel_configs((1, 4, 64))
-        factories = ladder_policy_factories((1, 4, 64))
-        assert [c.name for c in configs] == [name for name, _ in factories]
+        configs = _ladder_configs((1, 4, 64))
+        names = policy_names(ladder_policy_factories((1, 4, 64)))
+        assert tuple(c.name for c in configs) == names
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -92,7 +94,7 @@ class TestGridSemantics:
     def test_sweep_wrapper_equals_grid_row(self):
         population, sids = _population()
         trace = _trace(sids)
-        configs = ladder_kernel_configs((1, 4))
+        configs = _ladder_configs((1, 4))
         capacity = population.total_bytes // 2
         solo = one_pass_sweep(population, trace, capacity, configs)
         grid = one_pass_grid(population, trace, [capacity], configs)
@@ -105,7 +107,7 @@ class TestGridSemantics:
         trace = _trace(sids)
         capacity = population.total_bytes // 3
         grid = one_pass_grid(population, trace, [capacity],
-                             ladder_kernel_configs((1, 4)), engine="py")
+                             _ladder_configs((1, 4)), engine="py")
         assert grid[0] | {} == grid[0]  # sanity: dict of stats
         want = self._replay(population, trace, capacity, (1, 4))
         for name, record in want.items():
@@ -113,14 +115,14 @@ class TestGridSemantics:
 
     def test_configuration_errors_mirror_replay(self):
         population, sids = _population(size=64)
-        configs = ladder_kernel_configs((1,), include_fine=True)
+        configs = _ladder_configs((1,), include_fine=True)
         with pytest.raises(ConfigurationError):
             one_pass_grid(population, _trace(sids), [8], configs)
         # Unit capacity too small for the largest block at high counts
         # is clamped, exactly like UnitFifoPolicy, so it does NOT raise.
         big = population.total_bytes
         grid = one_pass_grid(population, _trace(sids), [big],
-                             ladder_kernel_configs((512,),
+                             _ladder_configs((512,),
                                                    include_fine=False))
         assert "512-unit" in grid[0]
 
@@ -134,14 +136,14 @@ class TestEngines:
         population, sids = _population()
         with pytest.raises(ValueError):
             one_pass_grid(population, _trace(sids), [1024],
-                          ladder_kernel_configs((1,)), engine="bogus")
+                          _ladder_configs((1,)), engine="bogus")
 
     def test_env_engine_rejected_when_unknown(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_ENGINE", "vectorized")
         population, sids = _population()
         with pytest.raises(ValueError):
             one_pass_grid(population, _trace(sids), [1024],
-                          ladder_kernel_configs((1,)))
+                          _ladder_configs((1,)))
 
     def test_forced_c_engine_unavailable_raises(self, monkeypatch):
         monkeypatch.setattr(ckernel, "_lib", None)
@@ -150,7 +152,7 @@ class TestEngines:
         population, sids = _population()
         with pytest.raises(RuntimeError, match="no compiler"):
             one_pass_grid(population, _trace(sids), [1024],
-                          ladder_kernel_configs((1,)), engine="c")
+                          _ladder_configs((1,)), engine="c")
 
     def test_auto_engine_falls_back_to_python(self, monkeypatch):
         monkeypatch.setattr(ckernel, "_lib", None)
@@ -159,7 +161,7 @@ class TestEngines:
         population, sids = _population()
         trace = _trace(sids)
         capacity = population.total_bytes // 2
-        configs = ladder_kernel_configs((1, 4))
+        configs = _ladder_configs((1, 4))
         auto = one_pass_grid(population, trace, [capacity], configs,
                              engine="auto")
         py = one_pass_grid(population, trace, [capacity], configs,
@@ -175,7 +177,7 @@ class TestEngines:
         trace = _trace(sids)
         capacities = [population.total_bytes // 3,
                       population.total_bytes // 2]
-        configs = ladder_kernel_configs((1, 3, 8))
+        configs = _ladder_configs((1, 3, 8))
         for track_links in (True, False):
             c = one_pass_grid(population, trace, capacities, configs,
                               track_links=track_links, engine="c")
@@ -194,7 +196,7 @@ class TestEngines:
         population = SuperblockSet(blocks)
         trace = [i % 40 for i in range(400)]
         counts = tuple(range(1, 18))
-        configs = ladder_kernel_configs(counts, include_fine=False)
+        configs = _ladder_configs(counts, include_fine=False)
         capacities = [32 * 20, 32 * 23]
         auto = one_pass_grid(population, trace, capacities, configs,
                              engine="auto")
@@ -216,7 +218,7 @@ class TestEngines:
                                   trace_accesses=3000)
         blocks = workload.superblocks
         capacity = pressured_capacity(blocks, 2)
-        configs = ladder_kernel_configs(tuple(range(1, 40)))
+        configs = _ladder_configs(tuple(range(1, 40)))
         c = one_pass_grid(blocks, workload.trace, [capacity], configs,
                           engine="c")
         py = one_pass_grid(blocks, workload.trace, [capacity], configs,
@@ -243,8 +245,7 @@ class TestSweepRouting:
                     == dataclasses.asdict(off.stats[point])), point
 
     def test_run_sweep_mixed_ladder_replays_stateful_rungs(self, workload):
-        factories = (ladder_policy_factories((1, 4))
-                     + [("LRU", LruPolicy)])
+        factories = ladder_policy_factories((1, 4)) + ["lru"]
         result = run_sweep([workload], factories, pressures=(2,),
                            one_pass=True)
         assert result.policy_names == ("FLUSH", "4-unit", "FIFO", "LRU")
@@ -265,10 +266,3 @@ class TestSweepRouting:
         for point in plain.stats:
             assert (checked.stats[point].misses
                     == plain.stats[point].misses)
-
-    def test_env_knob_disables_kernel(self, workload, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_ONE_PASS", "0")
-        from repro.analysis.sweep import one_pass_from_env
-        assert one_pass_from_env() is False
-        monkeypatch.setenv("REPRO_SWEEP_ONE_PASS", "yes")
-        assert one_pass_from_env() is True

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ckernel
-from repro.analysis.kernel import ladder_kernel_configs, one_pass_grid
+from repro.analysis.kernel import KernelConfig, one_pass_grid
 from repro.core.overhead import LinearCost, OverheadModel
-from repro.core.policies import granularity_ladder
+from repro.core.policies import granularity_ladder, ladder_specs
 from repro.core.refmodel import reference_ladder
 from repro.core.simulator import CodeCacheSimulator
 from repro.core.superblock import Superblock, SuperblockSet
@@ -55,6 +55,10 @@ def _scenario(draw):
     return population, trace, capacities, unit_counts, track_links
 
 
+def _ladder_configs(unit_counts):
+    return [KernelConfig.from_spec(spec) for spec in ladder_specs(unit_counts)]
+
+
 def _replay_grid(population, trace, capacities, unit_counts, track_links,
                  check_level=None):
     grid = []
@@ -78,7 +82,7 @@ def _replay_grid(population, trace, capacities, unit_counts, track_links,
 @settings(max_examples=40, deadline=None)
 def test_kernel_matches_replay_bit_for_bit(scenario):
     population, trace, capacities, unit_counts, track_links = scenario
-    configs = ladder_kernel_configs(unit_counts)
+    configs = _ladder_configs(unit_counts)
     want = _replay_grid(population, trace, capacities, unit_counts,
                         track_links)
     engines = ["py"] + (["c"] if ckernel.available() else [])
@@ -98,7 +102,7 @@ def test_kernel_matches_paranoid_checked_replay(scenario):
     paranoid invariant checker — so a checked run certifies the same
     numbers the fast path produces."""
     population, trace, capacities, unit_counts, track_links = scenario
-    configs = ladder_kernel_configs(unit_counts)
+    configs = _ladder_configs(unit_counts)
     grid = one_pass_grid(population, trace, capacities, configs,
                          track_links=track_links)
     want = _replay_grid(population, trace, capacities, unit_counts,
@@ -125,7 +129,7 @@ def test_every_engine_prices_any_model_identically(scenario, model, other):
     replay and the reference simulator return equal records; re-pricing
     a finished record under a second model equals re-simulating."""
     population, trace, capacities, unit_counts, track_links = scenario
-    configs = ladder_kernel_configs(unit_counts)
+    configs = _ladder_configs(unit_counts)
     engines = ["py"] + (["c"] if ckernel.available() else [])
     grids = {
         engine: one_pass_grid(population, trace, capacities, configs,

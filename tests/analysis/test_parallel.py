@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.parallel import (
     SweepTask,
+    canonical_specs,
     imap_tasks,
     jobs_from_env,
     resolve_jobs,
@@ -22,14 +23,15 @@ from repro.workloads.registry import build_suite, spec_benchmarks
 
 SPECS = spec_benchmarks()[:3]
 UNIT_COUNTS = (1, 4)
+LADDER = ladder_policy_factories(UNIT_COUNTS)
+LADDER_JSON = canonical_specs(LADDER)
 PRESSURES = (2, 6)
 BUILD_KWARGS = dict(scale=0.15, trace_accesses=2500)
 
 
 def _serial_reference():
     workloads = build_suite(SPECS, **BUILD_KWARGS)
-    return run_sweep(workloads, ladder_policy_factories(UNIT_COUNTS),
-                     pressures=PRESSURES)
+    return run_sweep(workloads, LADDER, pressures=PRESSURES)
 
 
 def _assert_grids_identical(serial, parallel):
@@ -103,16 +105,16 @@ class TestEnvKnobs:
 
 class TestSimulateTask:
     def test_task_payload_has_no_materialized_trace(self):
-        task = SweepTask(spec=SPECS[0], pressures=PRESSURES,
-                         unit_counts=UNIT_COUNTS, **BUILD_KWARGS)
+        task = SweepTask(spec=SPECS[0], policy_specs=LADDER_JSON,
+                         pressures=PRESSURES, **BUILD_KWARGS)
         field_names = {f.name for f in dataclasses.fields(task)}
         assert "trace" not in field_names
         assert "superblocks" not in field_names
 
     def test_slab_matches_serial_grid_points(self):
         serial = _serial_reference()
-        task = SweepTask(spec=SPECS[0], pressures=PRESSURES,
-                         unit_counts=UNIT_COUNTS, **BUILD_KWARGS)
+        task = SweepTask(spec=SPECS[0], policy_specs=LADDER_JSON,
+                         pressures=PRESSURES, **BUILD_KWARGS)
         records = simulate_task(task)
         assert len(records) == len(PRESSURES) * 3  # FLUSH, 4-unit, FIFO
         for benchmark, policy, pressure, record in records:
@@ -124,29 +126,26 @@ class TestSimulateTask:
 class TestParallelEquivalence:
     def test_process_pool_grid_is_identical(self):
         serial = _serial_reference()
-        parallel = run_sweep_parallel(SPECS, pressures=PRESSURES,
-                                      unit_counts=UNIT_COUNTS, jobs=2,
-                                      **BUILD_KWARGS)
+        parallel = run_sweep_parallel(SPECS, LADDER, pressures=PRESSURES,
+                                      jobs=2, **BUILD_KWARGS)
         _assert_grids_identical(serial, parallel)
 
     def test_inline_engine_is_identical(self):
         serial = _serial_reference()
-        inline = run_sweep_parallel(SPECS, pressures=PRESSURES,
-                                    unit_counts=UNIT_COUNTS, jobs=1,
-                                    **BUILD_KWARGS)
+        inline = run_sweep_parallel(SPECS, LADDER, pressures=PRESSURES,
+                                    jobs=1, **BUILD_KWARGS)
         _assert_grids_identical(serial, inline)
 
     def test_progress_callback_fires_per_benchmark(self):
         lines = []
-        run_sweep_parallel(SPECS, pressures=(2,), unit_counts=(1,),
-                           include_fine=False, jobs=2,
+        run_sweep_parallel(SPECS, ["flush"], pressures=(2,), jobs=2,
                            progress=lines.append, **BUILD_KWARGS)
         assert lines == [f"swept {spec.name}" for spec in SPECS]
 
     def test_imap_preserves_task_order(self):
         tasks = [
-            SweepTask(spec=spec, pressures=(2,), unit_counts=(1,),
-                      include_fine=False, **BUILD_KWARGS)
+            SweepTask(spec=spec, policy_specs=canonical_specs(["flush"]),
+                      pressures=(2,), **BUILD_KWARGS)
             for spec in SPECS
         ]
         batches = list(imap_tasks(tasks, jobs=2))

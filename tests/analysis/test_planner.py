@@ -12,20 +12,23 @@ import pytest
 from repro.analysis.parallel import (
     MIN_ACCESSES_PER_TASK,
     SweepTask,
+    canonical_specs,
     estimate_task_accesses,
     plan_jobs,
     plan_tasks,
     resolve_jobs,
     task_key,
 )
+from repro.core.policies import ladder_specs
 from repro.workloads.registry import default_trace_accesses, spec_benchmarks
 
 SPECS = spec_benchmarks()[:3]
+LADDER = ladder_specs()
 
 
 class TestPlanTasks:
     def test_benchmark_shard_is_whole_slab(self):
-        tasks = plan_tasks(SPECS, pressures=(2.0, 10.0))
+        tasks = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0))
         assert len(tasks) == len(SPECS)
         assert all(task.pressures == (2.0, 10.0) for task in tasks)
         assert all(task.label == "" for task in tasks)
@@ -34,7 +37,8 @@ class TestPlanTasks:
         ]
 
     def test_pressure_shard_slices_spec_major(self):
-        tasks = plan_tasks(SPECS, pressures=(2.0, 10.0), shard="pressure")
+        tasks = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0),
+                           shard="pressure")
         assert len(tasks) == len(SPECS) * 2
         assert [task.display_name for task in tasks] == [
             f"{spec.name}@p{p:g}" for spec in SPECS for p in (2, 10)
@@ -42,34 +46,35 @@ class TestPlanTasks:
         assert all(len(task.pressures) == 1 for task in tasks)
 
     def test_single_pressure_is_not_sliced(self):
-        tasks = plan_tasks(SPECS, pressures=(2.0,), shard="pressure")
+        tasks = plan_tasks(SPECS, LADDER, pressures=(2.0,), shard="pressure")
         assert len(tasks) == len(SPECS)
         assert all(task.label == "" for task in tasks)
 
     def test_unknown_shard_rejected(self):
         with pytest.raises(ValueError, match="shard"):
-            plan_tasks(SPECS, shard="policy")
+            plan_tasks(SPECS, LADDER, shard="policy")
 
     def test_execution_hints_do_not_change_task_key(self):
-        base = plan_tasks(SPECS, pressures=(2.0, 10.0), shard="pressure")
-        hinted = plan_tasks(SPECS, pressures=(2.0, 10.0), shard="pressure",
-                            one_pass=True)
+        base = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0),
+                          shard="pressure")
+        hinted = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0),
+                            shard="pressure", one_pass=False)
         assert [task_key(t) for t in base] == [task_key(t) for t in hinted]
         # ...but the slicing itself does: a slice is a different slab.
-        whole = plan_tasks(SPECS, pressures=(2.0, 10.0))
+        whole = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0))
         assert task_key(whole[0]) != task_key(base[0])
 
 
 class TestEstimate:
     def test_explicit_trace_length(self):
-        task = SweepTask(spec=SPECS[0], trace_accesses=1000,
-                         pressures=(2.0, 10.0), unit_counts=(1, 8),
-                         include_fine=True)
+        task = SweepTask(spec=SPECS[0],
+                         policy_specs=canonical_specs(ladder_specs((1, 8))),
+                         trace_accesses=1000, pressures=(2.0, 10.0))
         assert estimate_task_accesses(task) == 1000 * 2 * 3
 
     def test_default_trace_length_mirrors_registry(self):
-        task = SweepTask(spec=SPECS[0], scale=0.5, pressures=(2.0,),
-                         unit_counts=(1,), include_fine=False)
+        task = SweepTask(spec=SPECS[0], policy_specs=canonical_specs(["1"]),
+                         scale=0.5, pressures=(2.0,))
         blocks = max(1, round(SPECS[0].superblock_count * 0.5))
         assert estimate_task_accesses(task) == default_trace_accesses(blocks)
 

@@ -8,9 +8,16 @@ from repro.analysis.sweep import (
     clear_sweep_cache,
     full_sweep,
     ladder_policy_factories,
+    policy_names,
     run_sweep,
+    run_sweep_parallel,
 )
-from repro.workloads.registry import build_suite, spec_benchmarks
+from repro.core.policies import policy_from_spec
+from repro.workloads.registry import (
+    benchmarks_by_names,
+    build_suite,
+    spec_benchmarks,
+)
 
 
 def _tiny_workloads():
@@ -24,17 +31,16 @@ def _tiny_factories():
 
 class TestLadderFactories:
     def test_names_and_freshness(self):
-        factories = ladder_policy_factories(unit_counts=(1, 2, 8))
-        names = [name for name, _ in factories]
-        assert names == [FLUSH_NAME, "2-unit", "8-unit", FINE_NAME]
-        # Factories must make fresh, unconfigured policies each call.
-        _, make = factories[1]
-        assert make() is not make()
+        specs = ladder_policy_factories(unit_counts=(1, 2, 8))
+        assert policy_names(specs) == (FLUSH_NAME, "2-unit", "8-unit",
+                                       FINE_NAME)
+        # Specs must build fresh, unconfigured policies each call.
+        assert policy_from_spec(specs[1]) is not policy_from_spec(specs[1])
 
     def test_without_fine(self):
-        factories = ladder_policy_factories(unit_counts=(1,),
-                                            include_fine=False)
-        assert [name for name, _ in factories] == [FLUSH_NAME]
+        specs = ladder_policy_factories(unit_counts=(1,),
+                                        include_fine=False)
+        assert policy_names(specs) == (FLUSH_NAME,)
 
 
 class TestRunSweep:
@@ -76,6 +82,37 @@ class TestRunSweep:
                            pressures=(4,))
         records = result.records(FLUSH_NAME, 4)
         assert [r.benchmark for r in records] == ["gzip", "vpr"]
+
+
+class TestSpecNaming:
+    """Every engine names a cell by its built policy (a spec's ``name``
+    overrides it) and refuses two specs that would share a cell."""
+
+    def test_unnamed_spec_is_named_by_its_policy(self):
+        result = run_sweep_parallel(
+            benchmarks_by_names(("gzip",)),
+            [{"kind": "unit", "unit_count": 8}, "fifo"],
+            scale=0.1, trace_accesses=500, pressures=(4,), jobs=1)
+        assert result.policy_names == ("8-unit", FINE_NAME)
+        assert set(result.unified_miss_rates(4)) == {"8-unit", FINE_NAME}
+
+    def test_distinct_unnamed_specs_are_not_duplicates(self):
+        specs = [{"kind": "unit", "unit_count": 2},
+                 {"kind": "unit", "unit_count": 4}]
+        result = run_sweep_parallel(benchmarks_by_names(("gzip",)), specs,
+                                    scale=0.1, trace_accesses=500,
+                                    pressures=(4,), jobs=1)
+        assert result.policy_names == ("2-unit", "4-unit")
+
+    def test_run_sweep_rejects_repeated_names(self):
+        specs = [{"kind": "unit", "unit_count": 2, "name": "x"},
+                 {"kind": "fifo", "name": "x"}]
+        with pytest.raises(ValueError, match="unique names"):
+            run_sweep(_tiny_workloads()[:1], specs, pressures=(4,))
+
+    def test_repeated_shorthand_is_a_repeated_name(self):
+        with pytest.raises(ValueError, match="unique names"):
+            policy_names(["8", "8-unit"])
 
 
 class TestFullSweepCache:

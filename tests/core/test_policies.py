@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.analysis.kernel import KernelConfig
+from repro.core.lru import LruPolicy
 from repro.core.policies import (
+    SHORTHAND_FORMS,
     STANDARD_UNIT_COUNTS,
     EvictionPolicy,
     FineGrainedFifoPolicy,
@@ -11,8 +14,12 @@ from repro.core.policies import (
     PreemptiveFlushPolicy,
     UnitFifoPolicy,
     granularity_ladder,
+    policy_from_spec,
+    policy_spec,
+    registered_policy_kinds,
 )
 from repro.core.cache import ConfigurationError
+from repro.search.priority import PriorityFunctionPolicy
 
 
 class TestLadderConstruction:
@@ -31,6 +38,68 @@ class TestLadderConstruction:
     def test_custom_unit_counts(self):
         ladder = granularity_ladder(unit_counts=(1, 4))
         assert [p.name for p in ladder] == ["FLUSH", "4-unit", "FIFO"]
+
+
+#: (spec, built type, built name).  The strings are the shorthand the
+#: three CLIs share, pinned to what their old parsers built: worker
+#: snapshot fingerprints compare ``policy.name``.  The mappings cover
+#: every registered kind.
+_VOCABULARY = (
+    ("flush", FlushPolicy, "FLUSH"),
+    ("1", FlushPolicy, "FLUSH"),
+    ("1-unit", FlushPolicy, "FLUSH"),
+    ("fifo", FineGrainedFifoPolicy, "FIFO"),
+    ("64", UnitFifoPolicy, "64-unit"),
+    ("64-unit", UnitFifoPolicy, "64-unit"),
+    (" 64-UNIT ", UnitFifoPolicy, "64-unit"),
+    ("preempt", PreemptiveFlushPolicy, "PREEMPT"),
+    ("gen", GenerationalPolicy, "GEN"),
+    ("lru", LruPolicy, "LRU"),
+    ({"kind": "flush"}, FlushPolicy, "FLUSH"),
+    ({"kind": "unit", "unit_count": 1}, UnitFifoPolicy, "FLUSH"),
+    ({"kind": "unit", "unit_count": 8, "name": "8u"}, UnitFifoPolicy, "8u"),
+    ({"kind": "fifo", "name": "fine"}, FineGrainedFifoPolicy, "fine"),
+    ({"kind": "preempt"}, PreemptiveFlushPolicy, "PREEMPT"),
+    ({"kind": "gen"}, GenerationalPolicy, "GEN"),
+    ({"kind": "lru"}, LruPolicy, "LRU"),
+    ({"kind": "priority", "name": "p",
+      "expression": {"kind": "feature", "name": "age"}},
+     PriorityFunctionPolicy, "p"),
+)
+
+#: The exact-type rule the one-pass kernel used before eligibility was
+#: read from the spec kind.
+_KERNEL_TYPES = (FlushPolicy, UnitFifoPolicy, FineGrainedFifoPolicy)
+
+
+class TestPolicyVocabulary:
+    @pytest.mark.parametrize("spec,kind,name", _VOCABULARY)
+    def test_spec_builds_and_classifies_like_the_old_paths(self, spec, kind,
+                                                           name):
+        policy = policy_from_spec(spec)
+        assert type(policy) is kind
+        assert policy.name == name
+        config = KernelConfig.from_spec(spec)
+        assert (config is not None) == (type(policy) in _KERNEL_TYPES)
+        if config is not None:
+            assert config.name == name
+
+    def test_every_registered_kind_is_pinned(self):
+        kinds = {policy_spec(spec)["kind"] for spec, _, _ in _VOCABULARY}
+        assert kinds == set(registered_policy_kinds())
+
+    @pytest.mark.parametrize("token", (
+        "0", "-4", "1.5", "", "  ", "x-unit", "lru?", "unit", "priority",
+        "many",
+    ))
+    def test_shorthand_rejects_with_the_accepted_forms(self, token):
+        with pytest.raises(ConfigurationError) as raised:
+            policy_from_spec(token)
+        assert SHORTHAND_FORMS in str(raised.value)
+
+    def test_non_spec_rejected(self):
+        with pytest.raises(ConfigurationError, match="mapping or a string"):
+            policy_from_spec(8)
 
 
 class TestUnitFifoPolicy:

@@ -122,9 +122,9 @@ class TestGeometryParity:
             policy.internal_caches()[0].unit_capacity_bytes
 
     def test_ladder_names_match_production(self):
-        from repro.analysis.sweep import ladder_policy_factories
+        from repro.analysis.sweep import ladder_policy_factories, policy_names
         ref_names = [name for name, _ in reference_ladder()]
-        prod_names = [name for name, _ in ladder_policy_factories()]
+        prod_names = list(policy_names(ladder_policy_factories()))
         assert ref_names == prod_names
 
     def test_invalid_capacity_rejected(self):
@@ -172,10 +172,10 @@ class TestLruSemantics:
             ReferenceSimulator.for_lru(blocks, 0)
 
     def test_ladder_with_lru_matches_production(self):
-        from repro.analysis.sweep import ladder_policy_factories
+        from repro.analysis.sweep import ladder_policy_factories, policy_names
         ref_names = [name for name, _ in reference_ladder(include_lru=True)]
-        prod_names = [name for name, _ in
-                      ladder_policy_factories(include_lru=True)]
+        prod_names = list(policy_names(
+            ladder_policy_factories(include_lru=True)))
         assert ref_names == prod_names
         assert ref_names[-1] == "LRU"
 
@@ -233,11 +233,11 @@ class TestPreemptSemantics:
         assert outcomes == ref_outcomes
 
     def test_ladder_with_preempt_matches_production_names(self):
-        from repro.analysis.sweep import ladder_policy_factories
+        from repro.analysis.sweep import ladder_policy_factories, policy_names
         ref_names = [name for name, _ in
                      reference_ladder(include_preempt=True)]
-        prod_names = [name for name, _ in
-                      ladder_policy_factories(include_preempt=True)]
+        prod_names = list(policy_names(
+            ladder_policy_factories(include_preempt=True)))
         assert ref_names == prod_names
         assert ref_names[-1] == "PREEMPT"
 

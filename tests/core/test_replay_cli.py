@@ -43,6 +43,15 @@ class TestReplayCli:
         # No link tracking: the unpatched column is all zeros.
         assert "Links unpatched" in output
 
+    def test_units_take_the_shared_shorthand(self, log_path, capsys):
+        assert replay_main([
+            log_path, "--pressure", "2", "--units", "flush", "8-unit",
+            "preempt", "lru",
+        ]) == 0
+        output = capsys.readouterr().out
+        for name in ("FLUSH", "8-unit", "PREEMPT", "LRU"):
+            assert name in output
+
     def test_bad_units_token(self, log_path):
         with pytest.raises(SystemExit):
             replay_main([log_path, "--units", "lots"])

@@ -37,6 +37,18 @@ class TestDbtCli:
         with pytest.raises(SystemExit):
             dbt_main(["demo", "--units", "many"])
 
+    @pytest.mark.parametrize("units", ("preempt", "gen", "lru"))
+    def test_non_ladder_kinds_refused(self, units):
+        # The runtime never calls on_access: only the ladder kinds run.
+        with pytest.raises(SystemExit, match="'flush', 'fifo' or a unit"):
+            dbt_main(["demo", "--units", units])
+
+    def test_unit_shorthand(self, capsys):
+        assert dbt_main([
+            "demo", "--cache-bytes", "4096", "--units", "4-unit",
+            "--max-guest", "30000",
+        ]) == 0
+
     def test_bounded_cache_with_units(self, capsys):
         assert dbt_main([
             "demo", "--cache-bytes", "4096", "--units", "4",

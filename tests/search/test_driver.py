@@ -155,32 +155,32 @@ class TestReplayBest:
 
 class TestPolicySpecSeam:
     """run_sweep_parallel(policy_specs=...) must score exactly what a
-    serial replay of the same policies scores."""
+    serial replay of the same policies scores — the ladder kinds among
+    them through the one-pass kernel."""
 
     def test_injected_specs_match_serial_replay(self):
         specs = benchmarks_by_names(("gzip",))
         expression = dict(driver.seed_expressions())["seed-link"]
-        policy_spec = {
-            "kind": "priority",
-            "name": "cand",
-            "expression": driver.expr_mod.to_dict(expression),
-        }
-        unit_spec = {"kind": "unit", "unit_count": 8, "name": "8u"}
+        policy_specs = [
+            {
+                "kind": "priority",
+                "name": "cand",
+                "expression": driver.expr_mod.to_dict(expression),
+            },
+            {"kind": "unit", "unit_count": 8, "name": "8u"},
+            {"kind": "fifo", "name": "fifo"},
+            "flush",
+        ]
         parallel = run_sweep_parallel(
             specs, scale=0.1, trace_accesses=800, pressures=(8.0,),
-            jobs=1, checkpoints=None,
-            policy_specs=[policy_spec, unit_spec],
+            jobs=1, checkpoints=None, policy_specs=policy_specs,
         )
         from repro.workloads.registry import build_workload
         workload = build_workload(specs[0], scale=0.1, trace_accesses=800)
-        serial = run_sweep(
-            [workload],
-            [("cand", lambda: PriorityFunctionPolicy(
-                expression, workload.superblocks, name="cand")),
-             ("8u", lambda: UnitFifoPolicy(8))],
-            pressures=(8.0,), one_pass=False,
-        )
-        for name in ("cand", "8u"):
+        serial = run_sweep([workload], policy_specs, pressures=(8.0,),
+                           one_pass=False)
+        assert parallel.policy_names == ("cand", "8u", "fifo", "FLUSH")
+        for name in parallel.policy_names:
             a = parallel.get("gzip", name, 8.0).to_dict()
             b = serial.get("gzip", name, 8.0).to_dict()
             assert a == b
@@ -214,6 +214,13 @@ class TestPolicyRegistry:
     def test_bad_unit_count_rejected(self):
         with pytest.raises(ConfigurationError):
             policy_from_spec({"kind": "unit", "unit_count": 0})
+
+    @pytest.mark.parametrize("count", (True, False, 8.0, "8"))
+    def test_non_integer_unit_count_rejected(self, count):
+        # Specs come back from checkpoints and reports on disk; a bool
+        # is an int to isinstance but must not build FLUSH.
+        with pytest.raises(ConfigurationError, match="unit_count"):
+            policy_from_spec({"kind": "unit", "unit_count": count})
 
     def test_priority_kind_lazily_available(self):
         policy = policy_from_spec({

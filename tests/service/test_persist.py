@@ -184,7 +184,11 @@ class TestDegradedArtifacts:
             service = _service(tmp_path)
             await _stream(service, "t", [list(range(16))])
             assert service.arena.snapshot_now()
-            with pytest.warns(RuntimeWarning) as warned:
+            # The warning is the persister's reason and the blob's
+            # name, not a sweep slab's.
+            with pytest.warns(RuntimeWarning,
+                              match=r"^quarantined corrupt .*: "
+                                    r"arena-snapshot\.pkl$") as warned:
                 restarted = _service(tmp_path, capacity_bytes=32 * 1024)
             record = restarted.persister.last_quarantine_record
             assert record is not None

@@ -14,12 +14,12 @@ from repro.core.policies import (
     GenerationalPolicy,
     PreemptiveFlushPolicy,
     UnitFifoPolicy,
+    policy_from_spec,
 )
 from repro.service.tenancy import (
     NAMESPACE_STRIDE,
     SharedArena,
     TenantQuota,
-    make_policy,
 )
 
 
@@ -33,6 +33,8 @@ def _arena(policy=None, capacity=64 * 1024, **kwargs):
 
 
 class TestMakePolicy:
+    """``--policy`` strings build through the spec registry's shorthand."""
+
     @pytest.mark.parametrize("spec,kind", (
         ("flush", FlushPolicy),
         ("fifo", FineGrainedFifoPolicy),
@@ -43,15 +45,15 @@ class TestMakePolicy:
         (" FIFO ", FineGrainedFifoPolicy),
     ))
     def test_known_specs(self, spec, kind):
-        assert isinstance(make_policy(spec), kind)
+        assert isinstance(policy_from_spec(spec), kind)
 
     def test_unit_count_parsed(self):
-        assert make_policy("16-unit").requested_unit_count == 16
+        assert policy_from_spec("16-unit").requested_unit_count == 16
 
     @pytest.mark.parametrize("spec", ("lru?", "", "0", "-3", "x-unit"))
     def test_unknown_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
-            make_policy(spec)
+            policy_from_spec(spec)
 
 
 class TestAttachment:
@@ -119,7 +121,7 @@ class TestAttachment:
                          ("flush", "8-unit", "fifo", "preempt", "gen"))
 class TestPerTenantAccounting:
     def test_conservation_and_unified(self, policy_spec):
-        arena = _arena(make_policy(policy_spec), capacity=48 * 1024,
+        arena = _arena(policy_from_spec(policy_spec), capacity=48 * 1024,
                        check_level="paranoid")
         arena.checker.cadence = 128
         rng = random.Random(11)
@@ -148,7 +150,7 @@ class TestPerTenantAccounting:
         model = OverheadModel(miss=LinearCost(70.0, 2000.0),
                               eviction=LinearCost(3.0, 3000.0),
                               unlink=LinearCost(300.0, 100.0))
-        arena = _arena(make_policy(policy_spec), capacity=48 * 1024,
+        arena = _arena(policy_from_spec(policy_spec), capacity=48 * 1024,
                        overhead_model=model)
         rng = random.Random(7)
         for name, seed in (("a", 1), ("b", 2), ("c", 3)):
@@ -172,7 +174,7 @@ class TestPerTenantAccounting:
             pytest.approx(unified.eviction_overhead, rel=1e-12))
 
     def test_detach_preserves_unified_conservation(self, policy_spec):
-        arena = _arena(make_policy(policy_spec), capacity=48 * 1024,
+        arena = _arena(policy_from_spec(policy_spec), capacity=48 * 1024,
                        check_level="light")
         rng = random.Random(5)
         arena.attach("a", _sizes(80, seed=1, high=1024))
@@ -230,7 +232,7 @@ class TestPressureReclaim:
         # Fine-grained FIFO so the shared policy itself never evicts
         # (pressure reclaim keeps occupancy below capacity); any byte
         # the mouse loses would have to come from pressure reclaim.
-        arena = _arena(make_policy("fifo"), capacity=32 * 1024,
+        arena = _arena(policy_from_spec("fifo"), capacity=32 * 1024,
                        pressure_threshold=0.75,
                        reclaim_fraction=0.5, check_level="light")
         arena.attach("hog", [1024] * 64, TenantQuota(32 * 1024, weight=1.0))
