@@ -2,12 +2,19 @@
  *
  * Simulates the same geometries as the generated-Python runner in
  * kernel.py and produces the same integer counters, which equal those
- * of replaying each geometry through CodeCacheSimulator.  The kernel
- * keeps no floating point at all: the overheads of Equations 2-4 are
- * priced from these counters by the caller's stats records, so the
- * order in which victims and events are counted is free.
+ * of replaying each geometry through CodeCacheSimulator.  The ladder
+ * pass (one_pass) keeps no floating point at all: the overheads of
+ * Equations 2-4 are priced from these counters by the caller's stats
+ * records, so the order in which victims and events are counted is
+ * free.
+ *
+ * The priority-function cell (priority_pass) is the one place doubles
+ * appear: it scores resident blocks with a postfix expression VM whose
+ * arithmetic must match Python's float semantics exactly, so the file
+ * is compiled with -ffp-contract=off and never with -ffast-math.
  */
 
+#include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -335,4 +342,240 @@ int one_pass(
 oom:
     free_geoms(geoms, n_geoms, residency);
     return -3;
+}
+
+
+/* -- Priority-function cells ---------------------------------------------
+ *
+ * A priority policy is fine-grained FIFO storage whose victim is picked
+ * by score.  The score expression arrives compiled to a postfix program
+ * (repro.search.expr.compile_program): one opcode per node, with an
+ * immediate slot that only constants read.  Opcodes 0..N_FEATURES-1
+ * load a feature in FEATURES order; the rest follow OPCODES there.
+ */
+
+#define N_FEATURES 7
+#define SCORE_LIMIT 1e18
+
+enum {
+    OP_CONST = N_FEATURES, OP_NEG, OP_LOG1P,
+    OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MIN, OP_MAX
+};
+
+/* expr._clamp: NaN collapses to zero, then into +-SCORE_LIMIT. */
+static double clamp(double v)
+{
+    if (v != v)
+        return 0.0;
+    if (v > SCORE_LIMIT)
+        return SCORE_LIMIT;
+    if (v < -SCORE_LIMIT)
+        return -SCORE_LIMIT;
+    return v;
+}
+
+/* Scores one feature vector (N_FEATURES doubles in FEATURES order) as
+ * expr.evaluate does: feature reads and the results of neg, add, sub,
+ * mul and div are clamped; div by a divisor inside +-1e-9 yields the
+ * clamped numerator; log1p reads the magnitude; constants, log1p, min
+ * and max pass through unclamped.  stack holds the program's depth.
+ * priority_pass's victim scan calls this same function. */
+double vm_score(int n_code, const int *code, const double *imm,
+                const double *feat, double *stack)
+{
+    int pc, sp = -1;
+    for (pc = 0; pc < n_code; pc++) {
+        int op = code[pc];
+        double r;
+        if (op < N_FEATURES) {
+            stack[++sp] = clamp(feat[op]);
+            continue;
+        }
+        switch (op) {
+        case OP_CONST:
+            stack[++sp] = imm[pc];
+            continue;
+        case OP_NEG:
+            stack[sp] = clamp(-stack[sp]);
+            continue;
+        case OP_LOG1P:
+            stack[sp] = log1p(fabs(stack[sp]));
+            continue;
+        }
+        r = stack[sp--];
+        switch (op) {
+        case OP_ADD:
+            stack[sp] = clamp(stack[sp] + r);
+            break;
+        case OP_SUB:
+            stack[sp] = clamp(stack[sp] - r);
+            break;
+        case OP_MUL:
+            stack[sp] = clamp(stack[sp] * r);
+            break;
+        case OP_DIV:
+            stack[sp] = clamp((-1e-9 < r && r < 1e-9) ? stack[sp]
+                                                      : stack[sp] / r);
+            break;
+        case OP_MIN:
+            if (r < stack[sp])
+                stack[sp] = r;
+            break;
+        case OP_MAX:
+            if (r > stack[sp])
+                stack[sp] = r;
+            break;
+        }
+    }
+    return stack[0];
+}
+
+/* Simulates one (capacity, expression) cell of PriorityFunctionPolicy
+ * under CodeCacheSimulator.  The policy's clock advances once per
+ * access, hit or miss, so clock = access index + 1; a hit sets the
+ * block's last touch to the clock and counts a hit; an insert starts
+ * the block at insert clock = last touch = clock with no hits and
+ * appends it to an insertion-ordered doubly linked list.  Each victim
+ * is the first listed block whose score is strictly lower than every
+ * earlier one's, scored with occupancy = used / cap as it stands
+ * before that victim.  in_deg/out_deg are the raw degrees the policy
+ * reads: len(incoming) and len(outgoing), self-loops and repeated
+ * out-links included.  Links follow the fifo geometry: each victim is
+ * its own eviction event, accounted when it is chosen.  Writes N_OUT
+ * counters to out.  Returns 0 on success, -2 when no resident block
+ * can make room (cap below the largest block), -3 on allocation
+ * failure. */
+int priority_pass(
+    i64 n_acc, const int *trace,
+    int n_blocks, const i64 *sizes,
+    const int *in_deg, const int *out_deg,
+    int track_links,
+    const int *in_idx, const int *in_dat,
+    const int *on_idx, const int *on_dat,
+    const unsigned char *sf,
+    i64 cap,
+    int n_code, const int *code, const double *imm, int depth,
+    i64 *out)
+{
+    size_t n = (size_t)n_blocks + 1;
+    i64 *born = (i64 *)malloc(sizeof(i64) * n);
+    i64 *touch = (i64 *)malloc(sizeof(i64) * n);
+    i64 *hits = (i64 *)malloc(sizeof(i64) * n);
+    int *prev = (int *)malloc(sizeof(int) * n);
+    int *next = (int *)malloc(sizeof(int) * n);
+    unsigned char *res = (unsigned char *)calloc(n, 1);
+    double *stack = (double *)malloc(sizeof(double) * ((size_t)depth + 1));
+    double feat[N_FEATURES];
+    i64 a, used = 0;
+    i64 misses = 0, ins = 0, inv = 0, evB = 0, ulops = 0, ulrem = 0;
+    i64 intra = 0, inter = 0, live = 0, plive = 0;
+    int k, head = -1, tail = -1, status = -3;
+
+    if (!born || !touch || !hits || !prev || !next || !res || !stack)
+        goto done;
+    status = -2;
+    for (a = 0; a < n_acc; a++) {
+        int sid = trace[a];
+        i64 clock = a + 1, size;
+        if (res[sid]) {
+            touch[sid] = clock;
+            hits[sid]++;
+            continue;
+        }
+        size = sizes[sid];
+        misses++;
+        ins += size;
+        while (used + size > cap) {
+            double lowest = HUGE_VAL;
+            int b, v = -1;
+            feat[6] = (double)used / (double)cap;
+            for (b = head; b >= 0; b = next[b]) {
+                double s;
+                feat[0] = (double)(clock - born[b]);
+                feat[1] = (double)sizes[b];
+                feat[2] = (double)in_deg[b];
+                feat[3] = (double)out_deg[b];
+                feat[4] = (double)hits[b];
+                feat[5] = (double)(clock - touch[b]);
+                s = vm_score(n_code, code, imm, feat, stack);
+                if (s < lowest) {
+                    lowest = s;
+                    v = b;
+                }
+            }
+            if (v < 0)
+                goto done;
+            if (prev[v] >= 0)
+                next[prev[v]] = next[v];
+            else
+                head = next[v];
+            if (next[v] >= 0)
+                prev[next[v]] = prev[v];
+            else
+                tail = prev[v];
+            used -= sizes[v];
+            inv++;
+            evB += sizes[v];
+            if (track_links) {
+                i64 sur = 0, outd = 0;
+                for (k = in_idx[v]; k < in_idx[v + 1]; k++)
+                    sur += res[in_dat[k]];
+                if (sur) {
+                    ulops++;
+                    ulrem += sur;
+                }
+                for (k = on_idx[v]; k < on_idx[v + 1]; k++)
+                    outd += res[on_dat[k]];
+                live -= sur + sf[v] + outd;
+            }
+            res[v] = 0;
+        }
+        prev[sid] = tail;
+        next[sid] = -1;
+        if (tail >= 0)
+            next[tail] = sid;
+        else
+            head = sid;
+        tail = sid;
+        born[sid] = clock;
+        touch[sid] = clock;
+        hits[sid] = 0;
+        used += size;
+        res[sid] = 1;
+        if (track_links) {
+            i64 ln = 0, s = sf[sid];
+            for (k = on_idx[sid]; k < on_idx[sid + 1]; k++)
+                ln += res[on_dat[k]];
+            for (k = in_idx[sid]; k < in_idx[sid + 1]; k++)
+                ln += res[in_dat[k]];
+            if (ln + s) {
+                inter += ln;
+                intra += s;
+                live += ln + s;
+                if (live > plive)
+                    plive = live;
+            }
+        }
+    }
+    out[0] = misses;
+    out[1] = ins;
+    out[2] = inv;
+    out[3] = inv;
+    out[4] = evB;
+    out[5] = ulops;
+    out[6] = ulrem;
+    out[7] = intra;
+    out[8] = inter;
+    out[9] = plive;
+    status = 0;
+
+done:
+    free(born);
+    free(touch);
+    free(hits);
+    free(prev);
+    free(next);
+    free(res);
+    free(stack);
+    return status;
 }

@@ -331,8 +331,12 @@ def kernel_check(
     Runs the same (benchmark, policy, pressure) grid twice per
     link-tracking mode — once through the one-pass kernel, once through
     full replay — and requires the records to be equal, field for
-    field.  Both sides count the same integers and derive the overheads
-    from them, so equality is exact.
+    field.  The grid is the ladder plus :func:`priority_panel`, whose
+    cells the kernel's expression VM serves whenever the C engine runs
+    (under ``REPRO_KERNEL_ENGINE=py`` they replay on both sides).  The
+    ladder counts the same integers on both sides and derives the
+    overheads from them, and the VM scores with replay's double
+    arithmetic, so equality is exact.
     """
     if scale <= 0:
         raise ConfigurationError("scale must be positive")
@@ -342,7 +346,11 @@ def kernel_check(
         raise ConfigurationError("trace_accesses must be >= 1")
     if not pressures or min(pressures) < 1:
         raise ConfigurationError("pressure factors must be >= 1")
-    ladder = ladder_policy_factories(unit_counts, include_fine)
+    from repro.search.expr import to_dict
+    grid = ladder_policy_factories(unit_counts, include_fine) + [
+        {"kind": "priority", "name": name, "expression": to_dict(tree)}
+        for name, tree in priority_panel()
+    ]
     report = KernelCheckReport()
     for benchmark in benchmarks:
         spec = _spec_by_name(benchmark)
@@ -352,11 +360,11 @@ def kernel_check(
             # check_level="off" on both sides: the kernel has no
             # invariant hooks, so an inherited REPRO_CHECK_LEVEL would
             # silently turn this into replay-vs-replay.
-            kernel = run_sweep([workload], ladder, pressures=pressures,
+            kernel = run_sweep([workload], grid, pressures=pressures,
                                overhead_model=overhead_model,
                                track_links=track_links,
                                check_level="off", one_pass=True)
-            replay = run_sweep([workload], ladder, pressures=pressures,
+            replay = run_sweep([workload], grid, pressures=pressures,
                                overhead_model=overhead_model,
                                track_links=track_links,
                                check_level="off", one_pass=False)

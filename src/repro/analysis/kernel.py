@@ -66,7 +66,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from textwrap import indent
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.cache import ConfigurationError
 from repro.core.links import BACKPOINTER_ENTRY_BYTES
@@ -80,44 +80,63 @@ from repro.core.policies import (
 )
 from repro.core.superblock import SuperblockSet
 
+if TYPE_CHECKING:
+    from repro.search.expr import Expr
+
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """One ladder rung the kernel can simulate.
+    """One cell shape the kernel can simulate.
 
     ``kind`` is ``"unit"`` (``UnitCache`` semantics, ``unit_count``
-    requested units, clamped exactly like :class:`UnitFifoPolicy`) or
-    ``"fifo"`` (``CircularBlockBuffer`` semantics).
+    requested units, clamped exactly like :class:`UnitFifoPolicy`),
+    ``"fifo"`` (``CircularBlockBuffer`` semantics) or ``"priority"``
+    (:class:`~repro.search.priority.PriorityFunctionPolicy` scoring
+    victims with ``expression``; C engine only).
     """
 
     name: str
     kind: str
     unit_count: int = 1
+    expression: "Expr | None" = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("unit", "fifo"):
+        if self.kind not in ("unit", "fifo", "priority"):
             raise ValueError(f"unknown kernel config kind {self.kind!r}")
         if self.unit_count < 1:
             raise ValueError(
                 f"unit count must be >= 1, got {self.unit_count}"
             )
+        if (self.kind == "priority") != (self.expression is not None):
+            raise ValueError("an expression goes with kind 'priority' "
+                             "and only with it")
 
     @classmethod
     def from_spec(cls, spec: PolicySpec) -> "KernelConfig | None":
-        """The rung a policy spec describes, or ``None`` when it needs
+        """The cell a policy spec describes, or ``None`` when it needs
         replay.
 
-        Eligibility is the spec's kind (:data:`~repro.core.policies.
-        LADDER_KINDS`): the stateful kinds (PREEMPT, GEN, LRU, priority
-        functions) watch accesses or keep extra state.  The config
-        carries the built policy's name, so a spec's ``name`` overrides
-        it here exactly as in replay.
+        Eligibility is the spec's kind.  The ladder kinds
+        (:data:`~repro.core.policies.LADDER_KINDS`) always qualify.  A
+        priority function qualifies whenever the C engine runs
+        (:func:`c_engine_runs`): its victim scan is a C expression VM
+        with no generated-Python body.  The other stateful kinds
+        (PREEMPT, GEN, LRU) watch accesses or keep extra state and
+        replay.  The config carries the built policy's name, so a
+        spec's ``name`` overrides it here exactly as in replay.
         """
         spec = policy_spec(spec)
-        if spec.get("kind") not in LADDER_KINDS:
+        kind = spec.get("kind")
+        if kind == "priority":
+            if not c_engine_runs():
+                return None
+            policy = policy_from_spec(spec)
+            return cls(name=policy.name, kind="priority",
+                       expression=policy.expression)
+        if kind not in LADDER_KINDS:
             return None
         policy = policy_from_spec(spec)
-        if spec["kind"] == "fifo":
+        if kind == "fifo":
             return cls(name=policy.name, kind="fifo")
         return cls(name=policy.name, kind="unit",
                    unit_count=policy.requested_unit_count)
@@ -133,7 +152,8 @@ class _Population:
     """
 
     __slots__ = ("count", "remap", "sizes", "in_lists", "out_nonself",
-                 "self_flags", "py_links", "c_data", "__weakref__")
+                 "self_flags", "in_degree", "out_degree", "py_links",
+                 "c_data", "__weakref__")
 
     def __init__(self, superblocks: SuperblockSet) -> None:
         sids = superblocks.sids
@@ -151,6 +171,10 @@ class _Population:
         self.in_lists: list[tuple[int, ...]] | None = None
         self.out_nonself: list[tuple[int, ...]] = []
         self.self_flags: list[int] = []
+        #: Raw link degrees in dense indices, built by
+        #: :meth:`ensure_degrees`.
+        self.in_degree: list[int] | None = None
+        self.out_degree: list[int] = []
         #: The generated-Python runner's link arguments, built on the
         #: first Python-engine run (see :meth:`python_link_args`).
         self.py_links: dict | None = None
@@ -177,6 +201,17 @@ class _Population:
         self.in_lists = in_lists
         self.out_nonself = out_nonself
         self.self_flags = self_flags
+
+    def ensure_degrees(self, superblocks: SuperblockSet) -> None:
+        """The degrees the priority policy's features read:
+        ``len(incoming)`` and ``len(outgoing)``, which count self-loops
+        and repeated out-links the deduplicated adjacency drops."""
+        if self.in_degree is not None:
+            return
+        sids = (superblocks.sids if self.remap is not None
+                else range(self.count))
+        self.in_degree = [len(superblocks.incoming(sid)) for sid in sids]
+        self.out_degree = [len(superblocks.outgoing(sid)) for sid in sids]
 
     def python_link_args(self) -> dict:
         """Prelude rows and precompiled neighbour gathers for the
@@ -245,6 +280,18 @@ def _ckernel():
     return ckernel
 
 
+def c_engine_runs() -> bool:
+    """Whether :func:`one_pass_grid` runs the C engine under
+    ``REPRO_KERNEL_ENGINE``: always when forced (``"c"``, which raises
+    if the kernel cannot load), never under ``"py"``, and under
+    ``"auto"`` (the default) when the kernel builds and loads."""
+    mode = _resolve_engine(None)
+    if mode != "auto":
+        return mode == "c"
+    ckernel = _ckernel()
+    return ckernel is not None and ckernel.available()
+
+
 def one_pass_sweep(
     superblocks: SuperblockSet,
     trace: Iterable[int],
@@ -282,34 +329,36 @@ def one_pass_grid(
     This is the full amortisation: one pass over *trace* evaluates
     every pressure rung and every ladder rung simultaneously, each
     geometry keeping its own eviction frontier and residency bit.
-    Returns a list parallel to *capacities*; element ``i`` maps
-    ``config.name`` to stats for ``capacities[i]``, field-identical to
-    replaying each (capacity, config) cell through
-    :class:`CodeCacheSimulator`.
+    Priority configs are simulated one (capacity, expression) cell per
+    C call over the same marshalled trace and links.  Returns a list
+    parallel to *capacities*; element ``i`` maps ``config.name`` to
+    stats for ``capacities[i]``, field-identical to replaying each
+    (capacity, config) cell through :class:`CodeCacheSimulator`.
 
     *engine* selects the hot-loop implementation: ``"c"`` (the
     compiled fast path in :mod:`repro.analysis.ckernel`), ``"py"`` (the
     generated-Python runner), or ``"auto"`` (C when buildable, Python
     otherwise).  ``None`` defers to the ``REPRO_KERNEL_ENGINE``
     environment variable, defaulting to ``"auto"``.  Both engines are
-    bit-identical; the choice only affects speed.
+    bit-identical; the choice only affects speed.  Priority configs
+    need the C engine and raise ``RuntimeError`` without it;
+    :meth:`KernelConfig.from_spec` only builds them when it runs.
     """
     if not configs or not capacities:
         return [{} for _capacity in capacities]
     max_block = superblocks.max_block_bytes
 
     # -- Resolve distinct geometries.  Ladder rungs that clamp to the
-    #    same shape at the same capacity are simulated once; the
-    #    (capacity, config) nesting mirrors run_sweep's pressure-then-
-    #    policy iteration so configuration errors surface in the same
-    #    order replay would raise them.
-    geometry_index: dict[tuple, int] = {}
-    geometries: list[tuple] = []
-    cell_geometry: list[list[int]] = []
+    #    same shape at the same capacity are simulated once, and so are
+    #    equal expressions; the (capacity, config) nesting mirrors
+    #    run_sweep's pressure-then-policy iteration so configuration
+    #    errors surface in the same order replay would raise them.
+    geometries: dict[tuple, None] = {}
+    cell_geometry: list[list[tuple]] = []
     for capacity_bytes in capacities:
         if capacity_bytes <= 0:
             raise ConfigurationError("capacity_bytes must be positive")
-        row: list[int] = []
+        row: list[tuple] = []
         for config in configs:
             if config.kind == "unit":
                 most_units = max(1, capacity_bytes // max_block)
@@ -328,17 +377,69 @@ def one_pass_grid(
                         f"cache capacity {capacity_bytes} B cannot hold "
                         f"the largest superblock ({max_block} B)"
                     )
-                key = ("fifo", capacity_bytes)
-            index = geometry_index.setdefault(key, len(geometries))
-            if index == len(geometries):
-                geometries.append(key)
-            row.append(index)
+                key = (("fifo", capacity_bytes) if config.kind == "fifo"
+                       else ("priority", capacity_bytes, config.expression))
+            geometries.setdefault(key)
+            row.append(key)
         cell_geometry.append(row)
+    ladder = [key for key in geometries if key[0] != "priority"]
+    scored = [key for key in geometries if key[0] == "priority"]
+
+    mode = _resolve_engine(engine)
+    module = _ckernel() if mode != "py" else None
+    ckernel = module if module is not None and module.available() else None
+    if ckernel is None and (mode == "c" or scored):
+        if mode == "py":
+            reason = "the generated-Python engine has no priority body"
+        elif module is None:
+            reason = "numpy is not importable"
+        else:
+            reason = module.load_error()
+        raise RuntimeError(f"C kernel engine unavailable: {reason}")
+    if ckernel is not None and len(ladder) > ckernel.MAX_GEOMETRIES:
+        return _split_grid(superblocks, trace, capacities, configs,
+                           overhead_model=overhead_model,
+                           track_links=track_links,
+                           benchmark=benchmark, engine=engine)
 
     population = _population(superblocks)
     if track_links:
         population.ensure_links(superblocks)
+    counters: dict[tuple, dict] = {}
+    if ladder:
+        counters.update(zip(ladder, _ladder_counters(
+            population, trace, ladder, track_links, ckernel,
+            required=mode == "c")))
+    if scored:
+        from repro.search.expr import compile_program
+        population.ensure_degrees(superblocks)
+        cells = [(capacity_bytes, compile_program(expression))
+                 for _kind, capacity_bytes, expression in scored]
+        counters.update(zip(scored, ckernel.run_priority(
+            population, trace, cells, track_links)))
 
+    accesses = len(trace)
+    results: list[dict[str, SimulationStats]] = []
+    for row in cell_geometry:
+        cell: dict[str, SimulationStats] = {}
+        for config, geometry in zip(configs, row):
+            stats = SimulationStats(policy_name=config.name,
+                                    benchmark=benchmark,
+                                    accesses=accesses,
+                                    overhead_model=overhead_model,
+                                    **counters[geometry])
+            stats.hits = accesses - stats.misses
+            cell[config.name] = stats
+        results.append(cell)
+    return results
+
+
+def _ladder_counters(population, trace, geometries, track_links, ckernel,
+                     required):
+    """Counter dicts for the ladder geometries, in order, from one
+    traversal: through *ckernel* when given (``None`` means the Python
+    engine), falling back to the generated-Python runner when the C
+    path refuses the shape unless the C engine is *required*."""
     # -- Assemble the geometry descriptors.  The FLUSH shape (one
     #    unit) gets its own specialised body in links mode; without
     #    links it is just a one-unit unit cache.  ``caps``/``ucaps``/
@@ -368,62 +469,39 @@ def one_pass_grid(
             geometry_kwargs[f"cap_{index}"] = key[1]
             caps[index] = key[1]
 
-    mode = _resolve_engine(engine)
-    ckernel = _ckernel() if mode != "py" else None
-    geometry_stats = None
-    if ckernel is not None and ckernel.available():
-        if len(geometries) > ckernel.MAX_GEOMETRIES:
-            return _split_grid(superblocks, trace, capacities, configs,
-                               overhead_model=overhead_model,
-                               track_links=track_links,
-                               benchmark=benchmark, engine=engine)
+    if ckernel is not None:
         geometry_stats = ckernel.run_geometries(
             population, trace, kinds, caps, ucaps, ucounts, track_links)
-    if geometry_stats is None and mode == "c":
-        reason = (ckernel.load_error() if ckernel is not None
-                  else "numpy is not importable")
-        raise RuntimeError(f"C kernel engine unavailable: {reason}")
+        if geometry_stats is not None:
+            return geometry_stats
+        if required:
+            raise RuntimeError(
+                f"C kernel engine unavailable: {ckernel.load_error()}")
 
-    if geometry_stats is None:
-        runner = _runner(tuple(kinds), track_links)
-        if hasattr(trace, "tolist"):
-            py_trace = trace.tolist()
-        elif isinstance(trace, list):
-            py_trace = trace
-        else:
-            py_trace = list(trace)
-        if population.remap is not None:
-            remap = population.remap
-            py_trace = [remap[sid] for sid in py_trace]
+    runner = _runner(tuple(kinds), track_links)
+    if hasattr(trace, "tolist"):
+        py_trace = trace.tolist()
+    elif isinstance(trace, list):
+        py_trace = trace
+    else:
+        py_trace = list(trace)
+    if population.remap is not None:
+        remap = population.remap
+        py_trace = [remap[sid] for sid in py_trace]
 
-        kwargs = dict(
-            trace=py_trace,
-            residency=[0] * population.count,
-            sizes=population.sizes,
-            n_blocks=population.count,
-            _sum=sum,
-            _deque=deque,
-            **geometry_kwargs,
-        )
-        if track_links:
-            kwargs.update(bp_bytes=BACKPOINTER_ENTRY_BYTES,
-                          **population.python_link_args())
-        geometry_stats = runner(**kwargs)
-
-    accesses = len(trace)
-    results: list[dict[str, SimulationStats]] = []
-    for row in cell_geometry:
-        cell: dict[str, SimulationStats] = {}
-        for config, geometry in zip(configs, row):
-            stats = SimulationStats(policy_name=config.name,
-                                    benchmark=benchmark,
-                                    accesses=accesses,
-                                    overhead_model=overhead_model,
-                                    **geometry_stats[geometry])
-            stats.hits = accesses - stats.misses
-            cell[config.name] = stats
-        results.append(cell)
-    return results
+    kwargs = dict(
+        trace=py_trace,
+        residency=[0] * population.count,
+        sizes=population.sizes,
+        n_blocks=population.count,
+        _sum=sum,
+        _deque=deque,
+        **geometry_kwargs,
+    )
+    if track_links:
+        kwargs.update(bp_bytes=BACKPOINTER_ENTRY_BYTES,
+                      **population.python_link_args())
+    return runner(**kwargs)
 
 
 def _split_grid(superblocks, trace, capacities, configs, **shared):

@@ -180,15 +180,17 @@ def simulate_slab(
     """Simulate one workload's (pressure x policy) slab — the code both
     sweep engines run.
 
-    With ``one_pass`` the specs whose kind the one-pass kernel can
-    express (:meth:`KernelConfig.from_spec`) are evaluated together in
-    a single trace traversal by :func:`repro.analysis.kernel.
-    one_pass_grid`; every other spec replays through
-    :class:`CodeCacheSimulator` with the workload's superblocks bound,
-    one fresh policy per pressure.  The kernel is field-identical to
-    replay, but it has no invariant hooks, so an active check level
-    (``None`` defers to ``REPRO_CHECK_LEVEL``) forces replay.  Records
-    come out pressure-outer, spec-order inner.
+    With ``one_pass`` the specs the kernel can express
+    (:meth:`KernelConfig.from_spec`: the ladder kinds, plus priority
+    functions whenever the C engine runs) are evaluated by
+    :func:`repro.analysis.kernel.one_pass_grid` — the ladder in a
+    single trace traversal, each priority cell in one C call; every
+    other spec replays through :class:`CodeCacheSimulator` with the
+    workload's superblocks bound, one fresh policy per pressure.  The
+    kernel is field-identical to replay, but it has no invariant hooks,
+    so an active check level (``None`` defers to
+    ``REPRO_CHECK_LEVEL``) forces replay.  Records come out
+    pressure-outer, spec-order inner.
     """
     superblocks = workload.superblocks
     capacities = [pressured_capacity(superblocks, pressure)

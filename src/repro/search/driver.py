@@ -605,9 +605,11 @@ def replay_best(report: Mapping, check_level: str = "light",
     workloads.extend(_scenario_workloads(config))
     records: list[SimulationStats] = []
     for workload in workloads:
+        # one_pass=False: even at check level "off" the winner replays,
+        # so the kernel that scored it never re-validates itself.
         result = run_sweep([workload], [spec],
                            pressures=(config.pressure,),
-                           check_level=check_level)
+                           check_level=check_level, one_pass=False)
         records.append(result.get(workload.name, best["name"],
                                   config.pressure))
     miss = unified_miss_rate(records)

@@ -8,6 +8,11 @@ results are clamped to a finite range with NaN mapped to zero), so any
 tree that parses also evaluates — a mutated candidate can be wrong, but
 it can never crash the simulator.
 
+Trees are scored three ways that agree exactly: :func:`evaluate`, the
+definition; generated Python victim choosers (:func:`compile_chooser`);
+and postfix programs (:func:`compile_program`) that the C sweep kernel's
+stack VM runs.
+
 Trees are immutable, hashable, JSON round-trippable (the wire format the
 search driver ships to pool workers via policy specs), and mutated by
 deterministic seeded operators: constant perturbation, feature swap,
@@ -308,6 +313,68 @@ def compile_scorer(node: Expr) -> Callable[..., dict[int, float]]:
     """``sid -> score`` for every block, from the same generated code
     :func:`compile_chooser` runs (same arguments)."""
     return _compiled(node)["_scores"]
+
+
+# -- Postfix programs for the C kernel's expression VM ------------------------
+
+#: The VM's opcodes, numbered by position: one load per feature in
+#: ``FEATURES`` order, a constant, then the operators.  The C kernel
+#: (``repro/analysis/_onepass.c``) numbers them the same way.
+OPCODES = (*FEATURES, "const", *UNARY_OPS, *BINARY_OPS)
+_OPCODE = {name: code for code, name in enumerate(OPCODES)}
+
+
+@dataclass(frozen=True)
+class Program:
+    """An expression in postfix order, as the C kernel's stack VM runs
+    it: ``code[i]`` indexes :data:`OPCODES`, ``imm[i]`` is the value a
+    ``const`` pushes (0.0 for every other opcode), and ``stack_depth``
+    is the most values the program ever holds at once."""
+
+    code: tuple[int, ...]
+    imm: tuple[float, ...]
+    stack_depth: int
+
+
+#: Compiled programs by canonical JSON, like ``_CHOOSERS``.
+_PROGRAMS: dict[str, Program] = {}
+
+
+def compile_program(node: Expr) -> Program:
+    """*node* as a postfix :class:`Program`, compiled once per process.
+
+    The stack depth is measured, not assumed: :func:`from_dict` does
+    not bound a tree's depth, so a spec file may hold a deeper tree
+    than :func:`mutate` ever builds.
+    """
+    key = dumps(node)
+    program = _PROGRAMS.get(key)
+    if program is None:
+        code: list[int] = []
+        imm: list[float] = []
+        held = peak = 0
+
+        def emit(current: Expr) -> None:
+            nonlocal held, peak
+            if isinstance(current, (Const, Feature)):
+                constant = isinstance(current, Const)
+                code.append(_OPCODE["const" if constant else current.name])
+                imm.append(current.value if constant else 0.0)
+                held += 1
+                peak = max(peak, held)
+                return
+            if isinstance(current, Unary):
+                emit(current.child)
+            else:
+                emit(current.left)
+                emit(current.right)
+                held -= 1
+            code.append(_OPCODE[current.op])
+            imm.append(0.0)
+
+        emit(node)
+        program = _PROGRAMS[key] = Program(tuple(code), tuple(imm), peak)
+    return program
 
 
 # -- Structure queries --------------------------------------------------------

@@ -219,9 +219,10 @@ class TestKernelCheck:
         report = kernel_check(benchmarks=("gzip",), scale=0.2,
                               trace_accesses=1500, pressures=(2.0, 10.0),
                               unit_counts=(1, 8))
-        # 2 engines x 2 link modes per benchmark; 3 rungs x 2 pressures.
+        # 2 engines x 2 link modes per benchmark; 3 rungs plus the
+        # 4-expression priority panel x 2 pressures.
         assert report.runs == 4
-        assert report.cells == 12
+        assert report.cells == 28
         assert report.ok, report.render()
 
     def test_kernel_check_command_passes(self, capsys):

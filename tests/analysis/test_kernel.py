@@ -8,6 +8,7 @@ engine selection and fallback, error mirroring, and the sweep-layer
 """
 
 import dataclasses
+import tempfile
 
 import pytest
 
@@ -27,6 +28,9 @@ from repro.core.policies import granularity_ladder, ladder_specs
 from repro.core.pressure import pressured_capacity
 from repro.core.simulator import CodeCacheSimulator
 from repro.core.superblock import Superblock, SuperblockSet
+from repro.search.expr import Binary, Const, Feature, Unary
+from repro.search.expr import to_dict as expr_to_dict
+from repro.search.priority import PriorityFunctionPolicy
 from repro.workloads.registry import (
     build_workload,
     get_benchmark,
@@ -54,6 +58,23 @@ def _ladder_configs(unit_counts, include_fine=True):
             for spec in ladder_specs(unit_counts, include_fine)]
 
 
+_AGE = Feature("age")
+
+
+def _unload(monkeypatch):
+    """Make the C kernel look unbuildable for one test."""
+    monkeypatch.setattr(ckernel, "_lib", None)
+    monkeypatch.setattr(ckernel, "_lib_loaded", True)
+    monkeypatch.setattr(ckernel, "_lib_error", "no compiler")
+
+
+def _priority_replay(population, trace, capacity, name, tree,
+                     track_links=True):
+    policy = PriorityFunctionPolicy(tree, population, name=name)
+    return CodeCacheSimulator(population, policy, capacity,
+                              track_links=track_links).process(trace)
+
+
 class TestClassification:
     def test_ladder_policies_are_eligible(self):
         assert KernelConfig.from_spec("flush") == KernelConfig(
@@ -77,6 +98,24 @@ class TestClassification:
             KernelConfig(name="x", kind="lru")
         with pytest.raises(ValueError):
             KernelConfig(name="x", kind="unit", unit_count=0)
+        with pytest.raises(ValueError):
+            KernelConfig(name="x", kind="priority")
+        with pytest.raises(ValueError):
+            KernelConfig(name="x", kind="fifo", expression=_AGE)
+
+    def test_priority_specs_follow_the_c_engine(self, monkeypatch):
+        spec = {"kind": "priority", "name": "p",
+                "expression": {"kind": "feature", "name": "age"}}
+        monkeypatch.setenv("REPRO_KERNEL_ENGINE", "c")
+        assert KernelConfig.from_spec(spec) == KernelConfig(
+            name="p", kind="priority", expression=_AGE)
+        monkeypatch.setenv("REPRO_KERNEL_ENGINE", "py")
+        assert KernelConfig.from_spec(spec) is None
+        monkeypatch.setenv("REPRO_KERNEL_ENGINE", "auto")
+        _unload(monkeypatch)
+        assert KernelConfig.from_spec(spec) is None
+        # Ladder kinds keep the Python engine to fall back on.
+        assert KernelConfig.from_spec("fifo") is not None
 
 
 class TestGridSemantics:
@@ -146,18 +185,14 @@ class TestEngines:
                           _ladder_configs((1,)))
 
     def test_forced_c_engine_unavailable_raises(self, monkeypatch):
-        monkeypatch.setattr(ckernel, "_lib", None)
-        monkeypatch.setattr(ckernel, "_lib_loaded", True)
-        monkeypatch.setattr(ckernel, "_lib_error", "no compiler")
+        _unload(monkeypatch)
         population, sids = _population()
         with pytest.raises(RuntimeError, match="no compiler"):
             one_pass_grid(population, _trace(sids), [1024],
                           _ladder_configs((1,)), engine="c")
 
     def test_auto_engine_falls_back_to_python(self, monkeypatch):
-        monkeypatch.setattr(ckernel, "_lib", None)
-        monkeypatch.setattr(ckernel, "_lib_loaded", True)
-        monkeypatch.setattr(ckernel, "_lib_error", "no compiler")
+        _unload(monkeypatch)
         population, sids = _population()
         trace = _trace(sids)
         capacity = population.total_bytes // 2
@@ -266,3 +301,144 @@ class TestSweepRouting:
         for point in plain.stats:
             assert (checked.stats[point].misses
                     == plain.stats[point].misses)
+
+
+_NEEDS_C = pytest.mark.skipif(not ckernel.available(),
+                              reason="C kernel unavailable")
+
+
+class TestPriorityCells:
+    """The C engine's priority entry point, as the grid routes it."""
+
+    _TREES = {
+        "fifo-like": Unary("neg", _AGE),
+        "linky": Binary("sub", Binary("add", Feature("in_degree"),
+                                      Feature("out_degree")),
+                        Binary("mul", Const(0.05), _AGE)),
+        "lru-like": Feature("recency"),
+        # Occupancy falls between the victims of one miss, and this
+        # score's order moves with it.
+        "occupancy-aged": Binary("sub", Binary("mul", Feature("occupancy"),
+                                               _AGE), Feature("recency")),
+    }
+
+    def _configs(self):
+        return [KernelConfig(name, "priority", expression=tree)
+                for name, tree in self._TREES.items()]
+
+    def test_python_engine_has_no_priority_body(self):
+        population, sids = _population()
+        with pytest.raises(RuntimeError, match="no priority body"):
+            one_pass_grid(population, _trace(sids), [1024],
+                          self._configs(), engine="py")
+
+    def test_unbuildable_kernel_refuses_priority_cells(self, monkeypatch):
+        _unload(monkeypatch)
+        population, sids = _population()
+        with pytest.raises(RuntimeError, match="no compiler"):
+            one_pass_grid(population, _trace(sids), [1024],
+                          self._configs(), engine="auto")
+
+    def test_capacity_errors_mirror_replay(self):
+        population, sids = _population(size=64)
+        configs = self._configs()
+        with pytest.raises(ConfigurationError) as kernel_error:
+            one_pass_grid(population, _trace(sids), [60], configs)
+        with pytest.raises(ConfigurationError) as replay_error:
+            _priority_replay(population, _trace(sids), 60, "p", _AGE)
+        assert str(kernel_error.value) == str(replay_error.value)
+
+    @_NEEDS_C
+    def test_mixed_grid_matches_replay(self):
+        # Sparse sids exercise the remapped trace; ladder and priority
+        # configs share one grid and come back in config order.
+        population, sids = _population(sparse=True)
+        trace = _trace(sids)
+        capacities = [population.total_bytes // 3,
+                      population.total_bytes // 2]
+        configs = _ladder_configs((1, 4)) + self._configs()
+        for track_links in (True, False):
+            grid = one_pass_grid(population, trace, capacities, configs,
+                                 track_links=track_links, engine="c")
+            for cell, capacity in zip(grid, capacities):
+                assert list(cell) == [config.name for config in configs]
+                for name, tree in self._TREES.items():
+                    assert cell[name] == _priority_replay(
+                        population, trace, capacity, name, tree,
+                        track_links)
+
+    @_NEEDS_C
+    def test_sweep_serves_priority_cells_without_replay(self, monkeypatch):
+        workload = build_workload(spec_benchmarks()[0], scale=0.1,
+                                  trace_accesses=1500)
+        specs = [{"kind": "priority", "name": name,
+                  "expression": expr_to_dict(tree)}
+                 for name, tree in self._TREES.items()] + ["fifo"]
+        replay = run_sweep([workload], specs, pressures=(2, 10),
+                           one_pass=False)
+
+        def no_replay(policy):
+            raise AssertionError("a priority cell replayed")
+
+        monkeypatch.setattr(PriorityFunctionPolicy, "_choose_victim",
+                            no_replay)
+        kernel = run_sweep([workload], specs, pressures=(2, 10),
+                           one_pass=True)
+        assert kernel.stats == replay.stats
+
+
+class TestTraceValidation:
+    """Ids outside the population raise KeyError on the C engine too,
+    instead of aliasing a block or reading past the arrays."""
+
+    @staticmethod
+    def _remapped():
+        return SuperblockSet([Superblock(sid, 100) for sid in (10, 20, 30)])
+
+    @_NEEDS_C
+    def test_remapped_population_rejects_unknown_ids(self):
+        population = self._remapped()
+        fifo = [KernelConfig.from_spec("fifo")]
+        for engine in ("c", "py"):
+            with pytest.raises(KeyError) as raised:
+                one_pass_grid(population, [10, 15, 20, 15], [250], fifo,
+                              engine=engine)
+            assert raised.value.args == (15,), engine
+
+    @_NEEDS_C
+    def test_dense_population_rejects_ids_past_its_end(self):
+        blocks = SuperblockSet([Superblock(sid, 100) for sid in range(3)])
+        fifo = [KernelConfig.from_spec("fifo")]
+        for trace, bad in (([0, 1, 7, 2], 7), ([0, -1], -1)):
+            with pytest.raises(KeyError) as raised:
+                one_pass_grid(blocks, trace, [250], fifo, engine="c")
+            assert raised.value.args == (bad,)
+
+    @_NEEDS_C
+    def test_priority_cells_reject_unknown_ids(self):
+        population = self._remapped()
+        config = KernelConfig("p", "priority", expression=_AGE)
+        with pytest.raises(KeyError) as raised:
+            one_pass_grid(population, [30, 10, 40], [250], [config])
+        assert raised.value.args == (40,)
+
+
+class TestCLoader:
+    @_NEEDS_C
+    def test_build_is_keyed_by_the_compile_command(self, monkeypatch,
+                                                   tmp_path):
+        # Fresh loader state and a private cache directory: build once
+        # with the default compiler, then a broken compiler must be
+        # tried (and reported) instead of loading the cached object.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(ckernel, "_lib", None)
+        monkeypatch.setattr(ckernel, "_lib_loaded", False)
+        monkeypatch.setattr(ckernel, "_lib_error", None)
+        monkeypatch.delenv("REPRO_KERNEL_CC", raising=False)
+        assert ckernel.available()
+        assert len(list(tmp_path.glob("repro-onepass-*.so"))) == 1
+
+        monkeypatch.setattr(ckernel, "_lib_loaded", False)
+        monkeypatch.setenv("REPRO_KERNEL_CC", str(tmp_path / "no-such-cc"))
+        assert not ckernel.available()
+        assert "no-such-cc" in ckernel.load_error()

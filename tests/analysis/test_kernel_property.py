@@ -7,7 +7,9 @@ unit ladders and overhead models through both engines of
 :func:`repro.analysis.kernel.one_pass_grid`, through
 :class:`~repro.core.simulator.CodeCacheSimulator` replay — including
 replay under the paranoid invariant checker — and through the
-reference model, and require equal records everywhere.
+reference model, and require equal records everywhere.  Priority
+cells, which only the C engine serves, are held to the same standard
+over mutated expressions with edge-value constants.
 """
 
 import dataclasses
@@ -19,9 +21,12 @@ from repro.analysis import ckernel
 from repro.analysis.kernel import KernelConfig, one_pass_grid
 from repro.core.overhead import LinearCost, OverheadModel
 from repro.core.policies import granularity_ladder, ladder_specs
-from repro.core.refmodel import reference_ladder
+from repro.core.refmodel import ReferenceSimulator, reference_ladder
 from repro.core.simulator import CodeCacheSimulator
 from repro.core.superblock import Superblock, SuperblockSet
+from repro.search.expr import FEATURES, Const, Feature
+from repro.search.priority import PriorityFunctionPolicy
+from tests.search.test_expr import _EDGE_VALUES, _expressions, _mutated
 
 
 @st.composite
@@ -159,3 +164,70 @@ def test_every_engine_prices_any_model_identically(scenario, model, other):
                                                             policy.name)
             repriced = dataclasses.replace(record, overhead_model=other)
             assert repriced == replay(fresh, capacity, other), policy.name
+
+
+def _trees():
+    """Trees over every feature and edge-value constants (both sides of
+    the protected-division threshold, products that overflow into the
+    score clamp and so tie many blocks), after up to three seeded
+    mutation steps."""
+    leaves = st.one_of(st.sampled_from(FEATURES).map(Feature),
+                       st.sampled_from(_EDGE_VALUES).map(Const))
+    return st.tuples(_expressions(leaves), st.integers(0, 2**32 - 1),
+                     st.integers(0, 3)).map(_mutated)
+
+
+@st.composite
+def _priority_scenario(draw):
+    """A population whose links may repeat and self-loop (raw degrees
+    then differ from the deduplicated adjacency), with sparse sids half
+    the time, plus a trace, capacities and expressions."""
+    count = draw(st.integers(3, 20))
+    stride = draw(st.sampled_from((1, 3)))
+    sids = [5 * (stride - 1) + index * stride for index in range(count)]
+    blocks = [
+        Superblock(sid, draw(st.integers(16, 200)), links=tuple(
+            draw(st.lists(st.sampled_from(sids), max_size=4))))
+        for sid in sids
+    ]
+    population = SuperblockSet(blocks)
+    trace = draw(st.lists(st.sampled_from(sids), min_size=1, max_size=250))
+    low = population.max_block_bytes
+    high = max(population.total_bytes, low + 1)
+    capacities = sorted({
+        draw(st.integers(low, high))
+        for _ in range(draw(st.integers(1, 3)))
+    })
+    trees = draw(st.lists(_trees(), min_size=1, max_size=3))
+    return population, trace, capacities, trees
+
+
+@given(_priority_scenario(), _model())
+@settings(max_examples=40, deadline=None)
+def test_priority_cells_match_replay_and_the_reference(scenario, model):
+    """A kernel priority cell equals CodeCacheSimulator replay and the
+    interpreter-scored reference model, in both link modes and under
+    any overhead model."""
+    population, trace, capacities, trees = scenario
+    names = [f"p{index}" for index in range(len(trees))]
+    configs = [KernelConfig(name, "priority", expression=tree)
+               for name, tree in zip(names, trees)]
+    for track_links in (True, False):
+        grid = None
+        if ckernel.available():
+            grid = one_pass_grid(population, trace, capacities, configs,
+                                 overhead_model=model,
+                                 track_links=track_links, engine="c")
+        for index, capacity in enumerate(capacities):
+            for name, tree in zip(names, trees):
+                policy = PriorityFunctionPolicy(tree, population, name=name)
+                record = CodeCacheSimulator(
+                    population, policy, capacity, overhead_model=model,
+                    track_links=track_links).process(trace)
+                reference = ReferenceSimulator.for_priority(
+                    population, capacity, tree, name=name,
+                    overhead_model=model, track_links=track_links)
+                assert reference.run(trace).stats == record, name
+                if grid is not None:
+                    assert grid[index][name] == record, (name,
+                                                         track_links)

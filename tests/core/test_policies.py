@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.kernel import KernelConfig
+from repro.analysis.kernel import KernelConfig, c_engine_runs
 from repro.core.lru import LruPolicy
 from repro.core.policies import (
     SHORTHAND_FORMS,
@@ -68,7 +68,8 @@ _VOCABULARY = (
 )
 
 #: The exact-type rule the one-pass kernel used before eligibility was
-#: read from the spec kind.
+#: read from the spec kind.  Priority functions joined them with the C
+#: engine's expression VM, so they qualify whenever that engine runs.
 _KERNEL_TYPES = (FlushPolicy, UnitFifoPolicy, FineGrainedFifoPolicy)
 
 
@@ -80,7 +81,9 @@ class TestPolicyVocabulary:
         assert type(policy) is kind
         assert policy.name == name
         config = KernelConfig.from_spec(spec)
-        assert (config is not None) == (type(policy) in _KERNEL_TYPES)
+        eligible = type(policy) in _KERNEL_TYPES or (
+            type(policy) is PriorityFunctionPolicy and c_engine_runs())
+        assert (config is not None) == eligible
         if config is not None:
             assert config.name == name
 

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.analysis import ckernel
 from repro.analysis.checkpoint import CheckpointStore
 from repro.analysis.sweep import run_sweep, run_sweep_parallel
 from repro.core.cache import ConfigurationError
@@ -142,6 +143,19 @@ class TestReplayBest:
         verdict = replay_best(report, check_level="light")
         assert verdict["reproduced"], verdict
         assert verdict["ok"], verdict
+
+    def test_replays_even_with_checks_off(self, tmp_path, monkeypatch):
+        # The kernel scored the search; its winner must be re-validated
+        # by the replay simulator, not by the kernel again.
+        report = run_search(SearchConfig(**TINY), generations=1,
+                            root=tmp_path)
+        report = json.loads(json.dumps(report))
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("replay-best ran the kernel")
+
+        monkeypatch.setattr(ckernel, "run_priority", no_kernel)
+        assert replay_best(report, check_level="off")["reproduced"]
 
     def test_tampered_report_fails_replay(self, tmp_path):
         config = SearchConfig(**TINY)

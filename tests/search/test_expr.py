@@ -1,7 +1,8 @@
 """The expression language: totality, JSON round-trip, the closure of
 seeded mutation over the bounded language (the three properties the
-search's correctness rests on), and the compiled victim chooser's
-agreement with the interpreter."""
+search's correctness rests on), and the agreement of both compiled
+scorers — the generated-Python victim chooser and the C kernel's
+postfix VM — with the interpreter."""
 
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import ckernel
 from repro.search import expr as expr_mod
 from repro.search.expr import (
     BINARY_OPS,
@@ -25,6 +27,7 @@ from repro.search.expr import (
     Feature,
     Unary,
     compile_chooser,
+    compile_program,
     compile_scorer,
     count_nodes,
     depth,
@@ -43,9 +46,9 @@ def _leaves():
     )
 
 
-def _expressions():
+def _expressions(leaves=None):
     return st.recursive(
-        _leaves(),
+        _leaves() if leaves is None else leaves,
         lambda children: st.one_of(
             st.tuples(st.sampled_from(UNARY_OPS), children).map(
                 lambda t: Unary(*t)),
@@ -219,8 +222,8 @@ class TestCompiledChooser:
         out_degree = {sid: row["out_degree"] for sid, row in rows.items()}
         args = (sizes, insert_clock, last_touch, hits, clock, occupancy,
                 in_degree, out_degree)
-        oracle = {
-            sid: evaluate(tree, {
+        vectors = {
+            sid: {
                 "age": float(clock - insert_clock[sid]),
                 "size": float(sizes[sid]),
                 "in_degree": in_degree[sid],
@@ -228,13 +231,17 @@ class TestCompiledChooser:
                 "hotness": float(hits[sid]),
                 "recency": float(clock - last_touch[sid]),
                 "occupancy": occupancy,
-            })
+            }
             for sid in sids
         }
+        oracle = {sid: evaluate(tree, vectors[sid]) for sid in sids}
         assert compile_scorer(tree)(*args) == oracle
         seq = {sid: index for index, sid in enumerate(sids)}
         assert compile_chooser(tree)(*args) == min(
             sids, key=lambda sid: (oracle[sid], seq[sid], sid))
+        if ckernel.available():
+            assert {sid: _vm_score(tree, vectors[sid])
+                    for sid in sids} == oracle
 
     def test_every_operator_matches_the_interpreter_at_the_edges(self):
         pairs = [(a, b) for a in _EDGE_VALUES for b in _EDGE_VALUES]
@@ -250,7 +257,10 @@ class TestCompiledChooser:
             for sid, (a, b) in enumerate(pairs):
                 features = dict.fromkeys(FEATURES, 0.0)
                 features.update(age=a, recency=b)
-                assert scores[sid] == evaluate(tree, features), (tree, a, b)
+                want = evaluate(tree, features)
+                assert scores[sid] == want, (tree, a, b)
+                if ckernel.available():
+                    assert _vm_score(tree, features) == want, (tree, a, b)
 
     def test_compiled_once_per_expression(self):
         tree = Binary("sub", Feature("hotness"),
@@ -269,3 +279,60 @@ class TestCompiledChooser:
     def test_empty_cache_has_no_victim(self):
         assert compile_chooser(Feature("age"))(
             {}, {}, {}, {}, 0, 0.0, {}, {}) is None
+
+
+def _vm_score(tree, features):
+    """*tree*'s score under the C kernel's VM, from a feature mapping."""
+    return ckernel.score(compile_program(tree),
+                         [features[name] for name in FEATURES])
+
+
+class TestPostfixProgram:
+    def test_postfix_order_and_immediates(self):
+        tree = Binary("sub", Feature("hotness"),
+                      Binary("mul", Const(0.5), Unary("neg", Feature("age"))))
+        program = compile_program(tree)
+        ops = [expr_mod.OPCODES[code] for code in program.code]
+        assert ops == ["hotness", "const", "age", "neg", "mul", "sub"]
+        assert program.imm == (0.0, 0.5, 0.0, 0.0, 0.0, 0.0)
+        assert program.stack_depth == 3
+
+    def test_compiled_once_per_expression(self):
+        tree = Binary("max", Feature("size"), Const(2.0))
+        twin = expr_mod.loads(expr_mod.dumps(tree))
+        assert compile_program(tree) is compile_program(twin)
+
+    @pytest.mark.skipif(not ckernel.available(),
+                        reason="C kernel unavailable")
+    def test_values_past_the_score_limit(self):
+        # Constants may exceed the score limit and pass through
+        # unclamped until an operator that clamps in ``evaluate``;
+        # feature reads are clamped, infinities and NaN included.
+        trees = [Feature(name) for name in FEATURES]
+        for value in (1e300, -1e300):
+            trees += [Const(value)]
+            trees += [Unary(op, Const(value)) for op in UNARY_OPS]
+            trees += [Binary(op, Const(value), Feature("age"))
+                      for op in BINARY_OPS]
+            trees += [Binary(op, Feature("age"), Const(value))
+                      for op in BINARY_OPS]
+        for fill in (0.0, -2.5, 5e18, -math.inf, math.nan):
+            features = dict.fromkeys(FEATURES, fill)
+            for tree in trees:
+                assert _vm_score(tree, features) == evaluate(
+                    tree, features), (tree, fill)
+
+    @pytest.mark.skipif(not ckernel.available(),
+                        reason="C kernel unavailable")
+    def test_stack_is_sized_from_the_program(self):
+        # Deeper than mutation ever builds, as a spec file may hold: a
+        # right-leaning chain keeps every left operand on the stack.
+        tree = Feature("age")
+        for index in range(200):
+            tree = Binary(BINARY_OPS[index % len(BINARY_OPS)],
+                          Feature(FEATURES[index % len(FEATURES)]), tree)
+        program = compile_program(tree)
+        assert program.stack_depth == 201
+        features = {name: 1.5 + index
+                    for index, name in enumerate(FEATURES)}
+        assert _vm_score(tree, features) == evaluate(tree, features)
