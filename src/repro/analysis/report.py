@@ -150,23 +150,19 @@ def render_service_report(report: Mapping) -> str:
             title=f"weak scaling ({scaling.get('cpu_count', '?')} "
                   f"core(s))",
         )
-    recovery = report.get("recovery")
-    if recovery:
-        verdict = ("field-identical" if recovery["field_identical"]
-                   else f"MISMATCH: {recovery['mismatched_tenants']}")
-        restart = recovery.get("restart_seconds")
+    chaos = report.get("chaos")
+    if chaos:
+        verdict = ("field-identical" if chaos["field_identical"]
+                   else f"MISMATCH: {chaos['mismatched_tenants']}")
         text += (
-            f"\ncrash drill: killed {recovery['killed_shard']} of "
-            f"{recovery['shards']}, restart+recovery "
-            f"{restart:.2f}s, " if restart is not None else
-            f"\ncrash drill: killed {recovery['killed_shard']} of "
-            f"{recovery['shards']}, "
+            f"\ncrash drill: {chaos['shards']} shards, "
+            f"{chaos['supervisor_restarts']} supervised restart(s), "
+            f"standby "
+            f"{'promoted' if chaos['standby_promoted'] else 'UNUSED'}, "
+            f"{chaos['redirected_sessions']} session(s) redirected; "
+            f"drill stats {verdict}"
         )
-        text += (
-            f"{recovery['reconnects']} reconnect(s), recovered stats "
-            f"{verdict}"
-        )
-        if recovery.get("sharing"):
+        if chaos.get("sharing"):
             text += " (cross-tenant sharing on)"
     dedup = report.get("dedup")
     if dedup:

@@ -23,8 +23,9 @@ Layers, bottom up:
 * :mod:`repro.service.server` — :class:`CacheService`: the asyncio TCP
   server plus an equivalent in-process API, admission control, and
   graceful drain.
-* :mod:`repro.service.client` — :class:`ServiceClient`,
-  :class:`ResilientClient` (crash resume + history replay) and the
+* :mod:`repro.service.client` — :class:`ServiceClient` (a bare
+  transport), :class:`ResilientClient` (the one retry loop: crash
+  resume + history replay under one failure budget per call) and the
   load harness behind ``python -m repro.service load``.
 * :mod:`repro.service.persist` — snapshots, the write-ahead log and
   the standby replica (mirrored WAL + copied snapshots, promoted over

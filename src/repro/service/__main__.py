@@ -1,4 +1,4 @@
-"""The service CLI: ``python -m repro.service {serve,load,route,admin,scale,recovery,dedup,chaos}``.
+"""The service CLI: ``python -m repro.service {serve,load,route,admin,scale,dedup,chaos}``.
 
 ``serve`` runs one worker in the foreground until interrupted (then
 drains gracefully — with ``--snapshot-dir`` that includes a final
@@ -11,12 +11,13 @@ consistent-hashing router in front of it — with ``--supervise`` a
 auto-restarts the workers, and ``--standby-root`` gives every shard a
 standby WAL/snapshot replica for failover.  ``admin`` sends one live
 topology command (``add-shard``, ``remove-shard``, ``health``,
-``topology``) to a running router.  ``scale``, ``recovery``, ``dedup``
-and ``chaos`` are the fleet benchmarks: weak scaling across shard
-counts, the kill-one-worker crash drill, the cross-tenant sharing A/B,
-and the self-healing chaos drill (supervised auto-restart, standby
-failover, live resharding — all field-identical vs a clean reference);
-all four merge their sections into ``BENCH_service.json``.
+``topology``) to a running router.  ``scale``, ``dedup`` and ``chaos``
+are the fleet benchmarks: weak scaling across shard counts, the
+cross-tenant sharing A/B, and the crash drill (two tenants per shard
+through a worker SIGKILL, WAL destruction with standby failover and a
+live resharding — all healed by the supervisor, all field-identical
+vs a clean reference); all three merge their sections into
+``BENCH_service.json``.
 
 Defaults for the persistence and hardening knobs also come from the
 environment (flags win): ``REPRO_SERVICE_SNAPSHOT_DIR``,
@@ -37,9 +38,8 @@ Examples::
     python -m repro.service admin --connect 127.0.0.1:7400 remove-shard \
         --shard shard-1 --stop
     python -m repro.service scale --shard-counts 1 2 4
-    python -m repro.service recovery --shards 2 --tenants 4 --sharing
     python -m repro.service dedup --tenants 4 --benchmark gcc
-    python -m repro.service chaos --shards 4 --accesses 12000
+    python -m repro.service chaos --shards 4 --accesses 12000 --sharing
 """
 
 from __future__ import annotations
@@ -52,13 +52,11 @@ import sys
 import tempfile
 
 from repro.service.bench import (
-    _request_once,
     run_chaos_bench,
     run_dedup_bench,
-    run_recovery_bench,
     run_scale_bench,
 )
-from repro.service.client import run_load, write_report
+from repro.service.client import ServiceClient, run_load, write_report
 from repro.service.pool import WorkerPool
 from repro.service.router import RouterConfig, ServiceRouter
 from repro.service.server import CacheService, ServiceConfig
@@ -228,7 +226,7 @@ async def _load(args: argparse.Namespace) -> int:
     try:
         with open(args.output, "r", encoding="utf-8") as handle:
             existing = json.load(handle)
-        for section in ("scaling", "recovery", "dedup", "chaos"):
+        for section in ("scaling", "dedup", "chaos"):
             if isinstance(existing, dict) and section in existing:
                 report[section] = existing[section]
     except (FileNotFoundError, json.JSONDecodeError):
@@ -317,8 +315,8 @@ async def _admin(args: argparse.Namespace) -> int:
         message["port"] = args.shard_port
     if args.stop:
         message["stop"] = True
-    reply = await _request_once(host or "127.0.0.1", int(port_text),
-                                message)
+    reply = await ServiceClient.request_once(host or "127.0.0.1",
+                                             int(port_text), message)
     print(json.dumps(reply, indent=2, sort_keys=True))
     return 0 if reply.get("ok") else 1
 
@@ -344,32 +342,6 @@ async def _scale(args: argparse.Namespace) -> int:
               f"hardware, not the fleet")
     print(f"scaling section merged into {args.output}")
     return 0
-
-
-async def _recovery(args: argparse.Namespace) -> int:
-    root = args.snapshot_root or tempfile.mkdtemp(
-        prefix="repro-recovery-"
-    )
-    report = await run_recovery_bench(
-        root, shards=args.shards, tenants=args.tenants,
-        accesses=args.accesses, scale=args.scale, batch=args.batch,
-        policy=args.policy, capacity_bytes=args.capacity,
-        benchmarks=args.benchmarks,
-        snapshot_interval=args.snapshot_interval,
-        kill_fraction=args.kill_fraction,
-        sharing=args.sharing,
-    )
-    _merge_section(args.output, "recovery", report)
-    verdict = ("field-identical" if report["field_identical"]
-               else f"MISMATCH on {report['mismatched_tenants']}")
-    print(f"killed {report['killed_shard']} at batch round "
-          f"{report['killed_at_batch_round']}; restart+recovery took "
-          f"{report['restart_seconds']:.2f}s; "
-          f"{report['reconnects']} reconnect(s), "
-          f"{report['resends_skipped']} resend(s) deduplicated; "
-          f"recovered stats {verdict}")
-    print(f"recovery section merged into {args.output}")
-    return 0 if report["field_identical"] else 1
 
 
 async def _dedup(args: argparse.Namespace) -> int:
@@ -410,6 +382,11 @@ async def _chaos(args: argparse.Namespace) -> int:
           f"{'promoted' if report['standby_promoted'] else 'UNUSED'}, "
           f"{report['redirected_sessions']} session(s) redirected, "
           f"{report['replayed_batches']} batch(es) replayed")
+    for shard, recovery in sorted(report["recoveries"].items()):
+        print(f"  {shard} recovered {len(recovery.get('tenants', []))} "
+              f"of its {len(report['placement'][shard])} tenant(s), "
+              f"{recovery.get('records_replayed', 0)} WAL record(s) "
+              f"replayed")
     print(f"drill stats {verdict} vs the clean reference")
     print(f"chaos section merged into {args.output}")
     return 0 if report["field_identical"] else 1
@@ -531,21 +508,6 @@ def main(argv: list[str] | None = None) -> int:
     scale.add_argument("--snapshot-root", default=None)
     scale.add_argument("--output", default="BENCH_service.json")
 
-    recovery = commands.add_parser(
-        "recovery", help="kill-one-worker crash drill vs a reference run"
-    )
-    _add_server_options(recovery)
-    recovery.add_argument("--shards", type=int,
-                          default=_env("REPRO_SERVICE_SHARDS", int, 2))
-    recovery.add_argument("--tenants", type=int, default=4)
-    recovery.add_argument("--benchmarks", nargs="*", default=None)
-    recovery.add_argument("--scale", type=float, default=0.25)
-    recovery.add_argument("--accesses", type=int, default=12_000)
-    recovery.add_argument("--batch", type=int, default=256)
-    recovery.add_argument("--kill-fraction", type=float, default=0.4)
-    recovery.add_argument("--snapshot-root", default=None)
-    recovery.add_argument("--output", default="BENCH_service.json")
-
     dedup = commands.add_parser(
         "dedup", help="cross-tenant sharing A/B: identical tenants "
                       "with dedup on vs off"
@@ -561,9 +523,9 @@ def main(argv: list[str] | None = None) -> int:
     dedup.add_argument("--output", default="BENCH_service.json")
 
     chaos = commands.add_parser(
-        "chaos", help="self-healing drill: supervised restarts, "
-                      "standby failover and live resharding vs a "
-                      "clean reference"
+        "chaos", help="crash drill: supervised restarts, standby "
+                      "failover and live resharding, two tenants per "
+                      "shard, vs a clean reference"
     )
     _add_server_options(chaos)
     chaos.add_argument("--shards", type=int,
@@ -582,7 +544,6 @@ def main(argv: list[str] | None = None) -> int:
         "route": _route,
         "admin": _admin,
         "scale": _scale,
-        "recovery": _recovery,
         "dedup": _dedup,
         "chaos": _chaos,
     }[args.command]

@@ -1,4 +1,4 @@
-"""Fleet benchmarks: shard scaling, kill-and-recover timing, dedup A/B.
+"""Fleet benchmarks: shard scaling, the chaos drill, dedup A/B.
 
 Two fleet harnesses, both running *real* worker processes from
 :class:`~repro.service.pool.WorkerPool`:
@@ -9,23 +9,17 @@ Two fleet harnesses, both running *real* worker processes from
   aggregate accesses/second is compared against the 1-shard baseline.
   Near-linear speedup is the point of sharding: every worker owns its
   arena outright, so there is no cross-shard lock to serialize on.
-* :func:`run_recovery_bench` — the crash drill: the same deterministic
-  round-robin driver is run twice over identical seeded traces, once
-  uninterrupted (the reference) and once with one worker SIGKILLed
-  mid-run and restarted over its snapshot + write-ahead log while the
-  resilient clients ride through on retry/backoff + resume.  The run
-  reports the restart-to-ready wall time, the worker's own recovery
-  breakdown, and — the acceptance bar — whether every tenant's final
-  Equation 1 stats came out *field-identical* to the reference run.
-
-* :func:`run_chaos_bench` — the self-healing drill: a supervised,
-  standby-replicated, router-fronted fleet takes a scripted beating
-  (worker SIGKILL, whole-WAL-directory destruction, corrupt-at-flush
-  and slow-shard fault injections, plus a live ``remove-shard`` with
-  drain-and-redirect) while a reference fleet runs the *same* admin
-  schedule uninterrupted; the acceptance bar is again per-tenant
-  field-identical Equation 1 stats — with zero manual restarts, the
-  supervisor and the standby failover do all the healing.
+* :func:`run_chaos_bench` — the crash drill: a supervised,
+  standby-replicated, router-fronted fleet with two tenants on every
+  shard takes a scripted beating (worker SIGKILL, whole-WAL-directory
+  destruction, corrupt-at-flush and slow-shard fault injections, plus
+  a live ``remove-shard`` with drain-and-redirect) while a reference
+  fleet runs the *same* admin schedule uninterrupted.  The acceptance
+  bar is per-tenant *field-identical* Equation 1 stats — with zero
+  manual restarts: the supervisor and the standby failover do all the
+  healing, and every faulted shard must recover two interleaved
+  tenants (co-owned entries included, under ``sharing``) from its
+  snapshot + write-ahead log.
 
 Plus one in-process harness: :func:`run_dedup_bench`, the ShareJIT A/B
 — N tenants replaying one identical seeded workload against a sharing
@@ -33,8 +27,8 @@ arena and a legacy arena, reporting dedup ratio, peak bytes saved and
 the unified miss-rate delta (the ``dedup`` section of
 ``BENCH_service.json``).
 
-Determinism note: the drivers send batches in ``sync`` mode,
-round-robin across tenants from a single task, so the arena applies
+Determinism note: the chaos driver sends batches in ``sync`` mode,
+round-robin across tenants from a single task, so every arena applies
 batches in one fixed interleaving.  That is what makes the
 field-identical comparison meaningful — and it is exactly the
 interleaving the write-ahead log re-creates on replay.
@@ -51,57 +45,33 @@ from pathlib import Path
 
 from repro import faults
 from repro.service import protocol
-from repro.service.client import ResilientClient
+from repro.service.client import (
+    ResilientClient,
+    ServiceClient,
+    tenant_benchmarks,
+    tenant_spec,
+)
 from repro.service.pool import WorkerPool
 from repro.service.router import HashRing, RouterConfig, ServiceRouter
 from repro.service.supervisor import ShardSupervisor
-from repro.workloads.registry import (
-    build_workload,
-    get_benchmark,
-    spec_benchmarks,
-)
 
 DEFAULT_SHARD_COUNTS = (1, 2, 4)
 
+#: Tenants the chaos drill places on every shard, so each faulted
+#: shard must recover two interleaved tenants from its durable state.
+CHAOS_TENANTS_PER_SHARD = 2
+
 
 def _tenant_traces(tenants: int, benchmarks: list[str] | None,
-                   scale: float, accesses: int,
-                   share_content: bool = False,
-                   common_seed: int | None = None) -> list[dict]:
-    """Seeded per-tenant traces; identical across harness runs.
-
-    ``common_seed`` gives every tenant the same workload (the
-    identical-fleet shape dedup needs — the seed drives sizes and
-    links, not just the trace); ``share_content`` adds content digests
-    to each spec for sharing-enabled servers.
-    """
-    from repro.service.tenancy import content_digests
-
-    if benchmarks:
-        names = [benchmarks[i % len(benchmarks)] for i in range(tenants)]
-    else:
-        suite = [spec.name for spec in spec_benchmarks()]
-        names = [suite[i % len(suite)] for i in range(tenants)]
-    out = []
+                   scale: float, accesses: int) -> list[dict]:
+    """Seeded per-tenant traces; identical across harness runs."""
+    names = tenant_benchmarks(benchmarks)
+    specs = []
     for index in range(tenants):
-        seed = common_seed if common_seed is not None else 1000 + index
-        workload = build_workload(
-            get_benchmark(names[index]), scale=scale,
-            trace_accesses=accesses, seed=seed,
-        )
-        sizes = workload.superblocks.sizes()
-        spec = {
-            "tenant": f"tenant-{index}:{names[index]}",
-            "benchmark": names[index],
-            "block_sizes": [sizes[sid] for sid in range(len(sizes))],
-            "trace": workload.trace.tolist(),
-        }
-        if share_content:
-            spec["block_digests"] = content_digests(
-                names[index], scale, seed, workload.superblocks
-            )
-        out.append(spec)
-    return out
+        benchmark = names[index % len(names)]
+        specs.append(tenant_spec(f"tenant-{index}:{benchmark}", benchmark,
+                                 scale, accesses, seed=1000 + index))
+    return specs
 
 
 async def run_scale_bench(root: str | Path,
@@ -175,154 +145,6 @@ async def run_scale_bench(root: str | Path,
         "accesses_per_tenant": accesses,
         "batch": batch,
         "rows": rows,
-    }
-
-
-async def _drive_round_robin(clients: list[ResilientClient],
-                             traces: list[list[int]], batch: int,
-                             kill_at_batch: int | None = None,
-                             on_kill=None) -> None:
-    """One task, one fixed interleaving: batch k of every tenant, in
-    tenant order, before batch k+1 of anyone."""
-    longest = max(len(trace) for trace in traces)
-    batch_round = 0
-    for start in range(0, longest, batch):
-        if kill_at_batch is not None and batch_round == kill_at_batch:
-            await on_kill()
-        batch_round += 1
-        for client, trace in zip(clients, traces):
-            chunk = trace[start:start + batch]
-            if chunk:
-                await client.access(chunk)
-
-
-async def _run_fleet(root: Path, shards: int, specs: list[dict],
-                     batch: int, policy: str, capacity_bytes: int,
-                     snapshot_interval: int,
-                     kill_shard: str | None = None,
-                     kill_at_batch: int | None = None,
-                     sharing: bool = False) -> dict:
-    """One recovery-drill run; optionally kill + restart one shard."""
-    pool = WorkerPool(
-        shards, root, policy=policy, capacity_bytes=capacity_bytes,
-        snapshot_interval=snapshot_interval, sharing=sharing,
-    )
-    await pool.start()
-    timings: dict = {}
-    try:
-        ring = HashRing(sorted(pool.workers))
-        endpoints = pool.endpoints()
-        clients = [
-            ResilientClient(
-                [endpoints[ring.lookup(spec["tenant"])]], spec["tenant"],
-                block_sizes=spec["block_sizes"], sync=True,
-                block_digests=spec.get("block_digests"),
-            )
-            for spec in specs
-        ]
-        for client in clients:
-            await client.connect()
-
-        restart_task: asyncio.Task | None = None
-
-        async def kill_and_restart() -> None:
-            await pool.kill(kill_shard)
-            timings["killed_at"] = time.monotonic()
-
-            async def restart() -> None:
-                await pool.restart(kill_shard)
-                timings["ready_at"] = time.monotonic()
-
-            nonlocal restart_task
-            restart_task = asyncio.get_running_loop().create_task(
-                restart()
-            )
-
-        await _drive_round_robin(
-            clients, [spec["trace"] for spec in specs], batch,
-            kill_at_batch=kill_at_batch,
-            on_kill=kill_and_restart if kill_shard else None,
-        )
-        if restart_task is not None:
-            await restart_task
-        stats = {}
-        reconnects = 0
-        resends_skipped = 0
-        for client, spec in zip(clients, specs):
-            farewell = await client.close_session()
-            stats[spec["tenant"]] = farewell["tenant"]
-            reconnects += client.reconnects
-            resends_skipped += client.resends_skipped
-        return {
-            "stats": stats,
-            "reconnects": reconnects,
-            "resends_skipped": resends_skipped,
-            "restart_seconds": (
-                timings["ready_at"] - timings["killed_at"]
-                if "ready_at" in timings else None
-            ),
-        }
-    finally:
-        await pool.stop()
-
-
-async def run_recovery_bench(root: str | Path, shards: int = 2,
-                             tenants: int = 4, accesses: int = 12_000,
-                             scale: float = 0.25, batch: int = 256,
-                             policy: str = "8-unit",
-                             capacity_bytes: int = 256 * 1024,
-                             benchmarks: list[str] | None = None,
-                             snapshot_interval: int = 2_000,
-                             kill_fraction: float = 0.4,
-                             sharing: bool = False) -> dict:
-    """The crash drill: reference run vs kill-one-worker run.
-
-    Returns the restart wall time, the recovered worker's own recovery
-    report, and the per-tenant field-identity verdict.  With *sharing*
-    every worker dedups (all tenants get one common workload seed so
-    identical content actually exists), and the field-identity bar now
-    also covers the recovered shared state: refcounts, owner sets and
-    fractional attribution all flow through the snapshot + WAL.
-    """
-    root = Path(root)
-    specs = _tenant_traces(
-        tenants, benchmarks, scale, accesses,
-        share_content=sharing,
-        common_seed=1000 if sharing else None,
-    )
-    total_batches = (accesses + batch - 1) // batch
-    kill_at = max(1, int(total_batches * kill_fraction))
-
-    reference = await _run_fleet(
-        root / "reference", shards, specs, batch, policy,
-        capacity_bytes, snapshot_interval, sharing=sharing,
-    )
-    drill = await _run_fleet(
-        root / "drill", shards, specs, batch, policy,
-        capacity_bytes, snapshot_interval,
-        kill_shard="shard-0", kill_at_batch=kill_at, sharing=sharing,
-    )
-    mismatches = []
-    for spec in specs:
-        tenant = spec["tenant"]
-        if reference["stats"][tenant] != drill["stats"][tenant]:
-            mismatches.append(tenant)
-    return {
-        "harness": "repro.service recovery",
-        "cpu_count": os.cpu_count(),
-        "sharing": sharing,
-        "shards": shards,
-        "tenants": tenants,
-        "accesses_per_tenant": accesses,
-        "batch": batch,
-        "snapshot_interval": snapshot_interval,
-        "killed_shard": "shard-0",
-        "killed_at_batch_round": kill_at,
-        "restart_seconds": drill["restart_seconds"],
-        "reconnects": drill["reconnects"],
-        "resends_skipped": drill["resends_skipped"],
-        "field_identical": not mismatches,
-        "mismatched_tenants": mismatches,
     }
 
 
@@ -409,61 +231,36 @@ async def run_dedup_bench(tenants: int = 4, benchmark: str = "gcc",
 def _chaos_specs(shard_ids: list[str], benchmarks: list[str] | None,
                  scale: float, accesses: int, sharing: bool,
                  vnodes: int) -> list[dict]:
-    """One seeded tenant per shard, chosen by scanning tenant names
-    until the ring assigns every shard exactly one — so each fault in
-    the drill hits a known, distinct victim."""
-    from repro.service.tenancy import content_digests
-
-    if benchmarks:
-        names = list(benchmarks)
-    else:
-        names = [spec.name for spec in spec_benchmarks()]
+    """Two seeded tenants per shard, chosen by scanning tenant names
+    until the ring assigns every shard exactly two — so each fault in
+    the drill hits known, distinct victims.  Under *sharing* every
+    tenant runs one common seed, so tenants of the same benchmark share
+    content and a faulted shard must recover co-owned entries."""
+    names = tenant_benchmarks(benchmarks)
     ring = HashRing(shard_ids, vnodes=vnodes)
-    chosen: dict[str, tuple[int, str]] = {}
+    chosen: dict[str, list[tuple[int, str]]] = {
+        shard: [] for shard in shard_ids
+    }
     for index in range(4096):
         benchmark = names[index % len(names)]
-        owner = ring.lookup(f"tenant-{index}:{benchmark}")
-        if owner not in chosen:
-            chosen[owner] = (index, benchmark)
-            if len(chosen) == len(shard_ids):
+        owned = chosen[ring.lookup(f"tenant-{index}:{benchmark}")]
+        if len(owned) < CHAOS_TENANTS_PER_SHARD:
+            owned.append((index, benchmark))
+            if all(len(tenants) == CHAOS_TENANTS_PER_SHARD
+                   for tenants in chosen.values()):
                 break
     else:  # pragma: no cover - md5 would have to be absurdly skewed
-        raise RuntimeError("could not give every shard a tenant")
+        raise RuntimeError("could not give every shard its tenants")
     specs = []
     for shard in sorted(shard_ids):
-        index, benchmark = chosen[shard]
-        seed = 1000 if sharing else 1000 + index
-        workload = build_workload(get_benchmark(benchmark), scale=scale,
-                                  trace_accesses=accesses, seed=seed)
-        sizes = workload.superblocks.sizes()
-        spec = {
-            "tenant": f"tenant-{index}:{benchmark}",
-            "benchmark": benchmark,
-            "shard": shard,
-            "block_sizes": [sizes[sid] for sid in range(len(sizes))],
-            "trace": workload.trace.tolist(),
-        }
-        if sharing:
-            spec["block_digests"] = content_digests(
-                benchmark, scale, seed, workload.superblocks
-            )
-        specs.append(spec)
+        for index, benchmark in chosen[shard]:
+            spec = tenant_spec(f"tenant-{index}:{benchmark}", benchmark,
+                               scale, accesses,
+                               seed=1000 if sharing else 1000 + index,
+                               share_content=sharing)
+            spec["shard"] = shard
+            specs.append(spec)
     return specs
-
-
-async def _request_once(host: str, port: int, message: dict) -> dict:
-    """One connect / request / response round trip (admin, ping)."""
-    reader, writer = await asyncio.open_connection(
-        host, port, limit=protocol.MAX_LINE_BYTES
-    )
-    try:
-        writer.write(protocol.encode(message))
-        await writer.drain()
-        return protocol.decode_line(await reader.readline())
-    finally:
-        writer.close()
-        with contextlib.suppress(ConnectionError, OSError):
-            await writer.wait_closed()
 
 
 async def _run_chaos_fleet(root: Path, shards: int, specs: list[dict],
@@ -516,7 +313,7 @@ async def _run_chaos_fleet(root: Path, shards: int, specs: list[dict],
             await pool.kill(schedule["destroy_shard"])
 
         async def retire_shard() -> None:
-            reply = await _request_once(*endpoint, {
+            reply = await ServiceClient.request_once(*endpoint, {
                 "op": "admin", "action": "remove-shard",
                 "shard": schedule["retire_shard"],
             })
@@ -563,26 +360,27 @@ async def _run_chaos_fleet(root: Path, shards: int, specs: list[dict],
             replayed_batches += client.replayed_batches
         elapsed = time.monotonic() - started
 
-        standby_promoted = False
-        destroyed = pool.workers.get(schedule["destroy_shard"])
-        if destroyed is not None and destroyed.alive:
-            with contextlib.suppress(ConnectionError, OSError,
-                                     protocol.ProtocolError):
-                reply = await _request_once(
-                    destroyed.host, destroyed.port, {"op": "ping"}
+        # Each faulted shard's own recovery report, from its last
+        # restart (a shard that never restarted reports its startup).
+        recoveries = {}
+        for shard in (schedule["kill_shard"], schedule["destroy_shard"]):
+            handle = pool.workers.get(shard)
+            recoveries[shard] = {}
+            if handle is None or not handle.alive:
+                continue
+            with contextlib.suppress(OSError, protocol.ProtocolError):
+                reply = await ServiceClient.request_once(
+                    handle.host, handle.port, {"op": "ping"}
                 )
-                recovery = (reply.get("service") or {}).get(
+                recoveries[shard] = (reply.get("service") or {}).get(
                     "recovery") or {}
-                standby_promoted = bool(
-                    recovery.get("standby_promoted")
-                )
         return {
             "stats": stats,
             "elapsed_seconds": elapsed,
             "reconnects": reconnects,
             "resends_skipped": resends_skipped,
             "replayed_batches": replayed_batches,
-            "standby_promoted": standby_promoted,
+            "recoveries": recoveries,
             "supervisor": supervisor.describe(),
             "router": {
                 "redirected_sessions": router.redirected_sessions,
@@ -606,24 +404,25 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
                           sharing: bool = False) -> dict:
     """The self-healing drill: a scripted beating vs a clean reference.
 
-    One tenant per shard.  The drill's schedule, in batch rounds:
+    Two tenants per shard.  The drill's schedule, in batch rounds:
 
     * ``rounds // 4`` — SIGKILL ``shard-0``; the supervisor must
-      restart it through snapshot + WAL recovery, no drill help.
+      restart it through snapshot + WAL recovery, no drill help, and
+      the worker's recovery report must list both its tenants.
     * ``rounds // 2`` — destroy ``shard-1``'s *entire* persistence
       directory, then SIGKILL it; the supervisor's restart must fail
       over to the standby replica (promotion is verified in the
       worker's own recovery report).
     * ``3 * rounds // 4`` — live ``remove-shard shard-2`` through the
-      router's admin op (both runs); its tenant drains, redirects, and
-      rebuilds via client history replay on the new owner.  Two rounds
+      router's admin op (both runs); its tenants drain, redirect, and
+      rebuild via client history replay on the new owner.  Two rounds
       later the retired worker process is stopped (both runs).
 
     On top the drill arms corrupt-at-flush against the last shard's
-    tenant (its close-time stats payload is damaged once — the digest
-    guard must quarantine and recover it), a slow-shard hang on the
-    moved tenant's consumer, and a torn line in ``shard-0``'s standby
-    WAL (which nothing may ever read).  Field-identical per-tenant
+    first tenant (its close-time stats payload is damaged once — the
+    digest guard must quarantine and recover it), a slow-shard hang on
+    the first moved tenant's consumer, and a torn line in ``shard-0``'s
+    standby WAL (which nothing may ever read).  Field-identical per-tenant
     stats vs the reference — which ran the same admin schedule with no
     faults at all — is the acceptance bar.
     """
@@ -645,8 +444,12 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
         "retire_round": max(3, (3 * rounds) // 4),
         "stop_round": min(rounds - 1, (3 * rounds) // 4 + 2),
     }
-    by_shard = {spec["shard"]: spec for spec in specs}
-    corrupt_spec = by_shard[shard_ids[-1]]
+    placement: dict[str, list[str]] = {}
+    first: dict[str, dict] = {}  # each fault's victim, per shard
+    for spec in specs:
+        placement.setdefault(spec["shard"], []).append(spec["tenant"])
+        first.setdefault(spec["shard"], spec)
+    corrupt_spec = first[shard_ids[-1]]
     corrupt_batches = (len(corrupt_spec["trace"]) + batch - 1) // batch
     drill_faults = (
         # The corrupt target's B sync flushes fire with no payload;
@@ -657,11 +460,11 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
                          keys=(corrupt_spec["tenant"],)),
         faults.FaultSpec(point="service.session", mode="hang",
                          times=2, hang_seconds=0.1,
-                         keys=(by_shard[schedule["retire_shard"]]
+                         keys=(first[schedule["retire_shard"]]
                                ["tenant"],)),
         faults.FaultSpec(point="service.standby", mode="corrupt",
                          times=1,
-                         keys=(by_shard[schedule["kill_shard"]]
+                         keys=(first[schedule["kill_shard"]]
                                ["tenant"],)),
     )
     reference = await _run_chaos_fleet(
@@ -690,7 +493,7 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
         "sharing": sharing,
         "shards": shards,
         "tenants": [spec["tenant"] for spec in specs],
-        "placement": {spec["shard"]: spec["tenant"] for spec in specs},
+        "placement": placement,
         "accesses_per_tenant": accesses,
         "batch": batch,
         "rounds": rounds,
@@ -699,7 +502,11 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
         "supervisor_restarts": drill["supervisor"]["restarts"],
         "restart_seconds": restart_seconds,
         "redirected_sessions": drill["router"]["redirected_sessions"],
-        "standby_promoted": drill["standby_promoted"],
+        "standby_promoted": bool(
+            drill["recoveries"][schedule["destroy_shard"]]
+            .get("standby_promoted")
+        ),
+        "recoveries": drill["recoveries"],
         "reconnects": drill["reconnects"],
         "resends_skipped": drill["resends_skipped"],
         "replayed_batches": drill["replayed_batches"],

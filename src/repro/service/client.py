@@ -1,20 +1,21 @@
 """The service clients and the multi-tenant load harness.
 
-:class:`ServiceClient` speaks the JSON-lines protocol over one TCP
-connection (one session per connection), with automatic bounded retry
-on the retryable rejections — admission (``overloaded`` /
-``draining``), backpressure and ``rate-limited`` — honouring the
-server's ``retry_after`` hint.
+:class:`ServiceClient` is a bare transport: one TCP connection, one
+protocol session, one request/response round trip per call.  It never
+retries; a rejection comes back as the server's error reply.
 
-:class:`ResilientClient` layers crash-survival on top: every access
+:class:`ResilientClient` is the one place that retries.  Every access
 batch carries a monotonically-increasing per-tenant sequence number,
-and when the connection dies (worker killed, shard restarted) the
-client walks its endpoint list, reconnects, re-hellos with ``resume``,
-learns the server's ``applied_seq`` watermark from the greeting, and
-resends the in-flight batch only if the crash actually lost it.
-Combined with the server-side write-ahead log this is exactly-once
-end to end: a batch the worker logged before dying is skipped on
-resend, and one it never saw is replayed.
+and when the connection dies (worker killed, shard restarted or
+retired) the client walks its endpoint list, reconnects, re-hellos
+with ``resume``, learns the server's ``applied_seq`` watermark from the
+greeting, and resends the in-flight batch only if the crash actually
+lost it; a greeting that comes back fresh instead of resumed makes it
+replay its acknowledged history first.  Combined with the
+server-side write-ahead log this is exactly-once end to end: a batch
+the worker logged before dying is skipped on resend, and one it never
+saw is replayed.  One retry loop with one error table does all of it,
+under one failure budget per public call.
 
 :func:`run_load` is the harness behind ``python -m repro.service load``:
 N concurrent tenants, each replaying a registry benchmark's access
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import time
 
 from repro.service import protocol
@@ -45,45 +47,42 @@ class ServiceUnavailable(RuntimeError):
 
 
 class ServiceClient:
-    """One protocol session over one TCP connection."""
+    """One protocol session over one TCP connection: a bare transport.
+
+    Every method is exactly one round trip.  Retrying a rejection is
+    :class:`ResilientClient`'s job.
+    """
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 max_retries: int = DEFAULT_RETRIES) -> None:
+                 writer: asyncio.StreamWriter) -> None:
         self._reader = reader
         self._writer = writer
-        self.max_retries = max_retries
-        self.retries = 0  # rejected-then-retried requests, for reports
 
     @classmethod
-    async def connect(cls, host: str, port: int,
-                      max_retries: int = DEFAULT_RETRIES) -> "ServiceClient":
+    async def connect(cls, host: str, port: int) -> "ServiceClient":
         reader, writer = await asyncio.open_connection(
             host, port, limit=protocol.MAX_LINE_BYTES
         )
-        return cls(reader, writer, max_retries=max_retries)
+        return cls(reader, writer)
+
+    @classmethod
+    async def request_once(cls, host: str, port: int,
+                           message: dict) -> dict:
+        """Connect, make one round trip, close (admin ops, pings)."""
+        client = await cls.connect(host, port)
+        try:
+            return await client.request(message)
+        finally:
+            await client.aclose()
 
     async def request(self, message: dict) -> dict:
-        """One request/response round trip; no retry logic."""
+        """One request/response round trip."""
         self._writer.write(protocol.encode(message))
         await self._writer.drain()
         line = await self._reader.readline()
         if not line:
             raise ConnectionError("server closed the connection")
         return protocol.decode_line(line)
-
-    async def _request_retrying(self, message: dict,
-                                retry_on: tuple[str, ...]) -> dict:
-        for _ in range(self.max_retries):
-            response = await self.request(message)
-            if response.get("ok") or response.get("error") not in retry_on:
-                return response
-            self.retries += 1
-            await asyncio.sleep(response.get("retry_after", 0.05))
-        raise ServiceUnavailable(
-            f"{message.get('op')} still rejected "
-            f"({response.get('error')}) after {self.max_retries} retries"
-        )
 
     async def hello(self, tenant: str, benchmark: str | None = None,
                     block_sizes: list[int] | None = None,
@@ -100,9 +99,7 @@ class ServiceClient:
                            ("block_digests", block_digests)):
             if value is not None:
                 message[key] = value
-        return await self._request_retrying(
-            message, (protocol.ERR_OVERLOADED,)
-        )
+        return await self.request(message)
 
     async def access(self, sids: list[int], seq: int | None = None,
                      sync: bool | None = None) -> dict:
@@ -111,9 +108,7 @@ class ServiceClient:
             message["seq"] = seq
         if sync is not None:
             message["sync"] = sync
-        return await self._request_retrying(
-            message, (protocol.ERR_BACKPRESSURE, protocol.ERR_RATE_LIMITED),
-        )
+        return await self.request(message)
 
     async def stats(self) -> dict:
         return await self.request({"op": "stats"})
@@ -128,27 +123,35 @@ class ServiceClient:
         self._writer.close()
         try:
             await self._writer.wait_closed()
-        except ConnectionError:
+        except OSError:
             pass
 
 
-#: Rejections worth sleeping on and retrying in place.
-_RETRYABLE = (
-    protocol.ERR_OVERLOADED,
-    protocol.ERR_DRAINING,
-    protocol.ERR_BACKPRESSURE,
-    protocol.ERR_RATE_LIMITED,
-    protocol.ERR_SHARD_UNAVAILABLE,
-    protocol.ERR_SHARD_MOVED,
-)
+#: The one error table: each rejection token the retry loop retries,
+#: mapped to whether the retry also drops the connection and re-hellos
+#: (the session or its shard is gone; through a router the new hello
+#: reaches the tenant's current owner).  Any other rejection is the
+#: call's answer — except a rejected hello, which is always retried on
+#: the next endpoint.
+_RETRY = {
+    protocol.ERR_OVERLOADED: False,
+    protocol.ERR_DRAINING: False,
+    protocol.ERR_BACKPRESSURE: False,
+    protocol.ERR_RATE_LIMITED: False,
+    protocol.ERR_SHARD_UNAVAILABLE: True,
+    protocol.ERR_SHARD_MOVED: True,
+    protocol.ERR_NO_SESSION: True,
+}
 
-#: Rejections that mean "this connection's shard is gone" — drop the
-#: connection and re-hello (through the router) instead of retrying on
-#: the dead/stale pin.
-_RECONNECT = (
-    protocol.ERR_SHARD_UNAVAILABLE,
-    protocol.ERR_SHARD_MOVED,
-)
+
+class _Failure(Exception):
+    """One failed attempt: spends one retry, then backs off."""
+
+    def __init__(self, detail: str, drop: bool,
+                 wait: float | None = None) -> None:
+        super().__init__(detail)
+        self.drop = drop
+        self.wait = wait
 
 
 class ResilientClient:
@@ -170,10 +173,18 @@ class ResilientClient:
     ``remove-shard`` redirects the session to a new owner that has none
     of its state — the client replays its history past the new
     watermark before continuing, rebuilding the tenant's cache state
-    and stats batch for batch.  ``history_limit`` bounds the buffer
-    (``None`` keeps everything); a replay that needs trimmed batches
-    raises :class:`ServiceUnavailable` instead of silently rebuilding
-    partial state.
+    and stats batch for batch.  ``history_limit``
+    bounds the buffer (``None`` keeps everything); a replay that needs
+    trimmed batches raises :class:`ServiceUnavailable` instead of
+    silently rebuilding partial state.
+
+    Each public call has one failure budget: every refused connect,
+    lost connection or retryable rejection spends one of
+    ``max_retries`` and backs off (the server's ``retry_after`` hint,
+    else ``reconnect_backoff`` times the failures so far, capped at
+    8×); successful round trips, replayed batches included, spend
+    nothing.  The call raises :class:`ServiceUnavailable` when the
+    budget runs out.
     """
 
     def __init__(self, endpoints: list[tuple[str, int]], tenant: str,
@@ -205,7 +216,8 @@ class ResilientClient:
         self.reconnects = 0
         self.resends_skipped = 0
         self.replayed_batches = 0
-        self.retried = 0
+        #: Requests the server rejected with a retryable error.
+        self.retried_requests = 0
         self.endpoint: tuple[str, int] | None = None
         self._client: ServiceClient | None = None
         self._endpoint_index = 0
@@ -215,101 +227,179 @@ class ResilientClient:
         self._history: list[tuple[int, list[int]]] = []
         #: Highest seq dropped from history by ``history_limit``.
         self._trimmed_below = 0
-
-    @property
-    def retried_requests(self) -> int:
-        inner = self._client.retries if self._client is not None else 0
-        return self.retried + inner
+        #: History a fresh greeting's watermark left unapplied.
+        self._owed: list[tuple[int, list[int]]] = []
 
     async def connect(self) -> dict:
         """Connect (or reconnect) and open/resume the session."""
-        return await self._ensure()
-
-    async def _ensure(self) -> dict:
         if self._client is not None:
             return {"ok": True, "op": "hello", "cached": True}
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            host, port = self.endpoints[
-                self._endpoint_index % len(self.endpoints)
-            ]
+        return await self._call(None, "connect")
+
+    async def access(self, sids: list[int]) -> dict:
+        """Send one sequenced batch, riding through crashes."""
+        seq = self.next_seq
+        self.next_seq += 1
+        response = await self._call(self._access_message(seq, sids),
+                                    f"access batch seq={seq}")
+        if not response.get("ok"):
+            raise ServiceUnavailable(
+                f"access rejected ({response.get('error')}): "
+                f"{response.get('detail')}"
+            )
+        self._remember(seq, sids)
+        return response
+
+    async def stats(self) -> dict:
+        return await self._call({"op": "stats"}, "stats")
+
+    async def close_session(self) -> dict:
+        response = await self._call({"op": "close"}, "close")
+        await self.aclose()
+        return response
+
+    async def aclose(self) -> None:
+        if self._client is not None:
+            await self._client.aclose()
+            self._client = None
+
+    async def _call(self, message: dict | None, what: str) -> dict:
+        """The retry loop behind every public call.
+
+        Opens a session when there is none, replays owed history, then
+        sends *message* and returns its reply (the greeting when
+        *message* is ``None``).  A rejection the error table does not
+        retry is returned as the reply.
+        """
+        failures = 0
+        greeting = None
+        while True:
             try:
-                client = await ServiceClient.connect(
-                    host, port, max_retries=self.max_retries
-                )
-            except (ConnectionError, OSError) as error:
-                last_error = error
-                self._endpoint_index += 1
+                if self._client is None:
+                    greeting = await self._open()
+                await self._replay()
+                if message is None:
+                    return greeting
+                seq = message.get("seq")
+                if (greeting is not None and seq is not None
+                        and self.applied_seq >= seq):
+                    # The worker logged this batch before dying; the
+                    # ack was what the crash ate.  Resending would be
+                    # deduplicated server-side anyway, so skip it.
+                    self.resends_skipped += 1
+                    return {"ok": True, "op": "access", "deduped": True}
+                return await self._send(message)
+            except _Failure as failure:
+                failures += 1
+                if failures >= self.max_retries:
+                    raise ServiceUnavailable(
+                        f"tenant {self.tenant!r}: {what} still failing "
+                        f"after {self.max_retries} attempts over "
+                        f"{len(self.endpoints)} endpoint(s): {failure}"
+                    ) from None
+                if failure.drop:
+                    await self._drop()
                 await asyncio.sleep(
-                    self.reconnect_backoff * min(attempt + 1, 8)
+                    failure.wait if failure.wait is not None
+                    else self.reconnect_backoff * min(failures, 8)
                 )
-                continue
-            try:
-                greeting = await client.hello(
-                    self.tenant, benchmark=self.benchmark,
-                    block_sizes=self.block_sizes, scale=self.scale,
-                    quota_bytes=self.quota_bytes, weight=self.weight,
-                    resume=True, block_digests=self.block_digests,
-                )
-            except (ConnectionError, OSError, ServiceUnavailable) as error:
-                last_error = error
-                await client.aclose()
-                self._endpoint_index += 1
-                await asyncio.sleep(
-                    self.reconnect_backoff * min(attempt + 1, 8)
-                )
-                continue
-            if not greeting.get("ok"):
-                await client.aclose()
-                last_error = ServiceUnavailable(
-                    f"hello rejected: {greeting.get('detail')}"
-                )
-                self.retried += 1
-                self._endpoint_index += 1
-                await asyncio.sleep(greeting.get(
-                    "retry_after",
-                    self.reconnect_backoff * min(attempt + 1, 8),
-                ))
-                continue
-            self._client = client
-            self.endpoint = (host, port)
-            if greeting.get("resumed"):
-                # Same logical tenant state: the watermark can only
-                # have advanced past what we last heard.
-                self.applied_seq = max(
-                    self.applied_seq, greeting.get("applied_seq", 0)
-                )
-            else:
-                # Fresh attach — a new shard (redirect after a live
-                # reshard) or a server that lost the state.  The
-                # server's watermark is the truth now; replay our
-                # acknowledged history past it to rebuild the state.
-                self.applied_seq = greeting.get("applied_seq", 0)
-                try:
-                    await self._replay_history()
-                except (ConnectionError, OSError) as error:
-                    last_error = error
-                    await client.aclose()
-                    self._client = None
-                    self._endpoint_index += 1
-                    await asyncio.sleep(
-                        self.reconnect_backoff * min(attempt + 1, 8)
-                    )
-                    continue
+
+    async def _open(self) -> dict:
+        """Connect to the current endpoint and hello with ``resume``."""
+        host, port = self.endpoints[
+            self._endpoint_index % len(self.endpoints)
+        ]
+        try:
+            client = await ServiceClient.connect(host, port)
+        except OSError as error:
+            raise _Failure(f"connect to {host}:{port} failed: {error}",
+                           drop=True) from None
+        try:
+            greeting = await client.hello(
+                self.tenant, benchmark=self.benchmark,
+                block_sizes=self.block_sizes, scale=self.scale,
+                quota_bytes=self.quota_bytes, weight=self.weight,
+                resume=True, block_digests=self.block_digests,
+            )
+        except OSError as error:
+            await client.aclose()
+            raise _Failure(f"hello to {host}:{port} lost: {error}",
+                           drop=True) from None
+        if not greeting.get("ok"):
+            await client.aclose()
+            self.retried_requests += 1
+            raise _Failure(
+                f"hello rejected ({greeting.get('error')}): "
+                f"{greeting.get('detail')}",
+                drop=True, wait=greeting.get("retry_after"),
+            )
+        self._client = client
+        self.endpoint = (host, port)
+        if greeting.get("resumed"):
+            # Same logical tenant state: the watermark can only have
+            # advanced past what we last heard.
+            self.applied_seq = max(self.applied_seq,
+                                   greeting.get("applied_seq", 0))
+            self._owed = []
             return greeting
-        raise ServiceUnavailable(
-            f"tenant {self.tenant!r} could not reach any of "
-            f"{len(self.endpoints)} endpoint(s) in {self.max_retries} "
-            f"attempts: {last_error}"
-        )
+        # Fresh attach — a new shard (redirect after a live reshard) or
+        # a server that lost the state.  The server's watermark is the
+        # truth now; our acknowledged history past it is owed.
+        self.applied_seq = greeting.get("applied_seq", 0)
+        self._owed = [(seq, sids) for seq, sids in self._history
+                      if seq > self.applied_seq]
+        if self._owed and self.applied_seq + 1 < self._trimmed_below:
+            raise ServiceUnavailable(
+                f"tenant {self.tenant!r} needs batches from seq "
+                f"{self.applied_seq + 1} but history was trimmed below "
+                f"seq {self._trimmed_below}; raise history_limit"
+            )
+        return greeting
+
+    async def _replay(self) -> None:
+        """Resend the owed history, oldest first, on the new session."""
+        while self._owed:
+            seq, sids = self._owed[0]
+            response = await self._send(self._access_message(seq, sids))
+            if not response.get("ok"):
+                raise ServiceUnavailable(
+                    f"history replay of batch seq={seq} rejected "
+                    f"({response.get('error')}): "
+                    f"{response.get('detail')}"
+                )
+            self._owed.pop(0)
+            self.replayed_batches += 1
+            self.applied_seq = max(self.applied_seq, seq)
+
+    async def _send(self, message: dict) -> dict:
+        """One round trip on the session, classified by the error
+        table: a retryable outcome raises :class:`_Failure`."""
+        try:
+            response = await self._client.request(message)
+        except OSError as error:
+            raise _Failure(f"connection lost: {error}",
+                           drop=True) from None
+        error = response.get("error")
+        if response.get("ok") or error not in _RETRY:
+            return response
+        self.retried_requests += 1
+        raise _Failure(f"{error}: {response.get('detail')}",
+                       drop=_RETRY[error], wait=response.get("retry_after"))
 
     async def _drop(self) -> None:
+        """Abandon the current endpoint: close its session, if any, and
+        move on to the next endpoint in the list."""
+        self._endpoint_index += 1
         if self._client is not None:
-            self.retried += self._client.retries
             await self._client.aclose()
             self._client = None
             self.reconnects += 1
-            self._endpoint_index += 1
+
+    def _access_message(self, seq: int, sids: list[int]) -> dict:
+        message = {"op": "access", "sids": list(sids), "seq": seq}
+        if self.sync:
+            message["sync"] = True
+        return message
 
     def _remember(self, seq: int, sids: list[int]) -> None:
         """Record an acknowledged batch as replayable history."""
@@ -320,141 +410,44 @@ class ResilientClient:
                 self._trimmed_below = max(self._trimmed_below,
                                           trimmed_seq + 1)
 
-    async def _replay_history(self) -> None:
-        """Resend every remembered batch past the current watermark.
 
-        Runs on a freshly-helloed connection.  Raises
-        :class:`ConnectionError` when the shard dies (or moves again)
-        mid-replay — the caller drops and reconnects — and
-        :class:`ServiceUnavailable` when the needed batches were
-        trimmed from a bounded history.
-        """
-        pending = [(seq, sids) for seq, sids in self._history
-                   if seq > self.applied_seq]
-        if not pending:
-            return
-        if self.applied_seq + 1 < self._trimmed_below:
-            raise ServiceUnavailable(
-                f"tenant {self.tenant!r} needs batches from seq "
-                f"{self.applied_seq + 1} but history was trimmed below "
-                f"seq {self._trimmed_below}; raise history_limit"
-            )
-        for seq, sids in pending:
-            message = {"op": "access", "sids": list(sids), "seq": seq}
-            if self.sync:
-                message["sync"] = True
-            for _ in range(self.max_retries):
-                response = await self._client.request(message)
-                if response.get("ok"):
-                    self.replayed_batches += 1
-                    self.applied_seq = max(self.applied_seq, seq)
-                    break
-                error = response.get("error")
-                if error in _RECONNECT:
-                    raise ConnectionError(
-                        f"shard lost mid-replay ({error}): "
-                        f"{response.get('detail')}"
-                    )
-                if error in _RETRYABLE:
-                    self.retried += 1
-                    await asyncio.sleep(
-                        response.get("retry_after", 0.05)
-                    )
-                    continue
-                raise ServiceUnavailable(
-                    f"history replay of batch seq={seq} rejected "
-                    f"({error}): {response.get('detail')}"
-                )
-            else:
-                raise ServiceUnavailable(
-                    f"history replay of batch seq={seq} still failing "
-                    f"after {self.max_retries} attempts"
-                )
+def tenant_benchmarks(benchmarks: list[str] | None) -> list[str]:
+    """The benchmarks tenants cycle through: *benchmarks*, or the SPEC
+    suite when none are named."""
+    if benchmarks:
+        return list(benchmarks)
+    return [spec.name for spec in spec_benchmarks()]
 
-    async def access(self, sids: list[int]) -> dict:
-        """Send one sequenced batch, riding through crashes."""
-        seq = self.next_seq
-        self.next_seq += 1
-        reconnected = False
-        for _ in range(self.max_retries):
-            if self._client is None:
-                await self._ensure()
-                reconnected = True
-            if reconnected and self.applied_seq >= seq:
-                # The worker logged this batch before dying; the ack was
-                # what the crash ate.  Resending would be deduplicated
-                # server-side anyway, so just skip the round trip.
-                self.resends_skipped += 1
-                self._remember(seq, sids)
-                return {"ok": True, "op": "access", "deduped": True}
-            message = {"op": "access", "sids": list(sids), "seq": seq}
-            if self.sync:
-                message["sync"] = True
-            try:
-                response = await self._client.request(message)
-            except (ConnectionError, OSError):
-                await self._drop()
-                continue
-            if response.get("ok"):
-                self._remember(seq, sids)
-                return response
-            error = response.get("error")
-            if error == protocol.ERR_NO_SESSION:
-                # The server parked the session (an earlier connection
-                # loss it noticed before we did); re-adopt it.
-                await self._drop()
-                continue
-            if error in _RETRYABLE:
-                self.retried += 1
-                await asyncio.sleep(response.get("retry_after", 0.05))
-                if error in _RECONNECT:
-                    await self._drop()
-                continue
-            raise ServiceUnavailable(
-                f"access rejected ({error}): {response.get('detail')}"
-            )
-        raise ServiceUnavailable(
-            f"access batch seq={seq} still failing after "
-            f"{self.max_retries} attempts"
-        )
 
-    async def _simple(self, op: str) -> dict:
-        for _ in range(self.max_retries):
-            if self._client is None:
-                await self._ensure()
-            try:
-                response = await self._client.request({"op": op})
-            except (ConnectionError, OSError):
-                await self._drop()
-                continue
-            error = response.get("error")
-            if error == protocol.ERR_NO_SESSION:
-                await self._drop()
-                continue
-            if not response.get("ok") and error in _RETRYABLE:
-                self.retried += 1
-                await asyncio.sleep(response.get("retry_after", 0.05))
-                if error in _RECONNECT:
-                    await self._drop()
-                continue
-            return response
-        raise ServiceUnavailable(
-            f"{op} still failing after {self.max_retries} attempts"
-        )
+def tenant_spec(tenant: str, benchmark: str, scale: float, accesses: int,
+                seed: int | None = None,
+                share_content: bool = False) -> dict:
+    """One seeded tenant workload: block sizes and access trace.
 
-    async def stats(self) -> dict:
-        return await self._simple("stats")
+    The seed drives sizes and links as well as the trace, so tenants
+    that share a seed and benchmark run the *same* workload
+    (``None`` means the benchmark's own seed).  ``share_content`` adds
+    content digests derived from the workload identity, so a
+    sharing-enabled server dedups identical populations across tenants.
+    """
+    from repro.service.tenancy import content_digests
 
-    async def close_session(self) -> dict:
-        response = await self._simple("close")
-        await self.aclose()
-        return response
-
-    async def aclose(self) -> None:
-        if self._client is not None:
-            self.retried += self._client.retries
-            await self._client.aclose()
-            self._client = None
+    registered = get_benchmark(benchmark)
+    seed = registered.seed if seed is None else seed
+    workload = build_workload(registered, scale=scale,
+                              trace_accesses=accesses, seed=seed)
+    sizes = workload.superblocks.sizes()
+    spec = {
+        "tenant": tenant,
+        "benchmark": benchmark,
+        "seed": seed,
+        "block_sizes": [sizes[sid] for sid in range(len(sizes))],
+        "trace": workload.trace.tolist(),
+    }
+    if share_content:
+        spec["block_digests"] = content_digests(benchmark, scale, seed,
+                                                workload.superblocks)
+    return spec
 
 
 async def run_tenant(host: str, port: int, tenant: str, benchmark: str,
@@ -470,31 +463,17 @@ async def run_tenant(host: str, port: int, tenant: str, benchmark: str,
     is ridden through: the sequence numbers plus the server's WAL make
     the replay exactly-once despite the reconnects.  *endpoints* (when
     given) supersedes ``host``/``port`` as the failover list.
-
-    With ``share_content`` the hello carries content digests derived
-    from the workload identity, so a sharing-enabled server dedups
-    identical populations across tenants.
     """
-    from repro.service.tenancy import content_digests
-
-    workload = build_workload(get_benchmark(benchmark), scale=scale,
-                              trace_accesses=accesses, seed=seed)
-    sizes = workload.superblocks.sizes()
-    block_sizes = [sizes[sid] for sid in range(len(sizes))]
-    block_digests = None
-    if share_content:
-        digest_seed = seed if seed is not None else \
-            get_benchmark(benchmark).seed
-        block_digests = content_digests(benchmark, scale, digest_seed,
-                                        workload.superblocks)
+    spec = tenant_spec(tenant, benchmark, scale, accesses, seed=seed,
+                       share_content=share_content)
     client = ResilientClient(
-        endpoints or [(host, port)], tenant, block_sizes=block_sizes,
-        quota_bytes=quota_bytes, weight=weight, sync=sync,
-        block_digests=block_digests,
+        endpoints or [(host, port)], tenant,
+        block_sizes=spec["block_sizes"], quota_bytes=quota_bytes,
+        weight=weight, sync=sync, block_digests=spec.get("block_digests"),
     )
     try:
         await client.connect()
-        trace = workload.trace.tolist()
+        trace = spec["trace"]
         for start in range(0, len(trace), batch):
             await client.access(trace[start:start + batch])
         farewell = await client.close_session()
@@ -534,11 +513,8 @@ async def run_load(host: str, port: int, tenants: int,
     workloads distinct.  ``share_content`` sends content digests so a
     sharing server can dedup.
     """
-    if benchmarks:
-        names = [benchmarks[i % len(benchmarks)] for i in range(tenants)]
-    else:
-        suite = [spec.name for spec in spec_benchmarks()]
-        names = [suite[i % len(suite)] for i in range(tenants)]
+    suite = tenant_benchmarks(benchmarks)
+    names = [suite[i % len(suite)] for i in range(tenants)]
     started = time.monotonic()
     results = await asyncio.gather(*(
         run_tenant(host, port, f"tenant-{i}:{names[i]}", names[i],
@@ -555,6 +531,8 @@ async def run_load(host: str, port: int, tenants: int,
     unified = results[-1]["unified_after"]
     return {
         "harness": "repro.service load",
+        # The rate depends on the hardware, as in every fleet section.
+        "cpu_count": os.cpu_count(),
         "tenants": tenants,
         "scale": scale,
         "accesses_per_tenant": accesses,

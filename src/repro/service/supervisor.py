@@ -87,11 +87,13 @@ class ShardSupervisor:
             )
 
     async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._task
-            self._task = None
+        task, self._task = self._task, None
+        # Before Python 3.12, ``asyncio.wait_for`` drops a cancellation
+        # that lands as its inner await completes, so a cancel during a
+        # probe can leave the loop running: cancel until it has ended.
+        while task is not None and not task.done():
+            task.cancel()
+            await asyncio.wait({task}, timeout=self.interval)
 
     async def _run(self) -> None:
         while True:

@@ -3,6 +3,7 @@ BENCH_service.json report, and its rendering."""
 
 import asyncio
 import json
+import os
 
 from repro.analysis.report import render_service_report
 from repro.service.client import run_load, write_report
@@ -33,6 +34,7 @@ class TestRunLoad:
     def test_report_shape_and_accounting(self):
         report, service = _run(tenants=3)
         assert report["tenants"] == 3
+        assert report["cpu_count"] == os.cpu_count()
         assert report["total_accesses"] == 3 * 2000
         assert len(report["per_tenant"]) == 3
         for row in report["per_tenant"]:
@@ -69,6 +71,23 @@ class TestRunLoad:
         assert "unified (Eq. 1)" in text
         for row in loaded["per_tenant"]:
             assert row["tenant"] in text
+
+    def test_render_reports_the_crash_drill(self):
+        report, _ = _run(tenants=2)
+        report["chaos"] = {
+            "shards": 4, "supervisor_restarts": 2,
+            "standby_promoted": True, "redirected_sessions": 2,
+            "field_identical": True, "mismatched_tenants": [],
+            "sharing": True,
+        }
+        text = render_service_report(report)
+        assert ("crash drill: 4 shards, 2 supervised restart(s), standby "
+                "promoted, 2 session(s) redirected; drill stats "
+                "field-identical (cross-tenant sharing on)") in text
+        report["chaos"].update(field_identical=False,
+                               mismatched_tenants=["tenant-0:gzip"])
+        assert "MISMATCH: ['tenant-0:gzip']" in render_service_report(
+            report)
 
 
 class TestCli:

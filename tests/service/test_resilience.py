@@ -129,17 +129,17 @@ class TestRateLimiting:
         async def scenario():
             service = _service(rate_limit=400.0, rate_burst=64.0)
             await service.start()
-            client = await ServiceClient.connect(
-                "127.0.0.1", service.port
+            client = ResilientClient(
+                [("127.0.0.1", service.port)], "t",
+                block_sizes=[512] * 64,
             )
-            assert (await client.hello(
-                "t", block_sizes=[512] * 64))["ok"]
+            assert (await client.connect())["ok"]
             started = time.monotonic()
             assert (await client.access(list(range(64))))["ok"]
             reply = await client.access(list(range(64)))
             elapsed = time.monotonic() - started
             assert reply["ok"]
-            assert client.retries >= 1
+            assert client.retried_requests >= 1
             # The second batch had to wait out the bucket: 64 tokens at
             # 400/s is 160ms of refill it cannot skip.
             assert elapsed >= 0.1
@@ -208,6 +208,63 @@ class TestFailover:
             with pytest.raises(ServiceUnavailable, match="seq=1"):
                 await client.access([0, 1])
             assert client.retried_requests >= 3
+            await client.aclose()
+            await shard.aclose()
+
+        asyncio.run(scenario())
+
+
+class TestRetryBudget:
+    """One failure budget per public call: failures spend it, successful
+    round trips do not."""
+
+    @pytest.mark.parametrize("budget", [3, 8])
+    def test_connect_sends_one_hello_per_attempt(self, budget):
+        async def scenario():
+            # A server that keeps the connection open and rejects every
+            # hello as overloaded, however often it is asked.
+            overloaded = protocol.error(
+                "hello", protocol.ERR_OVERLOADED, "full",
+                retry_after=0.001)
+            shard = ScriptedShard([[("hello", overloaded)] * 100])
+            port = await shard.start()
+            client = ResilientClient(
+                [("127.0.0.1", port)], "t", block_sizes=[512] * 4,
+                max_retries=budget, reconnect_backoff=0.001,
+            )
+            with pytest.raises(ServiceUnavailable,
+                               match=f" {budget} attempts"):
+                await client.connect()
+            await shard.aclose()
+            assert [m["op"] for m in shard.requests] == ["hello"] * budget
+            assert client.retried_requests == budget
+
+        asyncio.run(scenario())
+
+    def test_history_longer_than_the_budget_replays_in_full(self):
+        async def scenario():
+            # Five acked batches, then the connection dies with the
+            # sixth in flight; the shard comes back fresh.  Rebuilding
+            # takes five successful round trips, more than the budget
+            # of three, and must spend none of it.
+            acked = ("access", protocol.ok("access", queued_batches=0))
+            shard = ScriptedShard([
+                [("hello", _ok_hello())] + [acked] * 5 + [("access", None)],
+                [("hello", _ok_hello(applied_seq=0, resumed=False))]
+                + [acked] * 6,
+            ])
+            port = await shard.start()
+            client = ResilientClient(
+                [("127.0.0.1", port)], "t", block_sizes=[512] * 8,
+                max_retries=3, reconnect_backoff=0.01,
+            )
+            await client.connect()
+            for index in range(6):
+                assert (await client.access([index]))["ok"]
+            assert client.replayed_batches == 5
+            assert client.reconnects == 1
+            sent = [m["seq"] for m in shard.requests if m["op"] == "access"]
+            assert sent == [1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6]
             await client.aclose()
             await shard.aclose()
 

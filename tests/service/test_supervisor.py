@@ -208,6 +208,40 @@ class TestHealing:
         asyncio.run(scenario())
 
 
+class TestLifecycle:
+    def test_stop_ends_the_loop_despite_a_swallowed_cancellation(self):
+        async def scenario():
+            supervisor = ShardSupervisor(FakePool(), None, interval=0.01)
+            probing = asyncio.Event()
+            swallowed = []
+
+            async def probe_round():
+                probing.set()
+                try:
+                    await asyncio.sleep(3600)
+                except asyncio.CancelledError:
+                    # What asyncio.wait_for does before Python 3.12 when
+                    # the cancel lands as a probe completes.
+                    if swallowed:
+                        raise
+                    swallowed.append(True)
+                return {}
+
+            supervisor.check_once = probe_round
+            await supervisor.start()
+            task = supervisor._task
+            await probing.wait()
+            # asyncio.wait, unlike wait_for, never cancels the stop()
+            # it waits on, so a stop() that hangs shows as not done.
+            stopping = asyncio.ensure_future(supervisor.stop())
+            done, _ = await asyncio.wait({stopping}, timeout=2.0)
+            assert stopping in done, "stop() hung after a swallowed cancel"
+            assert swallowed
+            assert task.done()
+
+        asyncio.run(scenario())
+
+
 class TestRealWorkerIntegration:
     def test_sigkilled_worker_is_healed_through_recovery(self, tmp_path):
         async def scenario():
