@@ -11,7 +11,8 @@ Layers, bottom up:
 
 * :mod:`repro.service.tenancy` — the :class:`SharedArena`: one
   :class:`~repro.core.simulator.CodeCacheSimulator` serving every
-  tenant through per-tenant id namespaces, per-tenant
+  tenant through one table of refcounted entries (private to a tenant,
+  or shared by content digest under ``--sharing``), per-tenant
   :class:`~repro.core.metrics.SimulationStats` (Equation 1 per tenant
   and unified), byte quotas layered over any granularity policy, and
   pressure-driven cross-tenant reclaim.

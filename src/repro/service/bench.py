@@ -23,9 +23,9 @@ Two fleet harnesses, both running *real* worker processes from
 
 Plus one in-process harness: :func:`run_dedup_bench`, the ShareJIT A/B
 — N tenants replaying one identical seeded workload against a sharing
-arena and a legacy arena, reporting dedup ratio, peak bytes saved and
-the unified miss-rate delta (the ``dedup`` section of
-``BENCH_service.json``).
+arena and an unshared one (every tenant on private entries), reporting
+dedup ratio, peak bytes saved and the unified miss-rate delta (the
+``dedup`` section of ``BENCH_service.json``).
 
 Determinism note: the chaos driver sends batches in ``sync`` mode,
 round-robin across tenants from a single task, so every arena applies

@@ -209,9 +209,10 @@ class ArenaPersister:
             "weight": quota.weight,
         }
         if block_digests is not None:
-            # Sharing mode: replay must rebuild the identical
-            # digest -> shared-gid mapping, so the digests are part of
-            # the durable attach record.
+            # Replay must rebuild the identical digest -> gid mapping,
+            # so client digests are part of the durable attach record.
+            # Private entries need none: replay re-allocates them in
+            # the same order.
             record["block_digests"] = [str(d) for d in block_digests]
         self._log(record)
 
@@ -550,7 +551,11 @@ def recover_arena(
     record stops replay there (the remainder is quarantined with the
     log file), and an empty directory yields a fresh arena.
     """
-    from repro.service.tenancy import SharedArena, TenantQuota
+    from repro.service.tenancy import (
+        SharedArena,
+        TenantQuota,
+        arena_fingerprint,
+    )
 
     started = time.monotonic()
     fresh_policy = policy_from_spec(policy)
@@ -563,12 +568,8 @@ def recover_arena(
         persister=persister,
         sharing=sharing,
     )
-    expected = {
-        "policy": fresh_policy.name,
-        "capacity_bytes": capacity_bytes,
-        "max_block_bytes": max_block_bytes,
-        "sharing": sharing,
-    }
+    expected = arena_fingerprint(fresh_policy.name, capacity_bytes,
+                                 max_block_bytes, sharing)
     state = persister.load_snapshot(expected)
     if state is None and persister.standby_root is not None:
         # The failover decision: promote the standby only when the

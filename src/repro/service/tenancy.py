@@ -4,8 +4,9 @@ One :class:`SharedArena` owns a single
 :class:`~repro.core.simulator.CodeCacheSimulator` (one policy, one
 capacity) and serves every tenant from it:
 
-* **Id namespacing** — each tenant's local superblock ids are mapped
-  into a disjoint slice of the global id space, so two tenants replaying
+* **Arena entries** — each of a tenant's local superblock ids maps to
+  an arena entry with its own global id.  Without sharing every entry
+  is *private* to the tenant that attached it, so two tenants replaying
   the same benchmark never collide in the shared cache.
 * **Per-tenant accounting** — every access is charged to its tenant's
   own :class:`~repro.core.metrics.SimulationStats`; evicted blocks are
@@ -30,11 +31,11 @@ capacity) and serves every tenant from it:
   until occupancy reaches the reclaim target.  Tenants under their
   reserved share are never touched.
 * **Content-hash sharing (ShareJIT-style)** — with ``sharing=True``
-  every superblock is keyed by a stable content digest, and identical
-  translations across tenants become *one* refcounted arena entry.  A
-  tenant whose content another tenant already inserted joins as a
-  co-owner on a plain cache hit (the dedup win: N tenants running the
-  same benchmark occupy ~1× the bytes); per-tenant chaining/eviction
+  a tenant may key its superblocks by stable content digests, and
+  identical translations across tenants become *one* refcounted arena
+  entry.  A tenant whose content another tenant already inserted joins
+  as a co-owner on a plain cache hit (the dedup win: N tenants running
+  the same benchmark occupy ~1× the bytes); per-tenant chaining/eviction
   metadata (the FIFO ``order`` deque, the ``resident`` set) stays
   copy-on-write per tenant, so reclaim decisions remain tenant-local.
   Eviction of a shared entry is *deferred* until the last owner
@@ -44,7 +45,8 @@ capacity) and serves every tenant from it:
   Σ size/owners over owned entries, Memshare-style) is what quotas and
   pressure reclaim charge against — so the merged Equation 1 byte
   conservation stays exact under the paranoid invariant checker while
-  each tenant's stats reflect only its fair share.
+  each tenant's stats reflect only its fair share.  A private entry is
+  the one-owner case of the same accounting.
 
 The arena serializes all mutation behind one lock: the simulator, the
 policies and the caches underneath are single-threaded by design (the
@@ -70,17 +72,29 @@ from repro.core.overhead import PAPER_MODEL, OverheadModel
 from repro.core.policies import EvictionPolicy
 from repro.core.simulator import CodeCacheSimulator
 
-#: Global ids are ``slot * NAMESPACE_STRIDE + local_sid`` — 4M blocks per
-#: tenant namespace, far beyond any registry workload.
-NAMESPACE_STRIDE = 1 << 22
-
 #: Largest superblock any tenant may register (the registry clips
 #: Windows-suite sizes at 8 KiB).
 DEFAULT_MAX_BLOCK_BYTES = 8192
 
-#: Shared (content-addressed) gids live far above every tenant
-#: namespace, so a shared arena can never collide with legacy ids.
-SHARED_BASE = 1 << 44
+#: Bumped when the snapshot layout changes incompatibly; part of the
+#: fingerprint, so an older snapshot is quarantined, not misread.
+#: v3: every tenant's blocks are entries of one table.
+SNAPSHOT_VERSION = 3
+
+
+def arena_fingerprint(policy: str, capacity_bytes: int,
+                      max_block_bytes: int, sharing: bool) -> dict:
+    """The configuration identity a snapshot must match to be
+    restorable — a snapshot taken under another layout version, policy,
+    geometry, or sharing mode describes a different cache and is
+    quarantined."""
+    return {
+        "version": SNAPSHOT_VERSION,
+        "policy": policy,
+        "capacity_bytes": capacity_bytes,
+        "max_block_bytes": max_block_bytes,
+        "sharing": sharing,
+    }
 
 
 def content_digests(benchmark: str, scale: float, seed: int,
@@ -105,27 +119,18 @@ def content_digests(benchmark: str, scale: float, seed: int,
     return digests
 
 
-class SharedEntry:
-    """One content-addressed arena entry: a digest, its single physical
-    gid, and two refcounts — ``mapped`` (tenants whose population
-    includes this content) and ``owners`` (tenants currently holding it
-    resident, the deferred-eviction refcount)."""
-
-    def __init__(self, digest: str, gid: int, size: int) -> None:
-        self.digest = digest
-        self.gid = gid
-        self.size = size
-        self.mapped: set[int] = set()
-        self.owners: set[int] = set()
-
-
-class SharingState:
-    """The arena-wide dedup table plus its lifetime counters."""
+class EntryTable:
+    """Every arena entry, indexed by gid (gids are dense, handed out in
+    attach order): who owns it, the content-addressed entries by
+    digest, and the sharing counters.  Entry sizes live in the
+    simulator's size map."""
 
     def __init__(self) -> None:
-        self.by_digest: dict[str, SharedEntry] = {}
-        self.by_gid: dict[int, SharedEntry] = {}
-        self.next_gid = SHARED_BASE
+        #: gid -> slots of the tenants holding the entry resident (the
+        #: deferred-eviction refcount).
+        self.owners: list[set[int]] = []
+        #: Content digest -> gid.  Private entries have no digest.
+        self.by_digest: dict[str, int] = {}
         #: A tenant hit a block another tenant already inserted and
         #: became a co-owner (the dedup win: no miss, no new bytes).
         self.shared_joins = 0
@@ -180,14 +185,12 @@ class _ArenaBlocks:
 
 
 class TenantState:
-    """One attached tenant: namespace, stats, quota and residency."""
+    """One attached tenant: its entries, stats, quota and residency."""
 
-    def __init__(self, name: str, slot: int, sizes: list[int],
-                 quota: TenantQuota, overhead_model: OverheadModel) -> None:
+    def __init__(self, name: str, slot: int, quota: TenantQuota,
+                 overhead_model: OverheadModel) -> None:
         self.name = name
         self.slot = slot
-        self.offset = slot * NAMESPACE_STRIDE
-        self.block_count = len(sizes)
         self.quota = quota
         self.stats = SimulationStats(benchmark=name,
                                      overhead_model=overhead_model)
@@ -203,21 +206,16 @@ class TenantState:
         #: write-ahead logged) for this tenant — the exactly-once
         #: watermark resumed sessions restart from.
         self.applied_seq = 0
-        #: Fractional (Memshare-style) byte attribution under sharing:
-        #: Σ size/owner_count over entries this tenant co-owns.  What
-        #: quotas and pressure reclaim charge against.
+        #: Fractional (Memshare-style) byte attribution: Σ size/owner
+        #: count over the entries this tenant owns.  What quotas and
+        #: pressure reclaim charge against.
         self.attributed_bytes = 0.0
-        #: Sharing mode: local sid -> shared gid.  ``None`` in legacy
-        #: (namespaced) mode.
-        self.block_map: list[int] | None = None
+        #: Local sid -> gid of the tenant's arena entry.
+        self.block_map: list[int] = []
 
-    def __setstate__(self, state: dict) -> None:
-        # Snapshots written before a field existed restore with its
-        # default, so old snapshots stay readable across upgrades.
-        self.applied_seq = 0
-        self.attributed_bytes = 0.0
-        self.block_map = None
-        self.__dict__.update(state)
+    @property
+    def block_count(self) -> int:
+        return len(self.block_map)
 
     @property
     def miss_rate(self) -> float:
@@ -258,11 +256,10 @@ class SharedArena:
         bearing) policy object, and the arena grafts the persisted
         tenant table and counters instead of starting empty.
     sharing:
-        Enable ShareJIT-style content-hash dedup: tenants attaching
-        with ``block_digests`` map identical content onto single
-        refcounted entries (see the module docstring).  A sharing arena
-        and a legacy arena have different fingerprints — snapshots do
-        not cross the mode boundary.
+        Honour tenants' ``block_digests``: ShareJIT-style content-hash
+        dedup maps identical content onto single refcounted entries
+        (see the module docstring).  The flag is part of the
+        fingerprint — snapshots do not cross the mode boundary.
     """
 
     def __init__(
@@ -331,24 +328,19 @@ class SharedArena:
         self._closed_stats: list[SimulationStats] = []
         self._resident_bytes = 0
         #: Logical bytes: Σ per-tenant resident_bytes.  Equals the
-        #: physical count without sharing; the gap between the two is
-        #: exactly the dedup win.
+        #: physical count while no entry has two owners; the gap between
+        #: the two is exactly the dedup win.
         self._logical_bytes = 0
         self.peak_resident_bytes = 0
         self.peak_logical_bytes = 0
         self.total_accesses = 0
         self.pressure_reclaims = 0
         self.pressure_reclaimed_bytes = 0
-        self.sharing: SharingState | None = (
-            SharingState() if sharing else None
-        )
+        self.sharing_enabled = sharing
+        self.table = EntryTable()
         self.persister = persister
         if restore_state is not None:
             self._restore(restore_state)
-
-    @property
-    def sharing_enabled(self) -> bool:
-        return self.sharing is not None
 
     def _restore(self, state: dict) -> None:
         """Graft a snapshot's tenant table and counters (init-time)."""
@@ -362,35 +354,21 @@ class SharedArena:
         self.total_accesses = state["total_accesses"]
         self.pressure_reclaims = state["pressure_reclaims"]
         self.pressure_reclaimed_bytes = state["pressure_reclaimed_bytes"]
-        if "sharing_state" in state:
-            self.sharing = state["sharing_state"]
-        self._logical_bytes = state.get("logical_bytes",
-                                        self._resident_bytes)
-        self.peak_resident_bytes = state.get("peak_resident_bytes",
-                                             self._resident_bytes)
-        self.peak_logical_bytes = state.get("peak_logical_bytes",
-                                            self._logical_bytes)
+        self.table = state["table"]
+        self._logical_bytes = state["logical_bytes"]
+        self.peak_resident_bytes = state["peak_resident_bytes"]
+        self.peak_logical_bytes = state["peak_logical_bytes"]
         if self.checker is not None:
             for gid, size in self._blocks.sizes().items():
                 self.checker.register_block(gid, size)
 
     # -- Snapshot state ------------------------------------------------------
 
-    #: Bumped when the snapshot layout changes incompatibly.
-    #: v2: sharing state + logical/peak byte counters.
-    SNAPSHOT_VERSION = 2
-
     def fingerprint(self) -> dict:
-        """The configuration identity a snapshot must match to be
-        restorable — a snapshot taken under a different policy,
-        geometry, or sharing mode describes a different cache and is
-        quarantined."""
-        return {
-            "policy": self.policy.name,
-            "capacity_bytes": self.capacity_bytes,
-            "max_block_bytes": self._blocks.max_block_bytes,
-            "sharing": self.sharing is not None,
-        }
+        """This arena's :func:`arena_fingerprint`."""
+        return arena_fingerprint(self.policy.name, self.capacity_bytes,
+                                 self._blocks.max_block_bytes,
+                                 self.sharing_enabled)
 
     def snapshot_state(self) -> dict:
         """A picklable snapshot of the whole arena (tenants, policy
@@ -401,7 +379,6 @@ class SharedArena:
 
     def _snapshot_state_locked(self) -> dict:
         return {
-            "version": self.SNAPSHOT_VERSION,
             "fingerprint": self.fingerprint(),
             "policy_object": self.policy,
             "sizes": dict(self._blocks.sizes()),
@@ -411,7 +388,7 @@ class SharedArena:
             "total_accesses": self.total_accesses,
             "pressure_reclaims": self.pressure_reclaims,
             "pressure_reclaimed_bytes": self.pressure_reclaimed_bytes,
-            "sharing_state": self.sharing,
+            "table": self.table,
             "logical_bytes": self._logical_bytes,
             "peak_resident_bytes": self.peak_resident_bytes,
             "peak_logical_bytes": self.peak_logical_bytes,
@@ -438,9 +415,8 @@ class SharedArena:
         per-tenant cap) at weight 1.  Under sharing,
         ``block_digests[i]`` is the content digest of superblock ``i``
         (see :func:`content_digests`); identical digests across tenants
-        map onto one refcounted entry.  Without digests a sharing arena
-        assigns private per-tenant digests, so the tenant participates
-        in the shared id space but never dedups.
+        map onto one refcounted entry.  Without digests every block gets
+        a private entry, so the tenant never dedups.
         """
         with self._lock:
             if name in self._tenants:
@@ -450,11 +426,6 @@ class SharedArena:
             if not block_sizes:
                 raise ConfigurationError(
                     f"tenant {name!r} needs at least one superblock"
-                )
-            if len(block_sizes) > NAMESPACE_STRIDE:
-                raise ConfigurationError(
-                    f"tenant {name!r} has {len(block_sizes)} blocks; the "
-                    f"namespace holds {NAMESPACE_STRIDE}"
                 )
             largest = max(block_sizes)
             if largest > self._blocks.max_block_bytes:
@@ -469,20 +440,14 @@ class SharedArena:
                     f"tenant {name!r} quota of {quota.quota_bytes} B "
                     f"cannot hold its largest block ({largest} B)"
                 )
-            if self.sharing is None and block_digests is not None:
-                raise ConfigurationError(
-                    f"tenant {name!r} sent block_digests but this "
-                    f"arena has sharing disabled"
-                )
-            if self.sharing is not None and block_digests is None:
-                # Private digests: the tenant shares the id space but
-                # not content — sharing degrades to namespacing.
-                block_digests = [
-                    f"~{name}/{i}" for i in range(len(block_sizes))
-                ]
             # Validate digests before anything is WAL-logged or mutated,
             # so a rejected attach leaves no trace to replay.
             if block_digests is not None:
+                if not self.sharing_enabled:
+                    raise ConfigurationError(
+                        f"tenant {name!r} sent block_digests but this "
+                        f"arena has sharing disabled"
+                    )
                 if len(block_digests) != len(block_sizes):
                     raise ConfigurationError(
                         f"tenant {name!r} has {len(block_sizes)} blocks "
@@ -499,58 +464,48 @@ class SharedArena:
                         f"tenant {name!r} block_digests contain "
                         f"duplicates"
                     )
-                if self.sharing is not None:
-                    for digest, size in zip(block_digests, block_sizes):
-                        entry = self.sharing.by_digest.get(digest)
-                        if entry is not None and entry.size != size:
-                            raise ConfigurationError(
-                                f"tenant {name!r} digest {digest!r} maps "
-                                f"to {size} B but the arena already "
-                                f"holds it at {entry.size} B (content "
-                                f"hash collision)"
-                            )
-            tenant = TenantState(name, len(self._by_slot), block_sizes,
-                                 quota, self.simulator.overhead_model)
+                sizes = self._blocks.sizes()
+                for digest, size in zip(block_digests, block_sizes):
+                    gid = self.table.by_digest.get(digest)
+                    if gid is not None and sizes[gid] != size:
+                        raise ConfigurationError(
+                            f"tenant {name!r} digest {digest!r} maps "
+                            f"to {size} B but the arena already "
+                            f"holds it at {sizes[gid]} B (content "
+                            f"hash collision)"
+                        )
+            tenant = TenantState(name, len(self._by_slot), quota,
+                                 self.simulator.overhead_model)
             if self.persister is not None:
                 self.persister.log_attach(name, block_sizes, quota,
                                           block_digests)
-            if self.sharing is not None:
-                self._map_shared(tenant, block_sizes, block_digests)
-            else:
-                sizes = self._blocks.sizes()
-                for local_sid, size in enumerate(block_sizes):
-                    gid = tenant.offset + local_sid
-                    sizes[gid] = size
-                    if self.checker is not None:
-                        self.checker.register_block(gid, size)
+            self._map_entries(tenant, block_sizes, block_digests)
             self._tenants[name] = tenant
             self._by_slot.append(tenant)
             return tenant
 
-    def _map_shared(self, tenant: TenantState, block_sizes: list[int],
-                    block_digests: list[str]) -> None:
-        """Build the tenant's local-sid -> shared-gid map, allocating
-        fresh entries for digests the arena has never seen."""
-        sharing = self.sharing
+    def _map_entries(self, tenant: TenantState, block_sizes: list[int],
+                     block_digests: list[str] | None) -> None:
+        """Build the tenant's local-sid -> gid map, allocating fresh
+        entries for private blocks and for digests the arena has never
+        seen."""
+        table = self.table
         sizes = self._blocks.sizes()
-        block_map = []
-        for size, digest in zip(block_sizes, block_digests):
-            entry = sharing.by_digest.get(digest)
-            if entry is None:
-                gid = sharing.next_gid
-                sharing.next_gid += 1
-                entry = SharedEntry(digest, gid, size)
-                sharing.by_digest[digest] = entry
-                sharing.by_gid[gid] = entry
+        digests = block_digests or [None] * len(block_sizes)
+        for size, digest in zip(block_sizes, digests):
+            gid = None if digest is None else table.by_digest.get(digest)
+            if gid is None:
+                gid = len(table.owners)
+                table.owners.append(set())
+                if digest is not None:
+                    table.by_digest[digest] = gid
                 sizes[gid] = size
                 if self.checker is not None:
                     self.checker.register_block(gid, size)
-            entry.mapped.add(tenant.slot)
-            block_map.append(entry.gid)
-        tenant.block_map = block_map
+            tenant.block_map.append(gid)
 
     def detach(self, name: str) -> SimulationStats:
-        """Close *name*: evict its resident blocks, keep its stats.
+        """Close *name*: release its resident blocks, keep its stats.
 
         The final stats record stays in the unified merge (so Equation 1
         and byte conservation remain true for the whole service life),
@@ -560,17 +515,10 @@ class SharedArena:
             tenant = self._require(name)
             if self.persister is not None:
                 self.persister.log_detach(name)
-            if self.sharing is not None:
-                if tenant.resident:
-                    self._release_shared(tenant, list(tenant.resident),
-                                         tenant.stats)
-                for gid in set(tenant.block_map or ()):
-                    self.sharing.by_gid[gid].mapped.discard(tenant.slot)
-                tenant.attributed_bytes = 0.0
-                tenant.order.clear()
-            elif tenant.resident:
-                events = self.policy.evict_blocks(tenant.resident)
-                self._attribute_events(events, tenant.stats)
+            if tenant.resident:
+                self._release(tenant, list(tenant.resident), tenant.stats)
+            tenant.attributed_bytes = 0.0
+            tenant.order.clear()
             tenant.detached = True
             del self._tenants[name]
             self._closed_stats.append(tenant.stats)
@@ -587,9 +535,7 @@ class SharedArena:
 
     def access(self, name: str, local_sid: int) -> bool:
         """Serve one access for tenant *name*; True on a cache hit."""
-        with self._lock:
-            tenant = self._require(name)
-            return self._access_locked(tenant, local_sid)
+        return self.access_many(name, [local_sid]) == 1
 
     def access_many(self, name: str, local_sids, tseq: int | None = None) -> int:
         """Serve a batch under one lock acquisition; returns hit count.
@@ -597,20 +543,32 @@ class SharedArena:
         ``tseq`` is the client-assigned per-tenant batch sequence number
         for exactly-once application: a batch at or below the tenant's
         ``applied_seq`` watermark is a duplicate (a resend after a
-        failover) and is skipped without touching the cache.  The batch
-        is write-ahead logged *inside* the same critical section that
-        applies it, so the WAL's record order is exactly the arena's
-        apply order — replay reproduces the identical interleaving.
+        failover) and is skipped without touching the cache.  Every sid
+        is bounds-checked before anything is logged or applied, so a bad
+        batch leaves no trace.  The batch is write-ahead logged *inside*
+        the same critical section that applies it, so the WAL's record
+        order is exactly the arena's apply order — replay reproduces the
+        identical interleaving.
         """
         with self._lock:
             tenant = self._require(name)
             if tseq is not None and tseq <= tenant.applied_seq:
                 return 0  # duplicate resend; already applied and logged
+            count = len(tenant.block_map)
+            if local_sids and (min(local_sids) < 0
+                               or max(local_sids) >= count):
+                bad = next(sid for sid in local_sids
+                           if not 0 <= sid < count)
+                raise KeyError(
+                    f"tenant {name!r} has no superblock {bad} "
+                    f"(population {count})"
+                )
             if self.persister is not None:
                 self.persister.log_access(name, local_sids, tseq)
             hits = 0
+            access = self._access_locked
             for local_sid in local_sids:
-                if self._access_locked(tenant, local_sid):
+                if access(tenant, local_sid):
                     hits += 1
             if tseq is not None:
                 tenant.applied_seq = tseq
@@ -622,22 +580,23 @@ class SharedArena:
             return hits
 
     def _access_locked(self, tenant: TenantState, local_sid: int) -> bool:
-        if not 0 <= local_sid < tenant.block_count:
-            raise KeyError(
-                f"tenant {tenant.name!r} has no superblock {local_sid} "
-                f"(population {tenant.block_count})"
-            )
-        if self.sharing is not None:
-            return self._access_shared(tenant, local_sid)
-        gid = tenant.offset + local_sid
+        """One access: a hit on an entry another tenant holds joins it
+        as a co-owner; a miss inserts the single physical copy and makes
+        the inserter its sole owner."""
+        gid = tenant.block_map[local_sid]
         self._inserting = tenant
         hit, _ = self.simulator.step(
             gid, tenant.stats,
             on_evictions=self._attribute_events,
             before_insert=self._reclaim_quota,
         )
-        if not hit:
+        if hit:
+            if gid not in tenant.resident:
+                self._join(tenant, gid)
+        else:
             size = self._blocks.sizes()[gid]
+            self.table.owners[gid].add(tenant.slot)
+            tenant.attributed_bytes += size
             tenant.resident.add(gid)
             tenant.order.append(gid)
             tenant.resident_bytes += size
@@ -648,116 +607,68 @@ class SharedArena:
             self._reclaim_pressure()
             if self._resident_bytes > self.peak_resident_bytes:
                 self.peak_resident_bytes = self._resident_bytes
+            if self._logical_bytes > self.peak_logical_bytes:
                 self.peak_logical_bytes = self._logical_bytes
         self.total_accesses += 1
-        self._check_maybe()
+        if self.checker is not None:
+            self._check_maybe()
         return hit
 
-    def _access_shared(self, tenant: TenantState, local_sid: int) -> bool:
-        """One access in sharing mode: a hit on content another tenant
-        holds joins the entry as a co-owner; a miss inserts the single
-        physical copy and makes the inserter the sole owner."""
-        gid = tenant.block_map[local_sid]
-        entry = self.sharing.by_gid[gid]
-        self._inserting = tenant
-        hit, _ = self.simulator.step(
-            gid, tenant.stats,
-            on_evictions=self._attribute_events,
-            before_insert=self._reclaim_quota,
-        )
-        if hit:
-            if tenant.slot not in entry.owners:
-                self._join_shared(tenant, entry)
-        else:
-            entry.owners.add(tenant.slot)
-            tenant.attributed_bytes += entry.size
-            tenant.resident.add(gid)
-            tenant.order.append(gid)
-            tenant.resident_bytes += entry.size
-            self._resident_bytes += entry.size
-            self._logical_bytes += entry.size
-            if self.checker is not None:
-                self.checker.note_insert(gid)
-            self._reclaim_pressure()
-        if self._resident_bytes > self.peak_resident_bytes:
-            self.peak_resident_bytes = self._resident_bytes
-        if self._logical_bytes > self.peak_logical_bytes:
-            self.peak_logical_bytes = self._logical_bytes
-        self.total_accesses += 1
-        self._check_maybe()
-        return hit
-
-    def _join_shared(self, tenant: TenantState, entry: SharedEntry) -> None:
+    def _join(self, tenant: TenantState, gid: int) -> None:
         """A hit on content the tenant does not yet own: become a
         co-owner.  Existing owners' fractional attribution shrinks from
         size/n to size/(n+1); the joiner picks up size/(n+1); physical
         bytes are untouched — that delta is the dedup win."""
-        size = entry.size
-        n = len(entry.owners)
-        for slot in entry.owners:
+        size = self._blocks.sizes()[gid]
+        owners = self.table.owners[gid]
+        n = len(owners)
+        for slot in owners:
             self._by_slot[slot].attributed_bytes += (
                 size / (n + 1) - size / n
             )
         tenant.attributed_bytes += size / (n + 1)
-        entry.owners.add(tenant.slot)
-        tenant.resident.add(entry.gid)
-        tenant.order.append(entry.gid)
+        owners.add(tenant.slot)
+        tenant.resident.add(gid)
+        tenant.order.append(gid)
         tenant.resident_bytes += size
         self._logical_bytes += size
-        self.sharing.shared_joins += 1
+        self.table.shared_joins += 1
+        if self._logical_bytes > self.peak_logical_bytes:
+            self.peak_logical_bytes = self._logical_bytes
 
     # -- Attribution and reclaim -------------------------------------------
-
-    def _owner_of(self, gid: int) -> TenantState:
-        return self._by_slot[gid // NAMESPACE_STRIDE]
 
     def _attribute_events(self, events, inserter_stats) -> None:
         """Split eviction events: the invocations are counted on the
         stats record driving the insert; the evicted blocks and bytes
-        are attributed to their owners, keeping per-tenant byte
-        conservation exact."""
-        if self.sharing is not None:
-            self._attribute_events_shared(events, inserter_stats)
-            return
+        are attributed to their owners.  A co-owned entry's bytes are
+        split across its owners with an exact largest-remainder split
+        (slot order), so Σ per-owner evicted_bytes equals the physical
+        bytes and byte conservation stays an integer identity tenant by
+        tenant and merged."""
         sizes = self._blocks.sizes()
+        owners_of = self.table.owners
+        by_slot = self._by_slot
         for event in events:
             inserter_stats.eviction_invocations += 1
             for gid in event.blocks:
-                owner = self._owner_of(gid)
                 size = sizes[gid]
-                owner.stats.evicted_blocks += 1
-                owner.stats.evicted_bytes += size
-                owner.resident_bytes -= size
-                owner.resident.discard(gid)
-                self._resident_bytes -= size
-                self._logical_bytes -= size
-
-    def _attribute_events_shared(self, events, inserter_stats) -> None:
-        """Sharing-mode attribution: a physically evicted entry's bytes
-        are split across its owners with an exact largest-remainder
-        split (slot order), so Σ per-owner evicted_bytes equals the
-        physical bytes and the merged Equation 1 conservation stays an
-        integer identity."""
-        sharing = self.sharing
-        for event in events:
-            inserter_stats.eviction_invocations += 1
-            for gid in event.blocks:
-                entry = sharing.by_gid[gid]
-                size = entry.size
-                owners = sorted(entry.owners)
-                if not owners:
-                    # Should be unreachable (resident implies owned);
-                    # keep conservation by charging the inserter.
-                    inserter_stats.evicted_blocks += 1
-                    inserter_stats.evicted_bytes += size
+                owners = owners_of[gid]
+                n = len(owners)
+                if n == 1:
+                    owner = by_slot[owners.pop()]
+                    owner.stats.evicted_blocks += 1
+                    owner.stats.evicted_bytes += size
+                    owner.attributed_bytes -= size
+                    owner.resident.discard(gid)
+                    owner.resident_bytes -= size
+                    self._logical_bytes -= size
                     self._resident_bytes -= size
                     continue
-                n = len(owners)
-                if n > 1:
-                    sharing.shared_policy_evictions += 1
+                self.table.shared_policy_evictions += 1
                 base, extra = divmod(size, n)
-                for i, slot in enumerate(owners):
-                    owner = self._by_slot[slot]
+                for i, slot in enumerate(sorted(owners)):
+                    owner = by_slot[slot]
                     owner.stats.evicted_blocks += 1
                     owner.stats.evicted_bytes += base + (1 if i < extra
                                                          else 0)
@@ -765,30 +676,31 @@ class SharedArena:
                     owner.resident.discard(gid)
                     owner.resident_bytes -= size
                     self._logical_bytes -= size
-                entry.owners.clear()
+                owners.clear()
                 self._resident_bytes -= size
 
-    def _release_shared(self, tenant: TenantState, gids, stats) -> float:
+    def _release(self, tenant: TenantState, gids, stats) -> float:
         """Release the tenant's claim on *gids* (quota/pressure/detach).
         Co-owned entries defer eviction: the refcount drops, remaining
         owners absorb the releaser's fractional share, and the bytes
         stay resident.  Sole-owned entries are physically evicted in one
         batched targeted eviction.  Returns the released attribution in
         (fractional) bytes."""
-        sharing = self.sharing
+        table = self.table
+        sizes = self._blocks.sizes()
         sole: list[int] = []
         freed = 0.0
         for gid in gids:
-            entry = sharing.by_gid[gid]
-            size = entry.size
-            n = len(entry.owners)
+            size = sizes[gid]
+            owners = table.owners[gid]
+            n = len(owners)
             if n <= 1:
                 sole.append(gid)
                 freed += size
                 continue
-            entry.owners.discard(tenant.slot)
+            owners.discard(tenant.slot)
             m = n - 1
-            for slot in entry.owners:
+            for slot in owners:
                 self._by_slot[slot].attributed_bytes += (
                     size / m - size / n
                 )
@@ -796,77 +708,49 @@ class SharedArena:
             tenant.resident.discard(gid)
             tenant.resident_bytes -= size
             self._logical_bytes -= size
-            sharing.deferred_releases += 1
+            table.deferred_releases += 1
             freed += size / n
         if sole:
             events = self.policy.evict_blocks(sole)
             self._attribute_events(events, stats)
-            sharing.last_owner_evictions += len(sole)
+            table.last_owner_evictions += len(sole)
         return freed
 
-    def _release_oldest_shared(self, tenant: TenantState, needed: float,
-                               stats) -> float:
+    def _release_oldest(self, tenant: TenantState, needed: float,
+                        stats) -> float:
         """Walk the tenant's FIFO order releasing its oldest claims
-        until the *attributed* charge released covers *needed*."""
+        until the *attributed* charge released covers *needed*.  A block
+        evicted and re-inserted sits in the order twice; it is released
+        once."""
         victims: list[int] = []
         chosen: set[int] = set()
         est = 0.0
-        by_gid = self.sharing.by_gid
+        sizes = self._blocks.sizes()
+        owners_of = self.table.owners
         while tenant.order and est < needed:
             gid = tenant.order.popleft()
             if gid not in tenant.resident or gid in chosen:
                 continue  # already evicted/released, or a stale entry
             victims.append(gid)
             chosen.add(gid)
-            entry = by_gid[gid]
-            est += entry.size / (len(entry.owners) or 1)
+            est += sizes[gid] / len(owners_of[gid])
         if not victims:
             return 0.0
-        return self._release_shared(tenant, victims, stats)
-
-    def _victims(self, tenant: TenantState, needed_bytes: int) -> list[int]:
-        """The tenant's oldest resident blocks covering *needed_bytes*."""
-        victims: list[int] = []
-        freed = 0
-        sizes = self._blocks.sizes()
-        while tenant.order and freed < needed_bytes:
-            gid = tenant.order.popleft()
-            if gid not in tenant.resident:
-                continue  # already evicted by the shared policy
-            victims.append(gid)
-            freed += sizes[gid]
-        return victims
+        return self._release(tenant, victims, stats)
 
     def _reclaim_quota(self, gid: int, size: int) -> None:
         """Quota layer: before the policy inserts for an over-quota
-        tenant, evict (or, under sharing, release) that tenant's own
-        oldest blocks to make room.  Sharing charges the quota against
-        *attributed* bytes — a tenant co-owning popular content pays
-        only its fraction."""
+        tenant, release that tenant's own oldest blocks to make room.
+        The quota charges *attributed* bytes — a tenant co-owning
+        popular content pays only its fraction."""
         tenant = self._inserting
-        if self.sharing is not None:
-            over = (tenant.attributed_bytes + size
-                    - tenant.quota.quota_bytes)
-            if over <= 0:
-                return
-            freed = self._release_oldest_shared(tenant, over,
-                                                tenant.stats)
-            if freed:
-                tenant.quota_reclaims += 1
-                tenant.quota_reclaimed_bytes += int(round(freed))
-            return
-        over = tenant.resident_bytes + size - tenant.quota.quota_bytes
+        over = tenant.attributed_bytes + size - tenant.quota.quota_bytes
         if over <= 0:
             return
-        victims = self._victims(tenant, over)
-        if not victims:
-            return
-        events = self.policy.evict_blocks(victims)
-        self._attribute_events(events, tenant.stats)
-        tenant.quota_reclaims += 1
-        tenant.quota_reclaimed_bytes += sum(
-            event.bytes_evicted for event in events
-        )
+        freed = self._release_oldest(tenant, over, tenant.stats)
+        if freed:
+            tenant.quota_reclaims += 1
+            tenant.quota_reclaimed_bytes += int(round(freed))
 
     def _reclaim_pressure(self) -> None:
         """Memshare-style arbitration: above the pressure threshold,
@@ -881,16 +765,13 @@ class SharedArena:
         total_weight = sum(
             t.quota.weight for t in self._tenants.values()
         ) or 1.0
-        sharing = self.sharing is not None
         while self._resident_bytes > target:
             donor = None
             worst_excess = 0
             for tenant in self._tenants.values():
                 reserved = (self.capacity_bytes * tenant.quota.weight
                             / total_weight)
-                held = (tenant.attributed_bytes if sharing
-                        else tenant.resident_bytes)
-                excess = held - reserved
+                excess = tenant.attributed_bytes - reserved
                 if excess > worst_excess:
                     donor = tenant
                     worst_excess = excess
@@ -898,23 +779,11 @@ class SharedArena:
                 return  # nobody is over their reserved share
             needed = min(worst_excess,
                          self._resident_bytes - target)
-            if sharing:
-                freed = self._release_oldest_shared(donor, needed,
-                                                    donor.stats)
-                if not freed:
-                    return
-                self.pressure_reclaims += 1
-                self.pressure_reclaimed_bytes += int(round(freed))
-                continue
-            victims = self._victims(donor, needed)
-            if not victims:
+            freed = self._release_oldest(donor, needed, donor.stats)
+            if not freed:
                 return
-            events = self.policy.evict_blocks(victims)
-            self._attribute_events(events, donor.stats)
             self.pressure_reclaims += 1
-            self.pressure_reclaimed_bytes += sum(
-                event.bytes_evicted for event in events
-            )
+            self.pressure_reclaimed_bytes += int(round(freed))
 
     # -- Reporting and checking --------------------------------------------
 
@@ -979,54 +848,49 @@ class SharedArena:
         self._until_check = checker.cadence
         checker.run_checks(self._unified_locked(),
                            access_index=self.total_accesses)
-        if self.sharing is not None:
-            self._check_sharing()
+        self._check_entries()
 
-    def _check_sharing(self) -> None:
-        """Sharing-specific invariants, run at the checker's cadence:
+    def _check_entries(self) -> None:
+        """Entry-table invariants, run at the checker's cadence:
         ownership ⇔ residency, refcount-weighted physical byte
         conservation, logical-byte conservation, and the fractional
         attribution identity (incremental float vs exact recompute,
         resynced after a passing check so drift can never accumulate).
         """
-        sharing = self.sharing
         violations: list[str] = []
         resident_ids = self.policy.resident_ids()
+        sizes = self._blocks.sizes()
+        owners_of = self.table.owners
         physical = 0
         exact: dict[int, float] = {}
-        for entry in sharing.by_gid.values():
-            if not entry.owners:
-                if entry.gid in resident_ids:
-                    violations.append(
-                        f"shared gid {entry.gid} resident with no owners"
-                    )
+        for gid, owners in enumerate(owners_of):
+            if not owners:
+                if gid in resident_ids:
+                    violations.append(f"gid {gid} resident with no owners")
                 continue
-            if entry.gid not in resident_ids:
+            if gid not in resident_ids:
                 violations.append(
-                    f"shared gid {entry.gid} owned by "
-                    f"{sorted(entry.owners)} but not resident"
+                    f"gid {gid} owned by {sorted(owners)} but not resident"
                 )
-            physical += entry.size
-            share = entry.size / len(entry.owners)
-            for slot in entry.owners:
+            physical += sizes[gid]
+            share = sizes[gid] / len(owners)
+            for slot in owners:
                 owner = self._by_slot[slot]
                 if owner.detached:
                     violations.append(
-                        f"detached tenant {owner.name!r} owns shared "
-                        f"gid {entry.gid}"
+                        f"detached tenant {owner.name!r} owns gid {gid}"
                     )
-                elif entry.gid not in owner.resident:
+                elif gid not in owner.resident:
                     violations.append(
-                        f"tenant {owner.name!r} owns shared gid "
-                        f"{entry.gid} but does not track it resident"
+                        f"tenant {owner.name!r} owns gid {gid} but does "
+                        f"not track it resident"
                     )
                 exact[slot] = exact.get(slot, 0.0) + share
         if physical != self._resident_bytes:
             violations.append(
-                f"owned shared bytes {physical} != arena resident "
+                f"owned entry bytes {physical} != arena resident "
                 f"bytes {self._resident_bytes}"
             )
-        sizes = self._blocks.sizes()
         logical = 0
         for tenant in self._by_slot:
             if tenant.detached:
@@ -1040,10 +904,10 @@ class SharedArena:
                 )
             logical += tenant.resident_bytes
             for gid in tenant.resident:
-                if tenant.slot not in sharing.by_gid[gid].owners:
+                if tenant.slot not in owners_of[gid]:
                     violations.append(
-                        f"tenant {tenant.name!r} tracks shared gid "
-                        f"{gid} resident without owning it"
+                        f"tenant {tenant.name!r} tracks gid {gid} "
+                        f"resident without owning it"
                     )
             want = exact.get(tenant.slot, 0.0)
             if abs(tenant.attributed_bytes - want) > 1e-6 * max(1.0, want):
@@ -1064,8 +928,8 @@ class SharedArena:
                 "violations": violations,
                 "check_level": self.check_level,
                 "access_index": self.total_accesses,
-                "service": "shared-arena/sharing",
-                "entries": len(sharing.by_gid),
+                "service": "shared-arena/entries",
+                "entries": len(owners_of),
                 "resident_bytes": self._resident_bytes,
                 "logical_bytes": self._logical_bytes,
             })
@@ -1086,20 +950,22 @@ class SharedArena:
                 "pressure_reclaims": self.pressure_reclaims,
                 "pressure_reclaimed_bytes": self.pressure_reclaimed_bytes,
                 "check_level": self.check_level,
-                "sharing": self.sharing is not None,
+                "sharing": self.sharing_enabled,
             }
-            if self.sharing is not None:
-                sharing = self.sharing
+            if self.sharing_enabled:
+                table = self.table
                 report["sharing_stats"] = {
-                    "entries": len(sharing.by_gid),
+                    "entries": len(table.owners),
+                    # Every attached tenant maps each of its blocks to a
+                    # distinct entry.
                     "shared_refs": sum(
-                        len(e.mapped) for e in sharing.by_gid.values()
+                        t.block_count for t in self._tenants.values()
                     ),
-                    "shared_joins": sharing.shared_joins,
-                    "deferred_releases": sharing.deferred_releases,
-                    "last_owner_evictions": sharing.last_owner_evictions,
+                    "shared_joins": table.shared_joins,
+                    "deferred_releases": table.deferred_releases,
+                    "last_owner_evictions": table.last_owner_evictions,
                     "shared_policy_evictions":
-                        sharing.shared_policy_evictions,
+                        table.shared_policy_evictions,
                     "dedup_ratio": (self.peak_logical_bytes
                                     / max(1, self.peak_resident_bytes)),
                 }

@@ -20,7 +20,8 @@ from repro.service.persist import (
     recover_arena,
 )
 from repro.service.server import CacheService, ServiceConfig
-from repro.service.session import PARKED
+from repro.service.session import PARKED, SessionError
+from repro.service.tenancy import SNAPSHOT_VERSION
 
 
 def _service(tmp_path, **overrides) -> CacheService:
@@ -118,6 +119,54 @@ class TestRestartRecovery:
 
         asyncio.run(scenario())
 
+    def test_single_accesses_are_logged(self, tmp_path):
+        persister = ArenaPersister(tmp_path, snapshot_interval=10**9)
+        arena, _ = recover_arena(persister, policy="8-unit",
+                                 capacity_bytes=64 * 1024,
+                                 max_block_bytes=8192)
+        arena.attach("t", [512] * 8)
+        for sid in (0, 1, 0, 2):
+            arena.access("t", sid)
+        reference = arena.tenant_stats("t")
+        persister.close()
+        restored, report = recover_arena(
+            ArenaPersister(tmp_path, snapshot_interval=10**9),
+            policy="8-unit", capacity_bytes=64 * 1024,
+            max_block_bytes=8192)
+        assert report["records_replayed"] == 5  # attach + 4 accesses
+        assert restored.tenant_stats("t") == reference
+
+    def test_out_of_range_batch_leaves_no_trace(self, tmp_path):
+        """A batch naming a block outside the tenant's population is
+        rejected before it is logged or applied, so the WAL never holds
+        a record replay cannot apply: every other tenant recovers
+        field-identically."""
+        async def scenario():
+            service = _service(tmp_path, snapshot_interval=10**9)
+            good, seq = await _stream(service, "good", [list(range(24))])
+            bad, _ = await _stream(service, "bad", [])
+            bad.submit([0, 1, 2, 32], seq=1)
+            with pytest.raises(SessionError):
+                await bad.flush()
+            assert "no superblock 32" in bad.failure
+            assert not service.arena.has_tenant("bad")
+            for _ in range(4):
+                seq += 1
+                good.submit(list(range(24)), seq=seq)
+            reference = await good.stats()
+            unified = service.arena.unified_stats()
+
+            restarted = _service(tmp_path, snapshot_interval=10**9)
+            assert restarted.recovery["replay_quarantined"] == 0
+            assert restarted.recovery["tenants"] == ["good"]
+            assert restarted.arena.applied_seq("good") == seq
+            resumed = restarted.open_session("good", resume=True)
+            assert await resumed.stats() == reference
+            assert restarted.arena.unified_stats() == unified
+            await restarted.drain()
+
+        asyncio.run(scenario())
+
     def test_recovery_reports_timing_and_tenants(self, tmp_path):
         async def scenario():
             service = _service(tmp_path)
@@ -164,6 +213,35 @@ class TestDegradedArtifacts:
             await restarted.drain()
 
         asyncio.run(scenario())
+
+    def test_older_snapshot_version_is_quarantined(self, tmp_path):
+        """A snapshot in the version-2 layout (its fingerprint carried
+        no version) describes another table layout: it is quarantined,
+        and the record names both fingerprints."""
+        persister = ArenaPersister(tmp_path, snapshot_interval=10**9)
+        arena, _ = recover_arena(persister, policy="8-unit",
+                                 capacity_bytes=64 * 1024,
+                                 max_block_bytes=8192)
+        arena.attach("t", [512] * 8)
+        arena.access_many("t", list(range(8)), tseq=1)
+        state = arena.snapshot_state()
+        fingerprint = dict(state["fingerprint"])
+        fingerprint.pop("version", None)
+        state.update(version=2, fingerprint=fingerprint)
+        assert persister.write_snapshot(state, arena.total_accesses)
+        persister.close()
+
+        restarted = ArenaPersister(tmp_path, snapshot_interval=10**9)
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt"):
+            _, report = recover_arena(restarted, policy="8-unit",
+                                      capacity_bytes=64 * 1024,
+                                      max_block_bytes=8192)
+        assert not report["snapshot_loaded"]
+        record = restarted.last_quarantine_record
+        assert record["expected_fingerprint"] == arena.fingerprint()
+        assert record["expected_fingerprint"]["version"] == SNAPSHOT_VERSION
+        assert record["actual_fingerprint"] == fingerprint
+        restarted.close()
 
     def test_fingerprint_mismatch_quarantines_snapshot(self, tmp_path):
         async def scenario():

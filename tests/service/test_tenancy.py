@@ -1,5 +1,5 @@
-"""The shared arena: namespacing, per-tenant accounting, quotas, and
-Memshare-style pressure reclaim — all under invariant checking."""
+"""The shared arena: private entries, per-tenant accounting, quotas,
+and Memshare-style pressure reclaim — all under invariant checking."""
 
 import random
 
@@ -16,11 +16,7 @@ from repro.core.policies import (
     UnitFifoPolicy,
     policy_from_spec,
 )
-from repro.service.tenancy import (
-    NAMESPACE_STRIDE,
-    SharedArena,
-    TenantQuota,
-)
+from repro.service.tenancy import SharedArena, TenantQuota
 
 
 def _sizes(count, seed=0, low=64, high=2048):
@@ -93,8 +89,8 @@ class TestAttachment:
         arena = _arena()
         a = arena.attach("a", _sizes(50, seed=1))
         b = arena.attach("b", _sizes(50, seed=2))
-        assert a.offset == 0
-        assert b.offset == NAMESPACE_STRIDE
+        assert a.block_map == list(range(50))
+        assert b.block_map == list(range(50, 100))
 
     def test_same_local_sids_do_not_collide(self):
         """Two tenants replaying identical local ids each miss once —
@@ -213,8 +209,28 @@ class TestQuotas:
         for sid in range(5):  # the fifth insert breaches the 4-block quota
             arena.access("t", sid)
         tenant = arena.tenants()[0]
-        assert tenant.offset + 0 not in tenant.resident  # oldest gone
-        assert tenant.offset + 4 in tenant.resident
+        assert tenant.block_map[0] not in tenant.resident  # oldest gone
+        assert tenant.block_map[4] in tenant.resident
+
+    def test_reinserted_block_is_reclaimed_once(self):
+        """A block the policy evicted and the tenant re-inserted sits
+        twice in the tenant's FIFO order.  Quota reclaim must count its
+        bytes once: counted twice, it frees too little and leaves the
+        arena over its pressure threshold."""
+        arena = _arena(capacity=8 * 1024, pressure_threshold=0.9,
+                       reclaim_fraction=0.85, check_level="paranoid")
+        quota = TenantQuota(quota_bytes=4915)
+        arena.attach("t0", [1871, 1370, 369, 68, 598], quota)
+        arena.attach("t1", [647, 1922, 1830, 808, 200, 1754, 1841], quota)
+        for t, sid in ((0, 2), (0, 4), (1, 3), (0, 1), (1, 2), (1, 6),
+                       (1, 3), (0, 0), (0, 4), (1, 4), (1, 3), (1, 5),
+                       (1, 1), (1, 2)):
+            arena.access(f"t{t}", sid)
+        t1 = arena.tenants()[1]
+        assert t1.quota_reclaims == 1
+        assert t1.quota_reclaimed_bytes == 2762
+        assert arena.pressure_reclaims == 0
+        arena.check_now()
 
     def test_quota_reclaim_attributed_to_owner(self):
         arena = _arena(capacity=64 * 1024, check_level="light")
