@@ -370,7 +370,7 @@ async def _chaos(args: argparse.Namespace) -> int:
         scale=args.scale, batch=args.batch, policy=args.policy,
         capacity_bytes=args.capacity, benchmarks=args.benchmarks,
         snapshot_interval=args.snapshot_interval,
-        sharing=args.sharing,
+        sharing=args.sharing, check_level=args.check,
     )
     _merge_section(args.output, "chaos", report)
     verdict = ("field-identical" if report["field_identical"]

@@ -266,7 +266,8 @@ def _chaos_specs(shard_ids: list[str], benchmarks: list[str] | None,
 async def _run_chaos_fleet(root: Path, shards: int, specs: list[dict],
                            batch: int, policy: str, capacity_bytes: int,
                            snapshot_interval: int, sharing: bool,
-                           schedule: dict, chaos: bool) -> dict:
+                           schedule: dict, chaos: bool,
+                           check_level: str | None) -> dict:
     """One run of the chaos fleet: supervised pool + standby replicas +
     router, driven round-robin through the scripted event schedule.
 
@@ -279,7 +280,7 @@ async def _run_chaos_fleet(root: Path, shards: int, specs: list[dict],
         shards, root / "primary", policy=policy,
         capacity_bytes=capacity_bytes,
         snapshot_interval=snapshot_interval, sharing=sharing,
-        standby_root=root / "standby",
+        standby_root=root / "standby", check_level=check_level,
     )
     await pool.start()
     router = ServiceRouter(RouterConfig(shards=pool.endpoints()),
@@ -401,7 +402,8 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
                           capacity_bytes: int = 256 * 1024,
                           benchmarks: list[str] | None = None,
                           snapshot_interval: int = 2_000,
-                          sharing: bool = False) -> dict:
+                          sharing: bool = False,
+                          check_level: str | None = None) -> dict:
     """The self-healing drill: a scripted beating vs a clean reference.
 
     Two tenants per shard.  The drill's schedule, in batch rounds:
@@ -424,7 +426,8 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
     the first moved tenant's consumer, and a torn line in ``shard-0``'s
     standby WAL (which nothing may ever read).  Field-identical per-tenant
     stats vs the reference — which ran the same admin schedule with no
-    faults at all — is the acceptance bar.
+    faults at all — is the acceptance bar.  Both runs' workers check
+    invariants at ``check_level``.
     """
     root = Path(root)
     if shards < 4:
@@ -470,13 +473,13 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
     reference = await _run_chaos_fleet(
         root / "reference", shards, specs, batch, policy,
         capacity_bytes, snapshot_interval, sharing, schedule,
-        chaos=False,
+        chaos=False, check_level=check_level,
     )
     with faults.plan(*drill_faults):
         drill = await _run_chaos_fleet(
             root / "drill", shards, specs, batch, policy,
             capacity_bytes, snapshot_interval, sharing, schedule,
-            chaos=True,
+            chaos=True, check_level=check_level,
         )
     mismatches = [
         spec["tenant"] for spec in specs
@@ -491,6 +494,7 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
         "harness": "repro.service chaos",
         "cpu_count": os.cpu_count(),
         "sharing": sharing,
+        "check_level": check_level,
         "shards": shards,
         "tenants": [spec["tenant"] for spec in specs],
         "placement": placement,

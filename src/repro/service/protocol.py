@@ -118,6 +118,9 @@ def validate_request(message: dict) -> str:
 
     Field-level semantics (unknown benchmark, quota bounds, ...) are the
     server's job; this guards the shapes the dispatch code relies on.
+    Numeric fields are checked by exact type: JSON ``true``/``false``
+    decode to ``bool``, a subclass of ``int``, and are no id, sequence
+    number, size or weight.
     """
     op = message.get("op")
     if op not in OPS:
@@ -137,7 +140,7 @@ def validate_request(message: dict) -> str:
             )
         if sizes is not None:
             if (not isinstance(sizes, list) or not sizes
-                    or not all(isinstance(s, int) and s > 0 for s in sizes)):
+                    or not all(type(s) is int and s > 0 for s in sizes)):
                 raise ProtocolError(
                     "'block_sizes' must be a non-empty list of positive ints"
                 )
@@ -154,11 +157,12 @@ def validate_request(message: dict) -> str:
                     f"'block_digests' ({len(digests)}) must parallel "
                     f"'block_sizes' ({len(sizes)})"
                 )
-        for field, kind in (("scale", (int, float)),
-                            ("quota_bytes", int), ("weight", (int, float))):
+        for field, kinds in (("scale", (int, float)),
+                             ("quota_bytes", (int,)),
+                             ("weight", (int, float))):
             value = message.get(field)
             if value is not None and (
-                    not isinstance(value, kind) or value <= 0):
+                    type(value) not in kinds or value <= 0):
                 raise ProtocolError(f"{field!r} must be a positive number")
         resume = message.get("resume")
         if resume is not None and not isinstance(resume, bool):
@@ -166,12 +170,12 @@ def validate_request(message: dict) -> str:
     elif op == "access":
         sids = message.get("sids")
         if (not isinstance(sids, list) or not sids
-                or not all(isinstance(s, int) and s >= 0 for s in sids)):
+                or not all(type(s) is int and s >= 0 for s in sids)):
             raise ProtocolError(
                 "'sids' must be a non-empty list of non-negative ints"
             )
         seq = message.get("seq")
-        if seq is not None and (not isinstance(seq, int) or seq < 1):
+        if seq is not None and (type(seq) is not int or seq < 1):
             raise ProtocolError("'seq' must be a positive int")
         sync = message.get("sync")
         if sync is not None and not isinstance(sync, bool):

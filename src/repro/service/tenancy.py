@@ -549,6 +549,13 @@ class SharedArena:
         the same critical section that applies it, so the WAL's record
         order is exactly the arena's apply order — replay reproduces the
         identical interleaving.
+
+        When the policy does not watch accesses and no checker runs, an
+        access to an entry the tenant already owns only counts a hit
+        (the counters are added once per batch): ownership implies
+        residency, so :meth:`_access_locked` would find a plain hit and
+        change nothing else.  Misses, and a first touch of an entry
+        another tenant holds (a join), take the full path.
         """
         with self._lock:
             tenant = self._require(name)
@@ -565,11 +572,24 @@ class SharedArena:
                 )
             if self.persister is not None:
                 self.persister.log_access(name, local_sids, tseq)
-            hits = 0
+            # The live set of the tenant's entries, or nothing when the
+            # policy's hook or the checker's cadence must see every access.
+            owned = (tenant.resident if self.checker is None
+                     and type(self.policy).on_access
+                     is EvictionPolicy.on_access else ())
+            block_map = tenant.block_map
             access = self._access_locked
+            hits = stepped = 0
             for local_sid in local_sids:
-                if access(tenant, local_sid):
-                    hits += 1
+                if block_map[local_sid] not in owned:
+                    stepped += 1
+                    if access(tenant, local_sid):
+                        hits += 1
+            skipped = len(local_sids) - stepped
+            tenant.stats.accesses += skipped
+            tenant.stats.hits += skipped
+            self.total_accesses += skipped
+            hits += skipped
             if tseq is not None:
                 tenant.applied_seq = tseq
             if (self.persister is not None

@@ -107,6 +107,28 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "unified miss rate" in printed
 
+    def test_chaos_command_hands_its_check_level_to_the_drill(
+            self, tmp_path, monkeypatch):
+        seen = {}
+
+        async def drill(root, **kwargs):
+            seen.update(kwargs)
+            return {"field_identical": True, "restart_seconds": [],
+                    "shards": 4, "supervisor_restarts": 0,
+                    "standby_promoted": False, "redirected_sessions": 0,
+                    "replayed_batches": 0, "recoveries": {},
+                    "placement": {}}
+
+        monkeypatch.setattr("repro.service.__main__.run_chaos_bench",
+                            drill)
+        code = service_main([
+            "chaos", "--check", "light",
+            "--snapshot-root", str(tmp_path / "roots"),
+            "--output", str(tmp_path / "BENCH_chaos.json"),
+        ])
+        assert code == 0
+        assert seen["check_level"] == "light"
+
     def test_load_against_external_server(self, tmp_path):
         async def scenario():
             service = CacheService(ServiceConfig(policy="4-unit",

@@ -101,6 +101,22 @@ class TestValidation:
                 {"op": "access", "sids": [0], "sync": "yes"}
             )
 
+    @pytest.mark.parametrize("op, field, value", (
+        ("access", "sids", [True, False]),
+        ("access", "seq", True),
+        ("hello", "block_sizes", [True]),
+        ("hello", "quota_bytes", True),
+        ("hello", "scale", True),
+        ("hello", "weight", True),
+    ))
+    def test_json_booleans_rejected(self, op, field, value):
+        # JSON true/false decode to bool, which subclasses int.
+        base = ({"op": "access", "sids": [0]} if op == "access" else
+                {"op": "hello", "tenant": "t", "block_sizes": [64]})
+        line = protocol.encode({**base, field: value})
+        with pytest.raises(protocol.ProtocolError, match=field):
+            protocol.validate_request(protocol.decode_line(line))
+
     def test_hello_resume_flag(self):
         assert protocol.validate_request(
             {"op": "hello", "tenant": "t", "block_sizes": [64],
