@@ -14,19 +14,20 @@ Environment knobs:
 * ``REPRO_TRACE_ACCESSES`` — override per-benchmark trace length.
 * ``REPRO_TABLE2_BUDGET`` — guest-instruction budget per Table 2 run.
 * ``REPRO_CALIBRATION_SAMPLES`` — samples for Figure 9 / Equations 2-4.
-* ``REPRO_SWEEP_JOBS`` — sweep worker processes (0 = all cores;
-  unset/1 = serial).
 * ``REPRO_SWEEP_CACHE_DIR`` — where sweep results persist between runs
-  (default ``~/.cache/repro-sweeps``); ``REPRO_SWEEP_CACHE=0`` forces a
-  cold simulation.
+  (default ``~/.cache/repro-sweeps``).
+
+The sweep engine's own knobs (``REPRO_SWEEP_JOBS``,
+``REPRO_SWEEP_CACHE=0`` for a cold simulation, and the rest) reach the
+shared sweep unparsed here: the drivers pass no options, so
+:func:`repro.analysis.sweep.full_sweep` reads them through
+:meth:`~repro.analysis.sweep.SweepOptions.from_env`.
 """
 
 import os
 from pathlib import Path
 
 import pytest
-
-from repro.analysis import sweep
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -38,13 +39,6 @@ TABLE2_BUDGET = int(os.environ.get("REPRO_TABLE2_BUDGET", "4000000"))
 CALIBRATION_SAMPLES = int(
     os.environ.get("REPRO_CALIBRATION_SAMPLES", "10000")
 )
-_SWEEP_JOBS = os.environ.get("REPRO_SWEEP_JOBS", "")
-SWEEP_JOBS = int(_SWEEP_JOBS) if _SWEEP_JOBS else None
-
-# The figure benches all reach the shared sweep through their drivers,
-# so the engine knobs are applied process-wide here rather than plumbed
-# through every bench.
-sweep.configure(jobs=SWEEP_JOBS)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from repro.analysis.parallel import (
 from repro.analysis.sweep import (
     FINE_NAME,
     FLUSH_NAME,
+    SweepOptions,
     SweepResult,
     clear_sweep_cache,
     full_sweep,
@@ -60,6 +61,7 @@ __all__ = [
     "SweepTask",
     "FINE_NAME",
     "FLUSH_NAME",
+    "SweepOptions",
     "SweepResult",
     "clear_sweep_cache",
     "full_sweep",

@@ -30,6 +30,7 @@ invocations skip simulation entirely unless ``--no-cache`` is given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import os
 import sys
@@ -133,10 +134,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _call_driver(name: str, args: argparse.Namespace):
+def _sweep_options(args: argparse.Namespace,
+                   parser: argparse.ArgumentParser) -> sweep.SweepOptions:
+    """The environment's sweep options with the command line's engine
+    flags laid over them; a value either source gets wrong exits with
+    a usage error naming that flag or variable."""
+    try:
+        options = sweep.SweepOptions.from_env()
+    except ValueError as error:
+        parser.error(str(error))
+    for flag, name, value in (
+            ("--jobs", "jobs", args.jobs),
+            ("--no-cache", "use_cache", False if args.no_cache else None),
+            ("--task-timeout", "task_timeout", args.task_timeout),
+            ("--max-retries", "max_retries", args.max_retries),
+            ("--resume", "resume", args.resume)):
+        if value is not None:
+            try:
+                options = dataclasses.replace(options, **{name: value})
+            except ValueError as error:
+                parser.error(f"{flag}: {error}")
+    return options
+
+
+def _call_driver(name: str, args: argparse.Namespace,
+                 options: sweep.SweepOptions):
     driver = _DRIVERS[name]
     parameters = inspect.signature(driver).parameters
     kwargs = {}
+    if "options" in parameters:
+        kwargs["options"] = options
     if "scale" in parameters:
         kwargs["scale"] = args.scale
     if "trace_accesses" in parameters:
@@ -281,22 +308,11 @@ def main(argv: list[str] | None = None) -> int:
                      f"got {args.table2_budget}")
     if args.precision < 0:
         parser.error(f"--precision must be >= 0, got {args.precision}")
-    if args.jobs is not None and args.jobs < 0:
-        parser.error(f"--jobs must be >= 0, got {args.jobs}")
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        parser.error(f"--task-timeout must be positive, "
-                     f"got {args.task_timeout}")
-    if args.max_retries is not None and args.max_retries < 0:
-        parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
+    options = _sweep_options(args, parser)
     if args.check is not None:
         # Publish the level in the environment so both the serial engine
         # and pool workers (which build their own simulators) observe it.
         os.environ[ENV_CHECK_LEVEL] = args.check
-    sweep.configure(jobs=args.jobs,
-                    use_cache=False if args.no_cache else None,
-                    task_timeout=args.task_timeout,
-                    max_retries=args.max_retries,
-                    resume=args.resume)
     requested = []
     for raw in args.artifacts:
         name = _ALIASES.get(raw, raw)
@@ -331,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
             if not _run_bench_gate(args):
                 failed = True
             continue
-        result = _call_driver(name, args)
+        result = _call_driver(name, args, options)
         print(result.render(precision=args.precision))
     return 1 if failed else 0
 

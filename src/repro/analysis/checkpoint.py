@@ -20,8 +20,9 @@ and their slab is re-simulated.
 
 The default store lives under the sweep cache directory
 (``<cache_dir>/checkpoints/``) so ``REPRO_SWEEP_CACHE_DIR`` relocates
-both together; ``REPRO_SWEEP_RESUME=0`` (or ``--no-resume``) disables
-checkpointing entirely.
+both together; a sweep run with
+:attr:`SweepOptions.resume <repro.analysis.sweep.SweepOptions.resume>`
+off (``--no-resume``) writes no checkpoints at all.
 """
 
 from __future__ import annotations
@@ -36,16 +37,8 @@ from repro.analysis import sweepcache
 from repro.analysis.parallel import GridRecord, SweepTask, task_key
 from repro.core.metrics import SimulationStats
 
-ENV_RESUME = "REPRO_SWEEP_RESUME"
-
 #: Subdirectory (under the store root) for corrupt checkpoint files.
 QUARANTINE_DIR = "quarantine"
-
-
-def resume_enabled_by_env() -> bool:
-    """Whether ``REPRO_SWEEP_RESUME`` permits checkpointing (default yes)."""
-    flag = os.environ.get(ENV_RESUME, "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
 
 
 class CheckpointStore:

@@ -5,7 +5,9 @@ and returns an :class:`~repro.analysis.report.ExperimentResult` whose
 ``rows`` mirror what the paper printed and whose ``series`` carry the
 raw numbers for programmatic checks.  Simulation figures share one
 memoized granularity x pressure sweep (see
-:func:`repro.analysis.sweep.full_sweep`).
+:func:`repro.analysis.sweep.full_sweep`), and take its engine knobs as
+one ``options`` (a :class:`~repro.analysis.sweep.SweepOptions`;
+``None`` reads them from the environment).
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.report import ExperimentResult
-from repro.analysis.sweep import FINE_NAME, FLUSH_NAME, SweepResult, full_sweep
+from repro.analysis.sweep import (
+    FINE_NAME,
+    FLUSH_NAME,
+    SweepOptions,
+    SweepResult,
+    full_sweep,
+)
 from repro.core.metrics import (
     mean_relative_across_benchmarks,
     relative_series,
@@ -62,9 +70,10 @@ BASE_WORK_AMPLIFICATION = 10.0
 
 
 def _sweep(scale: float, pressures: tuple[float, ...],
-           trace_accesses: int | None) -> SweepResult:
+           trace_accesses: int | None,
+           options: SweepOptions | None) -> SweepResult:
     return full_sweep(scale=scale, pressures=pressures,
-                      trace_accesses=trace_accesses)
+                      trace_accesses=trace_accesses, options=options)
 
 
 # -- Table 1 -------------------------------------------------------------------
@@ -147,9 +156,10 @@ def figure6(
     scale: float = 1.0,
     trace_accesses: int | None = None,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
+    options: SweepOptions | None = None,
 ) -> ExperimentResult:
     """Figure 6: unified miss rate (Eq. 1) per eviction granularity."""
-    sweep = _sweep(scale, pressures, trace_accesses)
+    sweep = _sweep(scale, pressures, trace_accesses, options)
     rates = sweep.unified_miss_rates(pressure)
     rows = [(policy, rate) for policy, rate in rates.items()]
     return ExperimentResult(
@@ -168,9 +178,10 @@ def figure7(
     scale: float = 1.0,
     trace_accesses: int | None = None,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
+    options: SweepOptions | None = None,
 ) -> ExperimentResult:
     """Figure 7: miss rate per granularity as cache pressure increases."""
-    sweep = _sweep(scale, pressures, trace_accesses)
+    sweep = _sweep(scale, pressures, trace_accesses, options)
     series = {
         pressure: sweep.unified_miss_rates(pressure) for pressure in pressures
     }
@@ -193,9 +204,10 @@ def figure8(
     scale: float = 1.0,
     trace_accesses: int | None = None,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
+    options: SweepOptions | None = None,
 ) -> ExperimentResult:
     """Figure 8: eviction invocations relative to finest-grained FIFO."""
-    sweep = _sweep(scale, pressures, trace_accesses)
+    sweep = _sweep(scale, pressures, trace_accesses, options)
     per_benchmark = sweep.per_benchmark("eviction_invocations", pressure)
     relative = mean_relative_across_benchmarks(per_benchmark, FINE_NAME)
     rows = [(policy, value * 100.0) for policy, value in relative.items()]
@@ -269,10 +281,11 @@ def _overhead_figure(
     scale: float,
     trace_accesses: int | None,
     pressures: tuple[float, ...],
+    options: SweepOptions | None,
     title: str,
     notes: str = "",
 ) -> ExperimentResult:
-    sweep = _sweep(scale, pressures, trace_accesses)
+    sweep = _sweep(scale, pressures, trace_accesses, options)
     totals = sweep.totals_by_policy(attribute, pressure)
     relative = relative_series(totals, FLUSH_NAME)
     rows = [(policy, value) for policy, value in relative.items()]
@@ -291,6 +304,7 @@ def figure10(
     scale: float = 1.0,
     trace_accesses: int | None = None,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
+    options: SweepOptions | None = None,
 ) -> ExperimentResult:
     """Figure 10: miss + eviction overhead, relative to FLUSH."""
     return _overhead_figure(
@@ -300,6 +314,7 @@ def figure10(
         scale,
         trace_accesses,
         pressures,
+        options,
         title=f"Relative overhead (miss + eviction penalties), "
               f"cache = maxCache/{pressure:g}",
         notes="Medium granularities minimize total overhead.",
@@ -310,9 +325,10 @@ def figure11(
     scale: float = 1.0,
     trace_accesses: int | None = None,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
+    options: SweepOptions | None = None,
 ) -> ExperimentResult:
     """Figure 11: miss + eviction overhead vs pressure, rel. FLUSH."""
-    sweep = _sweep(scale, pressures, trace_accesses)
+    sweep = _sweep(scale, pressures, trace_accesses, options)
     series = {}
     for pressure in pressures:
         totals = sweep.totals_by_policy("management_overhead", pressure)
@@ -365,9 +381,10 @@ def figure13(
     scale: float = 1.0,
     trace_accesses: int | None = None,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
+    options: SweepOptions | None = None,
 ) -> ExperimentResult:
     """Figure 13: fraction of links that span cache-unit boundaries."""
-    sweep = _sweep(scale, pressures, trace_accesses)
+    sweep = _sweep(scale, pressures, trace_accesses, options)
     fractions = sweep.inter_unit_fractions(pressure)
     rows = [(policy, value * 100.0) for policy, value in fractions.items()]
     return ExperimentResult(
@@ -389,6 +406,7 @@ def figure14(
     scale: float = 1.0,
     trace_accesses: int | None = None,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
+    options: SweepOptions | None = None,
 ) -> ExperimentResult:
     """Figure 14: overhead including Equation 4 link maintenance."""
     return _overhead_figure(
@@ -398,6 +416,7 @@ def figure14(
         scale,
         trace_accesses,
         pressures,
+        options,
         title=f"Relative overhead incl. link maintenance, "
               f"cache = maxCache/{pressure:g}",
         notes="Link-removal penalties move all finer-grained policies "
@@ -409,9 +428,10 @@ def figure15(
     scale: float = 1.0,
     trace_accesses: int | None = None,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
+    options: SweepOptions | None = None,
 ) -> ExperimentResult:
     """Figure 15: overhead incl. link maintenance vs pressure."""
-    sweep = _sweep(scale, pressures, trace_accesses)
+    sweep = _sweep(scale, pressures, trace_accesses, options)
     series = {}
     for pressure in pressures:
         totals = sweep.totals_by_policy("total_overhead", pressure)
@@ -485,10 +505,11 @@ def section51_backpointer_memory(
     trace_accesses: int | None = None,
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
     policy: str = FINE_NAME,
+    options: SweepOptions | None = None,
 ) -> ExperimentResult:
     """Section 5.1: a complete back-pointer table costs ~11.5 % of the
     code cache (16 bytes per link, ~1.7 links per superblock)."""
-    sweep = _sweep(scale, pressures, trace_accesses)
+    sweep = _sweep(scale, pressures, trace_accesses, options)
     rows = []
     series: dict[str, float] = {}
     for benchmark in sweep.benchmark_names:
@@ -525,11 +546,12 @@ def section53_execution_time(
     from_policy: str = FLUSH_NAME,
     to_policy: str = "8-unit",
     highlight: Sequence[str] = ("crafty", "twolf"),
+    options: SweepOptions | None = None,
 ) -> ExperimentResult:
     """Section 5.3: % reduction in execution time from changing the
     eviction granularity (paper: crafty 19.33 %, twolf 19.79 % for
     FLUSH -> 8-unit FIFO at pressure 10)."""
-    sweep = _sweep(scale, pressures, trace_accesses)
+    sweep = _sweep(scale, pressures, trace_accesses, options)
     time_model = ExecutionTimeModel()
     rows = []
     series: dict[str, float] = {}

@@ -58,10 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: One simulated grid point: (benchmark, policy, pressure, stats).
 GridRecord = tuple[str, str, float, SimulationStats]
 
-ENV_JOBS = "REPRO_SWEEP_JOBS"
-ENV_TIMEOUT = "REPRO_SWEEP_TIMEOUT"
-ENV_RETRIES = "REPRO_SWEEP_RETRIES"
-
 
 @dataclass(frozen=True)
 class SweepTask:
@@ -203,9 +199,21 @@ class FaultTolerance:
 
     def __post_init__(self) -> None:
         if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive (or None)")
+            raise ValueError(f"task_timeout must be positive (or None), "
+                             f"got {self.task_timeout}")
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ValueError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+
+    @classmethod
+    def of(cls, task_timeout: float | None = None,
+           max_retries: int | None = None) -> FaultTolerance:
+        """The default policy with *task_timeout* and, unless ``None``,
+        *max_retries* laid over it."""
+        if max_retries is None:
+            return cls(task_timeout)
+        return cls(task_timeout, max_retries)
 
     def backoff_delay(self, key: str, retry_number: int) -> float:
         base = min(self.backoff_base * (2 ** (retry_number - 1)),
@@ -214,59 +222,9 @@ class FaultTolerance:
         return base * (1.0 + jitter)
 
 
-def timeout_from_env() -> float | None:
-    """``REPRO_SWEEP_TIMEOUT`` as seconds, validated (None when unset)."""
-    raw = os.environ.get(ENV_TIMEOUT, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_TIMEOUT} must be a number of seconds, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(f"{ENV_TIMEOUT} must be positive, got {raw!r}")
-    return value
-
-
-def retries_from_env() -> int | None:
-    """``REPRO_SWEEP_RETRIES`` as an int, validated (None when unset)."""
-    raw = os.environ.get(ENV_RETRIES, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_RETRIES} must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{ENV_RETRIES} must be >= 0, got {raw!r}")
-    return value
-
-
-def jobs_from_env() -> int | None:
-    """``REPRO_SWEEP_JOBS`` as an int, or None when unset.
-
-    A non-integer value is rejected here with an error naming the
-    variable, instead of surfacing as a bare ``ValueError`` from
-    ``int()`` deep inside the sweep.
-    """
-    raw = os.environ.get(ENV_JOBS, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_JOBS} must be an integer worker count "
-            f"(0 = all cores), got {raw!r}"
-        ) from None
-
-
 def resolve_jobs(jobs: int | None, task_count: int | None = None) -> int:
-    """Normalize a ``--jobs`` / ``REPRO_SWEEP_JOBS`` value.
+    """Normalize a worker count (:attr:`SweepOptions.jobs
+    <repro.analysis.sweep.SweepOptions.jobs>`).
 
     ``None`` and ``1`` mean serial (in-process), ``0`` means one worker
     per core, any other positive value is taken literally.  When

@@ -17,12 +17,13 @@ both engines produce field-for-field identical statistics.
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from repro.analysis import sweepcache
-from repro.analysis.checkpoint import CheckpointStore, resume_enabled_by_env
+from repro.analysis.checkpoint import CheckpointStore
 from repro.analysis.kernel import KernelConfig, one_pass_grid
 from repro.analysis.parallel import (
     FaultTolerance,
@@ -30,11 +31,9 @@ from repro.analysis.parallel import (
     SweepFailure,
     estimate_task_accesses,
     imap_tasks,
-    jobs_from_env,
     plan_jobs,
     plan_tasks,
-    retries_from_env,
-    timeout_from_env,
+    resolve_jobs,
 )
 from repro.core.invariants import resolve_check_level
 from repro.core.metrics import SimulationStats, unified_miss_rate
@@ -332,12 +331,7 @@ def run_sweep_parallel(
         one_pass=one_pass,
         shard=shard,
     )
-    tolerance_kwargs = {}
-    if task_timeout is not None:
-        tolerance_kwargs["task_timeout"] = task_timeout
-    if max_retries is not None:
-        tolerance_kwargs["max_retries"] = max_retries
-    tolerance = FaultTolerance(**tolerance_kwargs)
+    tolerance = FaultTolerance.of(task_timeout, max_retries)
     failure = SweepFailure()
     stats: dict[tuple[str, str, float], SimulationStats] = {}
     # Progress stays per benchmark even under slice sharding: tasks are
@@ -367,79 +361,69 @@ def run_sweep_parallel(
 
 _SWEEP_CACHE: dict[tuple, SweepResult] = {}
 
-#: Process-wide defaults for full_sweep's engine knobs, set by the CLI
-#: (``--jobs`` / ``--no-cache`` / ``--task-timeout`` / ``--max-retries``
-#: / ``--resume``) or the bench conftest.  ``None`` defers to the
-#: environment (REPRO_SWEEP_JOBS / REPRO_SWEEP_CACHE /
-#: REPRO_SWEEP_TIMEOUT / REPRO_SWEEP_RETRIES / REPRO_SWEEP_RESUME).
-_DEFAULTS: dict[str, int | float | bool | None] = {
-    "jobs": None,
-    "use_cache": None,
-    "task_timeout": None,
-    "max_retries": None,
-    "resume": None,
+
+def _parse_flag(raw: str) -> bool:
+    text = raw.lower()
+    if text in ("1", "on", "true", "yes"):
+        return True
+    if text in ("0", "off", "false", "no"):
+        return False
+    raise ValueError("expected 1/0, on/off, true/false or yes/no")
+
+
+#: The environment variable behind each :class:`SweepOptions` field,
+#: and how its text parses.
+_ENVIRONMENT = {
+    "jobs": ("REPRO_SWEEP_JOBS", int),
+    "use_cache": ("REPRO_SWEEP_CACHE", _parse_flag),
+    "task_timeout": ("REPRO_SWEEP_TIMEOUT", float),
+    "max_retries": ("REPRO_SWEEP_RETRIES", int),
+    "resume": ("REPRO_SWEEP_RESUME", _parse_flag),
 }
 
 
-def configure(
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-    task_timeout: float | None = None,
-    max_retries: int | None = None,
-    resume: bool | None = None,
-) -> None:
-    """Set process-wide defaults for :func:`full_sweep`.
+@dataclass(frozen=True)
+class SweepOptions:
+    """:func:`full_sweep`'s engine knobs, resolved once by the caller.
 
-    ``None`` for any knob restores environment-driven resolution for
-    it (``REPRO_SWEEP_JOBS``, ``REPRO_SWEEP_CACHE``,
-    ``REPRO_SWEEP_TIMEOUT``, ``REPRO_SWEEP_RETRIES``,
-    ``REPRO_SWEEP_RESUME`` respectively).
+    ``jobs`` picks the engine (``None``/1 serial, 0 all cores, N
+    workers, capped by :func:`~repro.analysis.parallel.plan_jobs`),
+    ``use_cache`` the on-disk sweep cache, ``task_timeout`` and
+    ``max_retries`` bound each pooled task attempt (``None`` keeps
+    :class:`~repro.analysis.parallel.FaultTolerance`'s defaults: no
+    timeout, 2 retries), and ``resume`` streams parallel slabs into
+    resumable checkpoints.  None of them changes the grid.
     """
-    _DEFAULTS["jobs"] = jobs
-    _DEFAULTS["use_cache"] = use_cache
-    _DEFAULTS["task_timeout"] = task_timeout
-    _DEFAULTS["max_retries"] = max_retries
-    _DEFAULTS["resume"] = resume
 
+    jobs: int | None = None
+    use_cache: bool = True
+    task_timeout: float | None = None
+    max_retries: int | None = None
+    resume: bool = True
 
-def _default_jobs(jobs: int | None) -> int | None:
-    if jobs is not None:
-        return jobs
-    if _DEFAULTS["jobs"] is not None:
-        return _DEFAULTS["jobs"]
-    return jobs_from_env()  # None = serial
+    def __post_init__(self) -> None:
+        # The range rules live with the engine that applies them.
+        resolve_jobs(self.jobs)
+        FaultTolerance.of(self.task_timeout, self.max_retries)
 
-
-def _default_use_cache(use_cache: bool | None) -> bool:
-    if use_cache is not None:
-        return use_cache
-    if _DEFAULTS["use_cache"] is not None:
-        return bool(_DEFAULTS["use_cache"])
-    return sweepcache.cache_enabled_by_env()
-
-
-def _default_task_timeout(task_timeout: float | None) -> float | None:
-    if task_timeout is not None:
-        return task_timeout
-    if _DEFAULTS["task_timeout"] is not None:
-        return float(_DEFAULTS["task_timeout"])
-    return timeout_from_env()
-
-
-def _default_max_retries(max_retries: int | None) -> int | None:
-    if max_retries is not None:
-        return max_retries
-    if _DEFAULTS["max_retries"] is not None:
-        return int(_DEFAULTS["max_retries"])
-    return retries_from_env()
-
-
-def _default_resume(resume: bool | None) -> bool:
-    if resume is not None:
-        return resume
-    if _DEFAULTS["resume"] is not None:
-        return bool(_DEFAULTS["resume"])
-    return resume_enabled_by_env()
+    @classmethod
+    def from_env(cls) -> SweepOptions:
+        """The options ``REPRO_SWEEP_JOBS``, ``REPRO_SWEEP_CACHE``,
+        ``REPRO_SWEEP_TIMEOUT``, ``REPRO_SWEEP_RETRIES`` and
+        ``REPRO_SWEEP_RESUME`` set, the rest at their defaults; the one
+        reader of those variables.  A blank variable means the default;
+        the two switches take 1/0, on/off, true/false or yes/no in any
+        case.  Anything else raises ``ValueError`` naming the variable.
+        """
+        options = cls()
+        for name, (variable, parse) in _ENVIRONMENT.items():
+            raw = os.environ.get(variable, "").strip()
+            if raw:
+                try:
+                    options = replace(options, **{name: parse(raw)})
+                except ValueError as error:
+                    raise ValueError(f"{variable}={raw!r}: {error}") from None
+        return options
 
 
 def full_sweep(
@@ -447,11 +431,7 @@ def full_sweep(
     pressures: tuple[float, ...] = STANDARD_PRESSURE_FACTORS,
     trace_accesses: int | None = None,
     unit_counts: tuple[int, ...] = STANDARD_UNIT_COUNTS,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-    task_timeout: float | None = None,
-    max_retries: int | None = None,
-    resume: bool | None = None,
+    options: SweepOptions | None = None,
 ) -> SweepResult:
     """The all-benchmarks, all-policies grid, cached per configuration.
 
@@ -461,20 +441,17 @@ def full_sweep(
     attribution differs).  Lookups go memory -> disk -> simulate: the
     in-process memo makes repeated figure functions free, and the
     persistent cache (see :mod:`repro.analysis.sweepcache`) makes a
-    second cold process nearly free too.  ``jobs`` picks the engine
-    (``None``/1 serial, 0 all cores, N workers; defaults to
-    ``REPRO_SWEEP_JOBS`` or serial) and ``use_cache`` overrides the
-    disk-cache default (``REPRO_SWEEP_CACHE``, on unless set to 0).
+    second cold process nearly free too.  *options* carries the engine
+    knobs (:class:`SweepOptions`; ``None`` means
+    :meth:`SweepOptions.from_env`): the engine, the disk cache, and the
+    parallel engine's fault tolerance.
 
     Parallel runs are fault tolerant and resumable: ``task_timeout``
-    and ``max_retries`` bound each task attempt (defaults from
-    ``REPRO_SWEEP_TIMEOUT`` / ``REPRO_SWEEP_RETRIES`` or
-    :class:`~repro.analysis.parallel.FaultTolerance`), and with
-    ``resume`` on (the default; ``REPRO_SWEEP_RESUME=0`` or
-    ``--no-resume`` disables) completed slabs stream into per-task
-    checkpoints under the cache directory, so an interrupted sweep
-    re-simulates only its unfinished benchmarks.  Checkpoints are
-    discarded once the full grid completes.
+    and ``max_retries`` bound each task attempt, and with ``resume``
+    on completed slabs stream into per-task checkpoints under the
+    cache directory, so an interrupted sweep re-simulates only its
+    unfinished benchmarks.  Checkpoints are discarded once the full
+    grid completes.
 
     Both engines route the ladder through the one-pass kernel unless a
     check level is active.  Parallel runs shard one
@@ -488,9 +465,11 @@ def full_sweep(
     key = (scale, pressures, trace_accesses, unit_counts)
     if key in _SWEEP_CACHE:
         return _SWEEP_CACHE[key]
+    if options is None:
+        options = SweepOptions.from_env()
     specs = all_benchmarks()
     disk_key = None
-    if _default_use_cache(use_cache):
+    if options.use_cache:
         disk_key = sweepcache.sweep_key(
             specs,
             scale=scale,
@@ -512,12 +491,11 @@ def full_sweep(
                          shard="pressure")
     per_task = (sum(estimate_task_accesses(task) for task in planned)
                 // len(planned)) if planned else None
-    effective_jobs = plan_jobs(_default_jobs(jobs),
+    effective_jobs = plan_jobs(options.jobs,
                                task_count=len(planned),
                                per_task_accesses=per_task)
     if effective_jobs > 1:
-        checkpoints = (CheckpointStore.default()
-                       if _default_resume(resume) else None)
+        checkpoints = CheckpointStore.default() if options.resume else None
         result = run_sweep_parallel(
             specs,
             ladder,
@@ -525,8 +503,8 @@ def full_sweep(
             trace_accesses=trace_accesses,
             pressures=pressures,
             jobs=effective_jobs,
-            task_timeout=_default_task_timeout(task_timeout),
-            max_retries=_default_max_retries(max_retries),
+            task_timeout=options.task_timeout,
+            max_retries=options.max_retries,
             checkpoints=checkpoints,
             shard="pressure",
         )

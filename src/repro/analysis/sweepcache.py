@@ -24,8 +24,10 @@ The cache is hardened against dirty state and bad disks:
   store failures, and sweep-task retries alongside hits/misses/stores.
 
 The cache lives in ``~/.cache/repro-sweeps/`` unless
-``REPRO_SWEEP_CACHE_DIR`` points elsewhere; ``REPRO_SWEEP_CACHE=0``
-disables it entirely (the tests do this to stay hermetic).
+``REPRO_SWEEP_CACHE_DIR`` points elsewhere; a sweep run with
+:attr:`SweepOptions.use_cache <repro.analysis.sweep.SweepOptions.use_cache>`
+off (``--no-cache``, or ``REPRO_SWEEP_CACHE=0``, as the tests set to
+stay hermetic) neither reads nor writes it.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 CACHE_VERSION = "3"
 
 ENV_CACHE_DIR = "REPRO_SWEEP_CACHE_DIR"
-ENV_CACHE = "REPRO_SWEEP_CACHE"
 
 #: Subdirectory (under the cache dir) holding quarantined entries.
 QUARANTINE_DIR = "quarantine"
@@ -82,12 +83,6 @@ def cache_dir() -> Path:
 def quarantine_dir() -> Path:
     """Where corrupt entries are moved for post-mortem inspection."""
     return cache_dir() / QUARANTINE_DIR
-
-
-def cache_enabled_by_env() -> bool:
-    """Whether ``REPRO_SWEEP_CACHE`` permits disk caching (default yes)."""
-    flag = os.environ.get(ENV_CACHE, "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
 
 
 def model_token(model: OverheadModel) -> list[float]:

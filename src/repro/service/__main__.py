@@ -19,14 +19,22 @@ live resharding — all healed by the supervisor, all field-identical
 vs a clean reference); all three merge their sections into
 ``BENCH_service.json``.
 
-Defaults for the persistence and hardening knobs also come from the
-environment (flags win): ``REPRO_SERVICE_SNAPSHOT_DIR``,
-``REPRO_SERVICE_SNAPSHOT_INTERVAL``, ``REPRO_SERVICE_STANDBY_DIR``,
-``REPRO_SERVICE_STANDBY_ROOT``, ``REPRO_SERVICE_RATE_LIMIT``,
-``REPRO_SERVICE_RATE_BURST``, ``REPRO_SERVICE_SHARDS``,
-``REPRO_SERVICE_SHARING`` (``on``/``off``), and the supervisor's
-``REPRO_SERVICE_HEALTH_INTERVAL``, ``REPRO_SERVICE_HEALTH_TIMEOUT``
-and ``REPRO_SERVICE_HEALTH_FAILS``.
+Every subcommand that runs a server turns its server flags into one
+:class:`~repro.service.server.ServiceConfig` (``_config``) and hands it
+on whole: to the in-process server (``serve``, ``load``), to every
+pool worker (``route``, ``scale``, ``chaos``; the pool renders each
+worker's ``serve`` flags back from it), or to both sides of the dedup
+A/B.  A subcommand registers only the server flags that reach its
+servers.  ``route`` takes all but ``--host``, ``--port``,
+``--snapshot-dir`` and ``--standby-dir`` (the pool picks each
+worker's).  The fleet benches take only the settings their runs vary
+and fix the rest: ``scale`` takes ``--policy`` and ``--capacity``
+(64 sessions per worker, a snapshot every 1,000,000 accesses),
+``dedup`` those and ``--check`` (each side sets its own sharing and
+runs without persistence), ``chaos`` those and
+``--snapshot-interval`` and ``--sharing`` (64 sessions per worker).
+No setting is read from the environment except the check level
+(``REPRO_CHECK_LEVEL``, the default of ``--check``).
 
 Examples::
 
@@ -47,7 +55,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
 import tempfile
 
@@ -57,103 +64,34 @@ from repro.service.bench import (
     run_scale_bench,
 )
 from repro.service.client import ServiceClient, run_load, write_report
-from repro.service.pool import WorkerPool
+from repro.service.pool import DEFAULT_MAX_SESSIONS, WorkerPool
 from repro.service.router import RouterConfig, ServiceRouter
-from repro.service.server import CacheService, ServiceConfig
+from repro.service.server import SERVE_FLAGS, CacheService, ServiceConfig
 from repro.service.supervisor import ShardSupervisor
 
-
-def _env(name: str, cast, default=None):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise SystemExit(f"bad {name}={raw!r}: expected {cast.__name__}")
+#: Server flags a worker pool sets per worker itself.
+_PER_WORKER = ("host", "port", "snapshot_dir", "standby_dir")
 
 
-def _env_flag(name: str, default: bool = False) -> bool:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    text = raw.strip().lower()
-    if text in ("on", "1", "true", "yes"):
-        return True
-    if text in ("off", "0", "false", "no"):
-        return False
-    raise SystemExit(f"bad {name}={raw!r}: expected on/off")
+def _add_server_options(parser: argparse.ArgumentParser,
+                        fields=tuple(SERVE_FLAGS), **settings) -> None:
+    """Register the server flags of *fields*, each storing into its
+    ServiceConfig field at the config's default; *settings* override
+    those defaults, or fix a field the subcommand takes no flag for."""
+    base = ServiceConfig()
+    for name in fields:
+        flag, options = SERVE_FLAGS[name]
+        parser.add_argument(flag, dest=name, default=getattr(base, name),
+                            **options)
+    parser.set_defaults(**settings)
 
 
-def _add_server_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policy", default="8-unit",
-                        help="eviction policy: flush, fifo, preempt, gen, "
-                             "or a unit count like 64 (default: 8-unit)")
-    parser.add_argument("--capacity", type=int, default=256 * 1024,
-                        help="arena capacity in bytes (default: 262144)")
-    parser.add_argument("--max-sessions", type=int, default=16,
-                        help="admission limit (default: 16)")
-    parser.add_argument("--queue-batches", type=int, default=64,
-                        help="per-session queue bound in batches "
-                             "(default: 64)")
-    parser.add_argument("--pressure", type=float, default=None,
-                        metavar="FRACTION",
-                        help="occupancy fraction that triggers "
-                             "cross-tenant reclaim (default: off)")
-    parser.add_argument("--check", default=None,
-                        choices=("off", "light", "paranoid"),
-                        help="invariant check level (default: "
-                             "REPRO_CHECK_LEVEL or off)")
-    parser.add_argument("--snapshot-dir", default=_env(
-                            "REPRO_SERVICE_SNAPSHOT_DIR", str),
-                        help="arena snapshot + write-ahead-log directory; "
-                             "enables crash recovery (default: "
-                             "REPRO_SERVICE_SNAPSHOT_DIR or off)")
-    parser.add_argument("--snapshot-interval", type=int, default=_env(
-                            "REPRO_SERVICE_SNAPSHOT_INTERVAL", int, 50_000),
-                        help="arena accesses between snapshots "
-                             "(default: REPRO_SERVICE_SNAPSHOT_INTERVAL "
-                             "or 50000)")
-    parser.add_argument("--standby-dir", default=_env(
-                            "REPRO_SERVICE_STANDBY_DIR", str),
-                        help="standby replica directory: every WAL "
-                             "append is mirrored and every verified "
-                             "snapshot copied there, for failover when "
-                             "the primary dies (default: "
-                             "REPRO_SERVICE_STANDBY_DIR or off)")
-    parser.add_argument("--rate-limit", type=float, default=_env(
-                            "REPRO_SERVICE_RATE_LIMIT", float),
-                        help="per-tenant token-bucket rate in accesses/s "
-                             "(default: REPRO_SERVICE_RATE_LIMIT or off)")
-    parser.add_argument("--rate-burst", type=float, default=_env(
-                            "REPRO_SERVICE_RATE_BURST", float),
-                        help="token-bucket depth in accesses (default: "
-                             "REPRO_SERVICE_RATE_BURST or one second's "
-                             "worth)")
-    parser.add_argument("--sharing", action=argparse.BooleanOptionalAction,
-                        default=_env_flag("REPRO_SERVICE_SHARING"),
-                        help="content-hash superblock dedup across "
-                             "tenants (default: REPRO_SERVICE_SHARING "
-                             "or off)")
-
-
-def _config(args: argparse.Namespace, host: str, port: int) -> ServiceConfig:
-    return ServiceConfig(
-        policy=args.policy,
-        capacity_bytes=args.capacity,
-        host=host,
-        port=port,
-        max_sessions=args.max_sessions,
-        queue_batches=args.queue_batches,
-        pressure_threshold=args.pressure,
-        check_level=args.check,
-        snapshot_dir=args.snapshot_dir,
-        snapshot_interval=args.snapshot_interval,
-        standby_dir=args.standby_dir,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
-        sharing=args.sharing,
-    )
+def _config(args: argparse.Namespace) -> ServiceConfig:
+    """The ServiceConfig the parsed server flags describe; a field its
+    subcommand neither flags nor fixes keeps the config's default."""
+    given = vars(args)
+    return ServiceConfig(**{name: given[name] for name in SERVE_FLAGS
+                            if name in given})
 
 
 def _merge_section(path: str, section: str, report: dict) -> None:
@@ -170,7 +108,7 @@ def _merge_section(path: str, section: str, report: dict) -> None:
 
 
 async def _serve(args: argparse.Namespace) -> int:
-    service = CacheService(_config(args, args.host, args.port))
+    service = CacheService(_config(args))
     await service.start()
     # Machine-readable ready handshake FIRST: the pool parses this line
     # to learn the port a bind-port-0 worker actually got.
@@ -200,7 +138,7 @@ async def _load(args: argparse.Namespace) -> int:
         host, _, port_text = args.connect.rpartition(":")
         host, port = host or "127.0.0.1", int(port_text)
     else:
-        service = CacheService(_config(args, "127.0.0.1", 0))
+        service = CacheService(_config(args))
         await service.start()
         host, port = "127.0.0.1", service.port
     try:
@@ -256,21 +194,15 @@ async def _route(args: argparse.Namespace) -> int:
         root = args.snapshot_root or tempfile.mkdtemp(
             prefix="repro-fleet-"
         )
-        pool = WorkerPool(
-            args.shards, root, policy=args.policy,
-            capacity_bytes=args.capacity,
-            snapshot_interval=args.snapshot_interval,
-            rate_limit=args.rate_limit, check_level=args.check,
-            max_sessions=args.max_sessions,
-            standby_root=args.standby_root,
-        )
+        pool = WorkerPool(args.shards, root, _config(args),
+                          standby_root=args.standby_root)
         await pool.start()
         shards = pool.endpoints()
         print(f"pool of {args.shards} worker(s) under {root}:")
         for shard, (host, port) in sorted(shards.items()):
             print(f"  {shard} on {host}:{port}")
     router = ServiceRouter(RouterConfig(
-        host=args.host, port=args.port, shards=shards,
+        host=args.router_host, port=args.router_port, shards=shards,
     ), pool=pool)
     await router.start()
     supervisor = None
@@ -288,7 +220,7 @@ async def _route(args: argparse.Namespace) -> int:
         print(f"supervising every {supervisor.interval}s "
               f"(timeout {supervisor.probe_timeout}s, "
               f"{supervisor.fail_threshold} fails to restart)")
-    print(f"routing on {args.host}:{router.port} "
+    print(f"routing on {args.router_host}:{router.port} "
           f"({len(shards)} shard(s))", flush=True)
     try:
         await router.serve_forever()
@@ -324,10 +256,9 @@ async def _admin(args: argparse.Namespace) -> int:
 async def _scale(args: argparse.Namespace) -> int:
     root = args.snapshot_root or tempfile.mkdtemp(prefix="repro-scale-")
     report = await run_scale_bench(
-        root, shard_counts=tuple(args.shard_counts),
+        root, _config(args), shard_counts=tuple(args.shard_counts),
         tenants_per_shard=args.tenants_per_shard,
         accesses=args.accesses, scale=args.scale, batch=args.batch,
-        policy=args.policy, capacity_bytes=args.capacity,
         benchmarks=args.benchmarks,
     )
     _merge_section(args.output, "scaling", report)
@@ -346,10 +277,8 @@ async def _scale(args: argparse.Namespace) -> int:
 
 async def _dedup(args: argparse.Namespace) -> int:
     report = await run_dedup_bench(
-        tenants=args.tenants, benchmark=args.benchmark,
+        _config(args), tenants=args.tenants, benchmark=args.benchmark,
         scale=args.scale, accesses=args.accesses, batch=args.batch,
-        policy=args.policy, capacity_bytes=args.capacity,
-        check_level=args.check,
     )
     _merge_section(args.output, "dedup", report)
     on, off = report["sharing_on"], report["sharing_off"]
@@ -366,11 +295,8 @@ async def _dedup(args: argparse.Namespace) -> int:
 async def _chaos(args: argparse.Namespace) -> int:
     root = args.snapshot_root or tempfile.mkdtemp(prefix="repro-chaos-")
     report = await run_chaos_bench(
-        root, shards=args.shards, accesses=args.accesses,
-        scale=args.scale, batch=args.batch, policy=args.policy,
-        capacity_bytes=args.capacity, benchmarks=args.benchmarks,
-        snapshot_interval=args.snapshot_interval,
-        sharing=args.sharing, check_level=args.check,
+        root, _config(args), shards=args.shards, accesses=args.accesses,
+        scale=args.scale, batch=args.batch, benchmarks=args.benchmarks,
     )
     _merge_section(args.output, "chaos", report)
     verdict = ("field-identical" if report["field_identical"]
@@ -392,7 +318,7 @@ async def _chaos(args: argparse.Namespace) -> int:
     return 0 if report["field_identical"] else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description="Multi-tenant code-cache service, router and "
@@ -403,14 +329,13 @@ def main(argv: list[str] | None = None) -> int:
     serve = commands.add_parser(
         "serve", help="run one worker in the foreground"
     )
-    _add_server_options(serve)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7401)
+    _add_server_options(serve, port=7401)
 
     load = commands.add_parser(
         "load", help="drive N concurrent tenants and report"
     )
-    _add_server_options(load)
+    _add_server_options(load, [name for name in SERVE_FLAGS
+                               if name not in ("host", "port")])
     load.add_argument("--tenants", type=int, default=4)
     load.add_argument("--connect", default=None, metavar="HOST:PORT",
                       help="use a running server instead of an "
@@ -434,13 +359,18 @@ def main(argv: list[str] | None = None) -> int:
         "route", help="run the consistent-hashing router (spawning a "
                       "worker pool unless --connect-shards)"
     )
-    _add_server_options(route)
-    route.add_argument("--host", default="127.0.0.1")
-    route.add_argument("--port", type=int, default=7400)
-    route.add_argument("--shards", type=int,
-                       default=_env("REPRO_SERVICE_SHARDS", int, 2),
-                       help="workers to spawn (default: "
-                            "REPRO_SERVICE_SHARDS or 2)")
+    _add_server_options(route, [name for name in SERVE_FLAGS
+                                if name not in _PER_WORKER])
+    route.add_argument("--host", dest="router_host", default="127.0.0.1",
+                       metavar="HOST",
+                       help="address the router binds (default: "
+                            "%(default)s)")
+    route.add_argument("--port", dest="router_port", type=int,
+                       default=7400, metavar="PORT",
+                       help="port the router binds (default: "
+                            "%(default)s)")
+    route.add_argument("--shards", type=int, default=2,
+                       help="workers to spawn (default: %(default)s)")
     route.add_argument("--snapshot-root", default=None,
                        help="parent directory for per-shard snapshot "
                             "dirs (default: a temp dir)")
@@ -448,29 +378,22 @@ def main(argv: list[str] | None = None) -> int:
                        metavar="HOST:PORT,...",
                        help="front already-running workers instead of "
                             "spawning a pool")
-    route.add_argument("--standby-root", default=_env(
-                           "REPRO_SERVICE_STANDBY_ROOT", str),
+    route.add_argument("--standby-root", default=None,
                        help="parent directory for per-shard standby "
-                            "replicas (default: "
-                            "REPRO_SERVICE_STANDBY_ROOT or off)")
+                            "replicas (default: off)")
     route.add_argument("--supervise", action="store_true",
                        help="health-check the workers and auto-restart "
                             "crashed or unresponsive ones")
-    route.add_argument("--health-interval", type=float, default=_env(
-                           "REPRO_SERVICE_HEALTH_INTERVAL", float, 0.5),
+    route.add_argument("--health-interval", type=float, default=0.5,
                        help="seconds between supervisor probe rounds "
-                            "(default: REPRO_SERVICE_HEALTH_INTERVAL "
-                            "or 0.5)")
-    route.add_argument("--health-timeout", type=float, default=_env(
-                           "REPRO_SERVICE_HEALTH_TIMEOUT", float, 1.0),
+                            "(default: %(default)s)")
+    route.add_argument("--health-timeout", type=float, default=1.0,
                        help="seconds a shard gets to answer one probe "
-                            "(default: REPRO_SERVICE_HEALTH_TIMEOUT "
-                            "or 1.0)")
-    route.add_argument("--health-fails", type=int, default=_env(
-                           "REPRO_SERVICE_HEALTH_FAILS", int, 2),
+                            "(default: %(default)s)")
+    route.add_argument("--health-fails", type=int, default=2,
                        help="consecutive failed probes of a live "
                             "process before restart (default: "
-                            "REPRO_SERVICE_HEALTH_FAILS or 2)")
+                            "%(default)s)")
 
     admin = commands.add_parser(
         "admin", help="send one live topology command to a router"
@@ -497,7 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     scale = commands.add_parser(
         "scale", help="weak-scaling benchmark across shard counts"
     )
-    _add_server_options(scale)
+    _add_server_options(scale, ("policy", "capacity_bytes"),
+                        max_sessions=DEFAULT_MAX_SESSIONS,
+                        snapshot_interval=1_000_000)
     scale.add_argument("--shard-counts", type=int, nargs="+",
                        default=[1, 2, 4])
     scale.add_argument("--tenants-per-shard", type=int, default=4)
@@ -512,7 +437,10 @@ def main(argv: list[str] | None = None) -> int:
         "dedup", help="cross-tenant sharing A/B: identical tenants "
                       "with dedup on vs off"
     )
-    _add_server_options(dedup)
+    # Each side of the A/B sets its own sharing and runs without
+    # persistence (one directory would let the second side recover the
+    # first's arena).
+    _add_server_options(dedup, ("policy", "capacity_bytes", "check_level"))
     dedup.add_argument("--tenants", type=int, default=4)
     dedup.add_argument("--benchmark", default="gcc",
                        help="registry benchmark every tenant replays "
@@ -527,17 +455,21 @@ def main(argv: list[str] | None = None) -> int:
                       "failover and live resharding, two tenants per "
                       "shard, vs a clean reference"
     )
-    _add_server_options(chaos)
-    chaos.add_argument("--shards", type=int,
-                       default=_env("REPRO_SERVICE_SHARDS", int, 4))
+    _add_server_options(chaos, ("policy", "capacity_bytes", "check_level",
+                                "snapshot_interval", "sharing"),
+                        max_sessions=DEFAULT_MAX_SESSIONS)
+    chaos.add_argument("--shards", type=int, default=4)
     chaos.add_argument("--benchmarks", nargs="*", default=None)
     chaos.add_argument("--scale", type=float, default=0.25)
     chaos.add_argument("--accesses", type=int, default=12_000)
     chaos.add_argument("--batch", type=int, default=256)
     chaos.add_argument("--snapshot-root", default=None)
     chaos.add_argument("--output", default="BENCH_service.json")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     runner = {
         "serve": _serve,
         "load": _load,

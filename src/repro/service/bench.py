@@ -41,6 +41,7 @@ import contextlib
 import os
 import shutil
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro import faults
@@ -48,11 +49,13 @@ from repro.service import protocol
 from repro.service.client import (
     ResilientClient,
     ServiceClient,
+    run_load,
     tenant_benchmarks,
     tenant_spec,
 )
 from repro.service.pool import WorkerPool
 from repro.service.router import HashRing, RouterConfig, ServiceRouter
+from repro.service.server import CacheService, ServiceConfig
 from repro.service.supervisor import ShardSupervisor
 
 DEFAULT_SHARD_COUNTS = (1, 2, 4)
@@ -74,23 +77,18 @@ def _tenant_traces(tenants: int, benchmarks: list[str] | None,
     return specs
 
 
-async def run_scale_bench(root: str | Path,
+async def run_scale_bench(root: str | Path, config: ServiceConfig,
                           shard_counts=DEFAULT_SHARD_COUNTS,
                           tenants_per_shard: int = 4,
                           accesses: int = 20_000, scale: float = 0.25,
-                          batch: int = 256, policy: str = "8-unit",
-                          capacity_bytes: int = 256 * 1024,
-                          benchmarks: list[str] | None = None,
-                          snapshot_interval: int = 1_000_000) -> dict:
-    """Weak-scaling sweep; returns rows plus speedup vs one shard."""
+                          batch: int = 256,
+                          benchmarks: list[str] | None = None) -> dict:
+    """Weak-scaling sweep; returns rows plus speedup vs one shard.
+    Every worker of every fleet serves *config*."""
     root = Path(root)
     rows = []
     for count in shard_counts:
-        pool = WorkerPool(
-            count, root / f"scale-{count}", policy=policy,
-            capacity_bytes=capacity_bytes,
-            snapshot_interval=snapshot_interval,
-        )
+        pool = WorkerPool(count, root / f"scale-{count}", config)
         await pool.start()
         try:
             shard_ids = sorted(pool.workers)
@@ -139,8 +137,8 @@ async def run_scale_bench(root: str | Path,
         # on a 1-core box this sweep measures fleet overhead, not
         # scaling, so record the hardware the numbers came from.
         "cpu_count": os.cpu_count(),
-        "policy": policy,
-        "capacity_bytes": capacity_bytes,
+        "policy": config.policy,
+        "capacity_bytes": config.capacity_bytes,
         "tenants_per_shard": tenants_per_shard,
         "accesses_per_tenant": accesses,
         "batch": batch,
@@ -148,27 +146,19 @@ async def run_scale_bench(root: str | Path,
     }
 
 
-async def _run_dedup_side(sharing: bool, tenants: int, benchmark: str,
-                          scale: float, accesses: int, batch: int,
-                          policy: str, capacity_bytes: int,
-                          check_level: str | None) -> dict:
-    """One side of the dedup A/B: an in-process server, N tenants all
-    replaying the *same* seeded workload (common seed — sizes, links
-    and trace identical), sharing on or off."""
-    from repro.service.client import run_load
-    from repro.service.server import CacheService, ServiceConfig
-
-    service = CacheService(ServiceConfig(
-        policy=policy, capacity_bytes=capacity_bytes,
-        max_sessions=max(16, tenants * 2), check_level=check_level,
-        sharing=sharing,
-    ))
+async def _run_dedup_side(config: ServiceConfig, tenants: int,
+                          benchmark: str, scale: float, accesses: int,
+                          batch: int) -> dict:
+    """One side of the dedup A/B: an in-process server on *config*, N
+    tenants all replaying the *same* seeded workload (common seed —
+    sizes, links and trace identical), sharing as *config* says."""
+    service = CacheService(config)
     await service.start()
     try:
         report = await run_load(
-            service.config.host, service.port, tenants,
+            config.host, service.port, tenants,
             benchmarks=[benchmark], scale=scale, accesses=accesses,
-            batch=batch, share_content=sharing, common_seed=1000,
+            batch=batch, share_content=config.sharing, common_seed=1000,
         )
     finally:
         await service.drain()
@@ -184,25 +174,27 @@ async def _run_dedup_side(sharing: bool, tenants: int, benchmark: str,
     }
 
 
-async def run_dedup_bench(tenants: int = 4, benchmark: str = "gcc",
-                          scale: float = 0.25, accesses: int = 20_000,
-                          batch: int = 256, policy: str = "8-unit",
-                          capacity_bytes: int = 256 * 1024,
-                          check_level: str | None = None) -> dict:
+async def run_dedup_bench(config: ServiceConfig, tenants: int = 4,
+                          benchmark: str = "gcc", scale: float = 0.25,
+                          accesses: int = 20_000,
+                          batch: int = 256) -> dict:
     """The ShareJIT A/B: N identical-workload tenants with sharing off
     (N private copies fighting over the arena) vs on (one refcounted
     copy).  Reports the dedup ratio (peak logical over peak physical
     bytes), the physical bytes saved at peak, and the unified miss-rate
     delta the dedup buys back.
+
+    Both sides serve *config*, each with its own ``sharing`` and at
+    least two sessions per tenant admitted.
     """
-    off = await _run_dedup_side(
-        False, tenants, benchmark, scale, accesses, batch, policy,
-        capacity_bytes, check_level,
-    )
-    on = await _run_dedup_side(
-        True, tenants, benchmark, scale, accesses, batch, policy,
-        capacity_bytes, check_level,
-    )
+    off, on = [
+        await _run_dedup_side(
+            replace(config, sharing=sharing,
+                    max_sessions=max(config.max_sessions, 2 * tenants)),
+            tenants, benchmark, scale, accesses, batch,
+        )
+        for sharing in (False, True)
+    ]
     return {
         "harness": "repro.service dedup",
         "cpu_count": os.cpu_count(),
@@ -211,9 +203,9 @@ async def run_dedup_bench(tenants: int = 4, benchmark: str = "gcc",
         "scale": scale,
         "accesses_per_tenant": accesses,
         "batch": batch,
-        "policy": policy,
-        "capacity_bytes": capacity_bytes,
-        "check_level": check_level,
+        "policy": config.policy,
+        "capacity_bytes": config.capacity_bytes,
+        "check_level": config.check_level,
         "sharing_off": off,
         "sharing_on": on,
         "dedup_ratio": (on["peak_logical_bytes"]
@@ -263,25 +255,20 @@ def _chaos_specs(shard_ids: list[str], benchmarks: list[str] | None,
     return specs
 
 
-async def _run_chaos_fleet(root: Path, shards: int, specs: list[dict],
-                           batch: int, policy: str, capacity_bytes: int,
-                           snapshot_interval: int, sharing: bool,
-                           schedule: dict, chaos: bool,
-                           check_level: str | None) -> dict:
-    """One run of the chaos fleet: supervised pool + standby replicas +
-    router, driven round-robin through the scripted event schedule.
+async def _run_chaos_fleet(root: Path, config: ServiceConfig, shards: int,
+                           specs: list[dict], batch: int, schedule: dict,
+                           chaos: bool) -> dict:
+    """One run of the chaos fleet: supervised pool of *config* workers
+    + standby replicas + router, driven round-robin through the
+    scripted event schedule.
 
     Both the reference and the drill run the *admin* events (the live
     ``remove-shard`` and the eventual process stop); only the drill
     (``chaos=True``) runs the destructive ones.  Nothing here ever
     calls ``pool.restart`` — healing is the supervisor's job.
     """
-    pool = WorkerPool(
-        shards, root / "primary", policy=policy,
-        capacity_bytes=capacity_bytes,
-        snapshot_interval=snapshot_interval, sharing=sharing,
-        standby_root=root / "standby", check_level=check_level,
-    )
+    pool = WorkerPool(shards, root / "primary", config,
+                      standby_root=root / "standby")
     await pool.start()
     router = ServiceRouter(RouterConfig(shards=pool.endpoints()),
                            pool=pool)
@@ -396,14 +383,10 @@ async def _run_chaos_fleet(root: Path, shards: int, specs: list[dict],
         await pool.stop()
 
 
-async def run_chaos_bench(root: str | Path, shards: int = 4,
-                          accesses: int = 12_000, scale: float = 0.25,
-                          batch: int = 256, policy: str = "8-unit",
-                          capacity_bytes: int = 256 * 1024,
-                          benchmarks: list[str] | None = None,
-                          snapshot_interval: int = 2_000,
-                          sharing: bool = False,
-                          check_level: str | None = None) -> dict:
+async def run_chaos_bench(root: str | Path, config: ServiceConfig,
+                          shards: int = 4, accesses: int = 12_000,
+                          scale: float = 0.25, batch: int = 256,
+                          benchmarks: list[str] | None = None) -> dict:
     """The self-healing drill: a scripted beating vs a clean reference.
 
     Two tenants per shard.  The drill's schedule, in batch rounds:
@@ -426,15 +409,15 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
     the first moved tenant's consumer, and a torn line in ``shard-0``'s
     standby WAL (which nothing may ever read).  Field-identical per-tenant
     stats vs the reference — which ran the same admin schedule with no
-    faults at all — is the acceptance bar.  Both runs' workers check
-    invariants at ``check_level``.
+    faults at all — is the acceptance bar.  Both runs' workers serve
+    *config*; under its ``sharing`` every tenant runs one common seed.
     """
     root = Path(root)
     if shards < 4:
         raise ValueError("the chaos drill needs at least 4 shards")
     shard_ids = [f"shard-{i}" for i in range(shards)]
     specs = _chaos_specs(shard_ids, benchmarks, scale, accesses,
-                         sharing, vnodes=RouterConfig().vnodes)
+                         config.sharing, vnodes=RouterConfig().vnodes)
     rounds = (accesses + batch - 1) // batch
     if rounds < 8:
         raise ValueError("the chaos schedule needs >= 8 batch rounds")
@@ -471,15 +454,13 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
                                ["tenant"],)),
     )
     reference = await _run_chaos_fleet(
-        root / "reference", shards, specs, batch, policy,
-        capacity_bytes, snapshot_interval, sharing, schedule,
-        chaos=False, check_level=check_level,
+        root / "reference", config, shards, specs, batch, schedule,
+        chaos=False,
     )
     with faults.plan(*drill_faults):
         drill = await _run_chaos_fleet(
-            root / "drill", shards, specs, batch, policy,
-            capacity_bytes, snapshot_interval, sharing, schedule,
-            chaos=True, check_level=check_level,
+            root / "drill", config, shards, specs, batch, schedule,
+            chaos=True,
         )
     mismatches = [
         spec["tenant"] for spec in specs
@@ -493,15 +474,15 @@ async def run_chaos_bench(root: str | Path, shards: int = 4,
     return {
         "harness": "repro.service chaos",
         "cpu_count": os.cpu_count(),
-        "sharing": sharing,
-        "check_level": check_level,
+        "sharing": config.sharing,
+        "check_level": config.check_level,
         "shards": shards,
         "tenants": [spec["tenant"] for spec in specs],
         "placement": placement,
         "accesses_per_tenant": accesses,
         "batch": batch,
         "rounds": rounds,
-        "snapshot_interval": snapshot_interval,
+        "snapshot_interval": config.snapshot_interval,
         "schedule": schedule,
         "supervisor_restarts": drill["supervisor"]["restarts"],
         "restart_seconds": restart_seconds,

@@ -24,9 +24,14 @@ resumed clients reconnect to the address they already know.
 they grow or shrink the fleet under a running router, which then
 drains and redirects the sessions the ring moved.
 
-With ``standby_root`` every worker also gets a per-shard standby
-replica directory (``--standby-dir``), so a shard whose primary
-persistence directory dies can fail over to the replica on restart.
+Every worker runs the pool's one :class:`~repro.service.server.
+ServiceConfig`, with its own port and snapshot directory: the pool
+renders its ``serve`` command from that config through
+:func:`~repro.service.server.serve_arguments`, so every setting the
+config carries reaches every worker.  With ``standby_root`` every
+worker also gets a per-shard standby replica directory
+(``--standby-dir``), so a shard whose primary persistence directory
+dies can fail over to the replica on restart.
 """
 
 from __future__ import annotations
@@ -36,12 +41,19 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.service import protocol
+from repro.service.server import ServiceConfig, serve_arguments
 
 #: Seconds to wait for a spawned worker to answer its first ping.
 DEFAULT_READY_TIMEOUT = 20.0
+
+#: Admission limit of a pool's workers unless its config says
+#: otherwise: room for the several tenants per shard the fleet
+#: benches place.
+DEFAULT_MAX_SESSIONS = 64
 
 
 class WorkerError(RuntimeError):
@@ -75,29 +87,29 @@ class WorkerHandle:
 
 
 class WorkerPool:
-    """N shard processes with durable roots, ready-checked and killable."""
+    """N shard processes with durable roots, ready-checked and killable.
+
+    *config* is what every worker serves (default: a
+    :class:`~repro.service.server.ServiceConfig` admitting
+    :data:`DEFAULT_MAX_SESSIONS`), with *settings* laid over its
+    fields (``policy=``, ``capacity_bytes=``, ...).  The pool gives
+    each worker its own port and snapshot (and standby) directory, so
+    the config's ``port``, ``snapshot_dir`` and ``standby_dir`` are
+    not used; its ``host`` is where every worker binds.
+    """
 
     def __init__(self, shards: int, root: str | Path,
-                 policy: str = "8-unit", capacity_bytes: int = 256 * 1024,
-                 snapshot_interval: int | None = None,
-                 rate_limit: float | None = None,
-                 check_level: str | None = None,
-                 max_sessions: int = 64,
-                 host: str = "127.0.0.1",
+                 config: ServiceConfig | None = None, *,
+                 standby_root: str | Path | None = None,
                  ready_timeout: float = DEFAULT_READY_TIMEOUT,
-                 sharing: bool = False,
-                 standby_root: str | Path | None = None) -> None:
+                 **settings) -> None:
         if shards < 1:
             raise ValueError("a pool needs at least one shard")
         self.root = Path(root)
-        self.policy = policy
-        self.capacity_bytes = capacity_bytes
-        self.snapshot_interval = snapshot_interval
-        self.rate_limit = rate_limit
-        self.check_level = check_level
-        self.sharing = sharing
-        self.max_sessions = max_sessions
-        self.host = host
+        self.config = replace(
+            config or ServiceConfig(max_sessions=DEFAULT_MAX_SESSIONS),
+            **settings,
+        )
         self.ready_timeout = ready_timeout
         self.standby_root = Path(standby_root) if standby_root else None
         self.workers: dict[str, WorkerHandle] = {}
@@ -110,7 +122,7 @@ class WorkerPool:
             shard_id = f"shard-{self._next_index}"
         self._next_index += 1
         handle = WorkerHandle(
-            shard_id, self.host, 0,
+            shard_id, self.config.host, 0,
             self.root / shard_id,
             (self.standby_root / shard_id
              if self.standby_root is not None else None),
@@ -124,25 +136,14 @@ class WorkerPool:
                 for shard, handle in self.workers.items()}
 
     def _command(self, handle: WorkerHandle) -> list[str]:
-        command = [
-            sys.executable, "-m", "repro.service", "serve",
-            "--host", handle.host, "--port", str(handle.port),
-            "--policy", self.policy,
-            "--capacity", str(self.capacity_bytes),
-            "--max-sessions", str(self.max_sessions),
-            "--snapshot-dir", str(handle.snapshot_dir),
-        ]
-        if handle.standby_dir is not None:
-            command += ["--standby-dir", str(handle.standby_dir)]
-        if self.snapshot_interval is not None:
-            command += ["--snapshot-interval", str(self.snapshot_interval)]
-        if self.rate_limit is not None:
-            command += ["--rate-limit", str(self.rate_limit)]
-        if self.check_level is not None:
-            command += ["--check", self.check_level]
-        if self.sharing:
-            command += ["--sharing"]
-        return command
+        config = replace(
+            self.config, host=handle.host, port=handle.port,
+            snapshot_dir=str(handle.snapshot_dir),
+            standby_dir=(str(handle.standby_dir)
+                         if handle.standby_dir is not None else None),
+        )
+        return [sys.executable, "-m", "repro.service", "serve",
+                *serve_arguments(config)]
 
     async def start(self) -> None:
         """Spawn every worker and wait until each answers a ping."""

@@ -22,6 +22,7 @@ neighbours.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import contextlib
 import time
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 
 from repro import faults
 from repro.core.cache import ConfigurationError
+from repro.core.invariants import CHECK_LEVELS
 from repro.core.policies import policy_from_spec
 from repro.service import protocol
 from repro.service.persist import (
@@ -76,8 +78,75 @@ class ServiceConfig:
     #: Bucket depth in accesses; defaults to one second's worth.
     rate_burst: float | None = None
     #: ShareJIT-style content-hash dedup across tenants
-    #: (``REPRO_SERVICE_SHARING`` on the CLI).
+    #: (``--sharing`` / ``--no-sharing`` on the CLI).
     sharing: bool = False
+
+
+#: The ``serve`` flag of every ServiceConfig field the CLI sets, with
+#: its argparse options (its default is the config's own); the rest
+#: (``max_block_bytes``, ``retry_after``, ``reclaim_fraction``,
+#: ``check_context``) keep their defaults in a CLI-built config.
+SERVE_FLAGS = {
+    "policy": ("--policy", dict(
+        help="eviction policy: flush, fifo, preempt, gen, or a unit "
+             "count like 64 (default: %(default)s)")),
+    "capacity_bytes": ("--capacity", dict(
+        type=int, metavar="BYTES",
+        help="arena capacity in bytes (default: %(default)s)")),
+    "host": ("--host", dict(help="address to bind (default: %(default)s)")),
+    "port": ("--port", dict(
+        type=int,
+        help="port to bind; 0 picks a free one (default: %(default)s)")),
+    "max_sessions": ("--max-sessions", dict(
+        type=int, help="admission limit (default: %(default)s)")),
+    "queue_batches": ("--queue-batches", dict(
+        type=int,
+        help="per-session queue bound in batches (default: %(default)s)")),
+    "pressure_threshold": ("--pressure", dict(
+        type=float, metavar="FRACTION",
+        help="occupancy fraction that triggers cross-tenant reclaim "
+             "(default: off)")),
+    "check_level": ("--check", dict(
+        choices=CHECK_LEVELS,
+        help="invariant check level (default: REPRO_CHECK_LEVEL or off)")),
+    "snapshot_dir": ("--snapshot-dir", dict(
+        help="arena snapshot + write-ahead-log directory; enables crash "
+             "recovery (default: off)")),
+    "snapshot_interval": ("--snapshot-interval", dict(
+        type=int,
+        help="arena accesses between snapshots (default: %(default)s)")),
+    "standby_dir": ("--standby-dir", dict(
+        help="standby replica directory: every WAL append is mirrored "
+             "and every verified snapshot copied there, for failover "
+             "when the primary dies (default: off)")),
+    "rate_limit": ("--rate-limit", dict(
+        type=float,
+        help="per-tenant token-bucket rate in accesses/s (default: off)")),
+    "rate_burst": ("--rate-burst", dict(
+        type=float,
+        help="token-bucket depth in accesses (default: one second's "
+             "worth)")),
+    "sharing": ("--sharing", dict(
+        action=argparse.BooleanOptionalAction,
+        help="content-hash superblock dedup across tenants (default: "
+             "off)")),
+}
+
+
+def serve_arguments(config: ServiceConfig) -> list[str]:
+    """The ``serve`` arguments that rebuild *config* in a worker
+    process: the inverse of the CLI's ``_config``.  Every set field is
+    spelled out, so a worker runs exactly *config* whatever the CLI's
+    defaults; a ``None`` field is left out, which its flag's ``None``
+    default restores."""
+    arguments = []
+    for name, (flag, _) in SERVE_FLAGS.items():
+        value = getattr(config, name)
+        if isinstance(value, bool):
+            arguments.append(flag if value else f"--no-{flag[2:]}")
+        elif value is not None:
+            arguments.append(f"{flag}={value}")
+    return arguments
 
 
 class TokenBucket:

@@ -7,13 +7,14 @@ import pytest
 
 from repro import faults
 from repro.analysis import sweepcache
-from repro.analysis.checkpoint import CheckpointStore, resume_enabled_by_env
+from repro.analysis.checkpoint import CheckpointStore
 from repro.analysis.parallel import (
     SweepTask,
     canonical_specs,
     simulate_task,
     task_key,
 )
+from repro.analysis.sweep import SweepOptions
 from repro.core.policies import ladder_specs
 from repro.workloads.registry import spec_benchmarks
 
@@ -185,10 +186,20 @@ class TestMaintenance:
 
     def test_resume_env_flag(self, monkeypatch):
         monkeypatch.delenv("REPRO_SWEEP_RESUME", raising=False)
-        assert resume_enabled_by_env()
+        assert SweepOptions.from_env().resume
         monkeypatch.setenv("REPRO_SWEEP_RESUME", "0")
-        assert not resume_enabled_by_env()
+        assert not SweepOptions.from_env().resume
         monkeypatch.setenv("REPRO_SWEEP_RESUME", "off")
-        assert not resume_enabled_by_env()
+        assert not SweepOptions.from_env().resume
         monkeypatch.setenv("REPRO_SWEEP_RESUME", "1")
-        assert resume_enabled_by_env()
+        assert SweepOptions.from_env().resume
+        for raw, expected in (("  ", True), ("Yes", True), ("TRUE", True),
+                              ("No", False), ("False", False)):
+            monkeypatch.setenv("REPRO_SWEEP_RESUME", raw)
+            assert SweepOptions.from_env().resume is expected
+
+    @pytest.mark.parametrize("raw", ("disabled", "none", "fasle", "2"))
+    def test_unrecognised_resume_value_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SWEEP_RESUME", raw)
+        with pytest.raises(ValueError, match="REPRO_SWEEP_RESUME"):
+            SweepOptions.from_env()

@@ -23,6 +23,7 @@ from repro.analysis.parallel import (
     imap_tasks,
 )
 from repro.analysis.sweep import (
+    SweepOptions,
     clear_sweep_cache,
     full_sweep,
     ladder_policy_factories,
@@ -247,19 +248,23 @@ class TestFullSweepIntegration:
         clear_sweep_cache()
 
     def test_full_sweep_survives_worker_faults(self, cache_dir):
-        serial = full_sweep(use_cache=False, **self.FULL_KWARGS)
+        serial = full_sweep(options=SweepOptions(use_cache=False),
+                            **self.FULL_KWARGS)
         clear_sweep_cache()
         with faults.plan(faults.FaultSpec(point="sweep.worker",
                                           mode="raise", times=1)):
-            faulted = full_sweep(jobs=4, use_cache=False, resume=False,
-                                 max_retries=2, **self.FULL_KWARGS)
+            faulted = full_sweep(
+                options=SweepOptions(jobs=4, use_cache=False, resume=False,
+                                     max_retries=2),
+                **self.FULL_KWARGS)
         for point, record in serial.stats.items():
             assert (dataclasses.asdict(faulted.stats[point])
                     == dataclasses.asdict(record)), point
 
     def test_full_sweep_discards_checkpoints_after_completion(
             self, cache_dir):
-        full_sweep(jobs=2, use_cache=True, resume=True, **self.FULL_KWARGS)
+        full_sweep(options=SweepOptions(jobs=2, use_cache=True, resume=True),
+                   **self.FULL_KWARGS)
         leftover = list((cache_dir / "checkpoints").glob("*.pkl"))
         assert leftover == []
         # The whole-grid entry made it to the sweep cache instead.

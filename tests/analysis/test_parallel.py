@@ -8,13 +8,11 @@ from repro.analysis.parallel import (
     SweepTask,
     canonical_specs,
     imap_tasks,
-    jobs_from_env,
     resolve_jobs,
-    retries_from_env,
     simulate_task,
-    timeout_from_env,
 )
 from repro.analysis.sweep import (
+    SweepOptions,
     ladder_policy_factories,
     run_sweep,
     run_sweep_parallel,
@@ -73,34 +71,46 @@ class TestEnvKnobs:
         for name in ("REPRO_SWEEP_JOBS", "REPRO_SWEEP_TIMEOUT",
                      "REPRO_SWEEP_RETRIES"):
             monkeypatch.delenv(name, raising=False)
-        assert jobs_from_env() is None
-        assert timeout_from_env() is None
-        assert retries_from_env() is None
+        options = SweepOptions.from_env()
+        assert options.jobs is None
+        assert options.task_timeout is None
+        assert options.max_retries is None
 
     def test_valid_values_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "4")
         monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "2.5")
         monkeypatch.setenv("REPRO_SWEEP_RETRIES", "0")
-        assert jobs_from_env() == 4
-        assert timeout_from_env() == 2.5
-        assert retries_from_env() == 0
+        options = SweepOptions.from_env()
+        assert options.jobs == 4
+        assert options.task_timeout == 2.5
+        assert options.max_retries == 0
 
     def test_bad_jobs_value_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "many")
         with pytest.raises(ValueError, match="REPRO_SWEEP_JOBS"):
-            jobs_from_env()
+            SweepOptions.from_env()
+        monkeypatch.setenv("REPRO_SWEEP_JOBS", "-2")
+        with pytest.raises(ValueError, match="REPRO_SWEEP_JOBS"):
+            SweepOptions.from_env()
 
     def test_bad_timeout_and_retries_name_their_variables(self,
                                                           monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "soon")
         with pytest.raises(ValueError, match="REPRO_SWEEP_TIMEOUT"):
-            timeout_from_env()
+            SweepOptions.from_env()
         monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "-1")
         with pytest.raises(ValueError, match="REPRO_SWEEP_TIMEOUT"):
-            timeout_from_env()
+            SweepOptions.from_env()
+        monkeypatch.delenv("REPRO_SWEEP_TIMEOUT")
         monkeypatch.setenv("REPRO_SWEEP_RETRIES", "-3")
         with pytest.raises(ValueError, match="REPRO_SWEEP_RETRIES"):
-            retries_from_env()
+            SweepOptions.from_env()
+
+    def test_constructor_holds_the_range_checks(self):
+        for bad in ({"jobs": -1}, {"task_timeout": 0},
+                    {"max_retries": -1}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                SweepOptions(**bad)
 
 
 class TestSimulateTask:

@@ -7,6 +7,7 @@ import pytest
 from repro import faults
 from repro.analysis import sweepcache
 from repro.analysis.sweep import (
+    SweepOptions,
     clear_sweep_cache,
     full_sweep,
     ladder_policy_factories,
@@ -199,10 +200,20 @@ class TestMaintenance:
         assert sweepcache.cache_dir() == cache_dir
 
     def test_cache_enabled_flag(self, monkeypatch):
-        monkeypatch.setenv(sweepcache.ENV_CACHE, "0")
-        assert not sweepcache.cache_enabled_by_env()
-        monkeypatch.setenv(sweepcache.ENV_CACHE, "1")
-        assert sweepcache.cache_enabled_by_env()
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", "0")
+        assert not SweepOptions.from_env().use_cache
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", "1")
+        assert SweepOptions.from_env().use_cache
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", "Off")
+        assert not SweepOptions.from_env().use_cache
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", "")
+        assert SweepOptions.from_env().use_cache
+
+    @pytest.mark.parametrize("raw", ("disabled", "none", "fasle", "2"))
+    def test_unrecognised_cache_value_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", raw)
+        with pytest.raises(ValueError, match="REPRO_SWEEP_CACHE"):
+            SweepOptions.from_env()
 
 
 class TestFullSweepIntegration:
@@ -212,11 +223,13 @@ class TestFullSweepIntegration:
     def test_cold_process_equivalent_hits_disk(self, cache_dir):
         clear_sweep_cache()
         try:
-            first = full_sweep(use_cache=True, **self.FULL_KWARGS)
+            first = full_sweep(options=SweepOptions(use_cache=True),
+                               **self.FULL_KWARGS)
             # Dropping the in-process memo simulates a fresh process:
             # the second call must come back from disk, not simulation.
             clear_sweep_cache()
-            second = full_sweep(use_cache=True, **self.FULL_KWARGS)
+            second = full_sweep(options=SweepOptions(use_cache=True),
+                                **self.FULL_KWARGS)
             assert second is not first
             counts = sweepcache.counters()
             assert counts["stores"] == 1
@@ -230,7 +243,8 @@ class TestFullSweepIntegration:
     def test_use_cache_false_bypasses_disk(self, cache_dir):
         clear_sweep_cache()
         try:
-            full_sweep(use_cache=False, **self.FULL_KWARGS)
+            full_sweep(options=SweepOptions(use_cache=False),
+                       **self.FULL_KWARGS)
             assert sweepcache.entries() == []
             assert sweepcache.counters()["stores"] == 0
         finally:
@@ -239,9 +253,11 @@ class TestFullSweepIntegration:
     def test_parallel_full_sweep_round_trips(self, cache_dir):
         clear_sweep_cache()
         try:
-            first = full_sweep(use_cache=True, jobs=2, **self.FULL_KWARGS)
+            first = full_sweep(options=SweepOptions(use_cache=True, jobs=2),
+                               **self.FULL_KWARGS)
             clear_sweep_cache()
-            serial = full_sweep(use_cache=False, **self.FULL_KWARGS)
+            serial = full_sweep(options=SweepOptions(use_cache=False),
+                                **self.FULL_KWARGS)
             for point, record in serial.stats.items():
                 assert (dataclasses.asdict(first.stats[point])
                         == dataclasses.asdict(record))

@@ -111,8 +111,8 @@ class TestCli:
             self, tmp_path, monkeypatch):
         seen = {}
 
-        async def drill(root, **kwargs):
-            seen.update(kwargs)
+        async def drill(root, config, **kwargs):
+            seen["config"] = config
             return {"field_identical": True, "restart_seconds": [],
                     "shards": 4, "supervisor_restarts": 0,
                     "standby_promoted": False, "redirected_sessions": 0,
@@ -127,7 +127,7 @@ class TestCli:
             "--output", str(tmp_path / "BENCH_chaos.json"),
         ])
         assert code == 0
-        assert seen["check_level"] == "light"
+        assert seen["config"].check_level == "light"
 
     def test_load_against_external_server(self, tmp_path):
         async def scenario():

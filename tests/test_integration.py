@@ -9,7 +9,9 @@ drivers.
 import numpy as np
 import pytest
 
+from repro.analysis import experiments
 from repro.analysis.__main__ import main as analysis_main
+from repro.analysis.sweep import SweepOptions
 from repro.core import (
     FineGrainedFifoPolicy,
     FlushPolicy,
@@ -159,6 +161,47 @@ class TestCli:
     def test_unknown_artifact(self):
         with pytest.raises(SystemExit):
             analysis_main(["figure99"])
+
+    def test_sweep_flags_overlay_the_environment(self, monkeypatch):
+        class Swept(Exception):
+            pass
+
+        seen = {}
+
+        def full_sweep(**kwargs):
+            seen.update(kwargs)
+            raise Swept
+
+        monkeypatch.setattr(experiments, "full_sweep", full_sweep)
+        monkeypatch.setenv("REPRO_SWEEP_JOBS", "3")
+        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "5")
+        monkeypatch.setenv("REPRO_SWEEP_RESUME", "on")
+        with pytest.raises(Swept):
+            analysis_main(["figure7", "--task-timeout", "9",
+                           "--no-resume", "--no-cache"])
+        assert seen["options"] == SweepOptions(
+            jobs=3, use_cache=False, task_timeout=9.0, max_retries=5,
+            resume=False)
+
+    @pytest.mark.parametrize("argv,env,named", (
+        (["--jobs", "-1"], {}, "--jobs"),
+        (["--task-timeout", "0"], {}, "--task-timeout"),
+        (["--max-retries", "-1"], {}, "--max-retries"),
+        ([], {"REPRO_SWEEP_JOBS": "many"}, "REPRO_SWEEP_JOBS"),
+        ([], {"REPRO_SWEEP_TIMEOUT": "-1"}, "REPRO_SWEEP_TIMEOUT"),
+        ([], {"REPRO_SWEEP_TIMEOUT": "soon"}, "REPRO_SWEEP_TIMEOUT"),
+        ([], {"REPRO_SWEEP_RETRIES": "-3"}, "REPRO_SWEEP_RETRIES"),
+        ([], {"REPRO_SWEEP_CACHE": "disabled"}, "REPRO_SWEEP_CACHE"),
+        ([], {"REPRO_SWEEP_RESUME": "none"}, "REPRO_SWEEP_RESUME"),
+    ))
+    def test_bad_sweep_option_names_its_source(self, capsys, monkeypatch,
+                                               argv, env, named):
+        for variable, value in env.items():
+            monkeypatch.setenv(variable, value)
+        with pytest.raises(SystemExit) as excinfo:
+            analysis_main(["figure6", *argv])
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestTraceStatisticsFeedSimulation:
