@@ -44,6 +44,7 @@ from repro.analysis.parallel import (
     estimate_task_accesses,
     plan_jobs,
     plan_tasks,
+    usable_cpus,
 )
 from repro.analysis.sweep import (
     ladder_policy_factories,
@@ -166,7 +167,7 @@ def run_bench() -> dict:
         "total_accesses": total_accesses,
         "jobs": JOBS,
         "effective_jobs": effective_jobs,
-        "cpus": os.cpu_count(),
+        "cpus": usable_cpus(),
         "kernel_engine": kernel_engine,
         "serial_seconds": round(serial_seconds, 3),
         "one_pass_seconds": round(one_pass_seconds, 3),

@@ -59,6 +59,7 @@ _lib_error: str | None = None
 _lib_loaded = False
 
 _EMPTY_I32 = np.zeros(1, dtype=np.int32)
+_EMPTY_U8 = np.zeros(1, dtype=np.uint8)
 
 
 #: Flags and libraries of every build.  The expression VM's doubles
@@ -162,40 +163,6 @@ def _require() -> ctypes.CDLL:
     return lib
 
 
-def _population_arrays(population, track_links):
-    """Contiguous C views of the population, memoized per population."""
-    data = population.c_data
-    if "sizes" not in data:
-        data["sizes"] = np.ascontiguousarray(population.sizes,
-                                             dtype=np.int64)
-        data["sf"] = np.zeros(1, dtype=np.uint8)
-    if track_links and "in_idx" not in data:
-        def csr(lists):
-            idx = np.zeros(population.count + 1, dtype=np.int32)
-            idx[1:] = np.cumsum([len(t) for t in lists], dtype=np.int64)
-            flat = [t for row in lists for t in row]
-            dat = (np.ascontiguousarray(flat, dtype=np.int32)
-                   if flat else np.zeros(1, dtype=np.int32))
-            return idx, dat
-        data["in_idx"], data["in_dat"] = csr(population.in_lists)
-        data["on_idx"], data["on_dat"] = csr(population.out_nonself)
-        data["sf"] = np.ascontiguousarray(population.self_flags,
-                                          dtype=np.uint8)
-    return data
-
-
-def _degree_arrays(population):
-    """The raw link degrees priority features read, memoized like the
-    other C views."""
-    data = population.c_data
-    if "in_deg" not in data:
-        data["in_deg"] = np.ascontiguousarray(population.in_degree,
-                                              dtype=np.int32)
-        data["out_deg"] = np.ascontiguousarray(population.out_degree,
-                                               dtype=np.int32)
-    return data["in_deg"], data["out_deg"]
-
-
 def _trace_array(population, trace) -> np.ndarray:
     """The trace as dense int32 block indices.
 
@@ -245,7 +212,6 @@ def run_geometries(population, trace, kinds, caps, ucaps, ucounts,
     lib = load()
     if lib is None or len(kinds) > MAX_GEOMETRIES:
         return None
-    data = _population_arrays(population, track_links)
     trace_arr = _trace_array(population, trace)
     n_geoms = len(kinds)
     kind_codes = np.ascontiguousarray(
@@ -256,9 +222,9 @@ def run_geometries(population, trace, kinds, caps, ucaps, ucounts,
     out = np.zeros(n_geoms * len(_OUT_FIELDS), dtype=np.int64)
     status = lib.one_pass(
         len(trace_arr), _ptr(trace_arr),
-        population.count, _ptr(data["sizes"]),
+        population.count, _ptr(population.sizes),
         1 if track_links else 0,
-        *_link_args(data, track_links),
+        *_link_args(population, track_links),
         n_geoms, _ptr(kind_codes), _ptr(caps_arr), _ptr(ucaps_arr),
         _ptr(ucounts_arr),
         _ptr(out),
@@ -279,10 +245,8 @@ def run_priority(population, trace, cells, track_links):
     ``RuntimeError``.
     """
     lib = _require()
-    data = _population_arrays(population, track_links)
     trace_arr = _trace_array(population, trace)
-    in_deg, out_deg = _degree_arrays(population)
-    links = _link_args(data, track_links)
+    links = _link_args(population, track_links)
     compiled: dict = {}
     rows = []
     for capacity, program in cells:
@@ -293,8 +257,8 @@ def run_priority(population, trace, cells, track_links):
         out = np.zeros(len(_OUT_FIELDS), dtype=np.int64)
         status = lib.priority_pass(
             len(trace_arr), _ptr(trace_arr),
-            population.count, _ptr(data["sizes"]),
-            _ptr(in_deg), _ptr(out_deg),
+            population.count, _ptr(population.sizes),
+            _ptr(population.in_degree), _ptr(population.out_degree),
             1 if track_links else 0,
             *links,
             capacity,
@@ -328,12 +292,12 @@ def _program_arrays(program):
             np.ascontiguousarray(program.imm, dtype=np.float64))
 
 
-def _link_args(data, track_links):
+def _link_args(population, track_links):
     """The CSR link and self-loop arguments both entry points take."""
     if not track_links:
-        return (_ptr(_EMPTY_I32),) * 4 + (_ptr(data["sf"]),)
-    return tuple(_ptr(data[name]) for name in
-                 ("in_idx", "in_dat", "on_idx", "on_dat", "sf"))
+        return (_ptr(_EMPTY_I32),) * 4 + (_ptr(_EMPTY_U8),)
+    return tuple(_ptr(getattr(population, name)) for name in
+                 ("in_idx", "in_dat", "on_idx", "on_dat", "self_flags"))
 
 
 def _counters(rows):

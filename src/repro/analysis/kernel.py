@@ -64,10 +64,14 @@ import os
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from textwrap import indent
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+import numpy as np
+
+from repro.analysis import ckernel
 from repro.core.cache import ConfigurationError
 from repro.core.links import BACKPOINTER_ENTRY_BYTES
 from repro.core.metrics import SimulationStats
@@ -146,77 +150,81 @@ class _Population:
     """Dense per-workload arrays, cached across kernel invocations.
 
     One workload is swept at many pressures (and, under slice sharding,
-    by many tasks in the same worker process), so the flattening work —
-    sizes, deduplicated adjacency — is memoized per
-    :class:`SuperblockSet` (weakly, so it dies with the workload).
+    by many tasks in the same worker process), so the flattening work is
+    memoized per :class:`SuperblockSet` (weakly, so it dies with the
+    workload).  Every array is built with numpy straight from the set's
+    columns (:attr:`~SuperblockSet.size_column`,
+    :attr:`~SuperblockSet.link_column`), so no :class:`Superblock` object
+    and no reverse adjacency is needed; the arrays are contiguous and
+    handed to the C engine as they are.
     """
 
-    __slots__ = ("count", "remap", "sizes", "in_lists", "out_nonself",
-                 "self_flags", "in_degree", "out_degree", "py_links",
-                 "c_data", "__weakref__")
+    __slots__ = ("count", "remap", "sizes", "in_idx", "in_dat", "on_idx",
+                 "on_dat", "self_flags", "in_degree", "out_degree",
+                 "py_links", "c_data", "__weakref__")
 
     def __init__(self, superblocks: SuperblockSet) -> None:
         sids = superblocks.sids
         self.count = len(sids)
-        size_map = superblocks.sizes()
-        if sids == tuple(range(self.count)):
-            self.remap = None
-            self.sizes = [size_map[sid] for sid in range(self.count)]
-        else:
-            self.remap = {sid: index for index, sid in enumerate(sids)}
-            self.sizes = [size_map[sid] for sid in sids]
-        #: Deduplicated adjacency in dense indices, built by
-        #: :meth:`ensure_links`: incoming sources and outgoing targets
-        #: (self-loops excluded from both), plus a self-loop flag.
-        self.in_lists: list[tuple[int, ...]] | None = None
-        self.out_nonself: list[tuple[int, ...]] = []
-        self.self_flags: list[int] = []
-        #: Raw link degrees in dense indices, built by
-        #: :meth:`ensure_degrees`.
-        self.in_degree: list[int] | None = None
-        self.out_degree: list[int] = []
+        #: ``sid -> dense index`` when the ids are not ``0..count-1``.
+        self.remap = (None if sids == tuple(range(self.count))
+                      else {sid: index for index, sid in enumerate(sids)})
+        self.sizes = np.fromiter(superblocks.size_column, dtype=np.int64,
+                                 count=self.count)
+        #: Deduplicated adjacency in dense indices as int32 CSR, built
+        #: by :meth:`ensure_links`: incoming sources and outgoing
+        #: targets (self-loops excluded from both), plus a uint8
+        #: self-loop flag; and the raw int32 degrees the priority
+        #: features read.
+        self.in_idx = self.in_dat = self.on_idx = self.on_dat = None
+        self.self_flags = self.in_degree = self.out_degree = None
         #: The generated-Python runner's link arguments, built on the
         #: first Python-engine run (see :meth:`python_link_args`).
         self.py_links: dict | None = None
-        #: ckernel's memo for contiguous C-side views of these arrays.
+        #: ckernel's memo for its trace lookup table.
         self.c_data: dict = {}
 
     def ensure_links(self, superblocks: SuperblockSet) -> None:
-        if self.in_lists is not None:
-            return
-        remap = self.remap
-        in_lists, out_nonself, self_flags = [], [], []
-        sids = (superblocks.sids if remap is not None
-                else range(self.count))
-        for index, sid in enumerate(sids):
-            outgoing = list(dict.fromkeys(superblocks.outgoing(sid)))
-            incoming = [s for s in superblocks.incoming(sid) if s != sid]
-            if remap is not None:
-                outgoing = [remap[t] for t in outgoing]
-                incoming = [remap[s] for s in incoming]
-            in_lists.append(tuple(incoming))
-            nonself = tuple(t for t in outgoing if t != index)
-            out_nonself.append(nonself)
-            self_flags.append(1 if len(nonself) != len(outgoing) else 0)
-        self.in_lists = in_lists
-        self.out_nonself = out_nonself
-        self.self_flags = self_flags
+        """Build the CSR adjacency, self flags and raw degrees.
 
-    def ensure_degrees(self, superblocks: SuperblockSet) -> None:
-        """The degrees the priority policy's features read:
-        ``len(incoming)`` and ``len(outgoing)``, which count self-loops
-        and repeated out-links the deduplicated adjacency drops."""
-        if self.in_degree is not None:
+        The raw degrees are ``len(incoming)`` and ``len(outgoing)``,
+        which count self-loops and (out-side) repeated links that the
+        deduplicated adjacency drops.  In-lists come out ordered by
+        source; the kernels only ever sum over them.
+        """
+        if self.in_idx is not None:
             return
-        sids = (superblocks.sids if self.remap is not None
-                else range(self.count))
-        self.in_degree = [len(superblocks.incoming(sid)) for sid in sids]
-        self.out_degree = [len(superblocks.outgoing(sid)) for sid in sids]
+        count = self.count
+        links = superblocks.link_column
+        out_degree = np.fromiter(map(len, links), dtype=np.int64,
+                                 count=count)
+        targets = np.fromiter(chain.from_iterable(links), dtype=np.int64,
+                              count=int(out_degree.sum()))
+        if self.remap is not None:
+            ids = np.fromiter(superblocks.sids, dtype=np.int64, count=count)
+            order = np.argsort(ids, kind="stable")
+            targets = order[np.searchsorted(ids, targets, sorter=order)]
+        sources = np.repeat(np.arange(count, dtype=np.int64), out_degree)
+        # One key per distinct (source, target) link, ordered by source.
+        keys = np.sort(sources * count + targets)
+        sources, targets = np.divmod(keys[np.diff(keys, prepend=-1) != 0],
+                                     count)
+        loops = sources == targets
+        self.self_flags = np.zeros(count, dtype=np.uint8)
+        self.self_flags[sources[loops]] = 1
+        self.in_degree = np.bincount(targets, minlength=count).astype(
+            np.int32)
+        self.out_degree = out_degree.astype(np.int32)
+        sources, targets = sources[~loops], targets[~loops]
+        self.on_idx, self.on_dat = _csr(sources, targets, count)
+        by_target = np.argsort(targets, kind="stable")
+        self.in_idx, self.in_dat = _csr(targets[by_target],
+                                        sources[by_target], count)
 
     def python_link_args(self) -> dict:
         """Prelude rows and precompiled neighbour gathers for the
-        generated-Python runner, built on its first use — the C engine
-        marshals CSR arrays from the adjacency lists instead.
+        generated-Python runner, built from the CSR arrays on its first
+        use.
 
         Residency arrays carry one extra always-zero sentinel slot
         (index ``count``; the unit map's sentinel stays -1), and every
@@ -225,24 +233,44 @@ class _Population:
         per-item dispatch.
         """
         if self.py_links is None:
+            in_lists = _rows(self.in_idx, self.in_dat)
+            out_nonself = _rows(self.on_idx, self.on_dat)
+            self_flags = self.self_flags.tolist()
             pad = (self.count, self.count)
-            nbr_all = [out + inc for out, inc
-                       in zip(self.out_nonself, self.in_lists)]
+            nbr_all = [out + inc for out, inc in zip(out_nonself, in_lists)]
             self.py_links = dict(
-                pre=list(zip(self.sizes, nbr_all, self.self_flags)),
-                self_flags=self.self_flags,
+                pre=list(zip(self.sizes.tolist(), nbr_all, self_flags)),
+                self_flags=self_flags,
                 nbr_get=[itemgetter(*(t + pad)) for t in nbr_all],
-                in_get=[itemgetter(*(t + pad)) for t in self.in_lists],
-                outns_get=[itemgetter(*(t + pad))
-                           for t in self.out_nonself],
+                in_get=[itemgetter(*(t + pad)) for t in in_lists],
+                outns_get=[itemgetter(*(t + pad)) for t in out_nonself],
                 # A self-loop joins the block's own unit: intra-unit.
                 unit_nbr_get=[
                     itemgetter(*(t + ((index,) if flag else ()) + pad))
                     for index, (t, flag)
-                    in enumerate(zip(nbr_all, self.self_flags))
+                    in enumerate(zip(nbr_all, self_flags))
                 ],
             )
         return self.py_links
+
+
+def _csr(rows: np.ndarray, columns: np.ndarray,
+         count: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 CSR offsets and data for (row, column) pairs sorted by row.
+    The data array keeps at least one slot, so its pointer is valid
+    even when there are no pairs."""
+    offsets = np.zeros(count + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=count), out=offsets[1:])
+    data = columns.astype(np.int32) if len(columns) else np.zeros(
+        1, dtype=np.int32)
+    return offsets, data
+
+
+def _rows(offsets: np.ndarray, data: np.ndarray) -> list[tuple[int, ...]]:
+    """A CSR array pair as one tuple of column indices per row."""
+    bounds, values = offsets.tolist(), data.tolist()
+    return [tuple(values[start:end])
+            for start, end in zip(bounds, bounds[1:])]
 
 
 _POPULATIONS: "weakref.WeakKeyDictionary[SuperblockSet, _Population]" = (
@@ -271,15 +299,6 @@ def _resolve_engine(engine: str | None) -> str:
     return engine
 
 
-def _ckernel():
-    """The compiled engine's module, or ``None`` when numpy is missing."""
-    try:
-        from repro.analysis import ckernel
-    except ImportError:
-        return None
-    return ckernel
-
-
 def c_engine_runs() -> bool:
     """Whether :func:`one_pass_grid` runs the C engine under
     ``REPRO_KERNEL_ENGINE``: always when forced (``"c"``, which raises
@@ -288,8 +307,7 @@ def c_engine_runs() -> bool:
     mode = _resolve_engine(None)
     if mode != "auto":
         return mode == "c"
-    ckernel = _ckernel()
-    return ckernel is not None and ckernel.available()
+    return ckernel.available()
 
 
 def one_pass_sweep(
@@ -386,33 +404,27 @@ def one_pass_grid(
     scored = [key for key in geometries if key[0] == "priority"]
 
     mode = _resolve_engine(engine)
-    module = _ckernel() if mode != "py" else None
-    ckernel = module if module is not None and module.available() else None
-    if ckernel is None and (mode == "c" or scored):
-        if mode == "py":
-            reason = "the generated-Python engine has no priority body"
-        elif module is None:
-            reason = "numpy is not importable"
-        else:
-            reason = module.load_error()
+    compiled = mode != "py" and ckernel.available()
+    if not compiled and (mode == "c" or scored):
+        reason = ("the generated-Python engine has no priority body"
+                  if mode == "py" else ckernel.load_error())
         raise RuntimeError(f"C kernel engine unavailable: {reason}")
-    if ckernel is not None and len(ladder) > ckernel.MAX_GEOMETRIES:
+    if compiled and len(ladder) > ckernel.MAX_GEOMETRIES:
         return _split_grid(superblocks, trace, capacities, configs,
                            overhead_model=overhead_model,
                            track_links=track_links,
                            benchmark=benchmark, engine=engine)
 
     population = _population(superblocks)
-    if track_links:
+    if track_links or scored:
         population.ensure_links(superblocks)
     counters: dict[tuple, dict] = {}
     if ladder:
         counters.update(zip(ladder, _ladder_counters(
-            population, trace, ladder, track_links, ckernel,
+            population, trace, ladder, track_links, compiled,
             required=mode == "c")))
     if scored:
         from repro.search.expr import compile_program
-        population.ensure_degrees(superblocks)
         cells = [(capacity_bytes, compile_program(expression))
                  for _kind, capacity_bytes, expression in scored]
         counters.update(zip(scored, ckernel.run_priority(
@@ -434,12 +446,12 @@ def one_pass_grid(
     return results
 
 
-def _ladder_counters(population, trace, geometries, track_links, ckernel,
+def _ladder_counters(population, trace, geometries, track_links, compiled,
                      required):
     """Counter dicts for the ladder geometries, in order, from one
-    traversal: through *ckernel* when given (``None`` means the Python
-    engine), falling back to the generated-Python runner when the C
-    path refuses the shape unless the C engine is *required*."""
+    traversal: through the C engine when *compiled*, falling back to
+    the generated-Python runner when the C path refuses the shape
+    unless the C engine is *required*."""
     # -- Assemble the geometry descriptors.  The FLUSH shape (one
     #    unit) gets its own specialised body in links mode; without
     #    links it is just a one-unit unit cache.  ``caps``/``ucaps``/
@@ -469,7 +481,7 @@ def _ladder_counters(population, trace, geometries, track_links, ckernel,
             geometry_kwargs[f"cap_{index}"] = key[1]
             caps[index] = key[1]
 
-    if ckernel is not None:
+    if compiled:
         geometry_stats = ckernel.run_geometries(
             population, trace, kinds, caps, ucaps, ucounts, track_links)
         if geometry_stats is not None:
@@ -492,7 +504,7 @@ def _ladder_counters(population, trace, geometries, track_links, ckernel,
     kwargs = dict(
         trace=py_trace,
         residency=[0] * population.count,
-        sizes=population.sizes,
+        sizes=population.sizes.tolist(),
         n_blocks=population.count,
         _sum=sum,
         _deque=deque,

@@ -222,21 +222,33 @@ class FaultTolerance:
         return base * (1.0 + jitter)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which
+    ``os.cpu_count()`` ignores (a process pinned to one CPU of a larger
+    host still sees the host's count there).  Falls back to
+    ``os.cpu_count()`` where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: int | None, task_count: int | None = None) -> int:
     """Normalize a worker count (:attr:`SweepOptions.jobs
     <repro.analysis.sweep.SweepOptions.jobs>`).
 
     ``None`` and ``1`` mean serial (in-process), ``0`` means one worker
-    per core, any other positive value is taken literally.  When
-    *task_count* is given the result is additionally capped at the
-    number of tasks — the single place that cap lives.
+    per usable CPU (:func:`usable_cpus`), any other positive value is
+    taken literally.  When *task_count* is given the result is
+    additionally capped at the number of tasks — the single place that
+    cap lives.
     """
     if jobs is None:
         resolved = 1
     elif jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     elif jobs == 0:
-        resolved = os.cpu_count() or 1
+        resolved = usable_cpus()
     else:
         resolved = jobs
     if task_count is not None:
@@ -289,7 +301,7 @@ def plan_jobs(
     resolved = resolve_jobs(jobs, task_count=task_count)
     if resolved <= 1:
         return resolved
-    if (cpus if cpus is not None else os.cpu_count() or 1) <= 1:
+    if (cpus if cpus is not None else usable_cpus()) <= 1:
         return 1
     if (per_task_accesses is not None
             and per_task_accesses < MIN_ACCESSES_PER_TASK):

@@ -10,7 +10,8 @@ backing store) are what distinguish code caches from hardware caches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Iterator, Mapping
 
 
 @dataclass(frozen=True)
@@ -58,78 +59,160 @@ class SuperblockSet:
     """An immutable collection of superblocks indexed by ``sid``.
 
     This is the static population a workload can touch; the cache holds a
-    resident subset of it at any moment.  Also precomputes the reverse
-    link adjacency (who links *to* each block), which the link manager
-    needs on every insertion.
+    resident subset of it at any moment.  It is stored as three columns
+    in ``sid`` order — ids, sizes and outgoing link tuples — which is
+    what the workload generators emit (:meth:`from_arrays`) and what the
+    one-pass sweep kernel marshals from (:attr:`size_column`,
+    :attr:`link_column`).  The :class:`Superblock` objects, the reverse
+    link adjacency the link manager reads on every insertion
+    (:meth:`incoming`) and the :meth:`sizes` map are built on a caller's
+    first request and kept.
     """
 
     def __init__(self, superblocks: Iterable[Superblock]) -> None:
-        self._by_sid: dict[int, Superblock] = {}
-        for superblock in superblocks:
-            if superblock.sid in self._by_sid:
-                raise ValueError(f"duplicate superblock id {superblock.sid}")
-            self._by_sid[superblock.sid] = superblock
-        if not self._by_sid:
+        blocks = tuple(superblocks)
+        self._fill(tuple(block.sid for block in blocks),
+                   tuple(block.size_bytes for block in blocks),
+                   tuple(block.links for block in blocks))
+        self._blocks: tuple[Superblock, ...] | None = blocks
+
+    @classmethod
+    def from_arrays(
+        cls,
+        sizes: Iterable[int],
+        links: Iterable[tuple[int, ...]],
+        sids: Iterable[int] | None = None,
+    ) -> "SuperblockSet":
+        """A set from parallel columns: ``sizes[i]`` and ``links[i]``
+        belong to block ``sids[i]`` (``sids`` defaults to ``0..n-1``).
+
+        Validated exactly like the :class:`Superblock` constructor path,
+        with the same errors; no :class:`Superblock` is built.
+        """
+        self = cls.__new__(cls)
+        # A numpy array converts to Python ints in one call.
+        sizes = tuple(sizes.tolist() if hasattr(sizes, "tolist")
+                      else map(int, sizes))
+        self._fill(tuple(range(len(sizes))) if sids is None
+                   else tuple(map(int, sids)),
+                   sizes, tuple(links))
+        self._blocks = None
+        return self
+
+    def _fill(self, sids: tuple[int, ...], sizes: tuple[int, ...],
+              links: tuple[tuple[int, ...], ...]) -> None:
+        if len(sizes) != len(sids) or len(links) != len(sids):
+            raise ValueError(
+                f"{len(sids)} superblock ids need as many sizes and link "
+                f"tuples, got {len(sizes)} and {len(links)}"
+            )
+        if not sids:
             raise ValueError("a superblock set cannot be empty")
-        for superblock in self._by_sid.values():
-            for target in superblock.links:
-                if target not in self._by_sid:
-                    raise ValueError(
-                        f"superblock {superblock.sid} links to unknown "
-                        f"superblock {target}"
-                    )
-        self._incoming: dict[int, frozenset[int]] = self._build_incoming()
+        if min(sids) < 0:
+            sid = next(sid for sid in sids if sid < 0)
+            raise ValueError(f"superblock id must be non-negative, got {sid}")
+        if min(sizes) <= 0:
+            sid, size = next(pair for pair in zip(sids, sizes) if pair[1] <= 0)
+            raise ValueError(
+                f"superblock {sid} must have positive size, got {size}"
+            )
+        position = dict(zip(sids, range(len(sids))))
+        if len(position) != len(sids):
+            seen: set[int] = set()
+            duplicate = next(sid for sid in sids
+                             if sid in seen or seen.add(sid))
+            raise ValueError(f"duplicate superblock id {duplicate}")
+        if not position.keys() >= set(chain.from_iterable(links)):
+            sid, target = next((sid, target)
+                               for sid, targets in zip(sids, links)
+                               for target in targets
+                               if target not in position)
+            raise ValueError(
+                f"superblock {sid} links to unknown superblock {target}"
+            )
+        self._sids = sids
+        self._sizes = sizes
+        self._links = links
+        self._position = position
+        self._total_bytes = sum(sizes)
+        self._max_block_bytes = max(sizes)
+        self._incoming: dict[int, frozenset[int]] | None = None
+        self._size_map: dict[int, int] | None = None
+
+    def _superblocks(self) -> tuple[Superblock, ...]:
+        if self._blocks is None:
+            self._blocks = tuple(
+                Superblock(sid, size, links=links)
+                for sid, size, links in zip(self._sids, self._sizes,
+                                            self._links)
+            )
+        return self._blocks
 
     def _build_incoming(self) -> dict[int, frozenset[int]]:
-        incoming: dict[int, set[int]] = {sid: set() for sid in self._by_sid}
-        for superblock in self._by_sid.values():
-            for target in superblock.links:
-                incoming[target].add(superblock.sid)
+        incoming: dict[int, set[int]] = {sid: set() for sid in self._sids}
+        for sid, targets in zip(self._sids, self._links):
+            for target in targets:
+                incoming[target].add(sid)
         return {sid: frozenset(sources) for sid, sources in incoming.items()}
 
     # -- Queries -----------------------------------------------------------
 
     def __getitem__(self, sid: int) -> Superblock:
-        return self._by_sid[sid]
+        return self._superblocks()[self._position[sid]]
 
     def __contains__(self, sid: int) -> bool:
-        return sid in self._by_sid
+        return sid in self._position
 
     def __len__(self) -> int:
-        return len(self._by_sid)
+        return len(self._sids)
 
-    def __iter__(self):
-        return iter(self._by_sid.values())
+    def __iter__(self) -> Iterator[Superblock]:
+        return iter(self._superblocks())
 
     @property
     def sids(self) -> tuple[int, ...]:
-        return tuple(self._by_sid)
+        return self._sids
+
+    @property
+    def size_column(self) -> tuple[int, ...]:
+        """Every block's size, parallel to :attr:`sids`."""
+        return self._sizes
+
+    @property
+    def link_column(self) -> tuple[tuple[int, ...], ...]:
+        """Every block's outgoing link tuple, parallel to :attr:`sids`."""
+        return self._links
 
     def size_of(self, sid: int) -> int:
-        return self._by_sid[sid].size_bytes
+        return self._sizes[self._position[sid]]
 
     def incoming(self, sid: int) -> frozenset[int]:
         """The ``sid``\\ s of blocks that link to *sid* (self included)."""
+        if self._incoming is None:
+            self._incoming = self._build_incoming()
         return self._incoming[sid]
 
     def outgoing(self, sid: int) -> tuple[int, ...]:
-        return self._by_sid[sid].links
+        return self._links[self._position[sid]]
 
     @property
     def total_bytes(self) -> int:
         """Sum of all superblock sizes — the paper's ``maxCache`` term,
         the size an unbounded cache would grow to."""
-        return sum(block.size_bytes for block in self._by_sid.values())
+        return self._total_bytes
 
     @property
     def max_block_bytes(self) -> int:
-        return max(block.size_bytes for block in self._by_sid.values())
+        return self._max_block_bytes
 
     @property
     def mean_out_degree(self) -> float:
         """Average outbound links per superblock (the Figure 12 metric)."""
-        return sum(b.out_degree for b in self._by_sid.values()) / len(self._by_sid)
+        return sum(map(len, self._links)) / len(self._sids)
 
     def sizes(self) -> Mapping[int, int]:
-        """``sid -> size_bytes`` for every superblock."""
-        return {sid: block.size_bytes for sid, block in self._by_sid.items()}
+        """``sid -> size_bytes`` for every superblock.  The map is built
+        once and shared by every caller, so treat it as read-only."""
+        if self._size_map is None:
+            self._size_map = dict(zip(self._sids, self._sizes))
+        return self._size_map

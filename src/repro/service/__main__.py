@@ -33,6 +33,9 @@ and fix the rest: ``scale`` takes ``--policy`` and ``--capacity``
 ``dedup`` those and ``--check`` (each side sets its own sharing and
 runs without persistence), ``chaos`` those and
 ``--snapshot-interval`` and ``--sharing`` (64 sessions per worker).
+``route --connect-shards`` and ``load --connect`` start no server, so
+a server flag there is a parser error, except ``load``'s ``--sharing``,
+which makes the client send content digests.
 No setting is read from the environment except the check level
 (``REPRO_CHECK_LEVEL``, the default of ``--check``).
 
@@ -76,13 +79,18 @@ _PER_WORKER = ("host", "port", "snapshot_dir", "standby_dir")
 def _add_server_options(parser: argparse.ArgumentParser,
                         fields=tuple(SERVE_FLAGS), **settings) -> None:
     """Register the server flags of *fields*, each storing into its
-    ServiceConfig field at the config's default; *settings* override
-    those defaults, or fix a field the subcommand takes no flag for."""
+    ServiceConfig field; *settings* set a field's default, or fix a
+    field the subcommand takes no flag for.  A flag left off the command
+    line and not in *settings* stays out of the parsed namespace, so
+    :func:`_config` gives it the config's default and
+    :func:`_reject_unused_server_flags` can tell it was not given."""
     base = ServiceConfig()
     for name in fields:
         flag, options = SERVE_FLAGS[name]
-        parser.add_argument(flag, dest=name, default=getattr(base, name),
-                            **options)
+        default = settings.get(name, getattr(base, name))
+        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS,
+                            **dict(options, help=options["help"]
+                                   % {"default": default}))
     parser.set_defaults(**settings)
 
 
@@ -92,6 +100,33 @@ def _config(args: argparse.Namespace) -> ServiceConfig:
     given = vars(args)
     return ServiceConfig(**{name: given[name] for name in SERVE_FLAGS
                             if name in given})
+
+
+#: Subcommands that can front servers someone else started: the
+#: option that selects that mode, its flag, and the server flags the
+#: mode still reads (``load --connect --sharing`` makes the client send
+#: content digests).
+_CONNECT_MODES = {
+    "route": ("connect_shards", "--connect-shards", ()),
+    "load": ("connect", "--connect", ("--sharing",)),
+}
+
+
+def _reject_unused_server_flags(parser: argparse.ArgumentParser,
+                                args: argparse.Namespace) -> None:
+    """Fail on a server flag given with a connect mode, which starts no
+    server that could take it."""
+    if args.command not in _CONNECT_MODES:
+        return
+    dest, option, kept = _CONNECT_MODES[args.command]
+    if getattr(args, dest) is None:
+        return
+    given = vars(args)
+    unused = [flag for name, (flag, _) in SERVE_FLAGS.items()
+              if name in given and flag not in kept]
+    if unused:
+        parser.error(f"{args.command} {option} starts no server, so "
+                     f"{', '.join(unused)} would have no effect")
 
 
 def _merge_section(path: str, section: str, report: dict) -> None:
@@ -108,13 +143,14 @@ def _merge_section(path: str, section: str, report: dict) -> None:
 
 
 async def _serve(args: argparse.Namespace) -> int:
-    service = CacheService(_config(args))
+    config = _config(args)
+    service = CacheService(config)
     await service.start()
     # Machine-readable ready handshake FIRST: the pool parses this line
     # to learn the port a bind-port-0 worker actually got.
-    print(json.dumps({"ready": True, "host": args.host,
+    print(json.dumps({"ready": True, "host": config.host,
                       "port": service.port}), flush=True)
-    line = (f"serving on {args.host}:{service.port} "
+    line = (f"serving on {config.host}:{service.port} "
             f"(policy={service.arena.policy.name}, "
             f"capacity={service.arena.capacity_bytes} B, "
             f"check={service.arena.check_level}")
@@ -133,12 +169,13 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 async def _load(args: argparse.Namespace) -> int:
+    config = _config(args)
     service = None
     if args.connect:
         host, _, port_text = args.connect.rpartition(":")
         host, port = host or "127.0.0.1", int(port_text)
     else:
-        service = CacheService(_config(args))
+        service = CacheService(config)
         await service.start()
         host, port = "127.0.0.1", service.port
     try:
@@ -147,8 +184,8 @@ async def _load(args: argparse.Namespace) -> int:
             benchmarks=args.benchmarks, scale=args.scale,
             accesses=args.accesses, batch=args.batch,
             quota_bytes=args.quota_bytes,
-            share_content=args.sharing,
-            common_seed=1000 if args.sharing else None,
+            share_content=config.sharing,
+            common_seed=1000 if config.sharing else None,
         )
     finally:
         if service is not None:
@@ -469,7 +506,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    _reject_unused_server_flags(parser, args)
     runner = {
         "serve": _serve,
         "load": _load,

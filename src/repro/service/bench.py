@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
 import shutil
 import time
 from dataclasses import replace
 from pathlib import Path
 
 from repro import faults
+from repro.analysis.parallel import usable_cpus
 from repro.service import protocol
 from repro.service.client import (
     ResilientClient,
@@ -136,7 +136,7 @@ async def run_scale_bench(root: str | Path, config: ServiceConfig,
         # Worker processes only run in parallel up to the core count;
         # on a 1-core box this sweep measures fleet overhead, not
         # scaling, so record the hardware the numbers came from.
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
         "policy": config.policy,
         "capacity_bytes": config.capacity_bytes,
         "tenants_per_shard": tenants_per_shard,
@@ -197,7 +197,7 @@ async def run_dedup_bench(config: ServiceConfig, tenants: int = 4,
     ]
     return {
         "harness": "repro.service dedup",
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
         "tenants": tenants,
         "benchmark": benchmark,
         "scale": scale,
@@ -473,7 +473,7 @@ async def run_chaos_bench(root: str | Path, config: ServiceConfig,
     ]
     return {
         "harness": "repro.service chaos",
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
         "sharing": config.sharing,
         "check_level": config.check_level,
         "shards": shards,

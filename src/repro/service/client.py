@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import time
 
+from repro.analysis.parallel import usable_cpus
 from repro.service import protocol
 from repro.workloads.registry import (
     build_workload,
@@ -532,7 +532,7 @@ async def run_load(host: str, port: int, tenants: int,
     return {
         "harness": "repro.service load",
         # The rate depends on the hardware, as in every fleet section.
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
         "tenants": tenants,
         "scale": scale,
         "accesses_per_tenant": accesses,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.cache import ConfigurationError
-from repro.core.superblock import Superblock, SuperblockSet
+from repro.core.superblock import SuperblockSet
 from repro.workloads.distributions import LogNormalSizeDistribution
 from repro.workloads.linkgraph import generate_links
 from repro.workloads.traces import TraceConfig, generate_trace
@@ -257,10 +257,7 @@ def build_workload(
         self_loop_prob=0.30,
         locality_scale=max(8.0, count * 0.015),
     )
-    superblocks = SuperblockSet(
-        Superblock(sid, int(sizes[sid]), links=links[sid])
-        for sid in range(count)
-    )
+    superblocks = SuperblockSet.from_arrays(sizes, links)
     if trace_accesses is None:
         trace_accesses = default_trace_accesses(count)
     config = replace(spec.trace_profile, accesses=trace_accesses)

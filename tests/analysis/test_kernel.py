@@ -10,11 +10,15 @@ engine selection and fallback, error mirroring, and the sweep-layer
 import dataclasses
 import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import ckernel
 from repro.analysis.kernel import (
     KernelConfig,
+    _Population,
     one_pass_grid,
     one_pass_sweep,
 )
@@ -36,6 +40,7 @@ from repro.workloads.registry import (
     get_benchmark,
     spec_benchmarks,
 )
+from tests.core.test_superblock import _columns, _from_arrays, _from_objects
 
 
 def _population(count=12, size=48, sparse=False):
@@ -442,3 +447,92 @@ class TestCLoader:
         monkeypatch.setenv("REPRO_KERNEL_CC", str(tmp_path / "no-such-cc"))
         assert not ckernel.available()
         assert "no-such-cc" in ckernel.load_error()
+
+
+def _reference_adjacency(superblocks):
+    """The per-block loop the population's numpy arrays replace: per
+    dense index, the incoming sources and outgoing targets without
+    self-loops or repeats, the self-loop flag, and the raw degrees
+    ``len(incoming)`` and ``len(outgoing)``."""
+    index_of = {sid: index for index, sid in enumerate(superblocks.sids)}
+    rows = []
+    for index, sid in enumerate(superblocks.sids):
+        outgoing = [index_of[t] for t in superblocks.outgoing(sid)]
+        incoming = superblocks.incoming(sid)
+        rows.append(({index_of[s] for s in incoming if s != sid},
+                     {t for t in outgoing if t != index},
+                     int(index in outgoing), len(incoming), len(outgoing)))
+    return rows
+
+
+def _row(offsets, data, index):
+    return data[offsets[index]:offsets[index + 1]].tolist()
+
+
+class TestPopulationArrays:
+    """The kernel's numpy marshalling against the per-block loop."""
+
+    @given(_columns(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_match_the_per_block_loop(self, columns, objects):
+        blocks = (_from_objects if objects else _from_arrays)(*columns)
+        population = _Population(blocks)
+        population.ensure_links(blocks)
+        assert population.sizes.dtype == np.int64
+        assert population.sizes.tolist() == [blocks.size_of(sid)
+                                              for sid in blocks.sids]
+        for name in ("in_idx", "in_dat", "on_idx", "on_dat", "in_degree",
+                     "out_degree"):
+            assert getattr(population, name).dtype == np.int32, name
+        assert population.self_flags.dtype == np.uint8
+        for index, (incoming, outgoing, flag, in_degree, out_degree) in (
+                enumerate(_reference_adjacency(blocks))):
+            in_row = _row(population.in_idx, population.in_dat, index)
+            out_row = _row(population.on_idx, population.on_dat, index)
+            assert sorted(in_row) == sorted(incoming)
+            assert sorted(out_row) == sorted(outgoing)
+            assert population.self_flags[index] == flag
+            assert population.in_degree[index] == in_degree
+            assert population.out_degree[index] == out_degree
+
+
+class TestKernelPathIsLazy:
+    """A freshly built workload reaches the one-pass kernel as columns:
+    sweeping it builds no Superblock and no reverse adjacency."""
+
+    @pytest.mark.parametrize("engine", ("c", "py"))
+    def test_sweep_builds_no_superblock_objects(self, engine,
+                                                monkeypatch):
+        if engine == "c" and not ckernel.available():
+            pytest.skip("C kernel unavailable")
+        monkeypatch.setenv("REPRO_KERNEL_ENGINE", engine)
+        built, reversed_ = [], []
+        post_init = Superblock.__post_init__
+        build_incoming = SuperblockSet._build_incoming
+
+        def spy_post_init(block):
+            built.append(block.sid)
+            post_init(block)
+
+        def spy_build_incoming(blocks):
+            reversed_.append(len(blocks))
+            return build_incoming(blocks)
+
+        monkeypatch.setattr(Superblock, "__post_init__", spy_post_init)
+        monkeypatch.setattr(SuperblockSet, "_build_incoming",
+                            spy_build_incoming)
+        specs = ladder_policy_factories((1, 2, 8, 64))
+        if engine == "c":
+            specs.append({"kind": "priority", "name": "linky",
+                          "expression": expr_to_dict(
+                              TestPriorityCells._TREES["linky"])})
+        workload = build_workload(get_benchmark("crafty"), scale=0.1,
+                                  trace_accesses=3000)
+        result = run_sweep([workload], specs, pressures=(2, 10),
+                           one_pass=True, check_level="off")
+        assert len(result.stats) == 2 * len(specs)
+        assert built == [] and reversed_ == []
+        # The spies see the objects and the adjacency once asked for.
+        workload.superblocks.incoming(0)
+        assert len(list(workload.superblocks)) == len(built) > 0
+        assert reversed_ == [len(built)]

@@ -9,6 +9,7 @@ overhead-dominated work to workers.
 
 import pytest
 
+from repro.analysis import parallel
 from repro.analysis.parallel import (
     MIN_ACCESSES_PER_TASK,
     SweepTask,
@@ -18,6 +19,7 @@ from repro.analysis.parallel import (
     plan_tasks,
     resolve_jobs,
     task_key,
+    usable_cpus,
 )
 from repro.core.policies import ladder_specs
 from repro.workloads.registry import default_trace_accesses, spec_benchmarks
@@ -101,3 +103,25 @@ class TestPlanJobs:
 
     def test_unknown_estimate_trusts_the_caller(self):
         assert plan_jobs(4, cpus=16) == 4
+
+
+class TestUsableCpus:
+    """Worker counts follow the affinity mask, not the host's CPUs."""
+
+    @pytest.fixture
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+
+    def test_pinned_process_counts_one_cpu(self, one_cpu):
+        assert usable_cpus() == 1
+        assert resolve_jobs(0) == 1
+        assert plan_jobs(8, per_task_accesses=10**9) == 1
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(parallel.os, "sched_getaffinity",
+                            raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+        assert resolve_jobs(0) == 3

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.invariants import CHECK_LEVELS
+from repro.service import __main__ as cli
 from repro.service import bench
 from repro.service.__main__ import _build_parser, _config, main
 from repro.service.pool import WorkerPool
@@ -242,3 +243,59 @@ class TestDedupSidesRunTheCliConfig:
             ServiceConfig(sharing=sharing, max_sessions=max_sessions)
             for sharing in (False, True)
         ]
+
+
+class TestConnectModesTakeNoServerFlags:
+    """``route --connect-shards`` and ``load --connect`` start no
+    server, so a server flag there fails the parse instead of silently
+    changing nothing.  ``load --connect --sharing`` stays: it makes
+    the client send content digests."""
+
+    CONNECT = {
+        "route": ["route", "--connect-shards", "127.0.0.1:9"],
+        "load": ["load", "--connect", "127.0.0.1:9"],
+    }
+    LOAD_FLAGS = set(SERVE_FLAGS) - {"host", "port", "sharing"}
+
+    @pytest.mark.parametrize("command,name", [
+        *(("route", name) for name in sorted(TAKES["route"])),
+        *(("load", name) for name in sorted(LOAD_FLAGS)),
+    ])
+    def test_server_flag_is_a_parser_error(self, command, name, capsys):
+        argv = FLAG_VALUES[name][0]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.CONNECT[command], *argv])
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
+    def test_route_names_every_ignored_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main([*self.CONNECT["route"], "--sharing", "--policy", "fifo"])
+        error = capsys.readouterr().err
+        assert "--sharing" in error and "--policy" in error
+
+    def test_route_without_server_flags_starts_the_router(self,
+                                                          monkeypatch):
+        async def start(router):
+            raise _Stopped
+
+        monkeypatch.setattr(cli.ServiceRouter, "start", start)
+        with pytest.raises(_Stopped):
+            main(self.CONNECT["route"])
+
+    @pytest.mark.parametrize("flags,sharing", (
+        ([], False), (["--sharing"], True), (["--no-sharing"], False)))
+    def test_load_keeps_sharing(self, flags, sharing, tmp_path,
+                                monkeypatch):
+        calls = []
+
+        async def run_load(host, port, tenants, **options):
+            calls.append((host, port, options["share_content"]))
+            return {"unified": {"miss_rate": 0.0}, "per_tenant": [],
+                    "total_accesses": 0, "elapsed_seconds": 0.0,
+                    "accesses_per_second": 0.0}
+
+        monkeypatch.setattr(cli, "run_load", run_load)
+        assert main([*self.CONNECT["load"], *flags,
+                     "--output", str(tmp_path / "BENCH.json")]) == 0
+        assert calls == [("127.0.0.1", 9, sharing)]

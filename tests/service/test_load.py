@@ -3,8 +3,8 @@ BENCH_service.json report, and its rendering."""
 
 import asyncio
 import json
-import os
 
+from repro.analysis.parallel import usable_cpus
 from repro.analysis.report import render_service_report
 from repro.service.client import run_load, write_report
 from repro.service.server import CacheService, ServiceConfig
@@ -34,7 +34,7 @@ class TestRunLoad:
     def test_report_shape_and_accounting(self):
         report, service = _run(tenants=3)
         assert report["tenants"] == 3
-        assert report["cpu_count"] == os.cpu_count()
+        assert report["cpu_count"] == usable_cpus()
         assert report["total_accesses"] == 3 * 2000
         assert len(report["per_tenant"]) == 3
         for row in report["per_tenant"]:
