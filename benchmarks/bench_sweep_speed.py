@@ -78,8 +78,9 @@ def _grids_identical(serial, parallel) -> bool:
 def run_bench() -> dict:
     specs = all_benchmarks()
     # Pay the C kernel's compile-and-load outside every timed region so
-    # the one-pass numbers measure simulation, not gcc.
-    kernel_engine = "c" if ckernel.available() else "py"
+    # the one-pass numbers measure simulation, not gcc.  Without a
+    # kernel the one-pass run replays too.
+    kernel_engine = "c" if ckernel.available() else "replay"
 
     # The parallel entry point mirrors full_sweep: pressure-sharded
     # tasks, with plan_jobs degrading the pool to the inline engine

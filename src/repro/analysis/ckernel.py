@@ -1,26 +1,24 @@
-"""ctypes loader and marshalling for the one-pass C fast path.
+"""ctypes loader and marshalling for the one-pass C kernel.
 
 The C kernel (``_onepass.c``) has two entry points over the same
-marshalled trace and CSR links.  ``one_pass`` simulates the same ladder
-geometries as the generated-Python runner in
-:mod:`repro.analysis.kernel` and returns the same integer counters,
-which equal those of replaying each geometry through
-``CodeCacheSimulator``; it keeps no floating point, because the
-overheads of Equations 2-4 are priced from the counters by the stats
-records the caller builds.  ``priority_pass`` simulates one
+marshalled trace and CSR links.  ``one_pass`` simulates the ladder
+geometries :func:`repro.analysis.kernel.one_pass_grid` resolves and
+returns integer counters equal to those of replaying each geometry
+through ``CodeCacheSimulator``; it keeps no floating point, because
+the overheads of Equations 2-4 are priced from the counters by the
+stats records the caller builds.  ``priority_pass`` simulates one
 priority-function cell, scoring victims with a stack VM over the
 expression's postfix program (:func:`repro.search.expr.compile_program`)
 in IEEE doubles, the same arithmetic as
 :func:`repro.search.expr.evaluate`; ``vm_score`` exports the VM itself.
 
 This module compiles the kernel on first use with the system C compiler
-(``gcc`` by default, override with ``REPRO_KERNEL_CC``), caches the
+(``gcc`` by default, override with ``REPRO_KERNEL_CC``) and caches the
 shared object in the system temp directory keyed by the source and the
-whole compile command, and falls back cleanly: every entry point
-degrades to ``None``/``False`` when no compiler is available, and
-:func:`repro.analysis.kernel.one_pass_grid` then uses the pure-Python
-engine (priority specs then replay, see
-:meth:`repro.analysis.kernel.KernelConfig.from_spec`).
+whole compile command.  When no compiler is available :func:`load`
+returns ``None``, :func:`available` is false and every runner raises
+``RuntimeError``; :meth:`repro.analysis.kernel.KernelConfig.from_spec`
+then admits no spec, so sweeps replay every cell.
 """
 
 from __future__ import annotations
@@ -140,7 +138,7 @@ def load() -> ctypes.CDLL | None:
         if not so_path.exists():
             _compile(compiler, _SOURCE, so_path)
         _lib = _configure(ctypes.CDLL(str(so_path)))
-    except Exception as exc:  # noqa: BLE001 - any failure means fallback
+    except Exception as exc:  # noqa: BLE001 - any failure means replay
         _lib = None
         _lib_error = f"{type(exc).__name__}: {exc}"
     return _lib
@@ -167,33 +165,23 @@ def _trace_array(population, trace) -> np.ndarray:
     """The trace as dense int32 block indices.
 
     An id outside the population raises ``KeyError`` with the first
-    such id, as replay and the Python engine do: the C loops index
-    their per-block arrays with these values unchecked.
+    such id in trace order, as replay does: the C loops index their
+    per-block arrays with these values unchecked.
     """
     ids = np.asarray(trace)
     if not ids.size:
         return np.zeros(0, dtype=np.int32)
-    remap = population.remap
-    if remap is None:
-        limit = population.count
+    index_of = population.index_of
+    limit = population.count if index_of is None else len(index_of)
+    bad = (ids < 0) | (ids >= limit)
+    if index_of is None:
+        dense = ids
     else:
-        data = population.c_data
-        lut = data.get("lut")
-        if lut is None:
-            lut = np.full(max(remap) + 1, -1, dtype=np.int32)
-            for sid, index in remap.items():
-                lut[sid] = index
-            data["lut"] = lut
-        limit = len(lut)
-    if ids.min() < 0 or ids.max() >= limit:
-        bad = (ids < 0) | (ids >= limit)
+        dense = index_of[np.where(bad, 0, ids)]
+        bad |= dense < 0
+    if bad.any():
         raise KeyError(int(ids[bad.argmax()]))
-    if remap is None:
-        return np.ascontiguousarray(ids, dtype=np.int32)
-    dense = lut[ids]
-    if dense.min() < 0:
-        raise KeyError(int(ids[(dense < 0).argmax()]))
-    return dense
+    return np.ascontiguousarray(dense, dtype=np.int32)
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
@@ -202,16 +190,15 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
 
 def run_geometries(population, trace, kinds, caps, ucaps, ucounts,
                    track_links):
-    """Run the C kernel over one geometry set.
+    """Run the C kernel over one set of at most :data:`MAX_GEOMETRIES`
+    geometries.
 
     Returns a list of per-geometry counter dicts keyed by
-    :class:`~repro.core.metrics.SimulationStats` field names, or
-    ``None`` when the C path is unavailable or refused the shape — the
-    caller then falls back to the Python engine.
+    :class:`~repro.core.metrics.SimulationStats` field names.  An
+    unavailable kernel or a failing call (status -2: bad geometry
+    count, -3: allocation failure) raises ``RuntimeError``.
     """
-    lib = load()
-    if lib is None or len(kinds) > MAX_GEOMETRIES:
-        return None
+    lib = _require()
     trace_arr = _trace_array(population, trace)
     n_geoms = len(kinds)
     kind_codes = np.ascontiguousarray(
@@ -230,7 +217,7 @@ def run_geometries(population, trace, kinds, caps, ucaps, ucounts,
         _ptr(out),
     )
     if status != 0:
-        return None
+        raise RuntimeError(f"C one-pass kernel failed with status {status}")
     return _counters(out.reshape(n_geoms, len(_OUT_FIELDS)).tolist())
 
 
@@ -240,9 +227,7 @@ def run_priority(population, trace, cells, track_links):
     *cells* are ``(capacity, program)`` pairs, each program a
     :class:`repro.search.expr.Program`; every cell is one C call over
     the same marshalled trace and links.  Returns one counter dict per
-    cell, like :func:`run_geometries`.  There is no Python engine to
-    fall back to, so an unavailable kernel or a failing call raises
-    ``RuntimeError``.
+    cell and raises like :func:`run_geometries`.
     """
     lib = _require()
     trace_arr = _trace_array(population, trace)

@@ -36,6 +36,7 @@ from repro.core.pressure import pressured_capacity
 from repro.core.refmodel import (AccessOutcome, ReferenceSimulator,
                                  reference_ladder)
 from repro.core.simulator import CodeCacheSimulator
+from repro.analysis import ckernel
 from repro.analysis.sweep import ladder_policy_factories, run_sweep
 from repro.workloads.registry import all_benchmarks, build_workload
 
@@ -293,17 +294,21 @@ class KernelCheckReport:
     runs: int = 0
     cells: int = 0
     mismatches: list[DiffMismatch] = field(default_factory=list)
+    #: Why the kernel side could not run (the check then fails).
+    error: str | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return not self.mismatches and self.error is None
 
     def render(self, precision: int = 4) -> str:
         lines = [
             f"kernel-check: {self.runs} sweep run(s), "
             f"{self.cells} grid cell(s) compared",
         ]
-        if self.ok:
+        if self.error is not None:
+            lines.append(f"  FAIL: {self.error}")
+        elif self.ok:
             lines.append("  PASS: one-pass kernel and replay engine are "
                          "field-identical")
         else:
@@ -332,11 +337,11 @@ def kernel_check(
     link-tracking mode — once through the one-pass kernel, once through
     full replay — and requires the records to be equal, field for
     field.  The grid is the ladder plus :func:`priority_panel`, whose
-    cells the kernel's expression VM serves whenever the C engine runs
-    (under ``REPRO_KERNEL_ENGINE=py`` they replay on both sides).  The
-    ladder counts the same integers on both sides and derives the
-    overheads from them, and the VM scores with replay's double
-    arithmetic, so equality is exact.
+    cells the kernel's expression VM serves.  The ladder counts the
+    same integers on both sides and derives the overheads from them,
+    and the VM scores with replay's double arithmetic, so equality is
+    exact.  Without a loadable C kernel both sides would replay, so
+    the report fails with the load error instead.
     """
     if scale <= 0:
         raise ConfigurationError("scale must be positive")
@@ -346,12 +351,16 @@ def kernel_check(
         raise ConfigurationError("trace_accesses must be >= 1")
     if not pressures or min(pressures) < 1:
         raise ConfigurationError("pressure factors must be >= 1")
+    report = KernelCheckReport()
+    if not ckernel.available():
+        report.error = ("C kernel engine unavailable: "
+                        f"{ckernel.load_error()}")
+        return report
     from repro.search.expr import to_dict
     grid = ladder_policy_factories(unit_counts, include_fine) + [
         {"kind": "priority", "name": name, "expression": to_dict(tree)}
         for name, tree in priority_panel()
     ]
-    report = KernelCheckReport()
     for benchmark in benchmarks:
         spec = _spec_by_name(benchmark)
         workload = build_workload(spec, scale=scale,

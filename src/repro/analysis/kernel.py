@@ -13,21 +13,18 @@ while maintaining:
   occupancy (``UnitCache`` semantics) or the circular-buffer queue
   (``CircularBlockBuffer`` semantics) for each distinct geometry.
 
-A hit in every geometry costs one list load and one compare; only the
+A hit in every geometry costs one mask load and one compare; only the
 geometries a block is *missing* from pay their miss path.  Hits are
 derived (``accesses - misses``) rather than counted.
 
-The hot loop is *generated*: for each geometry shape (kinds × link
-tracking) the kernel renders one flat Python function with every miss
-body inlined behind its residency-bit test and every counter held in a
-local variable, then compiles and memoizes the function.  Compared to
-dispatching per-geometry closures this removes all per-miss call
-overhead and nonlocal-cell traffic, and the per-access size and
-adjacency loads are shared by every geometry that misses on the same
-access.  The generated code is batched array code — dense sizes,
-deduplicated adjacency, flat per-frontier buffers, no per-access object
-churn — and counts neighbour residency with C-speed
-``sum(map(bytearray.__getitem__, ...))`` scans.
+The traversal itself is C (``_onepass.c``, loaded by
+:mod:`repro.analysis.ckernel`).  This module resolves a grid into
+distinct geometries, marshals each workload once into flat numpy
+arrays, and folds the kernel's counters into stats records.  Without a
+loadable kernel :meth:`KernelConfig.from_spec` admits no spec, so the
+sweep replays every cell through
+:class:`~repro.core.simulator.CodeCacheSimulator` and the grid is the
+same.
 
 Equivalence contract
 --------------------
@@ -60,20 +57,15 @@ unit ladder early) are simulated once and their stats cloned per rung.
 
 from __future__ import annotations
 
-import os
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
-from textwrap import indent
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.analysis import ckernel
 from repro.core.cache import ConfigurationError
-from repro.core.links import BACKPOINTER_ENTRY_BYTES
 from repro.core.metrics import SimulationStats
 from repro.core.overhead import OverheadModel, PAPER_MODEL
 from repro.core.policies import (
@@ -96,7 +88,7 @@ class KernelConfig:
     requested units, clamped exactly like :class:`UnitFifoPolicy`),
     ``"fifo"`` (``CircularBlockBuffer`` semantics) or ``"priority"``
     (:class:`~repro.search.priority.PriorityFunctionPolicy` scoring
-    victims with ``expression``; C engine only).
+    victims with ``expression``).
     """
 
     name: str
@@ -120,26 +112,24 @@ class KernelConfig:
         """The cell a policy spec describes, or ``None`` when it needs
         replay.
 
-        Eligibility is the spec's kind.  The ladder kinds
-        (:data:`~repro.core.policies.LADDER_KINDS`) always qualify.  A
-        priority function qualifies whenever the C engine runs
-        (:func:`c_engine_runs`): its victim scan is a C expression VM
-        with no generated-Python body.  The other stateful kinds
-        (PREEMPT, GEN, LRU) watch accesses or keep extra state and
-        replay.  The config carries the built policy's name, so a
-        spec's ``name`` overrides it here exactly as in replay.
+        Eligibility is the spec's kind: the ladder kinds
+        (:data:`~repro.core.policies.LADDER_KINDS`) and priority
+        functions, whose victim scan is the kernel's expression VM.
+        The other stateful kinds (PREEMPT, GEN, LRU) watch accesses or
+        keep extra state and replay.  Without a loadable C kernel
+        every spec replays.  The config carries the built policy's
+        name, so a spec's ``name`` overrides it here exactly as in
+        replay.
         """
         spec = policy_spec(spec)
         kind = spec.get("kind")
-        if kind == "priority":
-            if not c_engine_runs():
-                return None
-            policy = policy_from_spec(spec)
-            return cls(name=policy.name, kind="priority",
-                       expression=policy.expression)
-        if kind not in LADDER_KINDS:
+        if (kind not in (*LADDER_KINDS, "priority")
+                or not ckernel.available()):
             return None
         policy = policy_from_spec(spec)
+        if kind == "priority":
+            return cls(name=policy.name, kind="priority",
+                       expression=policy.expression)
         if kind == "fifo":
             return cls(name=policy.name, kind="fifo")
         return cls(name=policy.name, kind="unit",
@@ -159,16 +149,21 @@ class _Population:
     handed to the C engine as they are.
     """
 
-    __slots__ = ("count", "remap", "sizes", "in_idx", "in_dat", "on_idx",
-                 "on_dat", "self_flags", "in_degree", "out_degree",
-                 "py_links", "c_data", "__weakref__")
+    __slots__ = ("count", "index_of", "sizes", "in_idx", "in_dat",
+                 "on_idx", "on_dat", "self_flags", "in_degree", "out_degree",
+                 "__weakref__")
 
     def __init__(self, superblocks: SuperblockSet) -> None:
         sids = superblocks.sids
         self.count = len(sids)
-        #: ``sid -> dense index`` when the ids are not ``0..count-1``.
-        self.remap = (None if sids == tuple(range(self.count))
-                      else {sid: index for index, sid in enumerate(sids)})
+        #: ``sid -> dense index`` as an int32 lookup table holding -1
+        #: for ids outside the population, or ``None`` when the ids are
+        #: ``0..count-1``.
+        self.index_of = None
+        if sids != tuple(range(self.count)):
+            ids = np.fromiter(sids, dtype=np.int64, count=self.count)
+            self.index_of = np.full(int(ids.max()) + 1, -1, dtype=np.int32)
+            self.index_of[ids] = np.arange(self.count, dtype=np.int32)
         self.sizes = np.fromiter(superblocks.size_column, dtype=np.int64,
                                  count=self.count)
         #: Deduplicated adjacency in dense indices as int32 CSR, built
@@ -178,11 +173,6 @@ class _Population:
         #: features read.
         self.in_idx = self.in_dat = self.on_idx = self.on_dat = None
         self.self_flags = self.in_degree = self.out_degree = None
-        #: The generated-Python runner's link arguments, built on the
-        #: first Python-engine run (see :meth:`python_link_args`).
-        self.py_links: dict | None = None
-        #: ckernel's memo for its trace lookup table.
-        self.c_data: dict = {}
 
     def ensure_links(self, superblocks: SuperblockSet) -> None:
         """Build the CSR adjacency, self flags and raw degrees.
@@ -200,10 +190,8 @@ class _Population:
                                  count=count)
         targets = np.fromiter(chain.from_iterable(links), dtype=np.int64,
                               count=int(out_degree.sum()))
-        if self.remap is not None:
-            ids = np.fromiter(superblocks.sids, dtype=np.int64, count=count)
-            order = np.argsort(ids, kind="stable")
-            targets = order[np.searchsorted(ids, targets, sorter=order)]
+        if self.index_of is not None:
+            targets = self.index_of[targets]
         sources = np.repeat(np.arange(count, dtype=np.int64), out_degree)
         # One key per distinct (source, target) link, ordered by source.
         keys = np.sort(sources * count + targets)
@@ -221,38 +209,6 @@ class _Population:
         self.in_idx, self.in_dat = _csr(targets[by_target],
                                         sources[by_target], count)
 
-    def python_link_args(self) -> dict:
-        """Prelude rows and precompiled neighbour gathers for the
-        generated-Python runner, built from the CSR arrays on its first
-        use.
-
-        Residency arrays carry one extra always-zero sentinel slot
-        (index ``count``; the unit map's sentinel stays -1), and every
-        index tuple is padded with two sentinels so itemgetter always
-        returns a tuple and the gathered values sum without any
-        per-item dispatch.
-        """
-        if self.py_links is None:
-            in_lists = _rows(self.in_idx, self.in_dat)
-            out_nonself = _rows(self.on_idx, self.on_dat)
-            self_flags = self.self_flags.tolist()
-            pad = (self.count, self.count)
-            nbr_all = [out + inc for out, inc in zip(out_nonself, in_lists)]
-            self.py_links = dict(
-                pre=list(zip(self.sizes.tolist(), nbr_all, self_flags)),
-                self_flags=self_flags,
-                nbr_get=[itemgetter(*(t + pad)) for t in nbr_all],
-                in_get=[itemgetter(*(t + pad)) for t in in_lists],
-                outns_get=[itemgetter(*(t + pad)) for t in out_nonself],
-                # A self-loop joins the block's own unit: intra-unit.
-                unit_nbr_get=[
-                    itemgetter(*(t + ((index,) if flag else ()) + pad))
-                    for index, (t, flag)
-                    in enumerate(zip(nbr_all, self_flags))
-                ],
-            )
-        return self.py_links
-
 
 def _csr(rows: np.ndarray, columns: np.ndarray,
          count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,13 +220,6 @@ def _csr(rows: np.ndarray, columns: np.ndarray,
     data = columns.astype(np.int32) if len(columns) else np.zeros(
         1, dtype=np.int32)
     return offsets, data
-
-
-def _rows(offsets: np.ndarray, data: np.ndarray) -> list[tuple[int, ...]]:
-    """A CSR array pair as one tuple of column indices per row."""
-    bounds, values = offsets.tolist(), data.tolist()
-    return [tuple(values[start:end])
-            for start, end in zip(bounds, bounds[1:])]
 
 
 _POPULATIONS: "weakref.WeakKeyDictionary[SuperblockSet, _Population]" = (
@@ -286,52 +235,6 @@ def _population(superblocks: SuperblockSet) -> _Population:
     return population
 
 
-_ENGINES = ("auto", "c", "py")
-
-
-def _resolve_engine(engine: str | None) -> str:
-    if engine is None:
-        engine = os.environ.get("REPRO_KERNEL_ENGINE", "auto")
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown kernel engine {engine!r}; expected one of {_ENGINES}"
-        )
-    return engine
-
-
-def c_engine_runs() -> bool:
-    """Whether :func:`one_pass_grid` runs the C engine under
-    ``REPRO_KERNEL_ENGINE``: always when forced (``"c"``, which raises
-    if the kernel cannot load), never under ``"py"``, and under
-    ``"auto"`` (the default) when the kernel builds and loads."""
-    mode = _resolve_engine(None)
-    if mode != "auto":
-        return mode == "c"
-    return ckernel.available()
-
-
-def one_pass_sweep(
-    superblocks: SuperblockSet,
-    trace: Iterable[int],
-    capacity_bytes: int,
-    configs: Sequence[KernelConfig],
-    overhead_model: OverheadModel = PAPER_MODEL,
-    track_links: bool = True,
-    benchmark: str = "",
-    engine: str | None = None,
-) -> dict[str, SimulationStats]:
-    """Simulate every config in one trace traversal.
-
-    Returns ``{config.name: stats}`` in *configs* order, field-identical
-    to replaying each config through :class:`CodeCacheSimulator`.
-    """
-    return one_pass_grid(superblocks, trace, (capacity_bytes,), configs,
-                         overhead_model=overhead_model,
-                         track_links=track_links,
-                         benchmark=benchmark,
-                         engine=engine)[0]
-
-
 def one_pass_grid(
     superblocks: SuperblockSet,
     trace: Iterable[int],
@@ -340,7 +243,6 @@ def one_pass_grid(
     overhead_model: OverheadModel = PAPER_MODEL,
     track_links: bool = True,
     benchmark: str = "",
-    engine: str | None = None,
 ) -> list[dict[str, SimulationStats]]:
     """Simulate a (capacity x config) grid in one trace traversal.
 
@@ -353,14 +255,10 @@ def one_pass_grid(
     stats for ``capacities[i]``, field-identical to replaying each
     (capacity, config) cell through :class:`CodeCacheSimulator`.
 
-    *engine* selects the hot-loop implementation: ``"c"`` (the
-    compiled fast path in :mod:`repro.analysis.ckernel`), ``"py"`` (the
-    generated-Python runner), or ``"auto"`` (C when buildable, Python
-    otherwise).  ``None`` defers to the ``REPRO_KERNEL_ENGINE``
-    environment variable, defaulting to ``"auto"``.  Both engines are
-    bit-identical; the choice only affects speed.  Priority configs
-    need the C engine and raise ``RuntimeError`` without it;
-    :meth:`KernelConfig.from_spec` only builds them when it runs.
+    The grid runs on the C kernel (:mod:`repro.analysis.ckernel`),
+    which raises ``RuntimeError`` naming the load error when it cannot
+    load; :meth:`KernelConfig.from_spec` admits no spec on such hosts,
+    so the sweep replays instead of calling this.
     """
     if not configs or not capacities:
         return [{} for _capacity in capacities]
@@ -403,17 +301,10 @@ def one_pass_grid(
     ladder = [key for key in geometries if key[0] != "priority"]
     scored = [key for key in geometries if key[0] == "priority"]
 
-    mode = _resolve_engine(engine)
-    compiled = mode != "py" and ckernel.available()
-    if not compiled and (mode == "c" or scored):
-        reason = ("the generated-Python engine has no priority body"
-                  if mode == "py" else ckernel.load_error())
-        raise RuntimeError(f"C kernel engine unavailable: {reason}")
-    if compiled and len(ladder) > ckernel.MAX_GEOMETRIES:
+    if len(ladder) > ckernel.MAX_GEOMETRIES:
         return _split_grid(superblocks, trace, capacities, configs,
                            overhead_model=overhead_model,
-                           track_links=track_links,
-                           benchmark=benchmark, engine=engine)
+                           track_links=track_links, benchmark=benchmark)
 
     population = _population(superblocks)
     if track_links or scored:
@@ -421,8 +312,7 @@ def one_pass_grid(
     counters: dict[tuple, dict] = {}
     if ladder:
         counters.update(zip(ladder, _ladder_counters(
-            population, trace, ladder, track_links, compiled,
-            required=mode == "c")))
+            population, trace, ladder, track_links)))
     if scored:
         from repro.search.expr import compile_program
         cells = [(capacity_bytes, compile_program(expression))
@@ -446,19 +336,13 @@ def one_pass_grid(
     return results
 
 
-def _ladder_counters(population, trace, geometries, track_links, compiled,
-                     required):
-    """Counter dicts for the ladder geometries, in order, from one
-    traversal: through the C engine when *compiled*, falling back to
-    the generated-Python runner when the C path refuses the shape
-    unless the C engine is *required*."""
-    # -- Assemble the geometry descriptors.  The FLUSH shape (one
-    #    unit) gets its own specialised body in links mode; without
-    #    links it is just a one-unit unit cache.  ``caps``/``ucaps``/
-    #    ``ucounts`` are the C engine's parallel views of the same
-    #    geometries (unused slots stay zero).
+def _ladder_counters(population, trace, geometries, track_links):
+    """Counter dicts for the ladder geometries, in order, from one C
+    traversal.  The FLUSH shape (one unit) gets its own specialised
+    body in links mode; without links it is just a one-unit unit
+    cache.  ``caps``/``ucaps``/``ucounts`` are parallel per-geometry
+    views (unused slots stay zero)."""
     kinds: list[str] = []
-    geometry_kwargs: dict[str, int] = {}
     caps = [0] * len(geometries)
     ucaps = [0] * len(geometries)
     ucounts = [0] * len(geometries)
@@ -468,52 +352,16 @@ def _ladder_counters(population, trace, geometries, track_links, compiled,
             unit_capacity = capacity_bytes // unit_count
             if track_links and unit_count == 1:
                 kinds.append("flush")
-                geometry_kwargs[f"cap_{index}"] = unit_capacity
                 caps[index] = unit_capacity
             else:
                 kinds.append("unit")
-                geometry_kwargs[f"ucap_{index}"] = unit_capacity
-                geometry_kwargs[f"ucount_{index}"] = unit_count
                 ucaps[index] = unit_capacity
                 ucounts[index] = unit_count
         else:
             kinds.append("fifo")
-            geometry_kwargs[f"cap_{index}"] = key[1]
             caps[index] = key[1]
-
-    if compiled:
-        geometry_stats = ckernel.run_geometries(
-            population, trace, kinds, caps, ucaps, ucounts, track_links)
-        if geometry_stats is not None:
-            return geometry_stats
-        if required:
-            raise RuntimeError(
-                f"C kernel engine unavailable: {ckernel.load_error()}")
-
-    runner = _runner(tuple(kinds), track_links)
-    if hasattr(trace, "tolist"):
-        py_trace = trace.tolist()
-    elif isinstance(trace, list):
-        py_trace = trace
-    else:
-        py_trace = list(trace)
-    if population.remap is not None:
-        remap = population.remap
-        py_trace = [remap[sid] for sid in py_trace]
-
-    kwargs = dict(
-        trace=py_trace,
-        residency=[0] * population.count,
-        sizes=population.sizes.tolist(),
-        n_blocks=population.count,
-        _sum=sum,
-        _deque=deque,
-        **geometry_kwargs,
-    )
-    if track_links:
-        kwargs.update(bp_bytes=BACKPOINTER_ENTRY_BYTES,
-                      **population.python_link_args())
-    return runner(**kwargs)
+    return ckernel.run_geometries(population, trace, kinds, caps, ucaps,
+                                  ucounts, track_links)
 
 
 def _split_grid(superblocks, trace, capacities, configs, **shared):
@@ -533,336 +381,3 @@ def _split_grid(superblocks, trace, capacities, configs, **shared):
                           **shared)
     return [{**head, **tail} for head, tail in zip(left, right)]
 
-
-# -- Generated hot loop ------------------------------------------------------
-#
-# The templates below are written at zero indent and expanded with
-# plain string replacement: ``@i@`` is the geometry index and ``@nb@``
-# the complement of its residency bit.  Every temporary is suffixed
-# with the geometry index so inlined bodies stay independent.  Mutable
-# frontier state is created inside the generated function (fresh per
-# call); read-only arrays and capacities arrive as parameters, which
-# keeps one compiled function reusable for every capacity that shares
-# the same geometry shape.  Only integer counters are kept: the
-# overheads are priced from them afterwards.
-
-_SHARED_PARAMS = ("trace", "residency", "sizes", "n_blocks", "_sum",
-                  "_deque")
-_LINK_PARAMS = ("pre", "bp_bytes", "self_flags", "nbr_get", "in_get",
-                "outns_get", "unit_nbr_get")
-
-_UNIT_PARAMS = ("ucap_@i@", "ucount_@i@")
-_CAP_PARAMS = ("cap_@i@",)
-
-_COUNTER_INIT = """\
-misses_@i@ = 0
-ins_@i@ = 0
-evB_@i@ = 0
-"""
-
-_LINK_COUNTER_INIT = """\
-ulops_@i@ = 0
-ulrem_@i@ = 0
-intra_@i@ = 0
-inter_@i@ = 0
-live_@i@ = 0
-plive_@i@ = 0
-res_@i@ = bytearray(n_blocks + 1)
-"""
-
-_MISS_PRELUDE = """\
-misses_@i@ += 1
-ins_@i@ += size
-"""
-
-_UNIT_INIT = _COUNTER_INIT + """\
-inv_@i@ = 0
-evb_@i@ = 0
-fill_@i@ = 0
-units_@i@ = [[] for _unused in range(ucount_@i@)]
-used_@i@ = [0] * ucount_@i@
-"""
-
-# UnitCache semantics, links untracked.
-_UNIT_BODY = _MISS_PRELUDE + """\
-if used_@i@[fill_@i@] + size > ucap_@i@:
-    fill_@i@ += 1
-    if fill_@i@ == ucount_@i@:
-        fill_@i@ = 0
-    victims_@i@ = units_@i@[fill_@i@]
-    if victims_@i@:
-        inv_@i@ += 1
-        evb_@i@ += len(victims_@i@)
-        evB_@i@ += used_@i@[fill_@i@]
-        for v_@i@ in victims_@i@:
-            residency[v_@i@] &= @nb@
-        units_@i@[fill_@i@] = []
-        used_@i@[fill_@i@] = 0
-units_@i@[fill_@i@].append(sid)
-used_@i@[fill_@i@] += size
-"""
-
-_UNIT_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@,
-     eviction_invocations=inv_@i@, evicted_blocks=evb_@i@,
-     evicted_bytes=evB_@i@)
-"""
-
-_FIFO_INIT = _COUNTER_INIT + """\
-nev_@i@ = 0
-fused_@i@ = 0
-queue_@i@ = _deque()
-popleft_@i@ = queue_@i@.popleft
-append_@i@ = queue_@i@.append
-"""
-
-# CircularBlockBuffer semantics, links untracked.  Every victim is its
-# own eviction event, so invocations == evicted blocks (one counter).
-_FIFO_BODY = _MISS_PRELUDE + """\
-while fused_@i@ + size > cap_@i@:
-    v_@i@ = popleft_@i@()
-    vs_@i@ = sizes[v_@i@]
-    fused_@i@ -= vs_@i@
-    nev_@i@ += 1
-    evB_@i@ += vs_@i@
-    residency[v_@i@] &= @nb@
-append_@i@(sid)
-fused_@i@ += size
-"""
-
-_FIFO_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@,
-     eviction_invocations=nev_@i@, evicted_blocks=nev_@i@,
-     evicted_bytes=evB_@i@)
-"""
-
-_FLUSH_LINKS_INIT = _COUNTER_INIT + _LINK_COUNTER_INIT + """\
-inv_@i@ = 0
-evb_@i@ = 0
-fused_@i@ = 0
-blocks_@i@ = []
-bapp_@i@ = blocks_@i@.append
-"""
-
-# Single-unit FLUSH with link accounting.  A flush evicts every
-# resident block at once, so no live link ever has a surviving
-# endpoint: there are no unlink records and the live set zeroes.  With
-# one unit every established link is intra-unit.  The peak check only
-# runs when the live count grew — it cannot grow anywhere else.
-_FLUSH_LINKS_BODY = _MISS_PRELUDE + """\
-if fused_@i@ + size > cap_@i@:
-    inv_@i@ += 1
-    evb_@i@ += len(blocks_@i@)
-    evB_@i@ += fused_@i@
-    for v_@i@ in blocks_@i@:
-        residency[v_@i@] &= @nb@
-    res_@i@ = bytearray(n_blocks + 1)
-    blocks_@i@ = []
-    bapp_@i@ = blocks_@i@.append
-    fused_@i@ = 0
-    live_@i@ = 0
-bapp_@i@(sid)
-fused_@i@ += size
-res_@i@[sid] = 1
-if nbrs:
-    ln_@i@ = sf + _sum(nbr_get[sid](res_@i@))
-    if ln_@i@:
-        intra_@i@ += ln_@i@
-        live_@i@ += ln_@i@
-        if live_@i@ > plive_@i@:
-            plive_@i@ = live_@i@
-elif sf:
-    intra_@i@ += sf
-    live_@i@ += sf
-    if live_@i@ > plive_@i@:
-        plive_@i@ = live_@i@
-"""
-
-_FLUSH_LINKS_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@,
-     eviction_invocations=inv_@i@, evicted_blocks=evb_@i@,
-     evicted_bytes=evB_@i@, links_established_intra=intra_@i@,
-     peak_backpointer_bytes=plive_@i@ * bp_bytes)
-"""
-
-_UNIT_LINKS_INIT = _UNIT_INIT + _LINK_COUNTER_INIT + """\
-ua_@i@ = [-1] * (n_blocks + 1)
-"""
-
-# Multi-unit UnitCache semantics with LinkManager-equivalent
-# accounting.  A unit eviction is one event: the out-side dead-link
-# scan runs with every victim still flagged resident (links to
-# co-victims are live until the event drops them), the flags then
-# clear, and the in-side survivor counts become plain residency sums
-# with the co-victim exclusion built in.  ua_@i@[x] is the unit holding
-# x, or -1 when absent, answering residency and link classification
-# with one load.
-_UNIT_LINKS_BODY = _MISS_PRELUDE + """\
-if used_@i@[fill_@i@] + size > ucap_@i@:
-    fill_@i@ += 1
-    if fill_@i@ == ucount_@i@:
-        fill_@i@ = 0
-    victims_@i@ = units_@i@[fill_@i@]
-    if victims_@i@:
-        inv_@i@ += 1
-        evb_@i@ += len(victims_@i@)
-        evB_@i@ += used_@i@[fill_@i@]
-        dead_@i@ = 0
-        for v_@i@ in victims_@i@:
-            dead_@i@ += self_flags[v_@i@] + _sum(
-                outns_get[v_@i@](res_@i@))
-        for v_@i@ in victims_@i@:
-            residency[v_@i@] &= @nb@
-            res_@i@[v_@i@] = 0
-            ua_@i@[v_@i@] = -1
-        for v_@i@ in victims_@i@:
-            sur_@i@ = _sum(in_get[v_@i@](res_@i@))
-            if sur_@i@:
-                ulops_@i@ += 1
-                ulrem_@i@ += sur_@i@
-                dead_@i@ += sur_@i@
-        live_@i@ -= dead_@i@
-        units_@i@[fill_@i@] = []
-        used_@i@[fill_@i@] = 0
-units_@i@[fill_@i@].append(sid)
-used_@i@[fill_@i@] += size
-f_@i@ = fill_@i@
-ua_@i@[sid] = f_@i@
-res_@i@[sid] = 1
-est_@i@ = sf + _sum(nbr_get[sid](res_@i@))
-if est_@i@:
-    li_@i@ = unit_nbr_get[sid](ua_@i@).count(f_@i@)
-    intra_@i@ += li_@i@
-    inter_@i@ += est_@i@ - li_@i@
-    live_@i@ += est_@i@
-    if live_@i@ > plive_@i@:
-        plive_@i@ = live_@i@
-"""
-
-_UNIT_LINKS_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@,
-     eviction_invocations=inv_@i@, evicted_blocks=evb_@i@,
-     evicted_bytes=evB_@i@, unlink_operations=ulops_@i@,
-     links_removed=ulrem_@i@, links_established_intra=intra_@i@,
-     links_established_inter=inter_@i@,
-     peak_backpointer_bytes=plive_@i@ * bp_bytes)
-"""
-
-_FIFO_LINKS_INIT = _FIFO_INIT + _LINK_COUNTER_INIT
-
-# CircularBlockBuffer semantics with link accounting.  Every victim is
-# its own event, processed sequentially: a later victim of the same
-# miss still counts as a surviving source for an earlier one (its links
-# have not dropped yet), which the residency flags reproduce because
-# each victim's flag clears only when its event is processed.  Each
-# block is its own unit, so only self-loops are intra-unit.
-_FIFO_LINKS_BODY = _MISS_PRELUDE + """\
-while fused_@i@ + size > cap_@i@:
-    v_@i@ = popleft_@i@()
-    vs_@i@ = sizes[v_@i@]
-    fused_@i@ -= vs_@i@
-    nev_@i@ += 1
-    evB_@i@ += vs_@i@
-    sur_@i@ = _sum(in_get[v_@i@](res_@i@))
-    if sur_@i@:
-        ulops_@i@ += 1
-        ulrem_@i@ += sur_@i@
-    live_@i@ -= sur_@i@ + self_flags[v_@i@] + _sum(
-        outns_get[v_@i@](res_@i@))
-    residency[v_@i@] &= @nb@
-    res_@i@[v_@i@] = 0
-append_@i@(sid)
-fused_@i@ += size
-res_@i@[sid] = 1
-if nbrs:
-    ln_@i@ = _sum(nbr_get[sid](res_@i@))
-    if ln_@i@ or sf:
-        inter_@i@ += ln_@i@
-        intra_@i@ += sf
-        live_@i@ += ln_@i@ + sf
-        if live_@i@ > plive_@i@:
-            plive_@i@ = live_@i@
-elif sf:
-    intra_@i@ += sf
-    live_@i@ += sf
-    if live_@i@ > plive_@i@:
-        plive_@i@ = live_@i@
-"""
-
-_FIFO_LINKS_RET = """\
-dict(misses=misses_@i@, inserted_bytes=ins_@i@,
-     eviction_invocations=nev_@i@, evicted_blocks=nev_@i@,
-     evicted_bytes=evB_@i@, unlink_operations=ulops_@i@,
-     links_removed=ulrem_@i@, links_established_intra=intra_@i@,
-     links_established_inter=inter_@i@,
-     peak_backpointer_bytes=plive_@i@ * bp_bytes)
-"""
-
-#: (kind, track_links) -> (extra params, init, body, return expression).
-_TEMPLATES = {
-    ("unit", False): (_UNIT_PARAMS, _UNIT_INIT, _UNIT_BODY, _UNIT_RET),
-    ("fifo", False): (_CAP_PARAMS, _FIFO_INIT, _FIFO_BODY, _FIFO_RET),
-    ("flush", True): (_CAP_PARAMS, _FLUSH_LINKS_INIT,
-                      _FLUSH_LINKS_BODY, _FLUSH_LINKS_RET),
-    ("unit", True): (_UNIT_PARAMS, _UNIT_LINKS_INIT,
-                     _UNIT_LINKS_BODY, _UNIT_LINKS_RET),
-    ("fifo", True): (_CAP_PARAMS, _FIFO_LINKS_INIT,
-                     _FIFO_LINKS_BODY, _FIFO_LINKS_RET),
-}
-
-_RUNNERS: dict[tuple, Callable] = {}
-
-
-def _expand(template: str, index: int) -> str:
-    return (template.replace("@i@", str(index))
-            .replace("@nb@", str(~(1 << index))))
-
-
-def render_runner_source(kinds: tuple[str, ...],
-                         track_links: bool) -> str:
-    """Render the one-pass runner for a geometry shape (public for
-    tests and debugging — ``python -m repro.analysis kernel-check``
-    exercises the compiled result)."""
-    params = list(_SHARED_PARAMS)
-    if track_links:
-        params.extend(_LINK_PARAMS)
-    inits, dispatch, rets = [], [], []
-    for index, kind in enumerate(kinds):
-        extra, init, body, ret = _TEMPLATES[(kind, track_links)]
-        params.extend(_expand(param, index) for param in extra)
-        inits.append(indent(_expand(init, index), "    "))
-        dispatch.append(f"        if not mask & {1 << index}:\n"
-                        + indent(_expand(body, index), "            "))
-        rets.append(indent(_expand(ret.rstrip(), index),
-                           "        ").lstrip())
-    full = (1 << len(kinds)) - 1
-    if track_links:
-        prelude = ["        size, nbrs, sf = pre[sid]"]
-    else:
-        prelude = ["        size = sizes[sid]"]
-    return "\n".join([
-        f"def _kernel_run({', '.join(params)}):",
-        "".join(inits),
-        "    for sid in trace:",
-        "        mask = residency[sid]",
-        f"        if mask == {full}:",
-        "            continue",
-        *prelude,
-        "".join(dispatch).rstrip(),
-        f"        residency[sid] = {full}",
-        "    return (",
-        "        " + ",\n        ".join(rets) + ",",
-        "    )",
-    ])
-
-
-def _runner(kinds: tuple[str, ...], track_links: bool) -> Callable:
-    key = (kinds, track_links)
-    runner = _RUNNERS.get(key)
-    if runner is None:
-        source = render_runner_source(kinds, track_links)
-        namespace: dict = {}
-        exec(compile(source, "<one-pass-kernel>", "exec"), namespace)
-        runner = namespace["_kernel_run"]
-        _RUNNERS[key] = runner
-    return runner

@@ -180,8 +180,8 @@ def simulate_slab(
     sweep engines run.
 
     With ``one_pass`` the specs the kernel can express
-    (:meth:`KernelConfig.from_spec`: the ladder kinds, plus priority
-    functions whenever the C engine runs) are evaluated by
+    (:meth:`KernelConfig.from_spec`: the ladder kinds and priority
+    functions, none when the C kernel cannot load) are evaluated by
     :func:`repro.analysis.kernel.one_pass_grid` — the ladder in a
     single trace traversal, each priority cell in one C call; every
     other spec replays through :class:`CodeCacheSimulator` with the
@@ -454,11 +454,11 @@ def full_sweep(
     grid completes.
 
     Both engines route the ladder through the one-pass kernel unless a
-    check level is active.  Parallel runs shard one
-    (benchmark, pressure) slice per task, and the worker count is
-    chosen by :func:`~repro.analysis.parallel.plan_jobs`: a pool that
-    cannot beat the inline engine (single CPU, or tiny per-task work)
-    silently degrades to serial instead of regressing.
+    check level is active or the C kernel cannot load.  Parallel runs
+    shard one (benchmark, pressure) slice per task, and the worker
+    count is chosen by :func:`~repro.analysis.parallel.plan_jobs`: a
+    pool that cannot beat the inline engine (single CPU, or tiny
+    per-task work) silently degrades to serial instead of regressing.
     """
     pressures = tuple(pressures)
     unit_counts = tuple(unit_counts)

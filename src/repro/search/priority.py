@@ -10,9 +10,10 @@ break on insertion order), which is how the search's FIFO-equivalent
 seed candidate works.  Victims are chosen by a straight-line scan
 compiled once per expression (:func:`repro.search.expr.compile_chooser`),
 which scores exactly as :func:`repro.search.expr.evaluate` does.  Sweep
-cells skip this class whenever the C engine runs: the one-pass kernel
+cells skip this class whenever the C kernel loads: the one-pass kernel
 simulates the same policy with its expression VM
-(:meth:`repro.analysis.kernel.KernelConfig.from_spec`).
+(:meth:`repro.analysis.kernel.KernelConfig.from_spec`).  On a host
+without a C compiler every sweep cell replays through this class.
 
 The policy is fully serializable — ``to_spec``/``from_spec`` round-trip
 through the JSON policy-spec registry in :mod:`repro.core.policies` —

@@ -21,6 +21,7 @@ from repro.core.overhead import FREE_MODEL
 from repro.core.refmodel import AccessOutcome
 from repro.search import expr as expr_mod
 from repro.search.driver import seed_expressions
+from tests.analysis.test_kernel import _unload
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -233,3 +234,19 @@ class TestKernelCheck:
         assert code == 0
         assert "PASS" in out
         assert "kernel-check" in out
+
+    def test_kernel_check_fails_without_a_kernel(self, monkeypatch,
+                                                 capsys):
+        # Both sides would replay, so a pass would prove nothing.
+        from repro.analysis.diffcheck import kernel_check
+        _unload(monkeypatch)
+        report = kernel_check(benchmarks=("gzip",), scale=0.15,
+                              trace_accesses=300, pressures=(2.0,))
+        assert not report.ok
+        assert report.error == "C kernel engine unavailable: no compiler"
+        code = main(["kernel-check", "--scale", "0.15",
+                     "--trace-accesses", "300",
+                     "--diff-benchmarks", "gzip"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL: C kernel engine unavailable: no compiler" in out

@@ -2,9 +2,9 @@
 
 Bit-level equivalence with replay is covered by the property suite
 (test_kernel_property) and the kernel-check CLI; these tests pin the
-contract around it: eligibility classification, geometry handling,
-engine selection and fallback, error mirroring, and the sweep-layer
-``one_pass`` routing.
+contract around it: eligibility classification, geometry handling and
+grid splitting, the replay path of hosts without a C kernel, error
+mirroring, and the sweep-layer ``one_pass`` routing.
 """
 
 import dataclasses
@@ -16,12 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ckernel
-from repro.analysis.kernel import (
-    KernelConfig,
-    _Population,
-    one_pass_grid,
-    one_pass_sweep,
-)
+from repro.analysis import sweep as sweep_module
+from repro.analysis.kernel import KernelConfig, _Population, one_pass_grid
 from repro.analysis.sweep import (
     ladder_policy_factories,
     policy_names,
@@ -63,7 +59,26 @@ def _ladder_configs(unit_counts, include_fine=True):
             for spec in ladder_specs(unit_counts, include_fine)]
 
 
+def _replay(population, trace, capacity, unit_counts, track_links=True,
+            include_fine=True):
+    """``{policy name: record}`` of replaying each ladder rung."""
+    out = {}
+    for policy in granularity_ladder(unit_counts=unit_counts,
+                                     include_fine=include_fine):
+        simulator = CodeCacheSimulator(population, policy, capacity,
+                                       track_links=track_links)
+        record = simulator.process(trace)
+        record.policy_name = policy.name
+        out[policy.name] = record
+    return out
+
+
 _AGE = Feature("age")
+_AGE_SPEC = {"kind": "priority", "name": "p",
+             "expression": {"kind": "feature", "name": "age"}}
+
+_NEEDS_C = pytest.mark.skipif(not ckernel.available(),
+                              reason="C kernel unavailable")
 
 
 def _unload(monkeypatch):
@@ -71,6 +86,18 @@ def _unload(monkeypatch):
     monkeypatch.setattr(ckernel, "_lib", None)
     monkeypatch.setattr(ckernel, "_lib_loaded", True)
     monkeypatch.setattr(ckernel, "_lib_error", "no compiler")
+
+
+def _small_workload():
+    return build_workload(spec_benchmarks()[0], scale=0.1,
+                          trace_accesses=1500)
+
+
+def _forbid_kernel(monkeypatch):
+    """Fail the test if the sweep calls the kernel."""
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("one_pass_grid called")
+    monkeypatch.setattr(sweep_module, "one_pass_grid", no_kernel)
 
 
 def _priority_replay(population, trace, capacity, name, tree,
@@ -81,6 +108,7 @@ def _priority_replay(population, trace, capacity, name, tree,
 
 
 class TestClassification:
+    @_NEEDS_C
     def test_ladder_policies_are_eligible(self):
         assert KernelConfig.from_spec("flush") == KernelConfig(
             name="FLUSH", kind="unit", unit_count=1)
@@ -93,6 +121,7 @@ class TestClassification:
         assert KernelConfig.from_spec("lru") is None
         assert KernelConfig.from_spec({"kind": "gen"}) is None
 
+    @_NEEDS_C
     def test_ladder_configs_match_factory_names(self):
         configs = _ladder_configs((1, 4, 64))
         names = policy_names(ladder_policy_factories((1, 4, 64)))
@@ -109,54 +138,43 @@ class TestClassification:
             KernelConfig(name="x", kind="fifo", expression=_AGE)
 
     def test_priority_specs_follow_the_c_engine(self, monkeypatch):
-        spec = {"kind": "priority", "name": "p",
-                "expression": {"kind": "feature", "name": "age"}}
-        monkeypatch.setenv("REPRO_KERNEL_ENGINE", "c")
-        assert KernelConfig.from_spec(spec) == KernelConfig(
-            name="p", kind="priority", expression=_AGE)
-        monkeypatch.setenv("REPRO_KERNEL_ENGINE", "py")
-        assert KernelConfig.from_spec(spec) is None
-        monkeypatch.setenv("REPRO_KERNEL_ENGINE", "auto")
+        if ckernel.available():
+            assert KernelConfig.from_spec(_AGE_SPEC) == KernelConfig(
+                name="p", kind="priority", expression=_AGE)
         _unload(monkeypatch)
-        assert KernelConfig.from_spec(spec) is None
-        # Ladder kinds keep the Python engine to fall back on.
-        assert KernelConfig.from_spec("fifo") is not None
+        # Without a kernel every spec replays, the ladder kinds too.
+        assert KernelConfig.from_spec(_AGE_SPEC) is None
+        assert KernelConfig.from_spec("fifo") is None
 
 
 class TestGridSemantics:
-    def _replay(self, population, trace, capacity, unit_counts,
-                track_links=True):
-        out = {}
-        for policy in granularity_ladder(unit_counts=unit_counts):
-            simulator = CodeCacheSimulator(population, policy, capacity,
-                                           track_links=track_links)
-            record = simulator.process(trace)
-            record.policy_name = policy.name
-            out[policy.name] = dataclasses.asdict(record)
-        return out
-
+    @_NEEDS_C
     def test_sweep_wrapper_equals_grid_row(self):
-        population, sids = _population()
-        trace = _trace(sids)
-        configs = _ladder_configs((1, 4))
-        capacity = population.total_bytes // 2
-        solo = one_pass_sweep(population, trace, capacity, configs)
-        grid = one_pass_grid(population, trace, [capacity], configs)
-        for name in solo:
-            assert (dataclasses.asdict(solo[name])
-                    == dataclasses.asdict(grid[0][name]))
+        workload = _small_workload()
+        blocks = workload.superblocks
+        pressures = (2, 10)
+        sweep = run_sweep([workload], ladder_policy_factories((1, 4)),
+                          pressures=pressures, one_pass=True)
+        grid = one_pass_grid(blocks, workload.trace,
+                             [pressured_capacity(blocks, pressure)
+                              for pressure in pressures],
+                             _ladder_configs((1, 4)),
+                             benchmark=workload.name)
+        assert len(sweep.stats) == sum(map(len, grid)) == 6
+        for pressure, row in zip(pressures, grid):
+            for name, record in row.items():
+                assert sweep.stats[(workload.name, name, pressure)] == record
 
+    @_NEEDS_C
     def test_sparse_sid_population_matches_replay(self):
         population, sids = _population(sparse=True)
         trace = _trace(sids)
         capacity = population.total_bytes // 3
         grid = one_pass_grid(population, trace, [capacity],
-                             _ladder_configs((1, 4)), engine="py")
-        assert grid[0] | {} == grid[0]  # sanity: dict of stats
-        want = self._replay(population, trace, capacity, (1, 4))
-        for name, record in want.items():
-            assert dataclasses.asdict(grid[0][name]) == record
+                             _ladder_configs((1, 4)))
+        assert grid[0] == _replay(population, trace, capacity, (1, 4))
 
+    @_NEEDS_C
     def test_configuration_errors_mirror_replay(self):
         population, sids = _population(size=64)
         configs = _ladder_configs((1,), include_fine=True)
@@ -176,42 +194,69 @@ class TestGridSemantics:
 
 
 class TestEngines:
+    """The C kernel is the one engine; without it sweeps replay."""
+
     def test_unknown_engine_rejected(self):
         population, sids = _population()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             one_pass_grid(population, _trace(sids), [1024],
-                          _ladder_configs((1,)), engine="bogus")
+                          [KernelConfig("FLUSH", "unit")], engine="bogus")
 
+    @_NEEDS_C
     def test_env_engine_rejected_when_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_ENGINE", "vectorized")
-        population, sids = _population()
-        with pytest.raises(ValueError):
-            one_pass_grid(population, _trace(sids), [1024],
-                          _ladder_configs((1,)))
+        # The engine selector earlier versions read (its name is split
+        # so that no live code or doc spells it): a stale setting must
+        # not move any cell off the kernel.
+        monkeypatch.setenv("REPRO_KERNEL_" + "ENGINE", "py")
+        specs = ladder_policy_factories((1, 4)) + [_AGE_SPEC]
+        served = []
+
+        def spy(superblocks, trace, capacities, configs, **kwargs):
+            served.extend(config.name for config in configs)
+            return one_pass_grid(superblocks, trace, capacities, configs,
+                                 **kwargs)
+
+        monkeypatch.setattr(sweep_module, "one_pass_grid", spy)
+        result = run_sweep([_small_workload()], specs, pressures=(2,),
+                           one_pass=True)
+        assert served == list(result.policy_names) == [
+            "FLUSH", "4-unit", "FIFO", "p"]
 
     def test_forced_c_engine_unavailable_raises(self, monkeypatch):
         _unload(monkeypatch)
         population, sids = _population()
-        with pytest.raises(RuntimeError, match="no compiler"):
+        with pytest.raises(RuntimeError,
+                           match="C kernel engine unavailable: no compiler"):
             one_pass_grid(population, _trace(sids), [1024],
-                          _ladder_configs((1,)), engine="c")
+                          [KernelConfig("FLUSH", "unit"),
+                           KernelConfig("FIFO", "fifo")])
 
     def test_auto_engine_falls_back_to_python(self, monkeypatch):
+        # Without a loadable kernel the sweep replays every cell: the
+        # same grid, and no kernel call.
         _unload(monkeypatch)
-        population, sids = _population()
-        trace = _trace(sids)
-        capacity = population.total_bytes // 2
-        configs = _ladder_configs((1, 4))
-        auto = one_pass_grid(population, trace, [capacity], configs,
-                             engine="auto")
-        py = one_pass_grid(population, trace, [capacity], configs,
-                           engine="py")
-        for name in py[0]:
-            assert (dataclasses.asdict(auto[0][name])
-                    == dataclasses.asdict(py[0][name]))
+        _forbid_kernel(monkeypatch)
+        workload = _small_workload()
+        specs = ladder_policy_factories((1, 4)) + [_AGE_SPEC]
+        on = run_sweep([workload], specs, pressures=(2, 10), one_pass=True)
+        off = run_sweep([workload], specs, pressures=(2, 10),
+                        one_pass=False)
+        assert on.stats == off.stats
 
-    @pytest.mark.skipif(not ckernel.available(),
-                        reason="C kernel unavailable")
+    def test_failing_kernel_call_raises(self, monkeypatch):
+        # A non-zero one_pass status (-3: allocation failure) raises
+        # instead of yielding numbers from anywhere else.
+        class FailingLibrary:
+            def one_pass(self, *args):
+                return -3
+
+        monkeypatch.setattr(ckernel, "load", lambda: FailingLibrary())
+        population, sids = _population()
+        with pytest.raises(RuntimeError, match="status -3"):
+            one_pass_grid(population, _trace(sids), [1024],
+                          [KernelConfig("FLUSH", "unit")])
+
+    @_NEEDS_C
     def test_c_engine_matches_python(self):
         population, sids = _population()
         trace = _trace(sids)
@@ -219,38 +264,44 @@ class TestEngines:
                       population.total_bytes // 2]
         configs = _ladder_configs((1, 3, 8))
         for track_links in (True, False):
-            c = one_pass_grid(population, trace, capacities, configs,
-                              track_links=track_links, engine="c")
-            py = one_pass_grid(population, trace, capacities, configs,
-                               track_links=track_links, engine="py")
-            for c_cell, py_cell in zip(c, py):
-                for name in py_cell:
-                    assert (dataclasses.asdict(c_cell[name])
-                            == dataclasses.asdict(py_cell[name]))
+            grid = one_pass_grid(population, trace, capacities, configs,
+                                 track_links=track_links)
+            for cell, capacity in zip(grid, capacities):
+                assert cell == _replay(population, trace, capacity,
+                                       (1, 3, 8), track_links)
 
-    def test_wide_grids_split_past_c_geometry_cap(self):
+    @staticmethod
+    def _count_traversals(monkeypatch):
+        calls = []
+        run_geometries = ckernel.run_geometries
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[2]))
+            return run_geometries(*args, **kwargs)
+
+        monkeypatch.setattr(ckernel, "run_geometries", spy)
+        return calls
+
+    @_NEEDS_C
+    def test_wide_grids_split_past_c_geometry_cap(self, monkeypatch):
         # 17 distinct unit counts x 2 capacities = 34 geometries, past
-        # the C engine's 31-geometry residency mask; the grid must split
-        # by capacity and still match the pure-Python engine.
+        # the C kernel's 31-geometry residency mask; the grid must split
+        # by capacity and still match replay.
         blocks = [Superblock(i, 32, links=(i,)) for i in range(40)]
         population = SuperblockSet(blocks)
         trace = [i % 40 for i in range(400)]
         counts = tuple(range(1, 18))
         configs = _ladder_configs(counts, include_fine=False)
         capacities = [32 * 20, 32 * 23]
-        auto = one_pass_grid(population, trace, capacities, configs,
-                             engine="auto")
-        py = one_pass_grid(population, trace, capacities, configs,
-                           engine="py")
-        for auto_cell, py_cell in zip(auto, py):
-            for name in py_cell:
-                assert (dataclasses.asdict(auto_cell[name])
-                        == dataclasses.asdict(py_cell[name]))
+        traversals = self._count_traversals(monkeypatch)
+        grid = one_pass_grid(population, trace, capacities, configs)
+        assert traversals == [17, 17]
+        for cell, capacity in zip(grid, capacities):
+            assert cell == _replay(population, trace, capacity, counts,
+                                   include_fine=False)
 
-
-    @pytest.mark.skipif(not ckernel.available(),
-                        reason="C kernel unavailable")
-    def test_c_engine_splits_configs_past_geometry_cap(self):
+    @_NEEDS_C
+    def test_c_engine_splits_configs_past_geometry_cap(self, monkeypatch):
         # One capacity with 39 rungs that all resolve to distinct unit
         # counts: more geometries than one C residency mask holds, and
         # no capacity axis left to split, so the config axis splits.
@@ -258,13 +309,13 @@ class TestEngines:
                                   trace_accesses=3000)
         blocks = workload.superblocks
         capacity = pressured_capacity(blocks, 2)
-        configs = _ladder_configs(tuple(range(1, 40)))
-        c = one_pass_grid(blocks, workload.trace, [capacity], configs,
-                          engine="c")
-        py = one_pass_grid(blocks, workload.trace, [capacity], configs,
-                           engine="py")
-        assert list(c[0]) == [config.name for config in configs]
-        assert c == py
+        counts = tuple(range(1, 40))
+        configs = _ladder_configs(counts)
+        traversals = self._count_traversals(monkeypatch)
+        grid = one_pass_grid(blocks, workload.trace, [capacity], configs)
+        assert traversals == [20, 20]
+        assert list(grid[0]) == [config.name for config in configs]
+        assert grid[0] == _replay(blocks, workload.trace, capacity, counts)
 
 
 class TestSweepRouting:
@@ -308,10 +359,6 @@ class TestSweepRouting:
                     == plain.stats[point].misses)
 
 
-_NEEDS_C = pytest.mark.skipif(not ckernel.available(),
-                              reason="C kernel unavailable")
-
-
 class TestPriorityCells:
     """The C engine's priority entry point, as the grid routes it."""
 
@@ -331,18 +378,30 @@ class TestPriorityCells:
         return [KernelConfig(name, "priority", expression=tree)
                 for name, tree in self._TREES.items()]
 
-    def test_python_engine_has_no_priority_body(self):
-        population, sids = _population()
-        with pytest.raises(RuntimeError, match="no priority body"):
-            one_pass_grid(population, _trace(sids), [1024],
-                          self._configs(), engine="py")
+    def _specs(self):
+        return [{"kind": "priority", "name": name,
+                 "expression": expr_to_dict(tree)}
+                for name, tree in self._TREES.items()] + ["fifo"]
+
+    @_NEEDS_C
+    def test_python_engine_has_no_priority_body(self, monkeypatch):
+        # Without a kernel the priority cells replay, and they score
+        # exactly as the kernel's expression VM does.
+        workload = _small_workload()
+        kernel = run_sweep([workload], self._specs(), pressures=(2, 10),
+                           one_pass=True)
+        _unload(monkeypatch)
+        _forbid_kernel(monkeypatch)
+        replayed = run_sweep([workload], self._specs(), pressures=(2, 10),
+                             one_pass=True)
+        assert replayed.stats == kernel.stats
 
     def test_unbuildable_kernel_refuses_priority_cells(self, monkeypatch):
         _unload(monkeypatch)
         population, sids = _population()
         with pytest.raises(RuntimeError, match="no compiler"):
             one_pass_grid(population, _trace(sids), [1024],
-                          self._configs(), engine="auto")
+                          self._configs())
 
     def test_capacity_errors_mirror_replay(self):
         population, sids = _population(size=64)
@@ -364,7 +423,7 @@ class TestPriorityCells:
         configs = _ladder_configs((1, 4)) + self._configs()
         for track_links in (True, False):
             grid = one_pass_grid(population, trace, capacities, configs,
-                                 track_links=track_links, engine="c")
+                                 track_links=track_links)
             for cell, capacity in zip(grid, capacities):
                 assert list(cell) == [config.name for config in configs]
                 for name, tree in self._TREES.items():
@@ -374,11 +433,8 @@ class TestPriorityCells:
 
     @_NEEDS_C
     def test_sweep_serves_priority_cells_without_replay(self, monkeypatch):
-        workload = build_workload(spec_benchmarks()[0], scale=0.1,
-                                  trace_accesses=1500)
-        specs = [{"kind": "priority", "name": name,
-                  "expression": expr_to_dict(tree)}
-                 for name, tree in self._TREES.items()] + ["fifo"]
+        workload = _small_workload()
+        specs = self._specs()
         replay = run_sweep([workload], specs, pressures=(2, 10),
                            one_pass=False)
 
@@ -393,8 +449,9 @@ class TestPriorityCells:
 
 
 class TestTraceValidation:
-    """Ids outside the population raise KeyError on the C engine too,
-    instead of aliasing a block or reading past the arrays."""
+    """Ids outside the population raise KeyError(<first bad id>) on the
+    C kernel too, as replay does, instead of aliasing a block or
+    reading past the arrays."""
 
     @staticmethod
     def _remapped():
@@ -404,11 +461,11 @@ class TestTraceValidation:
     def test_remapped_population_rejects_unknown_ids(self):
         population = self._remapped()
         fifo = [KernelConfig.from_spec("fifo")]
-        for engine in ("c", "py"):
+        for trace, bad in (([10, 15, 20, 15], 15), ([10, 15, 40], 15),
+                           ([10, 40, 15], 40), ([20, -1, 15], -1)):
             with pytest.raises(KeyError) as raised:
-                one_pass_grid(population, [10, 15, 20, 15], [250], fifo,
-                              engine=engine)
-            assert raised.value.args == (15,), engine
+                one_pass_grid(population, trace, [250], fifo)
+            assert raised.value.args == (bad,), trace
 
     @_NEEDS_C
     def test_dense_population_rejects_ids_past_its_end(self):
@@ -416,7 +473,7 @@ class TestTraceValidation:
         fifo = [KernelConfig.from_spec("fifo")]
         for trace, bad in (([0, 1, 7, 2], 7), ([0, -1], -1)):
             with pytest.raises(KeyError) as raised:
-                one_pass_grid(blocks, trace, [250], fifo, engine="c")
+                one_pass_grid(blocks, trace, [250], fifo)
             assert raised.value.args == (bad,)
 
     @_NEEDS_C
@@ -478,6 +535,14 @@ class TestPopulationArrays:
         blocks = (_from_objects if objects else _from_arrays)(*columns)
         population = _Population(blocks)
         population.ensure_links(blocks)
+        index_of = {sid: index for index, sid in enumerate(blocks.sids)}
+        dense = blocks.sids == tuple(range(len(blocks.sids)))
+        assert (population.index_of is None) == dense
+        if not dense:
+            assert population.index_of.dtype == np.int32
+            assert {sid: index for sid, index
+                    in enumerate(population.index_of.tolist())
+                    if index >= 0} == index_of
         assert population.sizes.dtype == np.int64
         assert population.sizes.tolist() == [blocks.size_of(sid)
                                               for sid in blocks.sids]
@@ -500,12 +565,8 @@ class TestKernelPathIsLazy:
     """A freshly built workload reaches the one-pass kernel as columns:
     sweeping it builds no Superblock and no reverse adjacency."""
 
-    @pytest.mark.parametrize("engine", ("c", "py"))
-    def test_sweep_builds_no_superblock_objects(self, engine,
-                                                monkeypatch):
-        if engine == "c" and not ckernel.available():
-            pytest.skip("C kernel unavailable")
-        monkeypatch.setenv("REPRO_KERNEL_ENGINE", engine)
+    @_NEEDS_C
+    def test_sweep_builds_no_superblock_objects(self, monkeypatch):
         built, reversed_ = [], []
         post_init = Superblock.__post_init__
         build_incoming = SuperblockSet._build_incoming
@@ -521,11 +582,9 @@ class TestKernelPathIsLazy:
         monkeypatch.setattr(Superblock, "__post_init__", spy_post_init)
         monkeypatch.setattr(SuperblockSet, "_build_incoming",
                             spy_build_incoming)
-        specs = ladder_policy_factories((1, 2, 8, 64))
-        if engine == "c":
-            specs.append({"kind": "priority", "name": "linky",
-                          "expression": expr_to_dict(
-                              TestPriorityCells._TREES["linky"])})
+        specs = ladder_policy_factories((1, 2, 8, 64)) + [
+            {"kind": "priority", "name": "linky",
+             "expression": expr_to_dict(TestPriorityCells._TREES["linky"])}]
         workload = build_workload(get_benchmark("crafty"), scale=0.1,
                                   trace_accesses=3000)
         result = run_sweep([workload], specs, pressures=(2, 10),

@@ -3,17 +3,19 @@
 The kernel's whole contract is that batching every (capacity, rung)
 geometry into one trace traversal changes nothing observable.  These
 tests drive randomized populations, link graphs, traces, capacity sets,
-unit ladders and overhead models through both engines of
+unit ladders and overhead models through the C kernel behind
 :func:`repro.analysis.kernel.one_pass_grid`, through
 :class:`~repro.core.simulator.CodeCacheSimulator` replay — including
 replay under the paranoid invariant checker — and through the
 reference model, and require equal records everywhere.  Priority
-cells, which only the C engine serves, are held to the same standard
-over mutated expressions with edge-value constants.
+cells are held to the same standard over mutated expressions with
+edge-value constants.  Without a C kernel the replay-vs-reference
+halves still run.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,9 @@ from repro.core.superblock import Superblock, SuperblockSet
 from repro.search.expr import FEATURES, Const, Feature
 from repro.search.priority import PriorityFunctionPolicy
 from tests.search.test_expr import _EDGE_VALUES, _expressions, _mutated
+
+_NEEDS_C = pytest.mark.skipif(not ckernel.available(),
+                              reason="C kernel unavailable")
 
 
 @st.composite
@@ -83,6 +88,7 @@ def _replay_grid(population, trace, capacities, unit_counts, track_links,
     return grid
 
 
+@_NEEDS_C
 @given(_scenario())
 @settings(max_examples=40, deadline=None)
 def test_kernel_matches_replay_bit_for_bit(scenario):
@@ -90,16 +96,14 @@ def test_kernel_matches_replay_bit_for_bit(scenario):
     configs = _ladder_configs(unit_counts)
     want = _replay_grid(population, trace, capacities, unit_counts,
                         track_links)
-    engines = ["py"] + (["c"] if ckernel.available() else [])
-    for engine in engines:
-        grid = one_pass_grid(population, trace, capacities, configs,
-                             track_links=track_links, engine=engine)
-        for cell, want_cell in zip(grid, want):
-            for name, want_record in want_cell.items():
-                got = dataclasses.asdict(cell[name])
-                assert got == want_record, (engine, name)
+    grid = one_pass_grid(population, trace, capacities, configs,
+                         track_links=track_links)
+    for cell, want_cell in zip(grid, want):
+        for name, want_record in want_cell.items():
+            assert dataclasses.asdict(cell[name]) == want_record, name
 
 
+@_NEEDS_C
 @given(_scenario())
 @settings(max_examples=12, deadline=None)
 def test_kernel_matches_paranoid_checked_replay(scenario):
@@ -130,18 +134,15 @@ def _model(draw):
 @given(_scenario(), _model(), _model())
 @settings(max_examples=25, deadline=None)
 def test_every_engine_prices_any_model_identically(scenario, model, other):
-    """Under a random overhead model the C kernel, the Python kernel,
-    replay and the reference simulator return equal records; re-pricing
-    a finished record under a second model equals re-simulating."""
+    """Under a random overhead model the C kernel, replay and the
+    reference simulator return equal records; re-pricing a finished
+    record under a second model equals re-simulating."""
     population, trace, capacities, unit_counts, track_links = scenario
-    configs = _ladder_configs(unit_counts)
-    engines = ["py"] + (["c"] if ckernel.available() else [])
-    grids = {
-        engine: one_pass_grid(population, trace, capacities, configs,
-                              overhead_model=model,
-                              track_links=track_links, engine=engine)
-        for engine in engines
-    }
+    grid = None
+    if ckernel.available():
+        grid = one_pass_grid(population, trace, capacities,
+                             _ladder_configs(unit_counts),
+                             overhead_model=model, track_links=track_links)
     references = dict(reference_ladder(unit_counts=unit_counts))
 
     def replay(policy, capacity, priced_under):
@@ -159,9 +160,8 @@ def test_every_engine_prices_any_model_identically(scenario, model, other):
             reference = references[policy.name](
                 population, capacity, model=model, track_links=track_links)
             assert reference.run(trace).stats == record, policy.name
-            for engine, grid in grids.items():
-                assert grid[index][policy.name] == record, (engine,
-                                                            policy.name)
+            if grid is not None:
+                assert grid[index][policy.name] == record, policy.name
             repriced = dataclasses.replace(record, overhead_model=other)
             assert repriced == replay(fresh, capacity, other), policy.name
 
@@ -217,7 +217,7 @@ def test_priority_cells_match_replay_and_the_reference(scenario, model):
         if ckernel.available():
             grid = one_pass_grid(population, trace, capacities, configs,
                                  overhead_model=model,
-                                 track_links=track_links, engine="c")
+                                 track_links=track_links)
         for index, capacity in enumerate(capacities):
             for name, tree in zip(names, trees):
                 policy = PriorityFunctionPolicy(tree, population, name=name)

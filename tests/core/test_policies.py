@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.kernel import KernelConfig, c_engine_runs
+from repro.analysis import ckernel
+from repro.analysis.kernel import KernelConfig
 from repro.core.lru import LruPolicy
 from repro.core.policies import (
     SHORTHAND_FORMS,
@@ -68,9 +69,11 @@ _VOCABULARY = (
 )
 
 #: The exact-type rule the one-pass kernel used before eligibility was
-#: read from the spec kind.  Priority functions joined them with the C
-#: engine's expression VM, so they qualify whenever that engine runs.
-_KERNEL_TYPES = (FlushPolicy, UnitFifoPolicy, FineGrainedFifoPolicy)
+#: read from the spec kind, plus priority functions, which the C
+#: kernel's expression VM serves.  All of them replay when the kernel
+#: cannot load.
+_KERNEL_TYPES = (FlushPolicy, UnitFifoPolicy, FineGrainedFifoPolicy,
+                 PriorityFunctionPolicy)
 
 
 class TestPolicyVocabulary:
@@ -81,8 +84,7 @@ class TestPolicyVocabulary:
         assert type(policy) is kind
         assert policy.name == name
         config = KernelConfig.from_spec(spec)
-        eligible = type(policy) in _KERNEL_TYPES or (
-            type(policy) is PriorityFunctionPolicy and c_engine_runs())
+        eligible = type(policy) in _KERNEL_TYPES and ckernel.available()
         assert (config is not None) == eligible
         if config is not None:
             assert config.name == name
