@@ -220,8 +220,8 @@ def diff_check(
     timing and accounting against the op-for-op reference detector.
     ``priority_expressions`` — ``(name, expression)`` pairs, e.g.
     :func:`priority_panel` — adds one priority-function policy per
-    expression, diffing its compiled victim chooser against the
-    interpreter-scored reference.
+    expression, diffing its victim choice against the reference's
+    from-scratch features and explicit tie-break key.
     """
     if scale <= 0:
         raise ConfigurationError("scale must be positive")

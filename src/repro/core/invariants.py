@@ -8,8 +8,8 @@ from.  This module is the sanitizer for that bookkeeping — a tiered
 :class:`InvariantChecker` the simulator consults while it runs:
 
 ``off``
-    No checker is constructed at all; the simulator's hot loops are
-    byte-for-byte the ones that run in production.
+    No checker is constructed at all; the simulator's one replay loop
+    skips the cadence countdown and the insertion-order notes.
 ``light``
     Cheap conservation checks (occupancy vs. the sum of resident
     superblock sizes, hits + misses == accesses, byte conservation,
@@ -182,7 +182,8 @@ class InvariantChecker:
     # -- Simulator notifications -------------------------------------------
 
     def note_insert(self, sid: int) -> None:
-        """Record the insertion order of *sid* (called once per miss)."""
+        """Record the insertion order of *sid* on a miss; only the
+        ``paranoid`` FIFO check reads it."""
         self._next_seq += 1
         self._seq[sid] = self._next_seq
 
@@ -196,16 +197,6 @@ class InvariantChecker:
         come into existence instead.
         """
         self._sizes[sid] = size_bytes
-
-    def after_access(self, access_index: int, sid: int,
-                     stats: SimulationStats | None = None) -> None:
-        """Cadence-bounded check hook; the simulator calls it per access.
-
-        Prefer the inlined countdown in the simulator loop for speed;
-        this entry point exists for direct/driver use.
-        """
-        if access_index % self.cadence == 0:
-            self.run_checks(stats, access_index=access_index, sid=sid)
 
     # -- The check pass -----------------------------------------------------
 

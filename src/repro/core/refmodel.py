@@ -2,9 +2,9 @@
 
 The production :class:`~repro.core.simulator.CodeCacheSimulator` earns
 its speed with incremental bookkeeping: cached size maps, per-unit bump
-pointers, dual link maps, a batched hot loop.  Every one of those
-optimizations is a place for the two halves of an invariant to drift
-apart.  This module re-implements the paper's semantics with none of
+pointers, dual link maps, counters kept in loop locals.  Every one of
+those optimizations is a place for the two halves of an invariant to
+drift apart.  This module re-implements the paper's semantics with none of
 them — plain dicts and lists, occupancy recomputed by summation on
 every insertion, the live link set rebuilt from first principles — so
 that :mod:`repro.analysis.diffcheck` can replay the same trace through
@@ -273,8 +273,8 @@ class _ReferencePriorityStore:
     every feature vector is rebuilt from those clocks, the static link
     graph and a summed occupancy, and each victim is the minimum of an
     explicit ``(evaluate(...), insertion sequence, sid)`` key over the
-    resident list.  Nothing here runs the production policy's compiled
-    chooser.
+    resident list.  It shares only ``evaluate``, the language's
+    definition, with the production policy.
     """
 
     def __init__(self, capacity_bytes: int, superblocks: SuperblockSet,

@@ -9,6 +9,15 @@ cache under a chosen eviction policy, tracks chaining links, and counts
 every miss, eviction invocation and unlink operation.  The overheads of
 Equations 2-4 are priced from those counts by the stats record (see
 :class:`~repro.core.metrics.SimulationStats`).
+
+It has two entry points over the same per-access semantics.
+:meth:`CodeCacheSimulator.process` replays a whole trace in one loop:
+it is the reference the sweep's one-pass C kernel
+(:mod:`repro.analysis.kernel`) is checked against, the engine of checked
+runs and the differential oracle, and the sweep's engine on hosts
+without a C compiler.  :meth:`CodeCacheSimulator.step` serves one access
+at a time to the multi-tenant service.  A test replays every policy
+kind through both and compares the records.
 """
 
 from __future__ import annotations
@@ -54,8 +63,8 @@ class CodeCacheSimulator:
     check_level:
         Invariant-checking level (``off``/``light``/``paranoid``); when
         ``None``, ``REPRO_CHECK_LEVEL`` decides (default ``off``).  At
-        ``off`` no checker is constructed and the hot paths are the
-        exact production code.  See :mod:`repro.core.invariants`.
+        ``off`` no checker is constructed and replay runs no check
+        step.  See :mod:`repro.core.invariants`.
     check_context:
         Extra identity (spec seed, scale, ...) for the repro bundle an
         :class:`~repro.core.invariants.InvariantViolation` carries.
@@ -98,7 +107,22 @@ class CodeCacheSimulator:
 
     def process(self, trace: Iterable[int], benchmark: str = "",
                 observer: AccessObserver | None = None) -> SimulationStats:
-        """Replay *trace* (an iterable of superblock ids); return stats."""
+        """Replay *trace* (an iterable of superblock ids); return stats.
+
+        The record counts this call's accesses only, link establishments
+        included, so a trace replayed in windows on one simulator (as
+        :func:`repro.analysis.timeline.record_timeline` does) sums to
+        the whole-trace record; ``peak_backpointer_bytes`` is the link
+        table's running peak.
+
+        One loop serves every configuration, and each optional step in
+        it runs only when it has work: the policy's ``on_access`` hook
+        when the policy defines one, link bookkeeping when links are
+        tracked, insertion-order notes at ``paranoid`` (the only level
+        that reads them), the check cadence when a checker exists, and
+        *observer* when one is passed.  A checked trace always ends with
+        a full check pass, whatever the cadence.
+        """
         stats = SimulationStats(policy_name=self.policy.name,
                                 benchmark=benchmark,
                                 overhead_model=self.overhead_model)
@@ -108,59 +132,82 @@ class CodeCacheSimulator:
             trace = trace.tolist()
         policy = self.policy
         links = self.links
+        checker = self.checker
         sizes = self.superblocks.sizes()
         contains = policy.contains
-        # Policies that don't watch accesses skip the hook entirely; this
-        # keeps the hot loop at two calls per hit.
-        watches_accesses = (
-            type(policy).on_access is not EvictionPolicy.on_access
-        )
-
-        if self.checker is not None or observer is not None:
-            if self.checker is not None and benchmark:
-                self.checker.context.setdefault("benchmark", benchmark)
-            if (observer is None and self.checker is not None
-                    and self.checker.level == "light"
-                    and not watches_accesses and links is None):
-                self._process_light_batched(trace, stats)
-            else:
-                self._process_checked(trace, stats, watches_accesses,
-                                      observer)
-        elif not watches_accesses and links is None:
-            self._process_batched(trace, stats)
-        else:
-            insert = policy.insert
-            for sid in trace:
-                stats.accesses += 1
-                if watches_accesses:
-                    hinted = contains(sid)
-                    preemptive = policy.on_access(sid, hinted)
-                    if preemptive:
-                        stats.preemptive_flushes += len(preemptive)
-                        self._account_evictions(preemptive, stats)
-                        # The hook evicted blocks (e.g. a preemptive
-                        # flush), so the pre-hook residency probe is
-                        # stale for this access only.
-                        hit = contains(sid)
-                    else:
-                        hit = hinted
-                else:
-                    hit = contains(sid)
-                if hit:
-                    stats.hits += 1
-                    continue
-                stats.misses += 1
-                size = sizes[sid]
-                stats.inserted_bytes += size
-                events = insert(sid, size)
-                if events:
-                    self._account_evictions(events, stats)
-                if links is not None:
-                    links.on_insert(sid)
-
+        insert = policy.insert
+        account = self._account_evictions
+        on_access = (None if type(policy).on_access is EvictionPolicy.on_access
+                     else policy.on_access)
+        on_insert = None if links is None else links.on_insert
+        note_insert = None
+        cadence = 0
+        if checker is not None:
+            if benchmark:
+                checker.context.setdefault("benchmark", benchmark)
+            cadence = checker.cadence
+            if checker.level == "paranoid":
+                note_insert = checker.note_insert
+        until_check = cadence
         if links is not None:
-            stats.links_established_intra = links.established_intra
-            stats.links_established_inter = links.established_inter
+            intra_before = links.established_intra
+            inter_before = links.established_inter
+        # Hit, miss and byte counts live in locals and reach the record
+        # before each check pass and at the end.
+        index = hits = misses = inserted_bytes = removed_before = 0
+        for index, sid in enumerate(trace, 1):
+            if on_access is None:
+                hit = contains(sid)
+            else:
+                hinted = contains(sid)
+                preemptive = on_access(sid, hinted)
+                if preemptive:
+                    stats.preemptive_flushes += len(preemptive)
+                    account(preemptive, stats)
+                    # The hook evicted blocks (e.g. a preemptive flush),
+                    # so the pre-hook residency probe is stale for this
+                    # access only.
+                    hit = contains(sid)
+                else:
+                    hit = hinted
+            if hit:
+                hits += 1
+            else:
+                misses += 1
+                size = sizes[sid]
+                inserted_bytes += size
+                evicted = insert(sid, size)
+                if evicted:
+                    account(evicted, stats)
+                if note_insert is not None:
+                    note_insert(sid)
+                if on_insert is not None:
+                    on_insert(sid)
+            if observer is not None:
+                events = [*preemptive] if on_access is not None else []
+                if not hit:
+                    events += evicted
+                observer(index, sid, hit,
+                         tuple(event.blocks for event in events),
+                         stats.links_removed - removed_before)
+                removed_before = stats.links_removed
+            if checker is not None:
+                until_check -= 1
+                if until_check <= 0:
+                    until_check = cadence
+                    (stats.accesses, stats.hits, stats.misses,
+                     stats.inserted_bytes) = (index, hits, misses,
+                                              inserted_bytes)
+                    checker.run_checks(stats, access_index=index, sid=sid)
+        (stats.accesses, stats.hits, stats.misses,
+         stats.inserted_bytes) = index, hits, misses, inserted_bytes
+        if checker is not None:
+            checker.run_checks(stats, access_index=index)
+        if links is not None:
+            stats.links_established_intra = (links.established_intra
+                                             - intra_before)
+            stats.links_established_inter = (links.established_inter
+                                             - inter_before)
             stats.peak_backpointer_bytes = links.peak_backpointer_bytes
         return stats
 
@@ -191,6 +238,11 @@ class CodeCacheSimulator:
         cadence against *stats*; callers that split stats across tenants
         should construct the simulator with ``check_level='off'`` and
         drive an external checker against merged stats instead.
+
+        Every other counter matches :meth:`process` over the same trace,
+        but ``links_established_intra``, ``links_established_inter`` and
+        ``peak_backpointer_bytes`` stay untouched: only :meth:`process`
+        reports them.
         """
         policy = self.policy
         stats.accesses += 1
@@ -235,165 +287,6 @@ class CodeCacheSimulator:
                 checker.run_checks(stats, access_index=stats.accesses,
                                    sid=sid)
         return hit, events
-
-    def _process_checked(self, trace, stats: SimulationStats,
-                         watches_accesses: bool,
-                         observer: AccessObserver | None) -> None:
-        """Instrumented path: invariant checking and/or per-access
-        observation.  Never taken when ``check_level`` is ``off`` and no
-        observer is passed, so the production loops stay untouched.
-        """
-        policy = self.policy
-        links = self.links
-        sizes = self.superblocks.sizes()
-        contains = policy.contains
-        insert = policy.insert
-        checker = self.checker
-        cadence = checker.cadence if checker is not None else 0
-        until_check = cadence
-        index = 0
-        if observer is None:
-            # No per-access outcomes to collect: same loop as the
-            # production slow path plus the cadence countdown, with no
-            # event-list allocation.  Insertion order only matters to
-            # the paranoid FIFO check, so light skips ``note_insert``.
-            note_insert = (checker.note_insert
-                           if checker.level == "paranoid" else None)
-            for sid in trace:
-                index += 1
-                stats.accesses += 1
-                if watches_accesses:
-                    hinted = contains(sid)
-                    preemptive = policy.on_access(sid, hinted)
-                    if preemptive:
-                        stats.preemptive_flushes += len(preemptive)
-                        self._account_evictions(preemptive, stats)
-                        hit = contains(sid)
-                    else:
-                        hit = hinted
-                else:
-                    hit = contains(sid)
-                if hit:
-                    stats.hits += 1
-                else:
-                    stats.misses += 1
-                    size = sizes[sid]
-                    stats.inserted_bytes += size
-                    inserted = insert(sid, size)
-                    if inserted:
-                        self._account_evictions(inserted, stats)
-                    if note_insert is not None:
-                        note_insert(sid)
-                    if links is not None:
-                        links.on_insert(sid)
-                until_check -= 1
-                if until_check <= 0:
-                    until_check = cadence
-                    checker.run_checks(stats, access_index=index, sid=sid)
-            checker.run_checks(stats, access_index=index)
-            return
-        for sid in trace:
-            index += 1
-            stats.accesses += 1
-            removed_before = stats.links_removed
-            events: list = []
-            if watches_accesses:
-                hinted = contains(sid)
-                preemptive = policy.on_access(sid, hinted)
-                if preemptive:
-                    stats.preemptive_flushes += len(preemptive)
-                    self._account_evictions(preemptive, stats)
-                    events.extend(preemptive)
-                    # The hook evicted blocks, so the pre-hook residency
-                    # probe is stale for this access only.
-                    hit = contains(sid)
-                else:
-                    hit = hinted
-            else:
-                hit = contains(sid)
-            if hit:
-                stats.hits += 1
-            else:
-                stats.misses += 1
-                size = sizes[sid]
-                stats.inserted_bytes += size
-                inserted = insert(sid, size)
-                if inserted:
-                    self._account_evictions(inserted, stats)
-                    events.extend(inserted)
-                if checker is not None:
-                    checker.note_insert(sid)
-                if links is not None:
-                    links.on_insert(sid)
-            if observer is not None:
-                observer(index, sid, hit,
-                         tuple(event.blocks for event in events),
-                         stats.links_removed - removed_before)
-            if checker is not None:
-                until_check -= 1
-                if until_check <= 0:
-                    until_check = cadence
-                    checker.run_checks(stats, access_index=index, sid=sid)
-        if checker is not None:
-            # A trace always ends with a full pass, whatever the cadence.
-            checker.run_checks(stats, access_index=index)
-
-    def _process_light_batched(self, trace, stats: SimulationStats) -> None:
-        """Light checking on top of the batched fast path.
-
-        ``light`` only runs the conservation checks (occupancy and
-        metrics), neither of which needs per-access state, so the trace
-        can be replayed in cadence-sized chunks through
-        :meth:`_process_batched` with a check pass between chunks.  Only
-        taken when no observer is attached, the policy doesn't watch
-        accesses, and links are untracked — the exact conditions under
-        which the unchecked run would have used the batched path, which
-        keeps light-mode overhead to the checks themselves.
-        """
-        checker = self.checker
-        if not isinstance(trace, list):
-            trace = list(trace)
-        cadence = checker.cadence
-        for start in range(0, len(trace), cadence):
-            chunk = trace[start:start + cadence]
-            self._process_batched(chunk, stats)
-            checker.run_checks(stats, access_index=start + len(chunk))
-        # A trace always ends with a full pass, whatever the cadence.
-        checker.run_checks(stats, access_index=len(trace))
-
-    def _process_batched(self, trace, stats: SimulationStats) -> None:
-        """Fast path for the common no-links, non-watching-policy case.
-
-        Accumulates into locals and writes the stats record once at the
-        end, keeping the hot loop to two method calls per hit and free
-        of attribute stores.
-        """
-        policy = self.policy
-        sizes = self.superblocks.sizes()
-        contains = policy.contains
-        insert = policy.insert
-        accesses = hits = misses = 0
-        inserted_bytes = 0
-        invocations = evicted_blocks = evicted_bytes = 0
-        for sid in trace:
-            accesses += 1
-            if contains(sid):
-                hits += 1
-                continue
-            misses += 1
-            size = sizes[sid]
-            inserted_bytes += size
-            for event in insert(sid, size):
-                invocations += 1
-                evicted_blocks += len(event.blocks)
-                evicted_bytes += event.bytes_evicted
-        stats.accesses += accesses
-        stats.hits += hits
-        stats.misses += misses
-        stats.inserted_bytes += inserted_bytes
-        stats.eviction_invocations += invocations
-        stats.evicted_blocks += evicted_blocks
-        stats.evicted_bytes += evicted_bytes
 
     def _account_evictions(self, events, stats: SimulationStats) -> None:
         """Count a batch of eviction events and their unlinking."""

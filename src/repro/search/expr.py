@@ -8,10 +8,10 @@ results are clamped to a finite range with NaN mapped to zero), so any
 tree that parses also evaluates — a mutated candidate can be wrong, but
 it can never crash the simulator.
 
-Trees are scored three ways that agree exactly: :func:`evaluate`, the
-definition; generated Python victim choosers (:func:`compile_chooser`);
-and postfix programs (:func:`compile_program`) that the C sweep kernel's
-stack VM runs.
+Trees are scored two ways that agree exactly: :func:`evaluate`, the
+definition, which replay's priority policy calls per resident block,
+and postfix programs (:func:`compile_program`) that the C sweep
+kernel's stack VM runs.
 
 Trees are immutable, hashable, JSON round-trippable (the wire format the
 search driver ships to pool workers via policy specs), and mutated by
@@ -23,7 +23,6 @@ search resume bit-identically.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -165,156 +164,6 @@ def evaluate(node: Expr, features: Mapping[str, float]) -> float:
     return max(left, right)  # max
 
 
-# -- Compiled victim choosers -------------------------------------------------
-
-#: Where the chooser reads each per-block feature; ``occupancy`` is one
-#: value per choice, read once before the scan.  The degree maps hold
-#: floats already; every other source is an int counter.
-_BLOCK_READS = {
-    "age": "float(clock - insert_clock[sid])",
-    "size": "float(size)",
-    "in_degree": "in_degree[sid]",
-    "out_degree": "out_degree[sid]",
-    "hotness": "float(hits[sid])",
-    "recency": "float(clock - last_touch[sid])",
-}
-
-_CHOOSER_PARAMS = ("sizes, insert_clock, last_touch, hits, clock, "
-                   "occupancy, in_degree, out_degree")
-
-#: Compiled chooser namespaces by canonical JSON: one entry per distinct
-#: expression a process scores (a search adds at most its population
-#: per generation).
-_CHOOSERS: dict[str, dict] = {}
-
-
-def _clamp_line(name: str) -> str:
-    """``_clamp`` inlined: the chained test is False for NaN, which then
-    takes the ``0.0`` arm, exactly as ``_clamp`` maps it."""
-    high, low = repr(SCORE_LIMIT), repr(-SCORE_LIMIT)
-    return (f"{name} = {name} if {low} <= {name} <= {high} else "
-            f"(0.0 if {name} != {name} else {high} if {name} > 0.0 "
-            f"else {low})")
-
-
-def render_chooser_source(node: Expr) -> str:
-    """Render straight-line Python that picks the victim under *node*.
-
-    The source defines ``_choose(...)``, which returns the first block
-    of ``sizes`` (in dict order) whose score is strictly lowest, and
-    ``_scores(...)``, which returns every block's score; both take the
-    arguments named by ``_CHOOSER_PARAMS``.  Each score is computed as
-    :func:`evaluate` computes it — the same clamps, protected division,
-    ``log1p`` of the magnitude and unclamped ``min``/``max`` — from only
-    the features *node* reads, each read once per block.  Public for
-    tests and debugging.
-    """
-    body: list[str] = []
-    reads: list[str] = []
-    temps = itertools.count()
-
-    def emit(current: Expr) -> str:
-        if isinstance(current, Const):
-            return f"({current.value!r})"
-        if isinstance(current, Feature):
-            if current.name not in reads:
-                reads.append(current.name)
-            return f"f_{current.name}"
-        name = f"t{next(temps)}"
-        if isinstance(current, Unary):
-            value = emit(current.child)
-            if current.op == "neg":
-                body.extend([f"{name} = -{value}", _clamp_line(name)])
-            else:
-                # log1p of a finite magnitude lies in [0, 710], where
-                # _clamp is the identity, so no clamp is emitted.
-                body.append(f"{name} = _log1p(abs({value}))")
-            return name
-        left = emit(current.left)
-        right = emit(current.right)
-        op = current.op
-        if op == "min":
-            body.append(f"{name} = {right} if {right} < {left} else {left}")
-            return name
-        if op == "max":
-            body.append(f"{name} = {right} if {right} > {left} else {left}")
-            return name
-        if op == "div":
-            body.append(f"{name} = {left} if -1e-09 < {right} < 1e-09 "
-                        f"else {left} / {right}")
-        else:
-            symbol = {"add": "+", "sub": "-", "mul": "*"}[op]
-            body.append(f"{name} = {left} {symbol} {right}")
-        body.append(_clamp_line(name))
-        return name
-
-    score = emit(node)
-    prelude: list[str] = []
-    per_block: list[str] = []
-    for feature in reads:
-        name = f"f_{feature}"
-        if feature == "occupancy":
-            prelude += [f"    {name} = float(occupancy)",
-                        f"    {_clamp_line(name)}"]
-        else:
-            per_block += [f"        {name} = {_BLOCK_READS[feature]}",
-                          f"        {_clamp_line(name)}"]
-    per_block += [f"        {line}" for line in body]
-    loop = ("    for sid, size in sizes.items():" if "size" in reads
-            else "    for sid in sizes:")
-    return "\n".join([
-        f"def _choose({_CHOOSER_PARAMS}):",
-        *prelude,
-        "    victim = None",
-        "    lowest = _INF",
-        loop,
-        *per_block,
-        f"        if {score} < lowest:",
-        f"            lowest = {score}",
-        "            victim = sid",
-        "    return victim",
-        "",
-        "",
-        f"def _scores({_CHOOSER_PARAMS}):",
-        *prelude,
-        "    scores = {}",
-        loop,
-        *per_block,
-        f"        scores[sid] = {score}",
-        "    return scores",
-    ])
-
-
-def _compiled(node: Expr) -> dict:
-    key = dumps(node)
-    namespace = _CHOOSERS.get(key)
-    if namespace is None:
-        namespace = {"_log1p": math.log1p, "_INF": math.inf}
-        exec(compile(render_chooser_source(node), "<priority-chooser>",
-                     "exec"), namespace)
-        _CHOOSERS[key] = namespace
-    return namespace
-
-
-def compile_chooser(node: Expr) -> Callable[..., int | None]:
-    """The victim chooser for *node*, compiled once per process.
-
-    ``chooser(sizes, insert_clock, last_touch, hits, clock, occupancy,
-    in_degree, out_degree)`` returns the first key of ``sizes`` whose
-    score is strictly lowest (``None`` when ``sizes`` is empty).  With
-    ``sizes`` in insertion order that is the ``(score, insertion order,
-    sid)`` minimum, scored exactly as :func:`evaluate` scores the block's
-    feature vector.
-    """
-    return _compiled(node)["_choose"]
-
-
-def compile_scorer(node: Expr) -> Callable[..., dict[int, float]]:
-    """``sid -> score`` for every block, from the same generated code
-    :func:`compile_chooser` runs (same arguments)."""
-    return _compiled(node)["_scores"]
-
-
 # -- Postfix programs for the C kernel's expression VM ------------------------
 
 #: The VM's opcodes, numbered by position: one load per feature in
@@ -336,7 +185,8 @@ class Program:
     stack_depth: int
 
 
-#: Compiled programs by canonical JSON, like ``_CHOOSERS``.
+#: Compiled programs by canonical JSON: one entry per distinct
+#: expression a process scores.
 _PROGRAMS: dict[str, Program] = {}
 
 

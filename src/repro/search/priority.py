@@ -7,13 +7,13 @@ whose feature vector (see :data:`repro.search.expr.FEATURES`) evaluates
 lowest under a pluggable expression tree.  With the constant-score
 expression the policy degenerates to exactly fine-grained FIFO (ties
 break on insertion order), which is how the search's FIFO-equivalent
-seed candidate works.  Victims are chosen by a straight-line scan
-compiled once per expression (:func:`repro.search.expr.compile_chooser`),
-which scores exactly as :func:`repro.search.expr.evaluate` does.  Sweep
+seed candidate works.  Each block is scored by
+:func:`repro.search.expr.evaluate`, the language's definition.  Sweep
 cells skip this class whenever the C kernel loads: the one-pass kernel
 simulates the same policy with its expression VM
-(:meth:`repro.analysis.kernel.KernelConfig.from_spec`).  On a host
-without a C compiler every sweep cell replays through this class.
+(:meth:`repro.analysis.kernel.KernelConfig.from_spec`).  This class
+serves replay: the service tier, checked runs, ``diff-check`` and hosts
+without a C compiler, where every sweep cell replays through it.
 
 The policy is fully serializable — ``to_spec``/``from_spec`` round-trip
 through the JSON policy-spec registry in :mod:`repro.core.policies` —
@@ -25,7 +25,7 @@ tenancy reclaim and sharing machinery despite its bespoke storage.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.core.cache import ConfigurationError, EvictionEvent
 from repro.core.policies import EvictionPolicy, register_policy_kind
@@ -59,8 +59,6 @@ class PriorityFunctionPolicy(EvictionPolicy):
         #: Static link degrees, computed once per block on first insert.
         self._in_degree: dict[int, float] = {}
         self._out_degree: dict[int, float] = {}
-        #: The compiled chooser (see ``_choose_victim``); never pickled.
-        self._chooser: Callable[..., int] | None = None
         self._reset(0)
 
     def configure(self, capacity_bytes: int, max_block_bytes: int) -> None:
@@ -76,26 +74,18 @@ class PriorityFunctionPolicy(EvictionPolicy):
         self._capacity = capacity_bytes
         self._used = 0
         self._clock = 0
-        #: Resident blocks in insertion order: the chooser's tie-break.
+        #: Resident blocks in insertion order: the victim tie-break.
         self._sizes: dict[int, int] = {}
         self._insert_clock: dict[int, int] = {}
         self._last_touch: dict[int, int] = {}
         self._hits: dict[int, int] = {}
 
-    def __getstate__(self) -> dict:
-        # A generated function does not pickle (service arena snapshots
-        # pickle the policy); the restored policy recompiles on its next
-        # victim, from the per-process memo.
-        state = self.__dict__.copy()
-        state["_chooser"] = None
-        return state
-
     # -- Policy surface -----------------------------------------------------
 
     def on_access(self, sid: int, hit: bool) -> list[EvictionEvent]:
-        # Defining on_access marks the policy access-watching, which
-        # routes the simulator through its slow path — required here
-        # because recency/hotness are per-access state.
+        # Defining on_access marks the policy access-watching, so the
+        # simulator calls it on every access — required here because
+        # recency/hotness are per-access state.
         self._clock += 1
         if hit:
             self._last_touch[sid] = self._clock
@@ -191,17 +181,11 @@ class PriorityFunctionPolicy(EvictionPolicy):
         return self._used / self._capacity if self._capacity else 0.0
 
     def _choose_victim(self) -> int:
-        # The chooser scores every resident block as ``evaluate`` would
-        # and keeps the first strictly lowest one; ``_sizes`` iterates
+        # ``min`` keeps the first of equal keys and ``_sizes`` iterates
         # in insertion order, so ties break on insertion order and a
         # constant expression yields exact FIFO.
-        chooser = self._chooser
-        if chooser is None:
-            chooser = self._chooser = expr_mod.compile_chooser(
-                self.expression)
-        return chooser(self._sizes, self._insert_clock, self._last_touch,
-                       self._hits, self._clock, self._occupancy(),
-                       self._in_degree, self._out_degree)
+        return min(self._sizes, key=lambda sid: expr_mod.evaluate(
+            self.expression, self.features_of(sid)))
 
     def _evict(self, sid: int) -> EvictionEvent:
         size = self._sizes.pop(sid)

@@ -11,7 +11,7 @@ from repro.analysis.visualize import (
     render_timelines,
     sparkline,
 )
-from repro.core.policies import FlushPolicy, UnitFifoPolicy
+from repro.core.policies import FlushPolicy, UnitFifoPolicy, policy_from_spec
 from repro.core.simulator import simulate
 from repro.core.superblock import Superblock, SuperblockSet
 from repro.workloads.registry import build_workload, get_benchmark
@@ -35,16 +35,18 @@ class TestRecordTimeline:
         assert sum(point.accesses for point in timeline.points) == 8000
 
     def test_totals_match_a_plain_run(self, workload):
+        # Each window's record counts only its own accesses, link
+        # establishments included, so the windows sum to a plain run.
         blocks = workload.superblocks
         capacity = blocks.total_bytes // 4
-        timeline = record_timeline(blocks, UnitFifoPolicy(8), capacity,
-                                   workload.trace, window=750)
-        plain = simulate(blocks, UnitFifoPolicy(8), capacity,
-                         workload.trace)
-        assert timeline.totals.misses == plain.misses
-        assert timeline.totals.eviction_invocations == (
-            plain.eviction_invocations
-        )
+        for spec in ("8-unit", "fifo", "flush", "preempt"):
+            timeline = record_timeline(blocks, policy_from_spec(spec),
+                                       capacity, workload.trace, window=750)
+            plain = simulate(blocks, policy_from_spec(spec), capacity,
+                             workload.trace)
+            assert plain.links_established > 0
+            assert timeline.totals.to_dict() == plain.to_dict(), spec
+            assert timeline.totals == plain, spec
 
     def test_first_window_has_the_cold_misses(self, workload):
         blocks = workload.superblocks

@@ -2,15 +2,22 @@
 
 import pytest
 
+from repro.core.metrics import SimulationStats
 from repro.core.overhead import FREE_MODEL, PAPER_MODEL
 from repro.core.policies import (
     FineGrainedFifoPolicy,
     FlushPolicy,
     PreemptiveFlushPolicy,
     UnitFifoPolicy,
+    policy_from_spec,
+    registered_policy_kinds,
 )
+from repro.core.pressure import pressured_capacity
 from repro.core.simulator import CodeCacheSimulator, simulate
 from repro.core.superblock import Superblock, SuperblockSet
+from repro.search import expr as expr_mod
+from repro.search.expr import Binary, Feature, Unary
+from repro.workloads.registry import build_workload, get_benchmark
 from repro.workloads.traces import loop_trace, scan_trace
 
 
@@ -155,3 +162,74 @@ class TestSimulatorConstruction:
         second = simulator.process([0, 1, 2, 3])
         assert first.misses == 4
         assert second.misses == 0  # still resident from the first pass
+
+
+#: One spec per registered policy kind.  The priority expression reads
+#: per-access state (hotness), age and size.
+_KIND_SPECS = {
+    "flush": "flush",
+    "unit": "8-unit",
+    "fifo": "fifo",
+    "preempt": "preempt",
+    "gen": "gen",
+    "lru": "lru",
+    "priority": {"kind": "priority", "expression": expr_mod.to_dict(
+        Binary("sub", Feature("hotness"), Unary("log1p", Binary(
+            "mul", Feature("age"), Feature("size")))))},
+}
+
+#: Fields only ``process()`` fills in when links are tracked.
+_PROCESS_ONLY = ("links_established_intra", "links_established_inter",
+                 "peak_backpointer_bytes")
+
+
+@pytest.fixture(scope="module")
+def gzip_workload():
+    return build_workload(get_benchmark("gzip"), scale=0.5,
+                          trace_accesses=3000)
+
+
+class TestProcessMatchesStep:
+    """``process()`` and ``step()`` are the simulator's two per-access
+    bodies; over one trace they must keep the same record."""
+
+    def test_every_registered_kind_is_covered(self):
+        assert set(_KIND_SPECS) == set(registered_policy_kinds())
+
+    @pytest.mark.parametrize("level", ["off", "light", "paranoid"])
+    @pytest.mark.parametrize("track_links", [False, True])
+    @pytest.mark.parametrize("kind", sorted(_KIND_SPECS))
+    def test_process_matches_step(self, gzip_workload, kind, track_links,
+                                  level):
+        blocks = gzip_workload.superblocks
+        trace = gzip_workload.trace.tolist()
+        records = []
+        # PREEMPT flushes preemptively at pressure 2 only.
+        for pressure in (2.0, 6.0):
+            def simulator():
+                return CodeCacheSimulator(
+                    blocks, policy_from_spec(_KIND_SPECS[kind], blocks),
+                    pressured_capacity(blocks, pressure),
+                    track_links=track_links, check_level=level)
+
+            replayed = simulator().process(trace)
+            hits = []
+            observed = simulator().process(
+                trace, observer=lambda index, sid, hit, evictions, removed:
+                    hits.append(hit))
+            streaming = simulator()
+            streamed = SimulationStats(policy_name=streaming.policy.name)
+            stepped = [streaming.step(sid, streamed)[0] for sid in trace]
+
+            assert observed == replayed
+            assert hits == stepped
+            want, got = vars(replayed).copy(), vars(streamed).copy()
+            if track_links:
+                assert replayed.links_established > 0
+                for name in _PROCESS_ONLY:
+                    del want[name], got[name]
+            assert got == want, pressure
+            records.append(replayed)
+        assert records[-1].eviction_invocations > 0
+        if kind == "preempt":
+            assert records[0].preemptive_flushes > 0

@@ -1,8 +1,8 @@
 """The expression language: totality, JSON round-trip, the closure of
 seeded mutation over the bounded language (the three properties the
-search's correctness rests on), and the agreement of both compiled
-scorers — the generated-Python victim chooser and the C kernel's
-postfix VM — with the interpreter."""
+search's correctness rests on), the priority policy's victim choice
+under the interpreter, and the agreement of the C kernel's postfix VM
+with the interpreter."""
 
 import json
 import math
@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ckernel
+from repro.core.pressure import pressured_capacity
+from repro.core.simulator import CodeCacheSimulator
 from repro.search import expr as expr_mod
 from repro.search.expr import (
     BINARY_OPS,
@@ -26,9 +28,7 @@ from repro.search.expr import (
     ExpressionError,
     Feature,
     Unary,
-    compile_chooser,
     compile_program,
-    compile_scorer,
     count_nodes,
     depth,
     evaluate,
@@ -36,6 +36,8 @@ from repro.search.expr import (
     mutate_named,
     replace_at,
 )
+from repro.search.priority import PriorityFunctionPolicy
+from repro.workloads.registry import build_workload, get_benchmark
 
 
 def _leaves():
@@ -200,7 +202,29 @@ def _mutated(drawn):
 _BLOCK_FEATURES = tuple(name for name in FEATURES if name != "occupancy")
 
 
+def _policy_holding(tree, rows, occupancy=0.0):
+    """A priority policy under *tree* whose resident blocks, inserted in
+    ``rows`` order, carry the feature values in each row (at clock 0,
+    so age and recency are the negated insert and touch clocks)."""
+    policy = PriorityFunctionPolicy(tree)
+    # ``occupancy`` is ``used / capacity``, so this reads it back exactly.
+    policy._capacity = 1.0
+    policy._used = occupancy
+    for sid, row in rows.items():
+        policy._sizes[sid] = row["size"]
+        policy._insert_clock[sid] = -row["age"]
+        policy._last_touch[sid] = -row["recency"]
+        policy._hits[sid] = row["hotness"]
+        policy._in_degree[sid] = row["in_degree"]
+        policy._out_degree[sid] = row["out_degree"]
+    return policy
+
+
 class TestCompiledChooser:
+    """Replay's victim choice (``PriorityFunctionPolicy._choose_victim``,
+    scored by ``evaluate``) and the C kernel's VM, against the
+    interpreter."""
+
     @given(_closure_trees(),
            st.lists(st.integers(0, 10**6), min_size=1, max_size=8,
                     unique=True),
@@ -209,76 +233,96 @@ class TestCompiledChooser:
     def test_chooser_matches_the_interpreter(self, tree, sids, data,
                                              occupancy):
         # ``sids`` are in insertion order and deliberately unsorted, so
-        # a chooser that broke ties on sid instead would be caught.
+        # a policy that broke ties on sid instead would be caught.
         rows = {sid: data.draw(st.fixed_dictionaries(
                     {name: _edge_floats() for name in _BLOCK_FEATURES}))
                 for sid in sids}
-        clock = 0
-        sizes = {sid: row["size"] for sid, row in rows.items()}
-        insert_clock = {sid: -row["age"] for sid, row in rows.items()}
-        last_touch = {sid: -row["recency"] for sid, row in rows.items()}
-        hits = {sid: row["hotness"] for sid, row in rows.items()}
-        in_degree = {sid: row["in_degree"] for sid, row in rows.items()}
-        out_degree = {sid: row["out_degree"] for sid, row in rows.items()}
-        args = (sizes, insert_clock, last_touch, hits, clock, occupancy,
-                in_degree, out_degree)
-        vectors = {
-            sid: {
-                "age": float(clock - insert_clock[sid]),
-                "size": float(sizes[sid]),
-                "in_degree": in_degree[sid],
-                "out_degree": out_degree[sid],
-                "hotness": float(hits[sid]),
-                "recency": float(clock - last_touch[sid]),
-                "occupancy": occupancy,
-            }
-            for sid in sids
-        }
+        policy = _policy_holding(tree, rows, occupancy)
+        vectors = {sid: {**rows[sid], "occupancy": occupancy}
+                   for sid in sids}
         oracle = {sid: evaluate(tree, vectors[sid]) for sid in sids}
-        assert compile_scorer(tree)(*args) == oracle
         seq = {sid: index for index, sid in enumerate(sids)}
-        assert compile_chooser(tree)(*args) == min(
-            sids, key=lambda sid: (oracle[sid], seq[sid], sid))
+        assert policy._choose_victim() == min(
+            sids, key=lambda sid: (oracle[sid], seq[sid]))
         if ckernel.available():
             assert {sid: _vm_score(tree, vectors[sid])
                     for sid in sids} == oracle
 
     def test_every_operator_matches_the_interpreter_at_the_edges(self):
         pairs = [(a, b) for a in _EDGE_VALUES for b in _EDGE_VALUES]
-        sizes = dict.fromkeys(range(len(pairs)), 1)
-        insert_clock = {sid: -a for sid, (a, _) in enumerate(pairs)}
-        last_touch = {sid: -b for sid, (_, b) in enumerate(pairs)}
+        rows = {sid: {**dict.fromkeys(_BLOCK_FEATURES, 0.0),
+                      "age": a, "recency": b}
+                for sid, (a, b) in enumerate(pairs)}
         trees = [Binary(op, Feature("age"), Feature("recency"))
                  for op in BINARY_OPS]
         trees += [Unary(op, Feature("age")) for op in UNARY_OPS]
         for tree in trees:
-            scores = compile_scorer(tree)(sizes, insert_clock, last_touch,
-                                          {}, 0, 0.0, {}, {})
+            policy = _policy_holding(tree, rows)
             for sid, (a, b) in enumerate(pairs):
                 features = dict.fromkeys(FEATURES, 0.0)
                 features.update(age=a, recency=b)
                 want = evaluate(tree, features)
-                assert scores[sid] == want, (tree, a, b)
+                assert evaluate(tree, policy.features_of(sid)) == want, (
+                    tree, a, b)
                 if ckernel.available():
                     assert _vm_score(tree, features) == want, (tree, a, b)
 
     def test_compiled_once_per_expression(self):
+        # A tree and its JSON round trip are one policy: the same
+        # victims at every access of a pressured trace.
         tree = Binary("sub", Feature("hotness"),
                       Unary("log1p", Feature("age")))
         twin = expr_mod.loads(expr_mod.dumps(tree))
-        assert compile_chooser(tree) is compile_chooser(twin)
+        workload = build_workload(get_benchmark("gzip"), scale=0.2,
+                                  trace_accesses=2000)
+        capacity = pressured_capacity(workload.superblocks, 8.0)
+
+        def victims(expression):
+            log = []
+            simulator = CodeCacheSimulator(
+                workload.superblocks,
+                PriorityFunctionPolicy(expression, workload.superblocks),
+                capacity)
+            simulator.process(
+                workload.trace,
+                observer=lambda index, sid, hit, evictions, removed:
+                    log.append(evictions))
+            return log
+
+        log = victims(tree)
+        assert any(log)
+        assert victims(twin) == log
 
     def test_reads_only_the_features_the_tree_uses(self):
-        source = expr_mod.render_chooser_source(
-            Unary("neg", Feature("age")))
-        assert "insert_clock[sid]" in source
-        for unused in ("hits[sid]", "last_touch[sid]", "in_degree[sid]",
-                       "out_degree[sid]", "float(size)", "occupancy)"):
-            assert unused not in source
+        tree = Unary("neg", Feature("age"))
+        ages = (3.0, 9.0, 1.0, 9.0, 4.0)
+        rows = {sid: {**dict.fromkeys(_BLOCK_FEATURES, 1.0), "age": age}
+                for sid, age in zip((40, 7, 22, 5, 31), ages)}
+        victim = _policy_holding(tree, rows)._choose_victim()
+        assert victim == 7  # the oldest, first inserted of the tie
+        for sid in rows:
+            for unused in _BLOCK_FEATURES:
+                if unused == "age":
+                    continue
+                for value in (-1e18, -2.5, 0.0, 1e18):
+                    changed = {key: dict(row) for key, row in rows.items()}
+                    changed[sid][unused] = value
+                    for occupancy in (0.0, 1.0):
+                        policy = _policy_holding(tree, changed, occupancy)
+                        assert policy._choose_victim() == victim, (
+                            sid, unused, value, occupancy)
 
-    def test_empty_cache_has_no_victim(self):
-        assert compile_chooser(Feature("age"))(
-            {}, {}, {}, {}, 0, 0.0, {}, {}) is None
+    def test_empty_cache_has_no_victim(self, monkeypatch):
+        def no_victim(policy):
+            raise AssertionError("a victim was chosen")
+
+        monkeypatch.setattr(PriorityFunctionPolicy, "_choose_victim",
+                            no_victim)
+        policy = PriorityFunctionPolicy(Feature("age"))
+        policy.configure(1000, 400)
+        assert [policy.insert(sid, size) for sid, size in
+                ((1, 400), (2, 300), (3, 300))] == [[], [], []]
+        assert policy.used_bytes == 1000
 
 
 def _vm_score(tree, features):

@@ -226,9 +226,9 @@ def test_random_mutants_simulate_deterministically(expr_seed, trace_seed):
 class TestSnapshotSafety:
     def test_pickled_mid_trace_policy_finishes_like_an_uninterrupted_one(
             self, workload):
-        """A service arena snapshot pickles the configured policy after
-        its chooser has compiled; the restored copy must carry on
-        exactly where the original would have."""
+        """A service arena snapshot pickles the configured policy
+        mid-trace, after it has chosen victims; the restored copy must
+        carry on exactly where the original would have."""
         expression = dict(seed_expressions())["seed-size"]
         capacity = pressured_capacity(workload.superblocks, 10.0)
         trace = workload.trace.tolist()
@@ -248,8 +248,7 @@ class TestSnapshotSafety:
         half = len(trace) // 2
         first, first_stats = start()
         got = run(first, first_stats, trace[:half])
-        # Victims were chosen before the snapshot, so the chooser had
-        # compiled.
+        # Victims were chosen before the snapshot.
         assert first_stats.eviction_invocations > 0
         restored, restored_stats = pickle.loads(
             pickle.dumps((first, first_stats)))
@@ -261,7 +260,7 @@ class TestSnapshotSafety:
 @given(_expressions(), st.sampled_from(("gzip", "mcf")))
 @settings(max_examples=20, deadline=None)
 def test_random_trees_match_the_reference_access_for_access(tree, benchmark):
-    """The compiled chooser against ``ReferenceSimulator.for_priority``
+    """The production policy against ``ReferenceSimulator.for_priority``
     (interpreter scores, from-scratch features, explicit tie-break key):
     same victims at every access and equal stats, links tracked."""
     report = diff_check(benchmarks=(benchmark,), scale=0.15,
