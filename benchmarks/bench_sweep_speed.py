@@ -2,13 +2,13 @@
 
 Runs the full 20-benchmark grid at a small fixed scale through four
 engines — the serial replay engine (``one_pass=False``; the PR-5
-baseline), the serial one-pass kernel engine, the parallel engine
-(pressure-sharded tasks, worker count picked by ``plan_jobs``, one-pass
-on), and checkpointed cold/warm parallel runs — verifies they all
-produce identical statistics, and records the wall-clock numbers in
-``BENCH_sweep.json`` at the repo root so the one-pass speedup, the
-parallel speedup, and the checkpointing overhead are tracked across
-PRs.
+baseline), the serial one-pass kernel engine, the parallel engine (one
+task per benchmark, worker count picked by ``plan_jobs``, one-pass on),
+and parallel runs against a cold and then a warm sweep store —
+verifies they all produce identical statistics, and records the
+wall-clock numbers in ``BENCH_sweep.json`` at the repo root so the
+one-pass speedup, the parallel speedup, and the store's overhead are
+tracked across PRs.
 
 Run directly (``python benchmarks/bench_sweep_speed.py``) or through
 pytest (``pytest benchmarks/bench_sweep_speed.py``).  The headline
@@ -16,9 +16,10 @@ gates: ``one_pass_speedup`` (serial replay over serial one-pass on the
 same grid) must be >= 10x, and ``speedup`` (serial replay over the
 parallel entry point) must never drop below 1.0 — on boxes where a
 pool cannot win, ``plan_jobs`` degrades the parallel engine to the
-inline one-pass path instead of regressing.  The checkpoint-overhead
-assertion holds checkpointed runs to ~5 % over the plain parallel run
-(plus a small absolute grace for timer noise).
+inline one-pass path instead of regressing.  The store-overhead
+assertion holds a cold-store run (every slab stored) to ~5 % over the
+plain parallel run (plus a small absolute grace for timer noise), and
+the warm-store run (every slab loaded) must beat it outright.
 
 The bench also times the invariant checker: serial sweeps at
 ``--check light`` and ``--check paranoid`` are compared against the
@@ -39,7 +40,6 @@ import time
 from pathlib import Path
 
 from repro.analysis import ckernel
-from repro.analysis.checkpoint import CheckpointStore
 from repro.analysis.parallel import (
     estimate_task_accesses,
     plan_jobs,
@@ -51,6 +51,7 @@ from repro.analysis.sweep import (
     run_sweep,
     run_sweep_parallel,
 )
+from repro.analysis.sweepcache import Store
 from repro.workloads.registry import all_benchmarks, build_suite
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
@@ -82,13 +83,12 @@ def run_bench() -> dict:
     # kernel the one-pass run replays too.
     kernel_engine = "c" if ckernel.available() else "replay"
 
-    # The parallel entry point mirrors full_sweep: pressure-sharded
-    # tasks, with plan_jobs degrading the pool to the inline engine
+    # The parallel entry point mirrors full_sweep: one task per
+    # benchmark, with plan_jobs degrading the pool to the inline engine
     # when it cannot win (single CPU, or tiny per-task work).
     ladder = ladder_policy_factories(UNIT_COUNTS)
     planned = plan_tasks(specs, ladder, scale=SCALE,
-                         trace_accesses=TRACE_ACCESSES, pressures=PRESSURES,
-                         shard="pressure")
+                         trace_accesses=TRACE_ACCESSES, pressures=PRESSURES)
     per_task = (sum(estimate_task_accesses(task) for task in planned)
                 // len(planned))
     effective_jobs = plan_jobs(JOBS, task_count=len(planned),
@@ -109,18 +109,18 @@ def run_bench() -> dict:
                                     pressures=PRESSURES,
                                     jobs=effective_jobs,
                                     checkpoints=checkpoints,
-                                    one_pass=True, shard="pressure")
+                                    one_pass=True)
         return time.perf_counter() - started, result
 
-    def checkpointed_once(root):
-        """One cold run that also streams per-task checkpoints."""
-        store = CheckpointStore(root)
+    def cold_store_once(root):
+        """One run against an empty store: every slab is stored."""
+        store = Store(root)
         store.clear()
         return parallel_once(checkpoints=store)
 
-    def resumed_once(root):
-        """A warm run against a fully-populated checkpoint store."""
-        return parallel_once(checkpoints=CheckpointStore(root))
+    def warm_store_once(root):
+        """One run against a full store: every slab is loaded."""
+        return parallel_once(checkpoints=Store(root))
 
     serial_seconds, serial_result = min(
         (serial_once() for _ in range(REPEATS)), key=lambda pair: pair[0]
@@ -132,15 +132,15 @@ def run_bench() -> dict:
     parallel_seconds, parallel_result = min(
         (parallel_once() for _ in range(REPEATS)), key=lambda pair: pair[0]
     )
-    with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as tmp:
-        checkpoint_seconds, checkpoint_result = min(
-            (checkpointed_once(tmp) for _ in range(REPEATS)),
+    with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
+        cold_seconds, cold_result = min(
+            (cold_store_once(tmp) for _ in range(REPEATS)),
             key=lambda pair: pair[0]
         )
         # The last cold run left the store fully populated, so the
-        # resumed runs measure pure checkpoint-load time.
-        resume_seconds, resume_result = min(
-            (resumed_once(tmp) for _ in range(REPEATS)),
+        # warm runs measure pure slab-load time.
+        warm_seconds, warm_result = min(
+            (warm_store_once(tmp) for _ in range(REPEATS)),
             key=lambda pair: pair[0]
         )
     light_seconds, light_result = min(
@@ -175,12 +175,10 @@ def run_bench() -> dict:
         "one_pass_speedup": round(serial_seconds / one_pass_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "speedup": round(serial_seconds / parallel_seconds, 3),
-        "checkpoint_cold_seconds": round(checkpoint_seconds, 3),
-        "checkpoint_overhead": round(
-            checkpoint_seconds / parallel_seconds - 1.0, 4
-        ),
-        "resume_seconds": round(resume_seconds, 3),
-        "resumed_tasks": len(resume_result.fault_report.resumed),
+        "store_cold_seconds": round(cold_seconds, 3),
+        "store_overhead": round(cold_seconds / parallel_seconds - 1.0, 4),
+        "store_warm_seconds": round(warm_seconds, 3),
+        "loaded_tasks": len(warm_result.fault_report.resumed),
         "check_light_seconds": round(light_seconds, 3),
         "check_light_overhead": round(
             light_seconds / serial_seconds - 1.0, 4
@@ -199,8 +197,8 @@ def run_bench() -> dict:
         "grids_identical": (
             _grids_identical(serial_result, one_pass_result)
             and _grids_identical(serial_result, parallel_result)
-            and _grids_identical(serial_result, checkpoint_result)
-            and _grids_identical(serial_result, resume_result)
+            and _grids_identical(serial_result, cold_result)
+            and _grids_identical(serial_result, warm_result)
         ),
         "grids_identical_under_checking": (
             _grids_identical(serial_result, light_result)
@@ -224,17 +222,15 @@ def test_sweep_speed():
     assert report["speedup"] >= 1.0, report
     if (os.cpu_count() or 1) >= 4:
         assert report["speedup"] >= 2.0, report
-    # Streaming per-task checkpoints must stay cheap: within ~5 % of
-    # the plain parallel run, plus a small absolute grace so timer
-    # noise on loaded CI boxes can't fail the build.
-    assert (report["checkpoint_cold_seconds"]
+    # Storing every slab must stay cheap: within ~5 % of the plain
+    # parallel run, plus a small absolute grace so timer noise on
+    # loaded CI boxes can't fail the build.
+    assert (report["store_cold_seconds"]
             <= report["parallel_seconds"] * 1.05 + 0.75), report
-    # A fully-checkpointed sweep resumes every (benchmark, pressure)
-    # slice instead of simulating, so the warm run must beat the cold
-    # one outright.
-    assert (report["resumed_tasks"]
-            == report["benchmarks"] * len(report["pressures"])), report
-    assert report["resume_seconds"] < report["checkpoint_cold_seconds"], report
+    # A full store serves every benchmark's slab instead of simulating
+    # it, so the warm run must beat the cold one outright.
+    assert report["loaded_tasks"] == report["benchmarks"], report
+    assert report["store_warm_seconds"] < report["store_cold_seconds"], report
     # Checking must never change the science: grids at light and
     # paranoid are byte-identical to the unchecked run.
     assert report["grids_identical_under_checking"], report

@@ -14,8 +14,8 @@ Environment knobs:
 * ``REPRO_TRACE_ACCESSES`` — override per-benchmark trace length.
 * ``REPRO_TABLE2_BUDGET`` — guest-instruction budget per Table 2 run.
 * ``REPRO_CALIBRATION_SAMPLES`` — samples for Figure 9 / Equations 2-4.
-* ``REPRO_SWEEP_CACHE_DIR`` — where sweep results persist between runs
-  (default ``~/.cache/repro-sweeps``).
+* ``REPRO_SWEEP_CACHE_DIR`` — where the sweep store keeps each
+  benchmark's slab between runs (default ``~/.cache/repro-sweeps``).
 
 The sweep engine's own knobs (``REPRO_SWEEP_JOBS``,
 ``REPRO_SWEEP_CACHE=0`` for a cold simulation, and the rest) reach the

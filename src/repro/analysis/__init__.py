@@ -5,7 +5,6 @@ from repro.analysis.report import (
     format_bar_chart,
     format_table,
 )
-from repro.analysis.checkpoint import CheckpointStore
 from repro.analysis.parallel import (
     FaultTolerance,
     SweepError,
@@ -23,6 +22,7 @@ from repro.analysis.sweep import (
     run_sweep,
     run_sweep_parallel,
 )
+from repro.analysis.sweepcache import Store
 from repro.analysis.connectivity import (
     ConnectivitySummary,
     PlacementHeadroom,
@@ -54,7 +54,7 @@ __all__ = [
     "ExperimentResult",
     "format_bar_chart",
     "format_table",
-    "CheckpointStore",
+    "Store",
     "FaultTolerance",
     "SweepError",
     "SweepFailure",

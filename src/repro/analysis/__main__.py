@@ -8,12 +8,11 @@ prints the rendered result.  Examples::
     python -m repro.analysis figure6 --scale 0.25 --pressures 2 10
     python -m repro.analysis all --scale 0.1 --trace-accesses 5000
     python -m repro.analysis figure7 --jobs 0        # sweep on all cores
-    python -m repro.analysis figure7 --no-cache      # force re-simulation
+    python -m repro.analysis figure7 --no-cache      # no sweep store I/O
     python -m repro.analysis figure7 --jobs 4 --task-timeout 600 \
         --max-retries 3                              # fault-tolerant sweep
-    python -m repro.analysis figure7 --no-resume     # skip checkpointing
-    python -m repro.analysis cache-stats             # inspect the disk cache
-    python -m repro.analysis cache-clear             # drop cached sweeps
+    python -m repro.analysis cache-stats             # inspect the sweep store
+    python -m repro.analysis cache-clear             # drop stored slabs
     python -m repro.analysis figure6 --check paranoid  # sweep under the
                                                        # invariant checker
     python -m repro.analysis diff-check --scale 0.25 # production vs
@@ -22,9 +21,11 @@ prints the rendered result.  Examples::
                                                      # committed baselines
 
 Simulation figures share one sweep per invocation, so asking for
-several of them costs little more than asking for one; the sweep is
-also persisted on disk (see :mod:`repro.analysis.sweepcache`), so later
-invocations skip simulation entirely unless ``--no-cache`` is given.
+several of them costs little more than asking for one; each benchmark's
+slab of the sweep is also kept on disk (see
+:mod:`repro.analysis.sweepcache`), so later invocations skip the
+simulation and an interrupted one resumes, unless ``--no-cache`` is
+given.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ import dataclasses
 import inspect
 import os
 import sys
-import time
 
 from repro.analysis import benchgate, diffcheck, experiments, sweep, sweepcache
-from repro.analysis.checkpoint import CheckpointStore
 from repro.core.invariants import CHECK_LEVELS, ENV_CHECK_LEVEL
 
 _DRIVERS = {fn.__name__: fn for fn in experiments.ALL_EXPERIMENTS}
@@ -46,7 +45,7 @@ _ALIASES = {
     "section53": "section53_execution_time",
 }
 
-#: Maintenance commands for the persistent sweep cache, usable anywhere
+#: Maintenance commands for the on-disk sweep store, usable anywhere
 #: an artifact name is (``python -m repro.analysis cache-stats``).
 _CACHE_COMMANDS = ("cache-stats", "cache-clear")
 
@@ -88,8 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="sweep worker processes (0 = all cores; "
                              "default: REPRO_SWEEP_JOBS or serial)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk sweep cache "
-                             "(REPRO_SWEEP_CACHE_DIR) for this run")
+                        help="neither load nor store sweep slabs in the "
+                             "on-disk store (REPRO_SWEEP_CACHE_DIR) for "
+                             "this run")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="abandon and retry a sweep task attempt "
@@ -99,11 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="pool retries per sweep task before it "
                              "degrades to in-process execution "
                              "(default: REPRO_SWEEP_RETRIES or 2)")
-    parser.add_argument("--resume", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="checkpoint completed sweep slabs and "
-                             "resume interrupted sweeps from them "
-                             "(default: REPRO_SWEEP_RESUME, on)")
     parser.add_argument("--check", choices=CHECK_LEVELS, default=None,
                         help="run simulations under the invariant "
                              "checker at this level (default: "
@@ -147,8 +142,7 @@ def _sweep_options(args: argparse.Namespace,
             ("--jobs", "jobs", args.jobs),
             ("--no-cache", "use_cache", False if args.no_cache else None),
             ("--task-timeout", "task_timeout", args.task_timeout),
-            ("--max-retries", "max_retries", args.max_retries),
-            ("--resume", "resume", args.resume)):
+            ("--max-retries", "max_retries", args.max_retries)):
         if value is not None:
             try:
                 options = dataclasses.replace(options, **{name: value})
@@ -181,42 +175,22 @@ def _call_driver(name: str, args: argparse.Namespace,
 
 
 def _cache_stats_text() -> str:
-    """Render the persistent sweep cache's contents and hit counters."""
-    rows = sweepcache.entries()
+    """Render the sweep store's contents and this process's counters."""
+    store = sweepcache.default_store()
+    rows = store.entries()
     counts = sweepcache.counters()
-    total_bytes = sum(entry.data_bytes for entry in rows)
-    quarantined = sweepcache.quarantined_entries()
-    checkpoints = CheckpointStore.default()
-    slabs = checkpoints.entries()
-    slab_quarantined = checkpoints.quarantined_entries()
-    lines = [
-        f"sweep cache: {sweepcache.cache_dir()}",
+    total_bytes = sum(path.stat().st_size for path in rows)
+    retries = counts["retries"]
+    return "\n".join([
+        f"sweep store: {store.root}",
         f"  entries: {len(rows)}   total: {total_bytes / 1024:.1f} KiB   "
-        f"quarantined: {len(quarantined)}",
-        f"  checkpoints: {len(slabs)} slab(s)   "
-        f"quarantined: {len(slab_quarantined)}",
+        f"quarantined: {len(store.quarantined_entries())}",
         f"  this process: {counts['hits']} hit(s), "
         f"{counts['misses']} miss(es), {counts['stores']} store(s), "
         f"{counts['store_failures']} store failure(s), "
         f"{counts['quarantines']} quarantine(s), "
-        f"{counts['retries']} task retr{'y' if counts['retries'] == 1 else 'ies'}",
-    ]
-    for entry in rows:
-        created = (
-            time.strftime("%Y-%m-%d %H:%M:%S",
-                          time.localtime(entry.created))
-            if entry.created else "?"
-        )
-        saved = (f"{entry.elapsed_seconds:.1f}s simulated"
-                 if entry.elapsed_seconds is not None else "?")
-        lines.append(
-            f"  {entry.key[:16]}  {created}  "
-            f"{entry.benchmarks} benchmarks x {entry.policies} policies "
-            f"x {entry.pressures} pressures  "
-            f"{entry.data_bytes / 1024:.1f} KiB  {saved}  "
-            f"hits={entry.hits}"
-        )
-    return "\n".join(lines)
+        f"{retries} task retr{'y' if retries == 1 else 'ies'}",
+    ])
 
 
 def _run_cache_command(name: str) -> None:
@@ -224,8 +198,7 @@ def _run_cache_command(name: str) -> None:
         print(_cache_stats_text())
     else:  # cache-clear
         removed = sweepcache.clear()
-        print(f"removed {removed} cached sweep(s) from "
-              f"{sweepcache.cache_dir()}")
+        print(f"removed {removed} file(s) from {sweepcache.cache_dir()}")
 
 
 def _run_diff_check(args: argparse.Namespace) -> bool:

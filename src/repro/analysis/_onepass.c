@@ -1,8 +1,9 @@
 /* One-pass multi-granularity sweep kernel: C fast path.
  *
- * Simulates the same geometries as the generated-Python runner in
- * kernel.py and produces the same integer counters, which equal those
- * of replaying each geometry through CodeCacheSimulator.  The ladder
+ * Simulates the cache geometries kernel.py resolves from a sweep's
+ * ladder and pressures in one trace traversal, and produces the integer
+ * counters of replaying each geometry through CodeCacheSimulator;
+ * kernel-check and the kernel tests hold the two equal.  The ladder
  * pass (one_pass) keeps no floating point at all: the overheads of
  * Equations 2-4 are priced from these counters by the caller's stats
  * records, so the order in which victims and events are counted is

@@ -139,8 +139,9 @@ class KernelConfig:
 class _Population:
     """Dense per-workload arrays, cached across kernel invocations.
 
-    One workload is swept at many pressures (and, under slice sharding,
-    by many tasks in the same worker process), so the flattening work is
+    One workload's slab can take several kernel calls (a split grid,
+    each priority cell), and the policy search re-scores the same
+    memoized workloads every generation, so the flattening work is
     memoized per :class:`SuperblockSet` (weakly, so it dies with the
     workload).  Every array is built with numpy straight from the set's
     columns (:attr:`~SuperblockSet.size_column`,

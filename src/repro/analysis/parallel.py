@@ -22,8 +22,9 @@ that exhausts its retries degrades to in-process serial execution (with
 a warning) rather than killing the sweep.  Everything that was retried,
 timed out, or degraded is recorded in a :class:`SweepFailure` report,
 and completed slabs can stream into a
-:class:`~repro.analysis.checkpoint.CheckpointStore` so an interrupted
-sweep resumes instead of restarting.
+:class:`~repro.analysis.sweepcache.Store`, which later runs load them
+from: a finished sweep is served from disk and an interrupted one
+resumes instead of restarting.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro import faults
 from repro.analysis import sweepcache
+from repro.analysis.sweepcache import Store
 from repro.core.metrics import SimulationStats
 from repro.core.overhead import PAPER_MODEL, OverheadModel
 from repro.core.policies import PolicySpec, policy_spec
@@ -52,9 +54,6 @@ from repro.workloads.registry import (
     default_trace_accesses,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.analysis.checkpoint import CheckpointStore
-
 #: One simulated grid point: (benchmark, policy, pressure, stats).
 GridRecord = tuple[str, str, float, SimulationStats]
 
@@ -63,13 +62,11 @@ GridRecord = tuple[str, str, float, SimulationStats]
 class SweepTask:
     """One worker's unit: a benchmark's (policy x pressure) slab.
 
-    Under slice sharding (:func:`plan_tasks` with ``shard="pressure"``)
-    a task carries a single pressure instead of the whole row, which
-    load-balances better and lets the one-pass kernel keep one task per
-    trace traversal.  ``one_pass`` and ``label`` are execution hints:
-    they never change the simulated statistics, so neither participates
-    in :func:`task_key` (a one-pass slab checkpoints interchangeably
-    with a replayed one).
+    The whole slab is one task, so the one-pass kernel scores every
+    cache geometry of the benchmark in one trace traversal.
+    ``one_pass`` is an execution hint: it never changes the simulated
+    statistics, so it does not participate in :func:`task_key` (a
+    one-pass slab is stored interchangeably with a replayed one).
     """
 
     spec: BenchmarkSpec
@@ -85,12 +82,6 @@ class SweepTask:
     track_links: bool = True
     #: Route eligible specs through the one-pass kernel.
     one_pass: bool = True
-    #: Display name in fault reports; empty means the spec's name.
-    label: str = ""
-
-    @property
-    def display_name(self) -> str:
-        return self.label or self.spec.name
 
 
 def canonical_specs(policy_specs: Sequence[PolicySpec]) -> tuple[str, ...]:
@@ -104,13 +95,14 @@ def canonical_specs(policy_specs: Sequence[PolicySpec]) -> tuple[str, ...]:
 
 
 def task_key(task: SweepTask) -> str:
-    """Content hash identifying one task's slab across processes/runs.
+    """Content hash identifying one task's slab across processes/runs:
+    its key in the sweep store.
 
-    Mirrors :func:`repro.analysis.sweepcache.sweep_key` at per-task
-    granularity: every field that determines the slab's output (spec
-    identity, scale, grid parameters, overhead model, simulator cache
-    version) is hashed, so a checkpoint written by one run is only ever
-    reused by a run that would simulate the identical slab.
+    Every field that determines the slab's output (spec identity,
+    scale, trace length, pressures, the canonical policy specs,
+    overhead model, link tracking, simulator cache version) is hashed,
+    so a slab stored by one run is only ever loaded by a run that would
+    simulate the identical slab.
     """
     payload = {
         "version": sweepcache.CACHE_VERSION,
@@ -143,12 +135,13 @@ class SweepError(RuntimeError):
 class SweepFailure:
     """What the fault-tolerant executor had to do to finish a sweep.
 
-    An all-empty report means every task succeeded first try (or came
-    out of a checkpoint).  ``retried`` and ``timeouts`` count recovery
-    events per benchmark, ``degraded`` lists tasks that exhausted their
-    pool retries and ran in-process instead, ``errors`` keeps the last
-    failure message per benchmark, and ``resumed``/``simulated`` split
-    the task list by whether a checkpoint satisfied it.
+    An all-empty report means every task succeeded first try (or was
+    loaded from the store).  ``retried`` and ``timeouts`` count
+    recovery events per benchmark, ``degraded`` lists tasks that
+    exhausted their pool retries and ran in-process instead, ``errors``
+    keeps the last failure message per benchmark, and
+    ``resumed``/``simulated`` split the task list by whether a stored
+    slab satisfied it.
     """
 
     retried: dict[str, int] = field(default_factory=dict)
@@ -167,7 +160,7 @@ class SweepFailure:
     def summary(self) -> str:
         parts = [
             f"{len(self.simulated)} simulated",
-            f"{len(self.resumed)} resumed from checkpoint",
+            f"{len(self.resumed)} loaded from the store",
         ]
         if self.retried:
             parts.append(f"{sum(self.retried.values())} retries")
@@ -318,51 +311,23 @@ def plan_tasks(
     overhead_model: OverheadModel = PAPER_MODEL,
     track_links: bool = True,
     one_pass: bool = True,
-    shard: str = "benchmark",
 ) -> list[SweepTask]:
-    """Materialize the task list for sweeping *policy_specs* over the
-    benchmark *specs*.
-
-    ``shard="benchmark"`` is the classic one-task-per-benchmark slab.
-    ``shard="pressure"`` splits each benchmark into one task per
-    (trace x pressure) slice — more, smaller shards that load-balance
-    a pool better and map one-to-one onto one-pass kernel invocations;
-    slice tasks are labelled ``name@pN`` in fault reports.  Tasks are
-    ordered spec-major, so per-benchmark consumers can treat the last
-    slice of a spec as that benchmark's completion.
-    """
-    if shard not in ("benchmark", "pressure"):
-        raise ValueError(
-            f"unknown shard mode {shard!r}; "
-            "expected 'benchmark' or 'pressure'"
-        )
-    shared = dict(
-        policy_specs=canonical_specs(policy_specs),
-        scale=scale,
-        trace_accesses=trace_accesses,
-        overhead_model=overhead_model,
-        track_links=track_links,
-        one_pass=one_pass,
-    )
-    pressures = tuple(pressures)
-    tasks: list[SweepTask] = []
-    for spec in specs:
-        if shard == "pressure" and len(pressures) > 1:
-            tasks.extend(
-                SweepTask(spec=spec, pressures=(pressure,),
-                          label=f"{spec.name}@p{pressure:g}", **shared)
-                for pressure in pressures
-            )
-        else:
-            tasks.append(SweepTask(spec=spec, pressures=pressures, **shared))
-    return tasks
+    """One task per benchmark in *specs*, each the benchmark's whole
+    (policy x pressure) slab for *policy_specs*, in spec order."""
+    policy_specs = canonical_specs(policy_specs)
+    return [SweepTask(spec=spec, policy_specs=policy_specs, scale=scale,
+                      trace_accesses=trace_accesses,
+                      pressures=tuple(pressures),
+                      overhead_model=overhead_model,
+                      track_links=track_links, one_pass=one_pass)
+            for spec in specs]
 
 
-#: Worker-local workload memo.  Under slice sharding one worker runs
-#: several slices of the same benchmark back to back; rebuilding the
-#: (seeded, deterministic) workload per slice would spend more time in
-#: construction than simulation.  Tiny and FIFO-bounded because traces
-#: are the big allocation.
+#: Process-local workload memo.  The policy search scores each
+#: generation over the same fitness workloads, so back-to-back sweeps
+#: over one spec would otherwise rebuild the same (seeded,
+#: deterministic) workload every time.  Tiny and FIFO-bounded because
+#: traces are the big allocation.
 _WORKLOAD_MEMO: dict[tuple, object] = {}
 _WORKLOAD_MEMO_MAX = 4
 
@@ -409,11 +374,29 @@ def _attempt_task(task: SweepTask, key: str, attempt: int) -> list[GridRecord]:
     return simulate_task(task)
 
 
+def _check_slab(records) -> list[GridRecord]:
+    """*records* if they are a slab, else ``TypeError``: a stored file
+    that unpickles into something else must not reach a grid."""
+    if not isinstance(records, list):
+        raise TypeError(f"slab holds {type(records).__name__}, "
+                        "expected list")
+    for record in records:
+        if not (isinstance(record, tuple) and len(record) == 4):
+            raise TypeError("slab record is not a "
+                            "(benchmark, policy, pressure, stats) tuple")
+        benchmark, policy, pressure, stats = record
+        if not (isinstance(benchmark, str) and isinstance(policy, str)
+                and isinstance(pressure, (int, float))
+                and isinstance(stats, SimulationStats)):
+            raise TypeError("slab record fields have wrong types")
+    return records
+
+
 def imap_tasks(
     tasks: Sequence[SweepTask],
     jobs: int | None = 0,
     tolerance: FaultTolerance | None = None,
-    checkpoints: "CheckpointStore | None" = None,
+    checkpoints: Store | None = None,
     failure: SweepFailure | None = None,
 ) -> Iterator[list[GridRecord]]:
     """Yield one record batch per task, in task order.
@@ -422,20 +405,21 @@ def imap_tasks(
     task) everything runs inline; otherwise tasks fan out as individual
     futures over a process pool governed by *tolerance* (timeouts,
     retries with backoff, serial degradation, pool rebuild on
-    ``BrokenProcessPool``).  When *checkpoints* is given, tasks whose
-    slab is already checkpointed are not re-simulated, and every
-    freshly simulated slab is checkpointed as soon as it completes.
-    *failure* (a :class:`SweepFailure`, created if omitted) accumulates
-    what the executor had to recover from.
+    ``BrokenProcessPool``).  When *checkpoints* is given, a task whose
+    slab the store holds under its :func:`task_key` is loaded instead
+    of simulated, and every freshly simulated slab is stored as soon as
+    it completes.  *failure* (a :class:`SweepFailure`, created if
+    omitted) accumulates what the executor had to recover from.
     """
     tolerance = tolerance if tolerance is not None else FaultTolerance()
     report = failure if failure is not None else SweepFailure()
     keys = [task_key(task) for task in tasks]
-    names = [task.display_name for task in tasks]
+    names = [task.spec.name for task in tasks]
     results: dict[int, list[GridRecord]] = {}
     pending: list[int] = []
-    for index, task in enumerate(tasks):
-        records = checkpoints.load(task) if checkpoints is not None else None
+    for index, key in enumerate(keys):
+        records = (checkpoints.load(key, parse=_check_slab)
+                   if checkpoints is not None else None)
         if records is not None:
             results[index] = records
             report.resumed.append(names[index])
@@ -445,7 +429,7 @@ def imap_tasks(
 
     def finish(index: int, records: list[GridRecord]) -> None:
         if checkpoints is not None:
-            checkpoints.store(tasks[index], records)
+            checkpoints.store(keys[index], records)
         results[index] = records
 
     jobs = resolve_jobs(jobs, task_count=len(pending) or 1)

@@ -7,12 +7,13 @@ Figures 6-7, eviction counts for Figure 8, overheads without link costs
 for Figures 10-11, link fractions for Figure 13, overheads with link
 costs for Figures 14-15).  Because the grid is expensive, results are
 reused aggressively: a module-level cache shares one grid between figure
-functions within a process, and :func:`full_sweep` additionally round-
-trips through the persistent on-disk cache
-(:mod:`repro.analysis.sweepcache`) so fresh processes and CI runs skip
-re-simulation entirely.  The grid itself can be computed serially or
-fanned out across worker processes (:mod:`repro.analysis.parallel`);
-both engines produce field-for-field identical statistics.
+functions within a process, and :func:`full_sweep` keeps every
+benchmark's slab in the on-disk sweep store
+(:mod:`repro.analysis.sweepcache`), so fresh processes and CI runs load
+what an earlier run simulated and an interrupted sweep resumes.  The
+executor (:mod:`repro.analysis.parallel`) runs the slabs inline or
+fans them out across worker processes; both produce field-for-field
+the grid :func:`run_sweep` computes from built workloads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from repro.analysis import sweepcache
-from repro.analysis.checkpoint import CheckpointStore
 from repro.analysis.kernel import KernelConfig, one_pass_grid
 from repro.analysis.parallel import (
     FaultTolerance,
@@ -35,6 +35,7 @@ from repro.analysis.parallel import (
     plan_tasks,
     resolve_jobs,
 )
+from repro.analysis.sweepcache import Store
 from repro.core.invariants import resolve_check_level
 from repro.core.metrics import SimulationStats, unified_miss_rate
 from repro.core.overhead import PAPER_MODEL, OverheadModel
@@ -48,12 +49,7 @@ from repro.core.policies import (
 )
 from repro.core.pressure import STANDARD_PRESSURE_FACTORS, pressured_capacity
 from repro.core.simulator import CodeCacheSimulator
-from repro.workloads.registry import (
-    BenchmarkSpec,
-    Workload,
-    all_benchmarks,
-    build_suite,
-)
+from repro.workloads.registry import BenchmarkSpec, Workload, all_benchmarks
 
 #: Grid names of the coarsest and finest rungs.
 FLUSH_NAME = FlushPolicy().name
@@ -105,8 +101,8 @@ class SweepResult:
     benchmark_names: tuple[str, ...]
     stats: dict[tuple[str, str, float], SimulationStats]
     elapsed_seconds: float = 0.0
-    #: What the fault-tolerant executor had to recover from (parallel
-    #: engine only; None for serial runs and pre-fault-tolerance grids).
+    #: What the fault-tolerant executor had to recover from and which
+    #: slabs it loaded (None for :func:`run_sweep` grids).
     fault_report: SweepFailure | None = None
 
     def get(self, benchmark: str, policy: str, pressure: float) -> SimulationStats:
@@ -252,9 +248,9 @@ def run_sweep(
     ``check_level`` runs every simulation under the invariant checker
     (:mod:`repro.core.invariants`); ``None`` defers to
     ``REPRO_CHECK_LEVEL`` (default ``off``), which is also how pool
-    workers of the parallel engine pick the level up.  Results served
-    from the sweep cache were validated when first simulated, not per
-    hit.  ``one_pass`` lets :func:`simulate_slab` route the specs the
+    workers of the parallel engine pick the level up.  Slabs loaded
+    from the sweep store were validated when first simulated, not per
+    load.  ``one_pass`` lets :func:`simulate_slab` route the specs the
     one-pass kernel can express through it (the result is the same
     either way; ``False`` forces replay for A/B checks).
     """
@@ -291,31 +287,28 @@ def run_sweep_parallel(
     progress: Callable[[str], None] | None = None,
     task_timeout: float | None = None,
     max_retries: int | None = None,
-    checkpoints: CheckpointStore | None = None,
+    checkpoints: Store | None = None,
     one_pass: bool = True,
-    shard: str = "benchmark",
 ) -> SweepResult:
     """Parallel counterpart of :func:`run_sweep`, over registry *specs*.
 
-    The grid is sharded across a process pool (``jobs=0`` means one
-    worker per core, ``jobs<=1`` runs inline): one benchmark slab per
-    task by default, or one (benchmark, pressure) slice per task with
-    ``shard="pressure"`` (see :func:`~repro.analysis.parallel.
-    plan_tasks`).  Workers rebuild their workload from the spec's seed
-    rather than receiving a pickled trace, and simulate their slab with
+    One task per benchmark slab is sharded across a process pool
+    (``jobs=0`` means one worker per core, ``jobs<=1`` runs inline).
+    Workers rebuild their workload from the spec's seed rather than
+    receiving a pickled trace, and simulate their slab with
     :func:`simulate_slab`, so the resulting grid is field-for-field
-    identical to the serial engine's on the same specs.  The policy
-    specs travel as canonical JSON and are part of each slab's
-    checkpoint key.
+    identical to :func:`run_sweep`'s on the same specs.  The policy
+    specs travel as canonical JSON and are part of each slab's key.
 
     Execution is fault tolerant: attempts that fail or exceed
     *task_timeout* seconds are retried up to *max_retries* times
     (default :class:`~repro.analysis.parallel.FaultTolerance`'s) with
     exponential backoff, tasks that exhaust retries degrade to
-    in-process execution, and when *checkpoints* is given completed
-    slabs are streamed to disk and already-checkpointed slabs are not
-    re-simulated.  The returned grid's ``fault_report`` records what
-    was retried, timed out, degraded, or resumed.
+    in-process execution, and when *checkpoints* (a
+    :class:`~repro.analysis.sweepcache.Store`) is given slabs it holds
+    are loaded instead of simulated and each simulated slab is stored
+    there as it completes.  The returned grid's ``fault_report``
+    records what was retried, timed out, degraded, or loaded.
     """
     pressures = tuple(pressures)
     started = time.perf_counter()
@@ -329,28 +322,21 @@ def run_sweep_parallel(
         overhead_model=overhead_model,
         track_links=track_links,
         one_pass=one_pass,
-        shard=shard,
     )
     tolerance = FaultTolerance.of(task_timeout, max_retries)
     failure = SweepFailure()
     stats: dict[tuple[str, str, float], SimulationStats] = {}
-    # Progress stays per benchmark even under slice sharding: tasks are
-    # spec-major, so a spec is complete when its last slice arrives.
-    last_for_spec = {task.spec.name: index
-                     for index, task in enumerate(tasks)}
     batches = imap_tasks(tasks, jobs, tolerance=tolerance,
                          checkpoints=checkpoints, failure=failure)
-    for index, (task, batch) in enumerate(zip(tasks, batches)):
+    for task, batch in zip(tasks, batches):
         for benchmark, policy, pressure, record in batch:
             stats[(benchmark, policy, pressure)] = record
-        if progress is not None and last_for_spec[task.spec.name] == index:
+        if progress is not None:
             progress(f"swept {task.spec.name}")
     return SweepResult(
         policy_names=names,
         pressures=pressures,
-        benchmark_names=tuple(
-            dict.fromkeys(task.spec.name for task in tasks)
-        ),
+        benchmark_names=tuple(task.spec.name for task in tasks),
         stats=stats,
         elapsed_seconds=time.perf_counter() - started,
         fault_report=failure,
@@ -378,7 +364,6 @@ _ENVIRONMENT = {
     "use_cache": ("REPRO_SWEEP_CACHE", _parse_flag),
     "task_timeout": ("REPRO_SWEEP_TIMEOUT", float),
     "max_retries": ("REPRO_SWEEP_RETRIES", int),
-    "resume": ("REPRO_SWEEP_RESUME", _parse_flag),
 }
 
 
@@ -386,20 +371,19 @@ _ENVIRONMENT = {
 class SweepOptions:
     """:func:`full_sweep`'s engine knobs, resolved once by the caller.
 
-    ``jobs`` picks the engine (``None``/1 serial, 0 all cores, N
+    ``jobs`` is the worker count (``None``/1 inline, 0 all cores, N
     workers, capped by :func:`~repro.analysis.parallel.plan_jobs`),
-    ``use_cache`` the on-disk sweep cache, ``task_timeout`` and
-    ``max_retries`` bound each pooled task attempt (``None`` keeps
+    ``use_cache`` the on-disk sweep store (off: no disk I/O at all),
+    and ``task_timeout`` and ``max_retries`` bound each pooled task
+    attempt (``None`` keeps
     :class:`~repro.analysis.parallel.FaultTolerance`'s defaults: no
-    timeout, 2 retries), and ``resume`` streams parallel slabs into
-    resumable checkpoints.  None of them changes the grid.
+    timeout, 2 retries).  None of them changes the grid.
     """
 
     jobs: int | None = None
     use_cache: bool = True
     task_timeout: float | None = None
     max_retries: int | None = None
-    resume: bool = True
 
     def __post_init__(self) -> None:
         # The range rules live with the engine that applies them.
@@ -409,11 +393,11 @@ class SweepOptions:
     @classmethod
     def from_env(cls) -> SweepOptions:
         """The options ``REPRO_SWEEP_JOBS``, ``REPRO_SWEEP_CACHE``,
-        ``REPRO_SWEEP_TIMEOUT``, ``REPRO_SWEEP_RETRIES`` and
-        ``REPRO_SWEEP_RESUME`` set, the rest at their defaults; the one
-        reader of those variables.  A blank variable means the default;
-        the two switches take 1/0, on/off, true/false or yes/no in any
-        case.  Anything else raises ``ValueError`` naming the variable.
+        ``REPRO_SWEEP_TIMEOUT`` and ``REPRO_SWEEP_RETRIES`` set, the
+        rest at their defaults; the one reader of those variables.  A
+        blank variable means the default; ``REPRO_SWEEP_CACHE`` takes
+        1/0, on/off, true/false or yes/no in any case.  Anything else
+        raises ``ValueError`` naming the variable.
         """
         options = cls()
         for name, (variable, parse) in _ENVIRONMENT.items():
@@ -438,27 +422,21 @@ def full_sweep(
     Every simulation figure of the paper is a projection of this grid,
     so figure functions share one run (links are tracked; the dynamics
     are identical with or without link accounting, only the overhead
-    attribution differs).  Lookups go memory -> disk -> simulate: the
-    in-process memo makes repeated figure functions free, and the
-    persistent cache (see :mod:`repro.analysis.sweepcache`) makes a
-    second cold process nearly free too.  *options* carries the engine
-    knobs (:class:`SweepOptions`; ``None`` means
-    :meth:`SweepOptions.from_env`): the engine, the disk cache, and the
-    parallel engine's fault tolerance.
+    attribution differs).  An in-process memo makes repeated figure
+    functions free.  *options* carries the engine knobs
+    (:class:`SweepOptions`; ``None`` means :meth:`SweepOptions.from_env`).
 
-    Parallel runs are fault tolerant and resumable: ``task_timeout``
-    and ``max_retries`` bound each task attempt, and with ``resume``
-    on completed slabs stream into per-task checkpoints under the
-    cache directory, so an interrupted sweep re-simulates only its
-    unfinished benchmarks.  Checkpoints are discarded once the full
-    grid completes.
-
-    Both engines route the ladder through the one-pass kernel unless a
-    check level is active or the C kernel cannot load.  Parallel runs
-    shard one (benchmark, pressure) slice per task, and the worker
-    count is chosen by :func:`~repro.analysis.parallel.plan_jobs`: a
-    pool that cannot beat the inline engine (single CPU, or tiny
-    per-task work) silently degrades to serial instead of regressing.
+    The grid is one task per benchmark, run by one
+    :func:`run_sweep_parallel` call at the worker count
+    :func:`~repro.analysis.parallel.plan_jobs` picks (inline on one
+    CPU or for tiny tasks).  With ``use_cache`` each benchmark's slab
+    is loaded from the sweep store under
+    :func:`~repro.analysis.sweepcache.cache_dir` when present and
+    stored there when simulated, so a second process loads the whole
+    grid and an interrupted sweep re-simulates only its unfinished
+    benchmarks.  ``task_timeout`` and ``max_retries`` bound each task
+    attempt.  The ladder runs on the one-pass kernel unless a check
+    level is active or the C kernel cannot load.
     """
     pressures = tuple(pressures)
     unit_counts = tuple(unit_counts)
@@ -468,70 +446,30 @@ def full_sweep(
     if options is None:
         options = SweepOptions.from_env()
     specs = all_benchmarks()
-    disk_key = None
-    if options.use_cache:
-        disk_key = sweepcache.sweep_key(
-            specs,
-            scale=scale,
-            trace_accesses=trace_accesses,
-            unit_counts=unit_counts,
-            include_fine=True,
-            pressures=pressures,
-            overhead_model=PAPER_MODEL,
-            track_links=True,
-        )
-        cached = sweepcache.load(disk_key)
-        if cached is not None:
-            _SWEEP_CACHE[key] = cached
-            return cached
     ladder = ladder_policy_factories(unit_counts)
     planned = plan_tasks(specs, ladder, scale=scale,
-                         trace_accesses=trace_accesses, pressures=pressures,
-                         overhead_model=PAPER_MODEL, track_links=True,
-                         shard="pressure")
+                         trace_accesses=trace_accesses, pressures=pressures)
     per_task = (sum(estimate_task_accesses(task) for task in planned)
                 // len(planned)) if planned else None
-    effective_jobs = plan_jobs(options.jobs,
-                               task_count=len(planned),
-                               per_task_accesses=per_task)
-    if effective_jobs > 1:
-        checkpoints = CheckpointStore.default() if options.resume else None
-        result = run_sweep_parallel(
-            specs,
-            ladder,
-            scale=scale,
-            trace_accesses=trace_accesses,
-            pressures=pressures,
-            jobs=effective_jobs,
-            task_timeout=options.task_timeout,
-            max_retries=options.max_retries,
-            checkpoints=checkpoints,
-            shard="pressure",
-        )
-        if checkpoints is not None:
-            # The finished grid supersedes its per-task checkpoints
-            # (and is about to be stored whole in the sweep cache);
-            # drop them so the checkpoint directory stays bounded.
-            # ``planned`` carries the identical sharding, so its keys
-            # match what the run just stored.
-            checkpoints.discard(planned)
-    else:
-        workloads = build_suite(specs, scale=scale,
-                                trace_accesses=trace_accesses)
-        result = run_sweep(workloads, ladder, pressures=pressures,
-                           track_links=True)
-    if disk_key is not None:
-        sweepcache.store(disk_key, result, extra_meta={
-            "scale": scale,
-            "trace_accesses": trace_accesses,
-            "jobs": effective_jobs,
-        })
+    result = run_sweep_parallel(
+        specs,
+        ladder,
+        scale=scale,
+        trace_accesses=trace_accesses,
+        pressures=pressures,
+        jobs=plan_jobs(options.jobs, task_count=len(planned),
+                       per_task_accesses=per_task),
+        task_timeout=options.task_timeout,
+        max_retries=options.max_retries,
+        checkpoints=(sweepcache.default_store() if options.use_cache
+                     else None),
+    )
     _SWEEP_CACHE[key] = result
     return result
 
 
 def clear_sweep_cache() -> None:
     """Drop in-process memoized sweeps (tests use this to keep runs
-    independent; the on-disk cache is managed by
+    independent; the on-disk store is managed by
     :mod:`repro.analysis.sweepcache` and the CLI's ``cache-clear``)."""
     _SWEEP_CACHE.clear()

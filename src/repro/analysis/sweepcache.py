@@ -1,29 +1,34 @@
-"""Persistent on-disk cache for sweep results.
+"""The on-disk store behind resumable, cached sweeps.
 
-A full granularity x pressure sweep is minutes of CPU at scale 1.0 and
-is recomputed from nothing but seeds, so its results are a pure function
-of (workload specs, policy ladder, pressures, overhead model, simulator
-version).  This module content-addresses that function: the key is a
-SHA-256 over a canonical JSON encoding of every input, entries are
-pickled :class:`~repro.analysis.sweep.SweepResult` grids written
-atomically (temp file + ``os.replace``), and a JSON sidecar per entry
-records provenance and a best-effort hit counter for the CLI's
-``cache-stats`` command.
+A sweep's grid is a pure function of (workload specs, policy specs,
+pressures, overhead model, simulator version), and the executor
+(:mod:`repro.analysis.parallel`) computes it one benchmark *slab* at a
+time.  Each slab is kept in one :class:`Store` under :func:`cache_dir`,
+keyed by the content hash of everything that determines it
+(:func:`repro.analysis.parallel.task_key`).  Presence of a readable
+file *is* the entry: a later sweep that needs the same slab loads it
+instead of simulating, so a finished sweep is served from disk and an
+interrupted one resumes with only its missing slabs left to simulate.
 
-The cache is hardened against dirty state and bad disks:
+The store is hardened against dirty state and bad disks:
 
-* An entry that exists but will not unpickle is **quarantined** — moved
-  into a ``quarantine/`` subdirectory for inspection — and treated as a
-  miss, instead of being silently swallowed (or worse, served).
-* A store round-trips its pickle in memory before the atomic rename,
-  so a grid that would not load back is never published.
-* A store that fails for environmental reasons (disk full, permissions)
-  warns once and lets the sweep continue; caching is an optimization,
-  never a correctness dependency.
-* The process-level counters behind ``cache-stats`` track quarantines,
-  store failures, and sweep-task retries alongside hits/misses/stores.
+* A value is pickled and its bytes are round-tripped in memory before
+  an atomic rename (temp file + ``os.replace``) publishes them, so a
+  value that would not load back is never written.
+* An entry that exists but will not read, unpickle or pass the caller's
+  ``parse`` check is **quarantined** — moved into a ``quarantine/``
+  subdirectory for inspection — and treated as a miss.
+* A write that fails (disk full, permissions, an unpicklable value)
+  warns and returns None; the caller already has its value, so a
+  failed store never fails the run.
+* One set of process counters (hits, misses, stores, store failures,
+  quarantines and sweep-task retries) backs the CLI's ``cache-stats``.
 
-The cache lives in ``~/.cache/repro-sweeps/`` unless
+The policy search and the service tier keep their own state in a
+:class:`Store` at their own roots: the search its state and candidate
+slabs, the service its arena snapshots through the raw-bytes blob face.
+
+The sweep store lives in ``~/.cache/repro-sweeps/`` unless
 ``REPRO_SWEEP_CACHE_DIR`` points elsewhere; a sweep run with
 :attr:`SweepOptions.use_cache <repro.analysis.sweep.SweepOptions.use_cache>`
 off (``--no-cache``, or ``REPRO_SWEEP_CACHE=0``, as the tests set to
@@ -32,34 +37,27 @@ stay hermetic) neither reads nor writes it.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import pickle
 import tempfile
-import time
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Any, Callable
 
 from repro import faults
 from repro.core.overhead import OverheadModel
-from repro.workloads.registry import BenchmarkSpec
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.analysis.sweep import SweepResult
-
-#: Simulator/workload semantics version.  Bump whenever a code change
-#: alters what a sweep produces for the same inputs; old entries then
-#: miss instead of silently serving stale numbers.  "2" adds the
-#: fault-tolerance report field to SweepResult; "3" stores the
-#: overheads as the records' model instead of accumulated floats.
+#: Simulator/workload semantics version, part of every slab key.  Bump
+#: whenever a code change alters what a sweep produces for the same
+#: inputs; old entries then miss instead of silently serving stale
+#: numbers.  "2" adds the fault-tolerance report field to SweepResult;
+#: "3" stores the overheads as the records' model instead of
+#: accumulated floats.
 CACHE_VERSION = "3"
 
 ENV_CACHE_DIR = "REPRO_SWEEP_CACHE_DIR"
 
-#: Subdirectory (under the cache dir) holding quarantined entries.
+#: Subdirectory (under a store's root) holding quarantined entries.
 QUARANTINE_DIR = "quarantine"
 
 _COUNTERS = {
@@ -73,16 +71,11 @@ _COUNTERS = {
 
 
 def cache_dir() -> Path:
-    """The cache directory (not created until the first store)."""
+    """The sweep store's root (not created until the first store)."""
     override = os.environ.get(ENV_CACHE_DIR, "").strip()
     if override:
         return Path(override).expanduser()
     return Path.home() / ".cache" / "repro-sweeps"
-
-
-def quarantine_dir() -> Path:
-    """Where corrupt entries are moved for post-mortem inspection."""
-    return cache_dir() / QUARANTINE_DIR
 
 
 def model_token(model: OverheadModel) -> list[float]:
@@ -92,40 +85,6 @@ def model_token(model: OverheadModel) -> list[float]:
         model.eviction.slope, model.eviction.intercept,
         model.unlink.slope, model.unlink.intercept,
     ]
-
-
-def sweep_key(
-    specs: Sequence[BenchmarkSpec],
-    scale: float,
-    trace_accesses: int | None,
-    unit_counts: Sequence[int],
-    include_fine: bool,
-    pressures: Sequence[float],
-    overhead_model: OverheadModel,
-    track_links: bool,
-) -> str:
-    """Content hash of everything that determines a sweep's output."""
-    payload = {
-        "version": CACHE_VERSION,
-        "workloads": [list(spec.cache_token()) for spec in specs],
-        "scale": float(scale),
-        "trace_accesses": trace_accesses,
-        "unit_counts": [int(count) for count in unit_counts],
-        "include_fine": bool(include_fine),
-        "pressures": [float(pressure) for pressure in pressures],
-        "overhead_model": model_token(overhead_model),
-        "track_links": bool(track_links),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _data_path(key: str) -> Path:
-    return cache_dir() / f"{key}.pkl"
-
-
-def _meta_path(key: str) -> Path:
-    return cache_dir() / f"{key}.json"
 
 
 def atomic_write(path: Path, payload: bytes) -> None:
@@ -144,201 +103,169 @@ def atomic_write(path: Path, payload: bytes) -> None:
         raise
 
 
-def _quarantine_entry(key: str, reason: str) -> None:
-    """Move a corrupt entry (data + sidecar) into ``quarantine/``."""
-    destination = quarantine_dir()
-    moved = False
-    for source in (_data_path(key), _meta_path(key)):
+class Store:
+    """Files under one root directory, in two faces.
+
+    The value face (:meth:`load` / :meth:`store`) pickles any value
+    under ``<root>/<key>.pkl``; its bytes pass the ``cache.load`` and
+    ``cache.store`` fault points.  The blob face (:meth:`load_blob` /
+    :meth:`store_blob`) keeps opaque bytes under a file name and leaves
+    validation to the caller, who quarantines what it rejects with
+    :meth:`quarantine_blob`.  Both faces write atomically and never
+    raise into the caller; there is no index, so concurrent writers of
+    the same content are safe.
+    """
+
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+
+    def path(self, name: str) -> Path:
+        return self.root / name
+
+    def load(self, key: str,
+             parse: Callable[[Any], Any] | None = None) -> Any | None:
+        """The value stored under *key*, or None on a miss.
+
+        *parse* (if given) receives the unpickled value and returns
+        what the caller gets; an entry that will not read, unpickle or
+        parse is quarantined and reported as a miss.
+        """
+        name = f"{key}.pkl"
+        payload = self.load_blob(name)
+        if payload is None:
+            _COUNTERS["misses"] += 1
+            return None
         try:
-            destination.mkdir(parents=True, exist_ok=True)
-            os.replace(source, destination / source.name)
-            moved = True
-        except OSError:
-            try:
-                source.unlink()
-            except OSError:
-                pass
-    _COUNTERS["quarantines"] += 1
-    if moved:
+            payload = faults.fire("cache.load", key=key, data=payload)
+            value = pickle.loads(payload)
+            if parse is not None:
+                value = parse(value)
+        except Exception as exc:
+            _COUNTERS["misses"] += 1
+            self.quarantine_blob(name, f"corrupt ({exc!r})")
+            return None
+        _COUNTERS["hits"] += 1
+        return value
+
+    def store(self, key: str, value: Any) -> Path | None:
+        """Pickle *value* under *key*; returns the path, or None (with
+        a warning) when the bytes would not load back or the write
+        failed."""
+        try:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = faults.fire("cache.store", key=key, data=payload)
+            pickle.loads(payload)  # publish only bytes that load back
+        except Exception as exc:
+            return self._store_failed(f"{key}.pkl", exc)
+        return self.store_blob(f"{key}.pkl", payload)
+
+    def load_blob(self, name: str) -> bytes | None:
+        """The bytes stored under *name*, or None when absent; an
+        unreadable file is quarantined and reported absent."""
+        path = self.path(name)
+        try:
+            return path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            self.quarantine_blob(name, f"unreadable ({exc})")
+            return None
+
+    def store_blob(self, name: str, payload: bytes) -> Path | None:
+        """Atomically write *payload* under *name*; returns the path,
+        or None (with a warning) when the write failed."""
+        path = self.path(name)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            atomic_write(path, payload)
+        except Exception as exc:
+            return self._store_failed(name, exc)
+        _COUNTERS["stores"] += 1
+        return path
+
+    def _store_failed(self, name: str, exc: Exception) -> None:
+        _COUNTERS["store_failures"] += 1
         warnings.warn(
-            f"quarantined {reason} sweep-cache entry {key[:16]}… "
-            f"into {destination}",
+            f"store of {name} under {self.root} failed ({exc!r}); "
+            "continuing without it",
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-def load(key: str) -> "SweepResult | None":
-    """Return the cached grid for *key*, or None on a miss.
-
-    Unreadable entries (corrupt file, incompatible pickle from an older
-    code state) are quarantined and treated as misses.
-    """
-    path = _data_path(key)
-    try:
-        payload = path.read_bytes()
-    except FileNotFoundError:
-        _COUNTERS["misses"] += 1
         return None
-    except OSError:
-        _COUNTERS["misses"] += 1
-        _quarantine_entry(key, "unreadable")
-        return None
-    try:
-        payload = faults.fire("cache.load", key=key, data=payload)
-        result = pickle.loads(payload)
-    except Exception:
-        _COUNTERS["misses"] += 1
-        _quarantine_entry(key, "corrupt")
-        return None
-    _COUNTERS["hits"] += 1
-    _bump_meta_hits(key)
-    return result
+
+    def quarantine_blob(self, name: str, reason: str) -> None:
+        """Move the file stored under *name* into ``quarantine/``
+        instead of deleting it, and warn with *reason* and the name."""
+        path = self.path(name)
+        if not path.exists():
+            return
+        quarantine = self.root / QUARANTINE_DIR
+        try:
+            quarantine.mkdir(parents=True, exist_ok=True)
+            os.replace(path, quarantine / name)
+        except OSError:
+            try:
+                path.unlink()
+            except OSError:  # pragma: no cover - nothing else to do
+                pass
+        _COUNTERS["quarantines"] += 1
+        warnings.warn(f"quarantined {reason}: {name}", RuntimeWarning,
+                      stacklevel=3)
+
+    def entries(self) -> list[Path]:
+        """The value files on disk (quarantine excluded)."""
+        if not self.root.is_dir():
+            return []
+        return sorted(self.root.glob("*.pkl"))
+
+    def quarantined_entries(self) -> list[Path]:
+        """Files waiting in quarantine for post-mortem inspection."""
+        quarantine = self.root / QUARANTINE_DIR
+        if not quarantine.is_dir():
+            return []
+        return sorted(path for path in quarantine.iterdir() if path.is_file())
+
+    def clear(self) -> int:
+        """Delete every value file and everything in quarantine; returns
+        the number of files removed."""
+        removed = 0
+        for path in self.entries() + self.quarantined_entries():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                continue
+        return removed
 
 
-def store(key: str, result: "SweepResult",
-          extra_meta: dict | None = None) -> Path | None:
-    """Persist *result* under *key*; returns the data path.
+# -- The sweep store at cache_dir() -------------------------------------------
 
-    The pickled grid is verified to round-trip in memory before the
-    atomic rename publishes it.  Environmental failures (disk full,
-    permissions, an unpicklable grid) warn once and return None — the
-    sweep that produced *result* already has its answer, so a failed
-    store must never crash it.
-    """
-    path = _data_path(key)
-    try:
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        payload = faults.fire("cache.store", key=key, data=payload)
-        pickle.loads(payload)  # verify the bytes round-trip before publish
-        cache_dir().mkdir(parents=True, exist_ok=True)
-        atomic_write(path, payload)
-    except Exception as exc:
-        _COUNTERS["store_failures"] += 1
-        warnings.warn(
-            f"sweep cache store for {key[:16]}… failed ({exc!r}); "
-            "continuing without caching this sweep",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    meta = {
-        "key": key,
-        "version": CACHE_VERSION,
-        "created": time.time(),
-        "benchmarks": list(result.benchmark_names),
-        "policies": list(result.policy_names),
-        "pressures": list(result.pressures),
-        "grid_points": len(result.stats),
-        "elapsed_seconds": result.elapsed_seconds,
-        "hits": 0,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    try:
-        atomic_write(_meta_path(key), json.dumps(meta, indent=2).encode("utf-8"))
-    except OSError:
-        pass  # the sidecar is provenance only; the entry itself is live
-    _COUNTERS["stores"] += 1
-    return path
+
+def default_store() -> Store:
+    """The sweep store at :func:`cache_dir`."""
+    return Store(cache_dir())
+
+
+def load(key: str) -> Any | None:
+    """The value stored under *key* in the sweep store, or None."""
+    return default_store().load(key)
+
+
+def store(key: str, value: Any) -> Path | None:
+    """Keep *value* under *key* in the sweep store (see
+    :meth:`Store.store`)."""
+    return default_store().store(key, value)
+
+
+def clear() -> int:
+    """Empty the sweep store, quarantine included; returns files
+    removed.  Other roots under it (the search's) are left alone."""
+    return default_store().clear()
 
 
 def note_retry() -> None:
     """Record one sweep-task retry (surfaced by ``cache-stats``)."""
     _COUNTERS["retries"] += 1
-
-
-def note_quarantine() -> None:
-    """Record a quarantine performed by a collaborator (checkpoints)."""
-    _COUNTERS["quarantines"] += 1
-
-
-def _bump_meta_hits(key: str) -> None:
-    """Best-effort persistent hit counter (never fails a lookup)."""
-    path = _meta_path(key)
-    try:
-        meta = json.loads(path.read_text())
-        meta["hits"] = int(meta.get("hits", 0)) + 1
-        atomic_write(path, json.dumps(meta, indent=2).encode("utf-8"))
-    except Exception:
-        pass
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """One stored sweep, as shown by ``cache-stats``."""
-
-    key: str
-    data_bytes: int
-    created: float | None
-    hits: int
-    benchmarks: int
-    policies: int
-    pressures: int
-    elapsed_seconds: float | None
-
-
-def entries() -> list[CacheEntry]:
-    """All readable entries, newest first."""
-    directory = cache_dir()
-    if not directory.is_dir():
-        return []
-    found = []
-    for path in sorted(directory.glob("*.pkl")):
-        key = path.stem
-        try:
-            size = path.stat().st_size
-        except OSError:
-            continue
-        meta: dict = {}
-        try:
-            meta = json.loads(_meta_path(key).read_text())
-        except Exception:
-            pass
-        found.append(CacheEntry(
-            key=key,
-            data_bytes=size,
-            created=meta.get("created"),
-            hits=int(meta.get("hits", 0)),
-            benchmarks=len(meta.get("benchmarks", ())),
-            policies=len(meta.get("policies", ())),
-            pressures=len(meta.get("pressures", ())),
-            elapsed_seconds=meta.get("elapsed_seconds"),
-        ))
-    found.sort(key=lambda entry: entry.created or 0.0, reverse=True)
-    return found
-
-
-def quarantined_entries() -> list[Path]:
-    """Data files currently sitting in the quarantine directory."""
-    directory = quarantine_dir()
-    if not directory.is_dir():
-        return []
-    return sorted(directory.glob("*.pkl"))
-
-
-def clear() -> int:
-    """Delete every entry (quarantined ones too); returns sweeps removed."""
-    directory = cache_dir()
-    if not directory.is_dir():
-        return 0
-    removed = 0
-    for path in directory.glob("*.pkl"):
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            continue
-        try:
-            _meta_path(path.stem).unlink()
-        except OSError:
-            pass
-    for path in quarantine_dir().glob("*"):
-        try:
-            path.unlink()
-        except OSError:
-            pass
-    return removed
 
 
 def counters() -> dict[str, int]:

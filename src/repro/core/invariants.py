@@ -178,6 +178,8 @@ class InvariantChecker:
         #: Monotonic insertion sequence per block, for FIFO age ordering.
         self._seq: dict[int, int] = {}
         self._next_seq = 0
+        #: Bytes resident when the checked stats record started.
+        self._start_bytes = 0
 
     # -- Simulator notifications -------------------------------------------
 
@@ -186,6 +188,14 @@ class InvariantChecker:
         ``paranoid`` FIFO check reads it."""
         self._next_seq += 1
         self._seq[sid] = self._next_seq
+
+    def start_record(self) -> None:
+        """A fresh stats record starts now: byte conservation counts
+        its inserted and evicted bytes from the bytes resident now,
+        which earlier records (an earlier ``process()`` call on the same
+        simulator) may have left behind."""
+        self._start_bytes = sum(self._sizes.get(s, 0)
+                                for s in self.policy.resident_ids())
 
     def register_block(self, sid: int, size_bytes: int) -> None:
         """Teach the checker a block's ground-truth size after
@@ -560,11 +570,13 @@ class InvariantChecker:
                stats.evicted_bytes, stats.inserted_bytes) < 0:
             violations.append("negative counter in SimulationStats")
         resident_bytes = sum(self._sizes.get(s, 0) for s in resident)
-        if stats.inserted_bytes - stats.evicted_bytes != resident_bytes:
+        if (stats.inserted_bytes - stats.evicted_bytes
+                != resident_bytes - self._start_bytes):
             violations.append(
                 f"byte conservation broken: inserted {stats.inserted_bytes} "
                 f"- evicted {stats.evicted_bytes} != resident "
-                f"{resident_bytes}"
+                f"{resident_bytes} - {self._start_bytes} at the record's "
+                f"start"
             )
         if stats.accesses:
             eq1 = unified_miss_rate([stats])

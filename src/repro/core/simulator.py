@@ -145,6 +145,7 @@ class CodeCacheSimulator:
         if checker is not None:
             if benchmark:
                 checker.context.setdefault("benchmark", benchmark)
+            checker.start_record()
             cadence = checker.cadence
             if checker.level == "paranoid":
                 note_insert = checker.note_insert

@@ -30,10 +30,10 @@ Named fault points wired into production code:
 
 ========================  ====================================================
 ``sweep.worker``          entry of one sweep task attempt (parallel or inline)
-``cache.load``            bytes of a sweep-cache entry, before unpickling
-``cache.store``           bytes of a sweep-cache entry, before writing
-``checkpoint.load``       bytes of a per-task checkpoint, before unpickling
-``checkpoint.store``      bytes of a per-task checkpoint, before writing
+``cache.load``            bytes of a stored value (a sweep slab, the search's
+                          state), before unpickling
+``cache.store``           bytes of a value to store, before the round-trip
+                          check and the write
 ``cache.occupancy``       simulator cache state: occupancy accounting drift
 ``cache.fifo``            simulator cache state: FIFO age-order scramble
 ``cache.links``           simulator cache state: one-sided link record
@@ -86,8 +86,6 @@ POINTS = (
     "sweep.worker",
     "cache.load",
     "cache.store",
-    "checkpoint.load",
-    "checkpoint.store",
     "cache.occupancy",
     "cache.fifo",
     "cache.links",

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.checkpoint import CheckpointStore
+from repro.analysis.sweepcache import Store
 from repro.core.invariants import CHECK_LEVELS
 from repro.search.driver import (
     DEFAULT_BENCHMARKS,
@@ -113,8 +113,8 @@ def _cmd_search(args: argparse.Namespace, resume: bool) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    store = CheckpointStore(args.root if args.root is not None
-                            else default_search_root())
+    store = Store(args.root if args.root is not None
+                  else default_search_root())
     config = _config_from_args(args)
     state = load_state(store, config)
     if state is None:

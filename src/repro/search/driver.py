@@ -7,7 +7,7 @@ seeded mutants, repeat.  Three properties matter more than cleverness:
 * **The evaluation backend is the sweep engine.**  Candidates travel as
   JSON policy specs through ``run_sweep_parallel(policy_specs=...)``,
   so scoring inherits the engine's fan-out, per-task retries/timeouts
-  and per-slab checkpoints for free; a generation whose process died
+  and stored slabs for free; a generation whose process died
   mid-evaluation re-simulates only its unfinished benchmark slabs.
 
 * **Fitness is the paper's.**  A candidate's score is the unified
@@ -20,8 +20,8 @@ seeded mutants, repeat.  Three properties matter more than cleverness:
 * **Everything is deterministic and checkpointed.**  Workload
   construction is seeded, simulation is deterministic, mutation draws
   from one ``random.Random`` whose state is checkpointed with the
-  population and all scores after every generation (a content-hashed
-  blob in a :class:`~repro.analysis.checkpoint.CheckpointStore`).  A
+  population and all scores after every generation (a content-keyed
+  value in a :class:`~repro.analysis.sweepcache.Store`).  A
   killed search therefore resumes *bit-identically*: same best policy,
   same per-generation fitness curves.
 """
@@ -30,16 +30,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from repro.analysis import sweepcache
-from repro.analysis.checkpoint import CheckpointStore
 from repro.analysis.parallel import plan_jobs
 from repro.analysis.sweep import run_sweep, run_sweep_parallel
+from repro.analysis.sweepcache import Store
 from repro.core.metrics import SimulationStats, unified_miss_rate
 from repro.core.policies import policy_from_spec
 from repro.search import expr as expr_mod
@@ -219,13 +218,13 @@ def _evaluate_policies(
     policy_specs: Sequence[dict],
     config: SearchConfig,
     jobs: int | None,
-    sweep_checkpoints: CheckpointStore | None,
+    sweep_checkpoints: Store | None,
 ) -> dict[str, tuple[float, float]]:
     """Score named policy specs over the fitness set; returns name ->
     fitness.
 
     The specs ride ``run_sweep_parallel(policy_specs=...)`` across the
-    registry benchmarks (fan-out, retries, per-slab checkpoints); the
+    registry benchmarks (fan-out, retries, stored slabs); the
     hostile scenarios are combined workloads without a registry spec,
     so they run through the serial engine.
     """
@@ -262,7 +261,7 @@ def _evaluate_policies(
 
 
 def _evaluate_baseline(config: SearchConfig, jobs: int | None,
-                       sweep_checkpoints: CheckpointStore | None) -> dict:
+                       sweep_checkpoints: Store | None) -> dict:
     spec = {"kind": "unit", "unit_count": config.baseline_units}
     policy_name = policy_from_spec(spec).name
     name = f"{policy_name}-baseline"
@@ -276,7 +275,7 @@ def _evaluate_baseline(config: SearchConfig, jobs: int | None,
 
 
 def _evaluate_generation(state: SearchState, jobs: int | None,
-                         sweep_checkpoints: CheckpointStore | None) -> None:
+                         sweep_checkpoints: Store | None) -> None:
     """Fill ``state.scores`` for every unscored member of the current
     population (one sweep for all of them — deduplicated by expression,
     so carried-over elites cost nothing)."""
@@ -335,7 +334,7 @@ def _breed(state: SearchState, rng: random.Random) -> list[Candidate]:
 
 
 def _init_state(config: SearchConfig, jobs: int | None,
-                sweep_checkpoints: CheckpointStore | None) -> SearchState:
+                sweep_checkpoints: Store | None) -> SearchState:
     rng = random.Random(config.seed)
     population: list[Candidate] = [
         Candidate(name=name, expression=expression)
@@ -386,17 +385,18 @@ def _record_generation(state: SearchState) -> None:
 
 
 def default_search_root():
-    """Search checkpoints co-locate with the sweep cache, so
-    ``REPRO_SWEEP_CACHE_DIR`` relocates everything together."""
+    """Search checkpoints live beside the sweep store, in a root of
+    their own, so ``REPRO_SWEEP_CACHE_DIR`` relocates both together
+    and ``cache-clear`` leaves them alone."""
     return sweepcache.cache_dir() / "search"
 
 
-def _blob_name(config: SearchConfig) -> str:
-    return f"search-{config.key()}-latest.pkl"
+def _state_key(config: SearchConfig) -> str:
+    return f"search-{config.key()}-latest"
 
 
-def _checkpoint_state(store: CheckpointStore, state: SearchState) -> None:
-    payload = {
+def _checkpoint_state(store: Store, state: SearchState) -> None:
+    store.store(_state_key(state.config), {
         "format": CHECKPOINT_FORMAT,
         "config_token": state.config.token(),
         "generation": state.generation,
@@ -406,33 +406,24 @@ def _checkpoint_state(store: CheckpointStore, state: SearchState) -> None:
         "lineage": dict(state.lineage),
         "history": list(state.history),
         "baseline": dict(state.baseline),
-    }
-    store.store_blob(_blob_name(state.config),
-                     pickle.dumps(payload,
-                                  protocol=pickle.HIGHEST_PROTOCOL))
+    })
 
 
-def load_state(store: CheckpointStore,
-               config: SearchConfig) -> SearchState | None:
+def load_state(store: Store, config: SearchConfig) -> SearchState | None:
     """The checkpointed state for *config*, or None.
 
-    A blob that unpickles into the wrong shape (or for a different
-    config token — possible only through hash collision or hand
-    editing) is quarantined, exactly like a corrupt sweep checkpoint.
+    A value of the wrong shape (or for a different config token —
+    possible only through hash collision or hand editing) is
+    quarantined, exactly like a corrupt sweep slab.
     """
-    name = _blob_name(config)
-    payload = store.load_blob(name)
-    if payload is None:
-        return None
-    try:
-        data = pickle.loads(payload)
+    def parse(data) -> SearchState:
         if not isinstance(data, dict):
             raise TypeError(f"checkpoint holds {type(data).__name__}")
         if data.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unknown format {data.get('format')!r}")
         if data.get("config_token") != config.token():
             raise ValueError("checkpoint belongs to a different config")
-        state = SearchState(
+        return SearchState(
             config=config,
             generation=int(data["generation"]),
             population=[Candidate.from_dict(c) for c in data["population"]],
@@ -442,10 +433,8 @@ def load_state(store: CheckpointStore,
             history=list(data["history"]),
             baseline=dict(data["baseline"]),
         )
-    except Exception as exc:
-        store.quarantine_blob(name, f"corrupt search checkpoint ({exc})")
-        return None
-    return state
+
+    return store.load(_state_key(config), parse=parse)
 
 
 # -- Entry point --------------------------------------------------------------
@@ -471,11 +460,10 @@ def run_search(
     """
     if generations < 1:
         raise SearchError("need at least one generation")
-    store = CheckpointStore(root if root is not None
-                            else default_search_root())
-    # Candidate evaluation checkpoints live beside the search blobs, so
-    # a kill *inside* a generation also resumes at slab granularity.
-    sweep_checkpoints = CheckpointStore(store.root / "sweeps")
+    store = Store(root if root is not None else default_search_root())
+    # Candidate slabs live beside the search state, so a kill *inside*
+    # a generation also resumes at slab granularity.
+    sweep_checkpoints = Store(store.root / "sweeps")
     state = load_state(store, config) if resume else None
     if resume and state is None:
         raise SearchError(

@@ -3,9 +3,8 @@
 The service tier used to die with its process: one crash lost every
 tenant's arena residency, stats and session state.  This module gives a
 worker a durable spine built from two pieces, both flowing through the
-sweep engine's :class:`~repro.analysis.checkpoint.CheckpointStore`
-machinery (atomic temp-file-and-replace writes, quarantine instead of
-silent deletion):
+sweep engine's :class:`~repro.analysis.sweepcache.Store` (atomic
+temp-file-and-replace writes, quarantine instead of silent deletion):
 
 * **Snapshots** — a pickle of the whole arena (the configured policy
   object with its live cache state, the tenant table with per-tenant
@@ -68,7 +67,7 @@ import warnings
 from pathlib import Path
 
 from repro import faults
-from repro.analysis.checkpoint import QUARANTINE_DIR, CheckpointStore
+from repro.analysis.sweepcache import QUARANTINE_DIR, Store
 from repro.core.policies import policy_from_spec
 
 #: Blob name of the arena snapshot inside the persister's store.
@@ -112,13 +111,13 @@ class ArenaPersister:
                  snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL,
                  standby_root: str | Path | None = None) -> None:
         self.root = Path(root)
-        self.store = CheckpointStore(self.root)
+        self.store = Store(self.root)
         self.snapshot_interval = max(1, int(snapshot_interval))
         self.wal_path = self.root / WAL_NAME
         self._wal_file = None
         #: Standby replica directory (None disables replication).
         self.standby_root = Path(standby_root) if standby_root else None
-        self.standby_store = (CheckpointStore(self.standby_root)
+        self.standby_store = (Store(self.standby_root)
                               if self.standby_root else None)
         self.standby_wal_path = (self.standby_root / WAL_NAME
                                  if self.standby_root else None)

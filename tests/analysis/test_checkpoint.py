@@ -1,4 +1,5 @@
-"""Per-task checkpoint store: keying, atomicity, quarantine, discard."""
+"""Sweep slabs in the store: keying, atomicity, quarantine, the slab
+check."""
 
 import dataclasses
 import pickle
@@ -7,14 +8,14 @@ import pytest
 
 from repro import faults
 from repro.analysis import sweepcache
-from repro.analysis.checkpoint import CheckpointStore
 from repro.analysis.parallel import (
     SweepTask,
+    _check_slab,
     canonical_specs,
     simulate_task,
     task_key,
 )
-from repro.analysis.sweep import SweepOptions
+from repro.analysis.sweepcache import Store
 from repro.core.policies import ladder_specs
 from repro.workloads.registry import spec_benchmarks
 
@@ -29,6 +30,19 @@ def _task(index=0, **overrides):
     return SweepTask(spec=SPECS[index], **kwargs)
 
 
+def _path(store, task):
+    return store.path(f"{task_key(task)}.pkl")
+
+
+def _load(store, task):
+    """A slab load as the executor does it."""
+    return store.load(task_key(task), parse=_check_slab)
+
+
+def _store(store, task, records):
+    return store.store(task_key(task), records)
+
+
 @pytest.fixture(autouse=True)
 def _disarm():
     yield
@@ -38,7 +52,7 @@ def _disarm():
 @pytest.fixture
 def store(tmp_path):
     sweepcache.reset_counters()
-    return CheckpointStore(tmp_path / "checkpoints")
+    return Store(tmp_path / "store")
 
 
 class TestTaskKey:
@@ -63,62 +77,62 @@ class TestTaskKey:
 
 class TestRoundTrip:
     def test_load_missing_returns_none(self, store):
-        assert store.load(_task()) is None
+        assert _load(store, _task()) is None
+        assert sweepcache.counters()["misses"] == 1
 
     def test_store_then_load_round_trips_records(self, store):
         task = _task()
         records = simulate_task(task)
-        assert store.store(task, records) is not None
-        reloaded = store.load(task)
+        assert _store(store, task, records) == _path(store, task)
+        reloaded = _load(store, task)
         assert reloaded is not None
         assert len(reloaded) == len(records)
         for (expected, actual) in zip(records, reloaded):
             assert expected[:3] == actual[:3]
             assert (dataclasses.asdict(expected[3])
                     == dataclasses.asdict(actual[3]))
-        assert store.stored == 1 and store.loaded == 1
+        counts = sweepcache.counters()
+        assert counts["stores"] == 1 and counts["hits"] == 1
 
     def test_checkpoints_do_not_cross_tasks(self, store):
         task = _task()
-        store.store(task, simulate_task(task))
-        assert store.load(_task(index=1)) is None
-        assert store.load(_task(scale=0.2)) is None
+        _store(store, task, simulate_task(task))
+        assert _load(store, _task(index=1)) is None
+        assert _load(store, _task(scale=0.2)) is None
 
     def test_no_temp_files_left_behind(self, store):
         task = _task()
-        store.store(task, simulate_task(task))
+        _store(store, task, simulate_task(task))
         assert not list(store.root.glob("*.tmp"))
-        assert store.entries() == [store.path(task)]
+        assert store.entries() == [_path(store, task)]
 
 
 class TestQuarantine:
     def test_corrupt_checkpoint_is_quarantined_and_missed(self, store):
         task = _task()
-        store.store(task, simulate_task(task))
-        store.path(task).write_bytes(b"torn write")
+        _store(store, task, simulate_task(task))
+        _path(store, task).write_bytes(b"torn write")
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert store.load(task) is None
-        assert not store.path(task).exists()
-        moved = store.root / "quarantine" / store.path(task).name
+            assert _load(store, task) is None
+        assert not _path(store, task).exists()
+        moved = store.root / "quarantine" / _path(store, task).name
         assert moved.read_bytes() == b"torn write"
-        assert store.quarantined == 1
         assert sweepcache.counters()["quarantines"] == 1
 
     def test_wrong_payload_type_is_quarantined(self, store):
         task = _task()
         store.root.mkdir(parents=True, exist_ok=True)
-        store.path(task).write_bytes(pickle.dumps({"not": "a list"}))
+        _path(store, task).write_bytes(pickle.dumps({"not": "a list"}))
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert store.load(task) is None
+            assert _load(store, task) is None
 
     def test_truncated_slab_is_quarantined_and_counted(self, store):
         task = _task()
-        store.store(task, simulate_task(task))
-        payload = store.path(task).read_bytes()
-        store.path(task).write_bytes(payload[:len(payload) // 2])
+        _store(store, task, simulate_task(task))
+        payload = _path(store, task).read_bytes()
+        _path(store, task).write_bytes(payload[:len(payload) // 2])
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert store.load(task) is None
-        assert store.quarantined == 1
+            assert _load(store, task) is None
         assert sweepcache.counters()["quarantines"] == 1
         assert len(store.quarantined_entries()) == 1
 
@@ -127,79 +141,52 @@ class TestQuarantine:
         store.root.mkdir(parents=True, exist_ok=True)
         # A list, but not of (benchmark, policy, pressure, stats) tuples:
         # unpickles fine, must still be rejected before a resume uses it.
-        store.path(task).write_bytes(
+        _path(store, task).write_bytes(
             pickle.dumps([("gzip", "FLUSH", 2.0)])
         )
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert store.load(task) is None
-        store.path(task).write_bytes(
+            assert _load(store, task) is None
+        _path(store, task).write_bytes(
             pickle.dumps([("gzip", "FLUSH", 2.0, "not-stats")])
         )
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert store.load(task) is None
+            assert _load(store, task) is None
 
     def test_quarantined_entries_empty_without_directory(self, store):
         assert store.quarantined_entries() == []
 
     def test_injected_corruption_on_load(self, store):
         task = _task()
-        store.store(task, simulate_task(task))
-        with faults.plan(faults.FaultSpec(point="checkpoint.load",
+        _store(store, task, simulate_task(task))
+        with faults.plan(faults.FaultSpec(point="cache.load",
                                           mode="corrupt")):
             with pytest.warns(RuntimeWarning, match="quarantined"):
-                assert store.load(task) is None
+                assert _load(store, task) is None
 
     def test_injected_store_failure_warns_and_continues(self, store):
         task = _task()
-        with faults.plan(faults.FaultSpec(point="checkpoint.store",
+        with faults.plan(faults.FaultSpec(point="cache.store",
                                           mode="raise")):
             with pytest.warns(RuntimeWarning, match="continuing without"):
-                assert store.store(task, simulate_task(task)) is None
+                assert _store(store, task, simulate_task(task)) is None
         assert store.entries() == []
         # Healthy store afterwards still works.
-        assert store.store(task, simulate_task(task)) is not None
+        assert _store(store, task, simulate_task(task)) is not None
 
 
 class TestMaintenance:
-    def test_discard_removes_only_named_tasks(self, store):
-        first, second = _task(), _task(index=1)
-        store.store(first, simulate_task(first))
-        store.store(second, simulate_task(second))
-        assert store.discard([first]) == 1
-        assert store.load(first) is None
-        assert store.load(second) is not None
-
     def test_clear_removes_everything_including_quarantine(self, store):
         task = _task()
-        store.store(task, simulate_task(task))
-        store.path(task).write_bytes(b"bad")
+        _store(store, task, simulate_task(task))
+        _path(store, task).write_bytes(b"bad")
         with pytest.warns(RuntimeWarning):
-            store.load(task)
-        store.store(task, simulate_task(task))
+            _load(store, task)
+        _store(store, task, simulate_task(task))
         assert store.clear() == 2  # live entry + quarantined file
         assert store.entries() == []
+        assert store.quarantined_entries() == []
 
     def test_default_store_lives_under_the_cache_dir(self, tmp_path,
                                                      monkeypatch):
         monkeypatch.setenv(sweepcache.ENV_CACHE_DIR, str(tmp_path))
-        assert CheckpointStore.default().root == tmp_path / "checkpoints"
-
-    def test_resume_env_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_RESUME", raising=False)
-        assert SweepOptions.from_env().resume
-        monkeypatch.setenv("REPRO_SWEEP_RESUME", "0")
-        assert not SweepOptions.from_env().resume
-        monkeypatch.setenv("REPRO_SWEEP_RESUME", "off")
-        assert not SweepOptions.from_env().resume
-        monkeypatch.setenv("REPRO_SWEEP_RESUME", "1")
-        assert SweepOptions.from_env().resume
-        for raw, expected in (("  ", True), ("Yes", True), ("TRUE", True),
-                              ("No", False), ("False", False)):
-            monkeypatch.setenv("REPRO_SWEEP_RESUME", raw)
-            assert SweepOptions.from_env().resume is expected
-
-    @pytest.mark.parametrize("raw", ("disabled", "none", "fasle", "2"))
-    def test_unrecognised_resume_value_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SWEEP_RESUME", raw)
-        with pytest.raises(ValueError, match="REPRO_SWEEP_RESUME"):
-            SweepOptions.from_env()
+        assert sweepcache.default_store().root == tmp_path

@@ -3,7 +3,7 @@
 These are the acceptance tests for the robustness layer: under every
 injected failure the sweep must still produce a grid field-for-field
 identical to the serial engine's, and an interrupted sweep must resume
-from its checkpoints re-simulating only the missing slabs (verified by
+from its stored slabs re-simulating only the missing ones (verified by
 the fault report's simulated/resumed split).
 """
 
@@ -13,7 +13,7 @@ import pytest
 
 from repro import faults
 from repro.analysis import sweepcache
-from repro.analysis.checkpoint import CheckpointStore
+from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.parallel import (
     FaultTolerance,
     SweepError,
@@ -21,6 +21,8 @@ from repro.analysis.parallel import (
     SweepTask,
     canonical_specs,
     imap_tasks,
+    plan_tasks,
+    task_key,
 )
 from repro.analysis.sweep import (
     SweepOptions,
@@ -30,7 +32,12 @@ from repro.analysis.sweep import (
     run_sweep,
     run_sweep_parallel,
 )
-from repro.workloads.registry import build_suite, spec_benchmarks
+from repro.analysis.sweepcache import Store
+from repro.workloads.registry import (
+    all_benchmarks,
+    build_suite,
+    spec_benchmarks,
+)
 
 SPECS = spec_benchmarks()[:3]
 UNIT_COUNTS = (1, 4)
@@ -140,9 +147,9 @@ class TestCheckpointResume:
     def test_interrupted_sweep_resumes_missing_tasks_only(
             self, tmp_path, serial_grid):
         """Acceptance: a sweep interrupted mid-grid resumes from its
-        checkpoints, re-simulating only unfinished tasks (probed via
+        stored slabs, re-simulating only unfinished tasks (probed via
         the fault report's simulated/resumed split)."""
-        store = CheckpointStore(tmp_path / "ckpt")
+        store = Store(tmp_path / "ckpt")
         # "Interrupt" after two of three benchmarks by running a
         # truncated grid against the same store.
         partial = run_sweep_parallel(SPECS[:2], LADDER,
@@ -151,7 +158,7 @@ class TestCheckpointResume:
         assert partial.fault_report.simulated == [
             spec.name for spec in SPECS[:2]
         ]
-        resumed = _parallel(jobs=2, checkpoints=CheckpointStore(store.root))
+        resumed = _parallel(jobs=2, checkpoints=Store(store.root))
         _assert_identical(serial_grid, resumed)
         report = resumed.fault_report
         assert report.resumed == [spec.name for spec in SPECS[:2]]
@@ -159,23 +166,23 @@ class TestCheckpointResume:
 
     def test_fully_checkpointed_sweep_simulates_nothing(self, tmp_path,
                                                         serial_grid):
-        store = CheckpointStore(tmp_path / "ckpt")
+        store = Store(tmp_path / "ckpt")
         _parallel(jobs=2, checkpoints=store)
-        warm = _parallel(jobs=2, checkpoints=CheckpointStore(store.root))
+        warm = _parallel(jobs=2, checkpoints=Store(store.root))
         _assert_identical(serial_grid, warm)
         assert warm.fault_report.simulated == []
         assert warm.fault_report.resumed == [spec.name for spec in SPECS]
 
     def test_corrupt_checkpoint_is_quarantined_and_resimulated(
             self, tmp_path, serial_grid):
-        store = CheckpointStore(tmp_path / "ckpt")
+        store = Store(tmp_path / "ckpt")
         _parallel(jobs=2, checkpoints=store)
-        # Tear one checkpoint file; its slab must be re-simulated and
-        # the evidence moved into quarantine.
-        victim = SweepTask(spec=SPECS[0], policy_specs=LADDER_JSON,
-                           pressures=PRESSURES, **BUILD_KWARGS)
-        fresh = CheckpointStore(store.root)
-        fresh.path(victim).write_bytes(b"half a pickle")
+        # Tear one slab file; its slab must be re-simulated and the
+        # evidence moved into quarantine.
+        victim = task_key(SweepTask(spec=SPECS[0], policy_specs=LADDER_JSON,
+                                    pressures=PRESSURES, **BUILD_KWARGS))
+        fresh = Store(store.root)
+        fresh.path(f"{victim}.pkl").write_bytes(b"half a pickle")
         with pytest.warns(RuntimeWarning, match="quarantined"):
             result = _parallel(jobs=2, checkpoints=fresh)
         _assert_identical(serial_grid, result)
@@ -185,19 +192,19 @@ class TestCheckpointResume:
         )
         quarantine = store.root / "quarantine"
         assert list(quarantine.glob("*.pkl"))
-        # The re-simulated slab was re-checkpointed.
+        # The re-simulated slab was stored again.
         assert fresh.load(victim) is not None
 
     def test_checkpoints_compose_with_injected_failures(self, tmp_path,
                                                         serial_grid):
         """Resume + one worker death per task at once: still exact."""
-        store = CheckpointStore(tmp_path / "ckpt")
+        store = Store(tmp_path / "ckpt")
         run_sweep_parallel(SPECS[:1], LADDER, pressures=PRESSURES, jobs=2,
                            checkpoints=store, **BUILD_KWARGS)
         with faults.plan(faults.FaultSpec(point="sweep.worker",
                                           mode="raise", times=1)):
             result = _parallel(jobs=2, max_retries=2,
-                               checkpoints=CheckpointStore(store.root))
+                               checkpoints=Store(store.root))
         _assert_identical(serial_grid, result)
         report = result.fault_report
         assert report.resumed == [SPECS[0].name]
@@ -254,18 +261,42 @@ class TestFullSweepIntegration:
         with faults.plan(faults.FaultSpec(point="sweep.worker",
                                           mode="raise", times=1)):
             faulted = full_sweep(
-                options=SweepOptions(jobs=4, use_cache=False, resume=False,
+                options=SweepOptions(jobs=4, use_cache=False,
                                      max_retries=2),
                 **self.FULL_KWARGS)
         for point, record in serial.stats.items():
             assert (dataclasses.asdict(faulted.stats[point])
                     == dataclasses.asdict(record)), point
 
-    def test_full_sweep_discards_checkpoints_after_completion(
-            self, cache_dir):
-        full_sweep(options=SweepOptions(jobs=2, use_cache=True, resume=True),
-                   **self.FULL_KWARGS)
-        leftover = list((cache_dir / "checkpoints").glob("*.pkl"))
-        assert leftover == []
-        # The whole-grid entry made it to the sweep cache instead.
-        assert sweepcache.counters()["stores"] == 1
+    def test_killed_serial_sweep_resumes(self, cache_dir, capsys):
+        """A figure sweep on one worker keeps each slab as it finishes:
+        killed at the third benchmark, the rerun loads the first two
+        and simulates the rest; cache-stats then counts every slab and
+        cache-clear removes them all."""
+        options = SweepOptions(jobs=1, use_cache=True, max_retries=0)
+        specs = all_benchmarks()
+        tasks = plan_tasks(
+            specs, ladder_policy_factories(self.FULL_KWARGS["unit_counts"]),
+            scale=self.FULL_KWARGS["scale"],
+            trace_accesses=self.FULL_KWARGS["trace_accesses"],
+            pressures=self.FULL_KWARGS["pressures"])
+        with faults.plan(faults.FaultSpec(point="sweep.worker", mode="raise",
+                                          times=99,
+                                          keys=(task_key(tasks[2]),))):
+            with pytest.raises(SweepError, match=specs[2].name):
+                full_sweep(options=options, **self.FULL_KWARGS)
+        resumed = full_sweep(options=options, **self.FULL_KWARGS)
+        report = resumed.fault_report
+        assert report.resumed == [spec.name for spec in specs[:2]]
+        assert report.simulated == [spec.name for spec in specs[2:]]
+        clear_sweep_cache()
+        fresh = full_sweep(options=SweepOptions(use_cache=False),
+                           **self.FULL_KWARGS)
+        assert resumed.stats == fresh.stats
+        assert resumed.benchmark_names == fresh.benchmark_names
+
+        capsys.readouterr()
+        assert analysis_main(["cache-stats"]) == 0
+        assert f"entries: {len(specs)} " in capsys.readouterr().out
+        assert analysis_main(["cache-clear"]) == 0
+        assert list(cache_dir.rglob("*.pkl")) == []

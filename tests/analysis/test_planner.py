@@ -1,4 +1,5 @@
-"""Tests for sweep planning: task sharding and worker-count selection.
+"""Tests for sweep planning: one task per benchmark, and worker-count
+selection.
 
 ``plan_tasks``/``plan_jobs`` decide how a sweep is cut up and whether a
 process pool is worth paying for; ``estimate_task_accesses`` feeds the
@@ -33,38 +34,15 @@ class TestPlanTasks:
         tasks = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0))
         assert len(tasks) == len(SPECS)
         assert all(task.pressures == (2.0, 10.0) for task in tasks)
-        assert all(task.label == "" for task in tasks)
-        assert [task.display_name for task in tasks] == [
+        assert [task.spec.name for task in tasks] == [
             spec.name for spec in SPECS
         ]
 
-    def test_pressure_shard_slices_spec_major(self):
-        tasks = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0),
-                           shard="pressure")
-        assert len(tasks) == len(SPECS) * 2
-        assert [task.display_name for task in tasks] == [
-            f"{spec.name}@p{p:g}" for spec in SPECS for p in (2, 10)
-        ]
-        assert all(len(task.pressures) == 1 for task in tasks)
-
-    def test_single_pressure_is_not_sliced(self):
-        tasks = plan_tasks(SPECS, LADDER, pressures=(2.0,), shard="pressure")
-        assert len(tasks) == len(SPECS)
-        assert all(task.label == "" for task in tasks)
-
-    def test_unknown_shard_rejected(self):
-        with pytest.raises(ValueError, match="shard"):
-            plan_tasks(SPECS, LADDER, shard="policy")
-
     def test_execution_hints_do_not_change_task_key(self):
-        base = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0),
-                          shard="pressure")
+        base = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0))
         hinted = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0),
-                            shard="pressure", one_pass=False)
+                            one_pass=False)
         assert [task_key(t) for t in base] == [task_key(t) for t in hinted]
-        # ...but the slicing itself does: a slice is a different slab.
-        whole = plan_tasks(SPECS, LADDER, pressures=(2.0, 10.0))
-        assert task_key(whole[0]) != task_key(base[0])
 
 
 class TestEstimate:

@@ -1,4 +1,4 @@
-"""Persistent on-disk sweep cache: round-trip, keying, invalidation."""
+"""The on-disk sweep store: round-trip, keying, invalidation."""
 
 import dataclasses
 
@@ -6,6 +6,7 @@ import pytest
 
 from repro import faults
 from repro.analysis import sweepcache
+from repro.analysis.parallel import plan_tasks, task_key
 from repro.analysis.sweep import (
     SweepOptions,
     clear_sweep_cache,
@@ -34,18 +35,19 @@ def _small_sweep():
                      pressures=PRESSURES)
 
 
-def _key(**overrides):
-    kwargs = dict(
-        scale=0.1,
-        trace_accesses=1500,
-        unit_counts=UNIT_COUNTS,
-        include_fine=True,
-        pressures=PRESSURES,
-        overhead_model=PAPER_MODEL,
-        track_links=True,
-    )
+def _keys(specs=SPECS, unit_counts=UNIT_COUNTS, include_fine=True,
+          **overrides):
+    """The store keys of a sweep's slabs, one per benchmark."""
+    kwargs = dict(scale=0.1, trace_accesses=1500, pressures=PRESSURES,
+                  overhead_model=PAPER_MODEL, track_links=True)
     kwargs.update(overrides)
-    return sweepcache.sweep_key(SPECS, **kwargs)
+    ladder = ladder_policy_factories(unit_counts, include_fine=include_fine)
+    return tuple(task_key(task)
+                 for task in plan_tasks(specs, ladder, **kwargs))
+
+
+def _key(**overrides):
+    return _keys(**overrides)[0]
 
 
 class TestKeying:
@@ -56,19 +58,14 @@ class TestKeying:
         assert _key() != _key(pressures=(2, 4))
 
     def test_every_input_is_keyed(self):
-        base = _key()
-        assert base != _key(scale=0.2)
-        assert base != _key(trace_accesses=2000)
-        assert base != _key(unit_counts=(1, 8))
-        assert base != _key(include_fine=False)
-        assert base != _key(overhead_model=FREE_MODEL)
-        assert base != _key(track_links=False)
-        assert base != sweepcache.sweep_key(
-            SPECS[:1], scale=0.1, trace_accesses=1500,
-            unit_counts=UNIT_COUNTS, include_fine=True,
-            pressures=PRESSURES, overhead_model=PAPER_MODEL,
-            track_links=True,
-        )
+        base = _keys()
+        assert len(set(base)) == len(SPECS)
+        for other in (_keys(scale=0.2), _keys(trace_accesses=2000),
+                      _keys(unit_counts=(1, 8)), _keys(include_fine=False),
+                      _keys(overhead_model=FREE_MODEL),
+                      _keys(track_links=False)):
+            assert not set(base) & set(other)
+        assert _keys(specs=SPECS[:1]) == base[:1]
 
 
 class TestRoundTrip:
@@ -98,10 +95,8 @@ class TestRoundTrip:
     def test_no_temp_files_left_behind(self, cache_dir):
         sweepcache.store(_key(), _small_sweep())
         assert not list(cache_dir.glob("*.tmp"))
-        data_files = list(cache_dir.glob("*.pkl"))
-        meta_files = list(cache_dir.glob("*.json"))
-        assert len(data_files) == 1
-        assert len(meta_files) == 1
+        assert [path.name for path in cache_dir.iterdir()] == [
+            f"{_key()}.pkl"]
 
     def test_corrupt_entry_is_a_miss_and_quarantined(self, cache_dir):
         key = _key()
@@ -111,22 +106,13 @@ class TestRoundTrip:
             assert sweepcache.load(key) is None
         # The bad entry is moved aside for inspection, not deleted.
         assert not (cache_dir / f"{key}.pkl").exists()
-        quarantined = sweepcache.quarantined_entries()
+        quarantined = sweepcache.default_store().quarantined_entries()
         assert [path.name for path in quarantined] == [f"{key}.pkl"]
         assert quarantined[0].read_bytes() == b"not a pickle"
         assert sweepcache.counters()["quarantines"] == 1
         # A later identical sweep can re-store under the same key.
         sweepcache.store(key, _small_sweep())
         assert sweepcache.load(key) is not None
-
-    def test_hit_counter_persists_in_meta(self, cache_dir):
-        key = _key()
-        sweepcache.store(key, _small_sweep())
-        sweepcache.load(key)
-        sweepcache.load(key)
-        (entry,) = sweepcache.entries()
-        assert entry.hits == 2
-        assert entry.benchmarks == len(SPECS)
 
 
 class TestHardening:
@@ -147,7 +133,7 @@ class TestHardening:
         assert sweepcache.counters()["quarantines"] == 1
         # On-disk bytes were fine; only the (injected) read was dirty —
         # but the conservative response is the same: miss + quarantine.
-        assert len(sweepcache.quarantined_entries()) == 1
+        assert len(sweepcache.default_store().quarantined_entries()) == 1
 
     def test_store_failure_warns_and_returns_none(self, cache_dir):
         with faults.plan(faults.FaultSpec(point="cache.store",
@@ -155,7 +141,7 @@ class TestHardening:
             with pytest.warns(RuntimeWarning, match="continuing without"):
                 assert sweepcache.store(_key(), _small_sweep()) is None
         assert sweepcache.counters()["store_failures"] == 1
-        assert sweepcache.entries() == []
+        assert sweepcache.default_store().entries() == []
         # The next (healthy) store succeeds.
         assert sweepcache.store(_key(), _small_sweep()) is not None
 
@@ -181,9 +167,9 @@ class TestMaintenance:
     def test_entries_and_clear(self, cache_dir):
         sweepcache.store(_key(), _small_sweep())
         sweepcache.store(_key(pressures=(2,)), _small_sweep())
-        assert len(sweepcache.entries()) == 2
+        assert len(sweepcache.default_store().entries()) == 2
         assert sweepcache.clear() == 2
-        assert sweepcache.entries() == []
+        assert sweepcache.default_store().entries() == []
         assert sweepcache.clear() == 0
 
     def test_clear_empties_the_quarantine_too(self, cache_dir):
@@ -192,9 +178,9 @@ class TestMaintenance:
         (cache_dir / f"{key}.pkl").write_bytes(b"garbage")
         with pytest.warns(RuntimeWarning):
             sweepcache.load(key)
-        assert len(sweepcache.quarantined_entries()) == 1
+        assert len(sweepcache.default_store().quarantined_entries()) == 1
         sweepcache.clear()
-        assert sweepcache.quarantined_entries() == []
+        assert sweepcache.default_store().quarantined_entries() == []
 
     def test_cache_dir_env_override(self, cache_dir):
         assert sweepcache.cache_dir() == cache_dir
@@ -226,14 +212,16 @@ class TestFullSweepIntegration:
             first = full_sweep(options=SweepOptions(use_cache=True),
                                **self.FULL_KWARGS)
             # Dropping the in-process memo simulates a fresh process:
-            # the second call must come back from disk, not simulation.
+            # every slab must come back from disk, not simulation.
             clear_sweep_cache()
             second = full_sweep(options=SweepOptions(use_cache=True),
                                 **self.FULL_KWARGS)
             assert second is not first
+            benchmarks = len(first.benchmark_names)
             counts = sweepcache.counters()
-            assert counts["stores"] == 1
-            assert counts["hits"] == 1
+            assert counts["stores"] == benchmarks
+            assert counts["hits"] == benchmarks
+            assert second.fault_report.simulated == []
             for point, record in first.stats.items():
                 assert (dataclasses.asdict(second.stats[point])
                         == dataclasses.asdict(record))
@@ -245,7 +233,7 @@ class TestFullSweepIntegration:
         try:
             full_sweep(options=SweepOptions(use_cache=False),
                        **self.FULL_KWARGS)
-            assert sweepcache.entries() == []
+            assert sweepcache.default_store().entries() == []
             assert sweepcache.counters()["stores"] == 0
         finally:
             clear_sweep_cache()

@@ -1,8 +1,8 @@
 """Shared unit-test configuration.
 
-The persistent sweep cache (``repro.analysis.sweepcache``) is disabled
-for the unit-test run: tests must exercise the simulators, not replay a
-previous run's results from ``~/.cache``.  Tests that cover the cache
+The on-disk sweep store (``repro.analysis.sweepcache``) is disabled
+for the unit-test run: tests must exercise the simulators, not load a
+previous run's slabs from ``~/.cache``.  Tests that cover the store
 itself re-enable it explicitly against a temporary directory.
 """
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import faults
+from repro.analysis.timeline import record_timeline
 from repro.core.cache import ConfigurationError
 from repro.core.invariants import (
     CHECK_LEVELS,
@@ -133,6 +134,59 @@ class TestCleanRuns:
                                cadence=8, track_links=False)
         simulator.process(workload.trace, benchmark="gzip")
         assert simulator.checker.checks_run > 0
+
+
+class TestRecordsAcrossCalls:
+    """A simulator replayed in several ``process()`` calls starts each
+    call's stats record with the blocks earlier calls left resident;
+    byte conservation must count from there (gzip, 8-unit, a quarter
+    of the population's bytes)."""
+
+    @pytest.fixture()
+    def long_workload(self):
+        return build_workload(GZIP, scale=0.25, trace_accesses=8000)
+
+    @staticmethod
+    def _capacity(workload):
+        return workload.superblocks.total_bytes // 4
+
+    @pytest.mark.parametrize("level", ("light", "paranoid"))
+    def test_second_process_call_is_clean(self, long_workload, level):
+        superblocks, trace = long_workload.superblocks, long_workload.trace
+        checked = CodeCacheSimulator(superblocks, UnitFifoPolicy(8),
+                                     self._capacity(long_workload),
+                                     check_level=level)
+        first = checked.process(trace[:750], benchmark="gzip")
+        second = checked.process(trace[750:], benchmark="gzip")
+        whole = CodeCacheSimulator(superblocks, UnitFifoPolicy(8),
+                                   self._capacity(long_workload),
+                                   check_level="off").process(trace)
+        for field in ("accesses", "misses", "inserted_bytes",
+                      "evicted_bytes", "eviction_invocations"):
+            assert (getattr(first, field) + getattr(second, field)
+                    == getattr(whole, field)), field
+
+    def test_windowed_timeline_is_clean_under_light(self, long_workload,
+                                                    monkeypatch):
+        monkeypatch.setenv(ENV_CHECK_LEVEL, "light")
+        timeline = record_timeline(long_workload.superblocks,
+                                   UnitFifoPolicy(8),
+                                   self._capacity(long_workload),
+                                   long_workload.trace, window=750)
+        assert timeline.totals.accesses == len(long_workload.trace)
+
+    def test_byte_break_in_a_later_call_is_caught(self, long_workload):
+        simulator = CodeCacheSimulator(long_workload.superblocks,
+                                       UnitFifoPolicy(8),
+                                       self._capacity(long_workload),
+                                       check_level="light")
+        simulator.process(long_workload.trace[:750], benchmark="gzip")
+        stats = simulator.process(long_workload.trace[750:],
+                                  benchmark="gzip")
+        stats.inserted_bytes += 1
+        with pytest.raises(InvariantViolation,
+                           match="byte conservation broken"):
+            simulator.checker.run_checks(stats)
 
 
 class TestCorruptionSelfTest:

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.analysis import ckernel
-from repro.analysis.checkpoint import CheckpointStore
+from repro.analysis.sweepcache import Store
 from repro.analysis.sweep import run_sweep, run_sweep_parallel
 from repro.core.cache import ConfigurationError
 from repro.core.policies import (
@@ -82,7 +82,7 @@ class TestSearchLoop:
         # Every generation's scores cover the whole population.
         for entry in search["generations"]:
             assert len(entry["scores"]) == config.population
-        state = load_state(CheckpointStore(tmp_path), config)
+        state = load_state(Store(tmp_path), config)
         assert state is not None
         assert state.generation == 2
 
@@ -121,16 +121,18 @@ class TestSearchLoop:
     def test_corrupt_checkpoint_quarantined(self, tmp_path):
         config = SearchConfig(**TINY)
         run_search(config, generations=1, root=tmp_path)
-        store = CheckpointStore(tmp_path)
-        name = driver._blob_name(config)
+        store = Store(tmp_path)
+        name = f"{driver._state_key(config)}.pkl"
         store.store_blob(name, b"not a pickle")
-        assert load_state(store, config) is None
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert load_state(store, config) is None
+        assert not store.path(name).exists()
 
     def test_checkpoint_for_other_config_not_loaded(self, tmp_path):
         config = SearchConfig(**TINY)
         run_search(config, generations=1, root=tmp_path)
         other = SearchConfig(**{**TINY, "seed": 99})
-        assert load_state(CheckpointStore(tmp_path), other) is None
+        assert load_state(Store(tmp_path), other) is None
 
 
 class TestReplayBest:
@@ -249,7 +251,7 @@ class TestLineage:
     def test_best_lineage_walks_to_a_seed(self, tmp_path):
         config = SearchConfig(**TINY)
         run_search(config, generations=2, root=tmp_path)
-        state = load_state(CheckpointStore(tmp_path), config)
+        state = load_state(Store(tmp_path), config)
         best = state.history[-1]["best"]
         chain = driver.best_lineage(state, best)
         assert chain[-1]["name"] == best

@@ -175,13 +175,11 @@ class TestCli:
         monkeypatch.setattr(experiments, "full_sweep", full_sweep)
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "3")
         monkeypatch.setenv("REPRO_SWEEP_RETRIES", "5")
-        monkeypatch.setenv("REPRO_SWEEP_RESUME", "on")
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", "on")
         with pytest.raises(Swept):
-            analysis_main(["figure7", "--task-timeout", "9",
-                           "--no-resume", "--no-cache"])
+            analysis_main(["figure7", "--task-timeout", "9", "--no-cache"])
         assert seen["options"] == SweepOptions(
-            jobs=3, use_cache=False, task_timeout=9.0, max_retries=5,
-            resume=False)
+            jobs=3, use_cache=False, task_timeout=9.0, max_retries=5)
 
     @pytest.mark.parametrize("argv,env,named", (
         (["--jobs", "-1"], {}, "--jobs"),
@@ -192,7 +190,6 @@ class TestCli:
         ([], {"REPRO_SWEEP_TIMEOUT": "soon"}, "REPRO_SWEEP_TIMEOUT"),
         ([], {"REPRO_SWEEP_RETRIES": "-3"}, "REPRO_SWEEP_RETRIES"),
         ([], {"REPRO_SWEEP_CACHE": "disabled"}, "REPRO_SWEEP_CACHE"),
-        ([], {"REPRO_SWEEP_RESUME": "none"}, "REPRO_SWEEP_RESUME"),
     ))
     def test_bad_sweep_option_names_its_source(self, capsys, monkeypatch,
                                                argv, env, named):
