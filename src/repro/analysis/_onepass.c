@@ -6,8 +6,16 @@
  * kernel-check and the kernel tests hold the two equal.  The ladder
  * pass (one_pass) keeps no floating point at all: the overheads of
  * Equations 2-4 are priced from these counters by the caller's stats
- * records, so the order in which victims and events are counted is
- * free.
+ * records, so the order in which geometries, victims and links are
+ * counted is free.
+ *
+ * Residency is one 64-bit word per block, bit g set while the block is
+ * resident in geometry g, so up to 64 geometries share a traversal.  An
+ * access walks only the geometries it misses, one loop per kind over
+ * that kind's missing bits, so no geometry pays a bit test or a kind
+ * switch.  Links come as one neighbour row per block: its out-targets,
+ * then (from nb_split) its in-sources, self-loops excluded and kept in
+ * sf.  An insert scans its row once.
  *
  * The priority-function cell (priority_pass) is the one place doubles
  * appear: it scores resident blocks with a postfix expression VM whose
@@ -20,20 +28,25 @@
 #include <string.h>
 
 typedef long long i64;
+typedef unsigned long long u64;
 
 /* Counters written per geometry; the layout is read by ckernel.py. */
 #define N_OUT 10
+#define MAX_GEOMS 64
+
+/* Geometry kinds as ckernel.KIND_CODES numbers them.  Flush comes only
+ * with links tracked; without links FLUSH is a one-unit unit geometry. */
+enum { KIND_FLUSH, KIND_UNIT, KIND_FIFO, N_KINDS };
 
 typedef struct {
-    int kind;      /* 0 = flush (links only), 1 = unit, 2 = fifo */
-    i64 cap;       /* flush / fifo byte capacity */
-    i64 ucap;      /* unit: per-unit byte capacity */
+    int kind;
+    i64 cap;       /* flush / fifo: byte capacity; unit: per unit */
     int ucount;    /* unit: number of units */
-    unsigned char *res;  /* per-block residency flag */
     /* flush frontier */
     int *blocks;
     int blen;
-    /* unit frontier: singly-linked chains per unit */
+    /* unit frontier: singly-linked chains per unit, and each block's
+     * unit (-1 when not resident) when links are tracked */
     int *next, *uhead, *utail, *ua;
     i64 *uused;
     int fill;
@@ -46,11 +59,10 @@ typedef struct {
     i64 live, plive;
 } Geom;
 
-static void free_geoms(Geom *geoms, int n_geoms, unsigned int *residency)
+static void free_geoms(Geom *geoms, int n_geoms, u64 *residency)
 {
     int g;
     for (g = 0; g < n_geoms; g++) {
-        free(geoms[g].res);
         free(geoms[g].blocks);
         free(geoms[g].next);
         free(geoms[g].uhead);
@@ -63,31 +75,37 @@ static void free_geoms(Geom *geoms, int n_geoms, unsigned int *residency)
     free(residency);
 }
 
+/* Counts an insert's new live links and keeps the peak. */
+static inline void add_live(Geom *G, i64 links)
+{
+    G->live += links;
+    G->plive = G->live > G->plive ? G->live : G->plive;
+}
+
 /* Writes N_OUT counters per geometry to out.  Returns 0 on success,
- * -2 on bad geometry count, -3 on allocation failure. */
+ * -2 on a geometry count outside 1..64, -3 on allocation failure. */
 int one_pass(
     i64 n_acc, const int *trace,
     int n_blocks, const i64 *sizes,
     int track_links,
-    const int *in_idx, const int *in_dat,
-    const int *on_idx, const int *on_dat,
+    const int *nb_idx, const int *nb_split, const int *nb_dat,
     const unsigned char *sf,
     int n_geoms, const int *kinds, const i64 *caps, const i64 *ucaps,
     const int *ucounts,
     i64 *out)
 {
     Geom *geoms;
-    unsigned int *residency, full;
+    u64 *residency, full, of_kind[N_KINDS] = {0, 0, 0};
+    size_t n = (size_t)n_blocks + 1;
     i64 a;
     int g, k;
 
-    if (n_geoms < 1 || n_geoms > 31)
+    if (n_geoms < 1 || n_geoms > MAX_GEOMS)
         return -2;
-    full = (1u << n_geoms) - 1u;
+    full = ~0ULL >> (MAX_GEOMS - n_geoms);
 
     geoms = (Geom *)calloc((size_t)n_geoms, sizeof(Geom));
-    residency = (unsigned int *)calloc((size_t)n_blocks + 1,
-                                       sizeof(unsigned int));
+    residency = (u64 *)calloc(n, sizeof(u64));
     if (!geoms || !residency) {
         free(geoms);
         free(residency);
@@ -96,20 +114,16 @@ int one_pass(
     for (g = 0; g < n_geoms; g++) {
         Geom *G = &geoms[g];
         G->kind = kinds[g];
-        G->cap = caps[g];
-        G->ucap = ucaps[g];
-        G->ucount = ucounts[g];
-        if (track_links) {
-            G->res = (unsigned char *)calloc((size_t)n_blocks + 1, 1);
-            if (!G->res)
-                goto oom;
-        }
-        if (G->kind == 0) {
-            G->blocks = (int *)malloc(sizeof(int) * ((size_t)n_blocks + 1));
+        of_kind[G->kind] |= 1ULL << g;
+        if (G->kind == KIND_FLUSH) {
+            G->cap = caps[g];
+            G->blocks = (int *)malloc(sizeof(int) * n);
             if (!G->blocks)
                 goto oom;
-        } else if (G->kind == 1) {
-            G->next = (int *)malloc(sizeof(int) * ((size_t)n_blocks + 1));
+        } else if (G->kind == KIND_UNIT) {
+            G->cap = ucaps[g];
+            G->ucount = ucounts[g];
+            G->next = (int *)malloc(sizeof(int) * n);
             G->uhead = (int *)malloc(sizeof(int) * (size_t)G->ucount);
             G->utail = (int *)malloc(sizeof(int) * (size_t)G->ucount);
             G->uused = (i64 *)calloc((size_t)G->ucount, sizeof(i64));
@@ -118,13 +132,14 @@ int one_pass(
             memset(G->uhead, -1, sizeof(int) * (size_t)G->ucount);
             memset(G->utail, -1, sizeof(int) * (size_t)G->ucount);
             if (track_links) {
-                G->ua = (int *)malloc(sizeof(int) * ((size_t)n_blocks + 1));
+                G->ua = (int *)malloc(sizeof(int) * n);
                 if (!G->ua)
                     goto oom;
-                memset(G->ua, -1, sizeof(int) * ((size_t)n_blocks + 1));
+                memset(G->ua, -1, sizeof(int) * n);
             }
         } else {
-            G->queue = (int *)malloc(sizeof(int) * ((size_t)n_blocks + 1));
+            G->cap = caps[g];
+            G->queue = (int *)malloc(sizeof(int) * n);
             if (!G->queue)
                 goto oom;
         }
@@ -132,192 +147,162 @@ int one_pass(
 
     for (a = 0; a < n_acc; a++) {
         int sid = trace[a];
-        unsigned int mask = residency[sid];
-        i64 size;
-        if (mask == full)
+        u64 missing = full & ~residency[sid], m;
+        i64 size, self;
+        int lo = 0, hi = 0;
+        if (!missing)
             continue;
         size = sizes[sid];
-        for (g = 0; g < n_geoms; g++) {
-            Geom *G;
-            unsigned int bit = 1u << g, nb = ~bit;
-            if (mask & bit)
-                continue;
-            G = &geoms[g];
+        self = 0;
+        if (track_links) {
+            /* Without links the row arrays are one-slot stand-ins. */
+            self = sf[sid];
+            lo = nb_idx[sid];
+            hi = nb_idx[sid + 1];
+        }
+
+        /* -- FLUSH: one unit, links tracked.  A flush drops every live
+         * link with the code, so it keeps no unlink records. */
+        for (m = missing & of_kind[KIND_FLUSH]; m; m &= m - 1) {
+            int bit = __builtin_ctzll(m);
+            Geom *G = &geoms[bit];
+            i64 est = self;
             G->misses++;
             G->ins += size;
-            if (G->kind == 0) {
-                /* -- FLUSH: one unit, links tracked.  A flush drops
-                 * every live link with the code — no unlink records. */
-                i64 est;
-                if (G->fused + size > G->cap) {
+            if (G->fused + size > G->cap) {
+                u64 keep = ~(1ULL << bit);
+                G->inv++;
+                G->evb += G->blen;
+                G->evB += G->fused;
+                for (k = 0; k < G->blen; k++)
+                    residency[G->blocks[k]] &= keep;
+                G->blen = 0;
+                G->fused = 0;
+                G->live = 0;
+            }
+            G->blocks[G->blen++] = sid;
+            G->fused += size;
+            for (k = lo; k < hi; k++)
+                est += (residency[nb_dat[k]] >> bit) & 1;
+            G->intra += est;
+            add_live(G, est);
+        }
+
+        /* -- UNIT: FIFO over ucount units, each evicted whole. */
+        for (m = missing & of_kind[KIND_UNIT]; m; m &= m - 1) {
+            int bit = __builtin_ctzll(m);
+            Geom *G = &geoms[bit];
+            int *ua = G->ua, *next = G->next;
+            int f = G->fill;
+            G->misses++;
+            G->ins += size;
+            if (G->uused[f] + size > G->cap) {
+                int h;
+                f = f + 1 == G->ucount ? 0 : f + 1;
+                G->fill = f;
+                h = G->uhead[f];
+                if (h >= 0) {
+                    u64 keep = ~(1ULL << bit);
+                    i64 vlen = 0;
+                    int v;
                     G->inv++;
-                    G->evb += G->blen;
-                    G->evB += G->fused;
-                    for (k = 0; k < G->blen; k++) {
-                        int v = G->blocks[k];
-                        residency[v] &= nb;
-                        G->res[v] = 0;
-                    }
-                    G->blen = 0;
-                    G->fused = 0;
-                    G->live = 0;
-                }
-                G->blocks[G->blen++] = sid;
-                G->fused += size;
-                G->res[sid] = 1;
-                est = sf[sid];
-                for (k = on_idx[sid]; k < on_idx[sid + 1]; k++)
-                    est += G->res[on_dat[k]];
-                for (k = in_idx[sid]; k < in_idx[sid + 1]; k++)
-                    est += G->res[in_dat[k]];
-                if (est) {
-                    G->intra += est;
-                    G->live += est;
-                    if (G->live > G->plive)
-                        G->plive = G->live;
-                }
-            } else if (G->kind == 1) {
-                /* -- UNIT: FIFO over ucount units, each evicted whole. */
-                int f;
-                if (G->uused[G->fill] + size > G->ucap) {
-                    int h;
-                    G->fill++;
-                    if (G->fill == G->ucount)
-                        G->fill = 0;
-                    f = G->fill;
-                    h = G->uhead[f];
-                    if (h >= 0) {
-                        int v, vlen = 0;
-                        G->inv++;
-                        G->evB += G->uused[f];
-                        if (track_links) {
-                            /* Dead-link scan with every victim still
-                             * flagged: links to co-victims are live
-                             * until the event drops them. */
-                            i64 dead = 0;
-                            for (v = h; v >= 0; v = G->next[v]) {
-                                vlen++;
-                                dead += sf[v];
-                                for (k = on_idx[v]; k < on_idx[v + 1]; k++)
-                                    dead += G->res[on_dat[k]];
-                            }
-                            for (v = h; v >= 0; v = G->next[v]) {
-                                residency[v] &= nb;
-                                G->res[v] = 0;
-                                G->ua[v] = -1;
-                            }
-                            /* Survivor counts: co-victims are already
-                             * unflagged, so they never count. */
-                            for (v = h; v >= 0; v = G->next[v]) {
-                                i64 sur = 0;
-                                for (k = in_idx[v]; k < in_idx[v + 1]; k++)
-                                    sur += G->res[in_dat[k]];
-                                if (sur) {
-                                    G->ulops++;
-                                    G->ulrem += sur;
-                                    dead += sur;
-                                }
-                            }
-                            G->live -= dead;
-                        } else {
-                            for (v = h; v >= 0; v = G->next[v]) {
-                                vlen++;
-                                residency[v] &= nb;
-                            }
-                        }
-                        G->evb += vlen;
-                        G->uhead[f] = -1;
-                        G->utail[f] = -1;
-                        G->uused[f] = 0;
-                    }
-                }
-                f = G->fill;
-                if (G->utail[f] < 0)
-                    G->uhead[f] = sid;
-                else
-                    G->next[G->utail[f]] = sid;
-                G->utail[f] = sid;
-                G->next[sid] = -1;
-                G->uused[f] += size;
-                if (track_links) {
-                    i64 est = 0, li = 0;
-                    G->ua[sid] = f;
-                    G->res[sid] = 1;
-                    if (sf[sid]) {
-                        est++;
-                        li++;
-                    }
-                    for (k = on_idx[sid]; k < on_idx[sid + 1]; k++) {
-                        int u = G->ua[on_dat[k]];
-                        if (u >= 0) {
-                            est++;
-                            if (u == f)
-                                li++;
-                        }
-                    }
-                    for (k = in_idx[sid]; k < in_idx[sid + 1]; k++) {
-                        int u = G->ua[in_dat[k]];
-                        if (u >= 0) {
-                            est++;
-                            if (u == f)
-                                li++;
-                        }
-                    }
-                    if (est) {
-                        G->intra += li;
-                        G->inter += est - li;
-                        G->live += est;
-                        if (G->live > G->plive)
-                            G->plive = G->live;
-                    }
-                }
-            } else {
-                /* -- FIFO: byte-granularity circular buffer; every
-                 * victim is its own eviction event. */
-                while (G->fused + size > G->cap) {
-                    int v = G->queue[G->qhead];
-                    i64 vs = sizes[v];
-                    G->qhead++;
-                    if (G->qhead > n_blocks)
-                        G->qhead = 0;
-                    G->fused -= vs;
-                    G->inv++;
-                    G->evB += vs;
+                    G->evB += G->uused[f];
                     if (track_links) {
-                        i64 sur = 0, outd = 0;
-                        for (k = in_idx[v]; k < in_idx[v + 1]; k++)
-                            sur += G->res[in_dat[k]];
-                        if (sur) {
-                            G->ulops++;
+                        /* One walk: each victim scans its whole row,
+                         * then is unflagged, so a link between two
+                         * victims is counted once, by the first one
+                         * walked.  Survivors are resident in-sources
+                         * outside the unit. */
+                        i64 dead = 0;
+                        for (v = h; v >= 0; v = next[v]) {
+                            int sp = nb_split[v], end = nb_idx[v + 1];
+                            i64 sur = 0;
+                            vlen++;
+                            dead += sf[v];
+                            for (k = nb_idx[v]; k < sp; k++)
+                                dead += ua[nb_dat[k]] >= 0;
+                            for (; k < end; k++) {
+                                int u = ua[nb_dat[k]];
+                                dead += u >= 0;
+                                sur += (u >= 0) & (u != f);
+                            }
+                            G->ulops += sur != 0;
                             G->ulrem += sur;
+                            ua[v] = -1;
+                            residency[v] &= keep;
                         }
-                        for (k = on_idx[v]; k < on_idx[v + 1]; k++)
-                            outd += G->res[on_dat[k]];
-                        G->live -= sur + sf[v] + outd;
-                        G->res[v] = 0;
+                        G->live -= dead;
+                    } else {
+                        for (v = h; v >= 0; v = next[v]) {
+                            vlen++;
+                            residency[v] &= keep;
+                        }
                     }
-                    residency[v] &= nb;
+                    G->evb += vlen;
+                    G->uhead[f] = -1;
+                    G->utail[f] = -1;
+                    G->uused[f] = 0;
                 }
-                G->queue[G->qtail] = sid;
-                G->qtail++;
-                if (G->qtail > n_blocks)
-                    G->qtail = 0;
-                G->fused += size;
+            }
+            if (G->utail[f] < 0)
+                G->uhead[f] = sid;
+            else
+                next[G->utail[f]] = sid;
+            G->utail[f] = sid;
+            next[sid] = -1;
+            G->uused[f] += size;
+            if (track_links) {
+                i64 est = self, li = self;
+                ua[sid] = f;
+                for (k = lo; k < hi; k++) {
+                    int u = ua[nb_dat[k]];
+                    est += u >= 0;
+                    li += u == f;
+                }
+                G->intra += li;
+                G->inter += est - li;
+                add_live(G, est);
+            }
+        }
+
+        /* -- FIFO: byte-granularity circular buffer; every victim is
+         * its own eviction event. */
+        for (m = missing & of_kind[KIND_FIFO]; m; m &= m - 1) {
+            int bit = __builtin_ctzll(m);
+            Geom *G = &geoms[bit];
+            u64 keep = ~(1ULL << bit);
+            G->misses++;
+            G->ins += size;
+            while (G->fused + size > G->cap) {
+                int v = G->queue[G->qhead];
+                i64 vs = sizes[v];
+                G->qhead = G->qhead == n_blocks ? 0 : G->qhead + 1;
+                G->fused -= vs;
+                G->inv++;
+                G->evB += vs;
                 if (track_links) {
-                    i64 ln = 0, s = sf[sid];
-                    G->res[sid] = 1;
-                    for (k = on_idx[sid]; k < on_idx[sid + 1]; k++)
-                        ln += G->res[on_dat[k]];
-                    for (k = in_idx[sid]; k < in_idx[sid + 1]; k++)
-                        ln += G->res[in_dat[k]];
-                    if (ln + s) {
-                        G->inter += ln;
-                        G->intra += s;
-                        G->live += ln + s;
-                        if (G->live > G->plive)
-                            G->plive = G->live;
-                    }
+                    int sp = nb_split[v], end = nb_idx[v + 1];
+                    i64 sur = 0, outd = 0;
+                    for (k = nb_idx[v]; k < sp; k++)
+                        outd += (residency[nb_dat[k]] >> bit) & 1;
+                    for (; k < end; k++)
+                        sur += (residency[nb_dat[k]] >> bit) & 1;
+                    G->ulops += sur != 0;
+                    G->ulrem += sur;
+                    G->live -= sur + sf[v] + outd;
                 }
+                residency[v] &= keep;
+            }
+            G->queue[G->qtail] = sid;
+            G->qtail = G->qtail == n_blocks ? 0 : G->qtail + 1;
+            G->fused += size;
+            if (track_links) {
+                i64 ln = 0;
+                for (k = lo; k < hi; k++)
+                    ln += (residency[nb_dat[k]] >> bit) & 1;
+                G->inter += ln;
+                G->intra += self;
+                add_live(G, ln + self);
             }
         }
         residency[sid] = full;
@@ -329,7 +314,7 @@ int one_pass(
         oi[0] = G->misses;
         oi[1] = G->ins;
         oi[2] = G->inv;
-        oi[3] = (G->kind == 2) ? G->inv : G->evb;
+        oi[3] = (G->kind == KIND_FIFO) ? G->inv : G->evb;
         oi[4] = G->evB;
         oi[5] = G->ulops;
         oi[6] = G->ulrem;
@@ -451,8 +436,7 @@ int priority_pass(
     int n_blocks, const i64 *sizes,
     const int *in_deg, const int *out_deg,
     int track_links,
-    const int *in_idx, const int *in_dat,
-    const int *on_idx, const int *on_dat,
+    const int *nb_idx, const int *nb_split, const int *nb_dat,
     const unsigned char *sf,
     i64 cap,
     int n_code, const int *code, const double *imm, int depth,
@@ -518,15 +502,14 @@ int priority_pass(
             inv++;
             evB += sizes[v];
             if (track_links) {
+                int sp = nb_split[v], end = nb_idx[v + 1];
                 i64 sur = 0, outd = 0;
-                for (k = in_idx[v]; k < in_idx[v + 1]; k++)
-                    sur += res[in_dat[k]];
-                if (sur) {
-                    ulops++;
-                    ulrem += sur;
-                }
-                for (k = on_idx[v]; k < on_idx[v + 1]; k++)
-                    outd += res[on_dat[k]];
+                for (k = nb_idx[v]; k < sp; k++)
+                    outd += res[nb_dat[k]];
+                for (; k < end; k++)
+                    sur += res[nb_dat[k]];
+                ulops += sur != 0;
+                ulrem += sur;
                 live -= sur + sf[v] + outd;
             }
             res[v] = 0;
@@ -545,17 +528,12 @@ int priority_pass(
         res[sid] = 1;
         if (track_links) {
             i64 ln = 0, s = sf[sid];
-            for (k = on_idx[sid]; k < on_idx[sid + 1]; k++)
-                ln += res[on_dat[k]];
-            for (k = in_idx[sid]; k < in_idx[sid + 1]; k++)
-                ln += res[in_dat[k]];
-            if (ln + s) {
-                inter += ln;
-                intra += s;
-                live += ln + s;
-                if (live > plive)
-                    plive = live;
-            }
+            for (k = nb_idx[sid]; k < nb_idx[sid + 1]; k++)
+                ln += res[nb_dat[k]];
+            inter += ln;
+            intra += s;
+            live += ln + s;
+            plive = live > plive ? live : plive;
         }
     }
     out[0] = misses;

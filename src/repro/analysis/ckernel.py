@@ -1,9 +1,11 @@
 """ctypes loader and marshalling for the one-pass C kernel.
 
 The C kernel (``_onepass.c``) has two entry points over the same
-marshalled trace and CSR links.  ``one_pass`` simulates the ladder
-geometries :func:`repro.analysis.kernel.one_pass_grid` resolves and
-returns integer counters equal to those of replaying each geometry
+marshalled trace and per-block neighbour rows (each block's
+out-targets, then its in-sources).  ``one_pass`` simulates up to
+:data:`MAX_GEOMETRIES` of the ladder geometries
+:func:`repro.analysis.kernel.one_pass_grid` resolves in one traversal
+and returns integer counters equal to those of replaying each geometry
 through ``CodeCacheSimulator``; it keeps no floating point, because
 the overheads of Equations 2-4 are priced from the counters by the
 stats records the caller builds.  ``priority_pass`` simulates one
@@ -34,9 +36,9 @@ import numpy as np
 
 from repro.core.links import BACKPOINTER_ENTRY_BYTES
 
-#: The C kernel packs residency into a 32-bit mask, one bit per
-#: geometry; wider grids are split by the caller.
-MAX_GEOMETRIES = 31
+#: The C kernel packs residency into a 64-bit word per block, one bit
+#: per geometry; wider grids are split by the caller.
+MAX_GEOMETRIES = 64
 
 KIND_CODES = {"flush": 0, "unit": 1, "fifo": 2}
 
@@ -101,7 +103,7 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         c_i64, p,                 # n_acc, trace
         c_int, p,                 # n_blocks, sizes
         c_int,                    # track_links
-        p, p, p, p, p,            # in_idx, in_dat, on_idx, on_dat, sf
+        p, p, p, p,               # nb_idx, nb_split, nb_dat, sf
         c_int, p, p, p, p,        # n_geoms, kinds, caps, ucaps, ucounts
         p,                        # out
     ]
@@ -111,7 +113,7 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         c_int, p,                 # n_blocks, sizes
         p, p,                     # in_deg, out_deg
         c_int,                    # track_links
-        p, p, p, p, p,            # in_idx, in_dat, on_idx, on_dat, sf
+        p, p, p, p,               # nb_idx, nb_split, nb_dat, sf
         c_i64,                    # cap
         c_int, p, p, c_int,       # n_code, code, imm, depth
         p,                        # out
@@ -195,8 +197,9 @@ def run_geometries(population, trace, kinds, caps, ucaps, ucounts,
 
     Returns a list of per-geometry counter dicts keyed by
     :class:`~repro.core.metrics.SimulationStats` field names.  An
-    unavailable kernel or a failing call (status -2: bad geometry
-    count, -3: allocation failure) raises ``RuntimeError``.
+    unavailable kernel or a failing call (status -2: no geometry or
+    more than :data:`MAX_GEOMETRIES`, -3: allocation failure) raises
+    ``RuntimeError``.
     """
     lib = _require()
     trace_arr = _trace_array(population, trace)
@@ -278,11 +281,12 @@ def _program_arrays(program):
 
 
 def _link_args(population, track_links):
-    """The CSR link and self-loop arguments both entry points take."""
+    """The neighbour-row and self-loop arguments both entry points
+    take."""
     if not track_links:
-        return (_ptr(_EMPTY_I32),) * 4 + (_ptr(_EMPTY_U8),)
+        return (_ptr(_EMPTY_I32),) * 3 + (_ptr(_EMPTY_U8),)
     return tuple(_ptr(getattr(population, name)) for name in
-                 ("in_idx", "in_dat", "on_idx", "on_dat", "self_flags"))
+                 ("nb_idx", "nb_split", "nb_dat", "self_flags"))
 
 
 def _counters(rows):

@@ -7,15 +7,18 @@ observation for hardware FIFO caches — many geometries can be evaluated
 in a single trace traversal — this module replays a trace exactly once
 while maintaining:
 
-* a shared residency timeline: one bitmask per superblock, bit *g* set
-  iff the block is resident in geometry *g*; and
+* a shared residency timeline: one 64-bit word per superblock, bit *g*
+  set iff the block is resident in geometry *g*; and
 * per-granularity eviction frontiers: the FIFO fill pointer and unit
   occupancy (``UnitCache`` semantics) or the circular-buffer queue
   (``CircularBlockBuffer`` semantics) for each distinct geometry.
 
-A hit in every geometry costs one mask load and one compare; only the
-geometries a block is *missing* from pay their miss path.  Hits are
-derived (``accesses - misses``) rather than counted.
+A hit in every geometry costs one word load and one compare; only the
+geometries a block is *missing* from pay their miss path, walked kind
+by kind over the missing bits.  Hits are derived
+(``accesses - misses``) rather than counted.  Up to
+:data:`~repro.analysis.ckernel.MAX_GEOMETRIES` geometries share a
+traversal, which covers every standard grid.
 
 The traversal itself is C (``_onepass.c``, loaded by
 :mod:`repro.analysis.ckernel`).  This module resolves a grid into
@@ -41,15 +44,18 @@ Link accounting needs no per-geometry link maps: with a static link
 graph, a link ``(s, t)`` is live in geometry *g* exactly when both
 endpoints are resident in *g* (it is established when the later of the
 two is inserted and dies when either is evicted), so residency flags
-and the precomputed adjacency lists reproduce ``LinkManager``'s
-counters.  Two consequences are exploited outright: a single-unit FLUSH
-cache never pays unlink work (every live link's endpoints die in the
-flush) and never establishes an inter-unit link, and a whole-unit
-eviction's in-link survivors can be counted *after* clearing the
-victims' flags, which turns the co-victim exclusion into a plain
-residency count.  The peak backpointer-table footprint is the running
-maximum of the live-link count after an insert (the only time it can
-grow), scaled by the entry size at finalize time.
+and one precomputed neighbour row per block (its out-targets, then its
+in-sources) reproduce ``LinkManager``'s counters.  Two consequences
+are exploited outright: a single-unit FLUSH cache never pays unlink
+work (every live link's endpoints die in the flush) and never
+establishes an inter-unit link, and a whole-unit eviction is one walk
+over its victims: each counts every resident neighbour in its row as a
+dead link and is then unflagged, so a link between two victims is
+counted once, by the first one walked, and the survivors that pay
+unlink work are the resident in-sources in other units.  The peak
+backpointer-table footprint is the running maximum of the live-link
+count after an insert (the only time it can grow), scaled by the entry
+size at finalize time.
 
 Geometries that clamp to the same shape (small workloads saturate the
 unit ladder early) are simulated once and their stats cloned per rung.
@@ -139,19 +145,20 @@ class KernelConfig:
 class _Population:
     """Dense per-workload arrays, cached across kernel invocations.
 
-    One workload's slab can take several kernel calls (a split grid,
-    each priority cell), and the policy search re-scores the same
-    memoized workloads every generation, so the flattening work is
-    memoized per :class:`SuperblockSet` (weakly, so it dies with the
-    workload).  Every array is built with numpy straight from the set's
-    columns (:attr:`~SuperblockSet.size_column`,
-    :attr:`~SuperblockSet.link_column`), so no :class:`Superblock` object
-    and no reverse adjacency is needed; the arrays are contiguous and
-    handed to the C engine as they are.
+    One workload's slab can take several kernel calls (each priority
+    cell, a grid wider than one traversal), and the policy search
+    re-scores the same memoized workloads every generation, so the
+    flattening work, the neighbour rows included, is memoized per
+    :class:`SuperblockSet` (weakly, so it dies with the workload).
+    Every array is built with numpy straight from the set's columns
+    (:attr:`~SuperblockSet.size_column`,
+    :attr:`~SuperblockSet.link_column`), so no :class:`Superblock`
+    object and no reverse adjacency is needed; the arrays are
+    contiguous and handed to the C engine as they are.
     """
 
-    __slots__ = ("count", "index_of", "sizes", "in_idx", "in_dat",
-                 "on_idx", "on_dat", "self_flags", "in_degree", "out_degree",
+    __slots__ = ("count", "index_of", "sizes", "nb_idx", "nb_split",
+                 "nb_dat", "self_flags", "in_degree", "out_degree",
                  "__weakref__")
 
     def __init__(self, superblocks: SuperblockSet) -> None:
@@ -167,23 +174,25 @@ class _Population:
             self.index_of[ids] = np.arange(self.count, dtype=np.int32)
         self.sizes = np.fromiter(superblocks.size_column, dtype=np.int64,
                                  count=self.count)
-        #: Deduplicated adjacency in dense indices as int32 CSR, built
-        #: by :meth:`ensure_links`: incoming sources and outgoing
-        #: targets (self-loops excluded from both), plus a uint8
-        #: self-loop flag; and the raw int32 degrees the priority
-        #: features read.
-        self.in_idx = self.in_dat = self.on_idx = self.on_dat = None
+        #: Deduplicated adjacency in dense indices, built by
+        #: :meth:`ensure_links`: one int32 neighbour row per block
+        #: (``nb_dat[nb_idx[b]:nb_idx[b + 1]]``) holding its outgoing
+        #: targets, then from ``nb_split[b]`` its incoming sources,
+        #: self-loops excluded from both; a uint8 self-loop flag; and
+        #: the raw int32 degrees the priority features read.
+        self.nb_idx = self.nb_split = self.nb_dat = None
         self.self_flags = self.in_degree = self.out_degree = None
 
     def ensure_links(self, superblocks: SuperblockSet) -> None:
-        """Build the CSR adjacency, self flags and raw degrees.
+        """Build the neighbour rows, self flags and raw degrees.
 
         The raw degrees are ``len(incoming)`` and ``len(outgoing)``,
         which count self-loops and (out-side) repeated links that the
-        deduplicated adjacency drops.  In-lists come out ordered by
-        source; the kernels only ever sum over them.
+        deduplicated adjacency drops.  Within a row, targets and
+        sources each come out in index order; the kernels only ever
+        sum over them.
         """
-        if self.in_idx is not None:
+        if self.nb_idx is not None:
             return
         count = self.count
         links = superblocks.link_column
@@ -205,22 +214,18 @@ class _Population:
             np.int32)
         self.out_degree = out_degree.astype(np.int32)
         sources, targets = sources[~loops], targets[~loops]
-        self.on_idx, self.on_dat = _csr(sources, targets, count)
-        by_target = np.argsort(targets, kind="stable")
-        self.in_idx, self.in_dat = _csr(targets[by_target],
-                                        sources[by_target], count)
-
-
-def _csr(rows: np.ndarray, columns: np.ndarray,
-         count: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 CSR offsets and data for (row, column) pairs sorted by row.
-    The data array keeps at least one slot, so its pointer is valid
-    even when there are no pairs."""
-    offsets = np.zeros(count + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=count), out=offsets[1:])
-    data = columns.astype(np.int32) if len(columns) else np.zeros(
-        1, dtype=np.int32)
-    return offsets, data
+        # Each link appears in its source's row as a target and in its
+        # target's row as a source; a stable sort by row keeps every
+        # row's targets ahead of its sources.
+        rows = np.concatenate((sources, targets))
+        order = np.argsort(rows, kind="stable")
+        self.nb_idx = np.zeros(count + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=count), out=self.nb_idx[1:])
+        self.nb_split = self.nb_idx[:-1] + np.bincount(
+            sources, minlength=count).astype(np.int32)
+        # At least one slot, so the pointer is valid without links.
+        self.nb_dat = (np.concatenate((targets, sources))[order].astype(
+            np.int32) if len(rows) else np.zeros(1, dtype=np.int32))
 
 
 _POPULATIONS: "weakref.WeakKeyDictionary[SuperblockSet, _Population]" = (
@@ -366,9 +371,11 @@ def _ladder_counters(population, trace, geometries, track_links):
 
 
 def _split_grid(superblocks, trace, capacities, configs, **shared):
-    """Run a grid with too many distinct geometries for one 32-bit C
-    residency mask as two half grids: halve the capacity axis, or the
-    config axis when only one capacity remains."""
+    """Run a grid with more distinct ladder geometries than one C
+    traversal holds (:data:`~repro.analysis.ckernel.MAX_GEOMETRIES`) as
+    two half grids: halve the capacity axis, or the config axis when
+    only one capacity remains.  Standard grids never get here; custom
+    ``--pressures`` lists and ladders can."""
     if len(capacities) > 1:
         half = len(capacities) // 2
         return (one_pass_grid(superblocks, trace, capacities[:half],

@@ -284,27 +284,30 @@ class TestEngines:
 
     @_NEEDS_C
     def test_wide_grids_split_past_c_geometry_cap(self, monkeypatch):
-        # 17 distinct unit counts x 2 capacities = 34 geometries, past
-        # the C kernel's 31-geometry residency mask; the grid must split
-        # by capacity and still match replay.
+        # 17 distinct unit counts x 2 capacities = 34 geometries fit one
+        # 64-bit residency word: one traversal.  At 4 capacities the 68
+        # geometries are past it, so the grid splits by capacity.  Both
+        # must match replay.
         blocks = [Superblock(i, 32, links=(i,)) for i in range(40)]
         population = SuperblockSet(blocks)
         trace = [i % 40 for i in range(400)]
         counts = tuple(range(1, 18))
         configs = _ladder_configs(counts, include_fine=False)
-        capacities = [32 * 20, 32 * 23]
         traversals = self._count_traversals(monkeypatch)
-        grid = one_pass_grid(population, trace, capacities, configs)
-        assert traversals == [17, 17]
-        for cell, capacity in zip(grid, capacities):
-            assert cell == _replay(population, trace, capacity, counts,
-                                   include_fine=False)
+        for capacities, want in (([32 * 20, 32 * 23], [34]),
+                                 ([32 * 20, 32 * 23, 32 * 26, 32 * 29],
+                                  [34, 34])):
+            traversals.clear()
+            grid = one_pass_grid(population, trace, capacities, configs)
+            assert traversals == want
+            for cell, capacity in zip(grid, capacities):
+                assert cell == _replay(population, trace, capacity, counts,
+                                       include_fine=False)
 
     @_NEEDS_C
     def test_c_engine_splits_configs_past_geometry_cap(self, monkeypatch):
         # One capacity with 39 rungs that all resolve to distinct unit
-        # counts: more geometries than one C residency mask holds, and
-        # no capacity axis left to split, so the config axis splits.
+        # counts, plus fine FIFO: 40 geometries, one traversal.
         workload = build_workload(get_benchmark("gcc"), scale=0.25,
                                   trace_accesses=3000)
         blocks = workload.superblocks
@@ -313,9 +316,25 @@ class TestEngines:
         configs = _ladder_configs(counts)
         traversals = self._count_traversals(monkeypatch)
         grid = one_pass_grid(blocks, workload.trace, [capacity], configs)
-        assert traversals == [20, 20]
+        assert traversals == [40]
         assert list(grid[0]) == [config.name for config in configs]
         assert grid[0] == _replay(blocks, workload.trace, capacity, counts)
+
+        # 69 distinct unit counts plus fine FIFO at one capacity: more
+        # geometries than one residency word holds, and no capacity
+        # axis left to split, so the config axis splits.
+        population, sids = _population(count=120, size=16)
+        # A 90-block working set that shifts every 270 accesses.
+        trace = [sids[(i % 90 + 13 * (i // 270)) % 120]
+                 for i in range(1200)]
+        capacity = 2400
+        counts = tuple(range(1, 70))
+        configs = _ladder_configs(counts)
+        traversals.clear()
+        grid = one_pass_grid(population, trace, [capacity], configs)
+        assert traversals == [35, 35]
+        assert list(grid[0]) == [config.name for config in configs]
+        assert grid[0] == _replay(population, trace, capacity, counts)
 
 
 class TestSweepRouting:
@@ -522,10 +541,6 @@ def _reference_adjacency(superblocks):
     return rows
 
 
-def _row(offsets, data, index):
-    return data[offsets[index]:offsets[index + 1]].tolist()
-
-
 class TestPopulationArrays:
     """The kernel's numpy marshalling against the per-block loop."""
 
@@ -546,16 +561,21 @@ class TestPopulationArrays:
         assert population.sizes.dtype == np.int64
         assert population.sizes.tolist() == [blocks.size_of(sid)
                                               for sid in blocks.sids]
-        for name in ("in_idx", "in_dat", "on_idx", "on_dat", "in_degree",
+        for name in ("nb_idx", "nb_split", "nb_dat", "in_degree",
                      "out_degree"):
             assert getattr(population, name).dtype == np.int32, name
         assert population.self_flags.dtype == np.uint8
+        assert len(population.nb_idx) == len(blocks.sids) + 1
         for index, (incoming, outgoing, flag, in_degree, out_degree) in (
                 enumerate(_reference_adjacency(blocks))):
-            in_row = _row(population.in_idx, population.in_dat, index)
-            out_row = _row(population.on_idx, population.on_dat, index)
-            assert sorted(in_row) == sorted(incoming)
+            start, split, end = (population.nb_idx[index],
+                                 population.nb_split[index],
+                                 population.nb_idx[index + 1])
+            assert start <= split <= end
+            out_row = population.nb_dat[start:split].tolist()
+            in_row = population.nb_dat[split:end].tolist()
             assert sorted(out_row) == sorted(outgoing)
+            assert sorted(in_row) == sorted(incoming)
             assert population.self_flags[index] == flag
             assert population.in_degree[index] == in_degree
             assert population.out_degree[index] == out_degree

@@ -121,6 +121,59 @@ def test_kernel_matches_paranoid_checked_replay(scenario):
             assert dataclasses.asdict(cell[name]) == want_record, name
 
 
+@st.composite
+def _wide_scenario(draw):
+    """A grid of 33-64 distinct geometries, so one traversal sets and
+    clears residency bits 32-63: FLUSH, 9-19 other unit counts and fine
+    FIFO at 3 capacities over 48-64 small blocks.  Every capacity holds
+    the largest unit count's worth of largest blocks, so no two rungs
+    clamp to one geometry.  Blocks 2k and 2k+1 may link to each other
+    either way or both, any block may link to itself or anywhere, and
+    the trace runs through consecutive blocks, so partners often share
+    a unit."""
+    count = draw(st.integers(48, 64))
+    blocks = []
+    for sid in range(count):
+        partner = sid ^ 1 if sid ^ 1 < count else sid
+        links = draw(st.lists(
+            st.one_of(st.sampled_from((sid, partner)),
+                      st.integers(0, count - 1)), max_size=4))
+        blocks.append(Superblock(sid, draw(st.integers(8, 20)),
+                                 links=tuple(dict.fromkeys(links))))
+    population = SuperblockSet(blocks)
+    runs = draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                   st.integers(1, 12)),
+                         min_size=1, max_size=40))
+    trace = [(start + step) % count for start, length in runs
+             for step in range(length)]
+    low = 20 * population.max_block_bytes
+    capacities = sorted(draw(st.lists(
+        st.integers(low, max(population.total_bytes, low + 2)),
+        min_size=3, max_size=3, unique=True)))
+    others = draw(st.lists(st.integers(2, 20), min_size=9, max_size=19,
+                           unique=True))
+    return population, trace, capacities, (1, *sorted(others))
+
+
+@_NEEDS_C
+@given(_wide_scenario())
+@settings(max_examples=15, deadline=None)
+def test_one_traversal_of_up_to_64_geometries_matches_replay(scenario):
+    population, trace, capacities, unit_counts = scenario
+    geometries = len(capacities) * (len(unit_counts) + 1)
+    assert 32 < geometries <= ckernel.MAX_GEOMETRIES
+    configs = _ladder_configs(unit_counts)
+    for track_links in (True, False):
+        want = _replay_grid(population, trace, capacities, unit_counts,
+                            track_links)
+        grid = one_pass_grid(population, trace, capacities, configs,
+                             track_links=track_links)
+        for cell, want_cell in zip(grid, want):
+            for name, want_record in want_cell.items():
+                assert dataclasses.asdict(cell[name]) == want_record, (
+                    name, track_links)
+
+
 _COEFFICIENT = st.floats(0.0, 5000.0, allow_nan=False)
 
 
