@@ -6,7 +6,6 @@ from repro.analysis.report import (
     format_table,
 )
 from repro.analysis.parallel import (
-    FaultTolerance,
     SweepError,
     SweepFailure,
     SweepTask,
@@ -55,7 +54,6 @@ __all__ = [
     "format_bar_chart",
     "format_table",
     "Store",
-    "FaultTolerance",
     "SweepError",
     "SweepFailure",
     "SweepTask",

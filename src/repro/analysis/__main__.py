@@ -9,8 +9,8 @@ prints the rendered result.  Examples::
     python -m repro.analysis all --scale 0.1 --trace-accesses 5000
     python -m repro.analysis figure7 --jobs 0        # sweep on all cores
     python -m repro.analysis figure7 --no-cache      # no sweep store I/O
-    python -m repro.analysis figure7 --jobs 4 --task-timeout 600 \
-        --max-retries 3                              # fault-tolerant sweep
+    python -m repro.analysis figure7 --jobs 4 --task-timeout 600  # re-run
+                                     # a pooled task past 600 s in process
     python -m repro.analysis cache-stats             # inspect the sweep store
     python -m repro.analysis cache-clear             # drop stored slabs
     python -m repro.analysis figure6 --check paranoid  # sweep under the
@@ -92,13 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              "this run")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="abandon and retry a sweep task attempt "
-                             "after this many seconds (default: "
-                             "REPRO_SWEEP_TIMEOUT or no timeout)")
-    parser.add_argument("--max-retries", type=int, default=None,
-                        help="pool retries per sweep task before it "
-                             "degrades to in-process execution "
-                             "(default: REPRO_SWEEP_RETRIES or 2)")
+                        help="abandon a pooled sweep task after this "
+                             "many seconds and re-run it in process "
+                             "(default: REPRO_SWEEP_TIMEOUT or no "
+                             "timeout)")
     parser.add_argument("--check", choices=CHECK_LEVELS, default=None,
                         help="run simulations under the invariant "
                              "checker at this level (default: "
@@ -141,8 +138,7 @@ def _sweep_options(args: argparse.Namespace,
     for flag, name, value in (
             ("--jobs", "jobs", args.jobs),
             ("--no-cache", "use_cache", False if args.no_cache else None),
-            ("--task-timeout", "task_timeout", args.task_timeout),
-            ("--max-retries", "max_retries", args.max_retries)):
+            ("--task-timeout", "task_timeout", args.task_timeout)):
         if value is not None:
             try:
                 options = dataclasses.replace(options, **{name: value})
@@ -180,7 +176,6 @@ def _cache_stats_text() -> str:
     rows = store.entries()
     counts = sweepcache.counters()
     total_bytes = sum(path.stat().st_size for path in rows)
-    retries = counts["retries"]
     return "\n".join([
         f"sweep store: {store.root}",
         f"  entries: {len(rows)}   total: {total_bytes / 1024:.1f} KiB   "
@@ -188,8 +183,7 @@ def _cache_stats_text() -> str:
         f"  this process: {counts['hits']} hit(s), "
         f"{counts['misses']} miss(es), {counts['stores']} store(s), "
         f"{counts['store_failures']} store failure(s), "
-        f"{counts['quarantines']} quarantine(s), "
-        f"{retries} task retr{'y' if retries == 1 else 'ies'}",
+        f"{counts['quarantines']} quarantine(s)",
     ])
 
 
@@ -240,10 +234,23 @@ def _run_kernel_check(args: argparse.Namespace) -> bool:
     return report.ok
 
 
-def _run_bench_gate(args: argparse.Namespace) -> bool:
-    """Run (or refresh) the benchmark-regression gate; True on pass."""
+def _run_bench_gate(args: argparse.Namespace,
+                    parser: argparse.ArgumentParser) -> bool:
+    """Run (or refresh) the benchmark-regression gate; True on pass.
+    A baselines file that will not load is a usage error: one line
+    naming the file and why, exit 2."""
+    try:
+        if args.write_baselines:
+            outcome = benchgate.write_baselines(args.baselines,
+                                                args.bench_dir)
+        else:
+            report = benchgate.run_gate(args.baselines, args.bench_dir)
+    except (benchgate.GateError, OSError) as error:
+        reason = (f"{error.filename or args.baselines}: "
+                  f"{error.strerror or error}"
+                  if isinstance(error, OSError) else str(error))
+        parser.exit(2, f"{parser.prog}: error: bench-gate: {reason}\n")
     if args.write_baselines:
-        outcome = benchgate.write_baselines(args.baselines, args.bench_dir)
         print(f"refreshed {len(outcome['updated'])} baseline(s) in "
               f"{args.baselines}: {', '.join(outcome['updated']) or '-'}")
         if outcome["missing"]:
@@ -251,7 +258,6 @@ def _run_bench_gate(args: argparse.Namespace) -> bool:
                   + ", ".join(outcome["missing"]))
             return False
         return True
-    report = benchgate.run_gate(args.baselines, args.bench_dir)
     print(benchgate.render(report))
     return report["ok"]
 
@@ -317,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
                 failed = True
             continue
         if name in _GATE_COMMANDS:
-            if not _run_bench_gate(args):
+            if not _run_bench_gate(args, parser):
                 failed = True
             continue
         result = _call_driver(name, args, options)

@@ -78,10 +78,18 @@ class GateResult:
                 "threshold": self.threshold, "detail": self.detail}
 
 
+def _read_baselines(path: str | Path):
+    """The baselines file's JSON; ``GateError`` if it is not JSON."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as error:
+            raise GateError(f"{path}: not JSON ({error})") from None
+
+
 def load_baselines(path: str | Path) -> list[MetricSpec]:
     """Parse ``baselines.json`` into metric specs (schema-checked)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_baselines(path)
     metrics = data.get("metrics") if isinstance(data, dict) else None
     if not isinstance(metrics, dict) or not metrics:
         raise GateError(f"{path}: expected a non-empty 'metrics' object")
@@ -225,8 +233,7 @@ def write_baselines(baselines: str | Path = DEFAULT_BASELINES,
     only the recorded level moves.  Metrics whose value cannot be read
     are reported (and left untouched) rather than silently dropped.
     """
-    with open(baselines, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_baselines(baselines)
     specs = load_baselines(baselines)
     bench_dir = Path(bench_dir)
     updated, missing = [], []

@@ -1,4 +1,4 @@
-"""Fault-tolerant process-parallel execution of the sweep grid.
+"""Process-parallel execution of the sweep grid, two attempts per task.
 
 The (benchmark, policy, pressure) grid is embarrassingly parallel: every
 grid point is an independent simulation.  The unit of fan-out here is
@@ -11,29 +11,23 @@ instead of a pickled multi-megabyte trace, and the rebuilt workload is
 bit-identical to one built in the parent, making the parallel grid
 field-for-field equal to the serial engine's.
 
-Long sweeps also have to survive the real world: a worker crashes (and
-takes the whole :class:`~concurrent.futures.ProcessPoolExecutor` down
-as a ``BrokenProcessPool``), a straggler hangs forever, a transient
-error fails one slab.  :func:`imap_tasks` therefore submits per-task
-futures instead of ``pool.map``: each task gets a configurable timeout,
-failed or timed-out attempts are retried with exponential backoff and
-deterministic jitter, a broken pool is rebuilt in place, and a task
-that exhausts its retries degrades to in-process serial execution (with
-a warning) rather than killing the sweep.  Everything that was retried,
-timed out, or degraded is recorded in a :class:`SweepFailure` report,
-and completed slabs can stream into a
+A slab is a pure function of its task, so only a failure of the
+process running it — a crashed worker (which breaks the whole pool), a
+hang, a transient error — can heal on a second try.  :func:`imap_tasks`
+therefore gives every task at most two attempts: the first where the
+sweep runs (a pool worker or this process), and, if that one fails,
+one re-run in this process.  What happened is recorded in a
+:class:`SweepFailure` report, and completed slabs can stream into a
 :class:`~repro.analysis.sweepcache.Store`, which later runs load them
-from: a finished sweep is served from disk and an interrupted one
-resumes instead of restarting.
+from: a finished sweep is served from disk and a failed or interrupted
+one resumes instead of restarting.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import os
-import random
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -119,10 +113,10 @@ def task_key(task: SweepTask) -> str:
 
 
 class SweepError(RuntimeError):
-    """A task failed even after retries *and* the serial fallback.
+    """A task failed both its attempts.
 
     Carries the :class:`SweepFailure` report accumulated so far, so the
-    caller can see what had already been retried or degraded before the
+    caller can see what had already timed out or been re-run before the
     sweep gave up.
     """
 
@@ -133,19 +127,17 @@ class SweepError(RuntimeError):
 
 @dataclass
 class SweepFailure:
-    """What the fault-tolerant executor had to do to finish a sweep.
+    """What the executor had to do to finish a sweep.
 
-    An all-empty report means every task succeeded first try (or was
-    loaded from the store).  ``retried`` and ``timeouts`` count
-    recovery events per benchmark, ``degraded`` lists tasks that
-    exhausted their pool retries and ran in-process instead, ``errors``
-    keeps the last failure message per benchmark, and
-    ``resumed``/``simulated`` split the task list by whether a stored
-    slab satisfied it.
+    An all-empty report means every task succeeded on its first attempt
+    (or was loaded from the store).  ``timeouts`` lists the tasks whose
+    pooled attempt passed its timeout, ``degraded`` the tasks re-run in
+    this process, ``errors`` keeps the last failure message per
+    benchmark, and ``resumed``/``simulated`` split the task list by
+    whether a stored slab satisfied it.
     """
 
-    retried: dict[str, int] = field(default_factory=dict)
-    timeouts: dict[str, int] = field(default_factory=dict)
+    timeouts: list[str] = field(default_factory=list)
     degraded: list[str] = field(default_factory=list)
     errors: dict[str, str] = field(default_factory=dict)
     resumed: list[str] = field(default_factory=list)
@@ -153,66 +145,27 @@ class SweepFailure:
 
     @property
     def clean(self) -> bool:
-        """True when no fault-recovery machinery had to engage."""
-        return not (self.retried or self.timeouts
-                    or self.degraded or self.errors)
+        """True when no task needed a second attempt."""
+        return not (self.timeouts or self.degraded or self.errors)
 
     def summary(self) -> str:
         parts = [
             f"{len(self.simulated)} simulated",
             f"{len(self.resumed)} loaded from the store",
         ]
-        if self.retried:
-            parts.append(f"{sum(self.retried.values())} retries")
         if self.timeouts:
-            parts.append(f"{sum(self.timeouts.values())} timeouts")
+            parts.append(f"{len(self.timeouts)} timeouts")
         if self.degraded:
-            parts.append(f"{len(self.degraded)} degraded to serial")
+            parts.append(f"{len(self.degraded)} re-run in process")
         return ", ".join(parts)
 
 
-@dataclass(frozen=True)
-class FaultTolerance:
-    """Retry/timeout policy for one sweep run.
-
-    ``task_timeout`` is wall-clock seconds one pooled attempt may take
-    before being abandoned (``None`` = never).  ``max_retries`` bounds
-    *additional* pooled attempts after the first; a task that fails
-    ``1 + max_retries`` pooled attempts degrades to one in-process
-    attempt.  Backoff before retry *n* is
-    ``min(backoff_base * 2**(n-1), backoff_cap)`` plus up to 25 %
-    deterministic jitter (seeded per task key, so schedules are
-    reproducible but tasks don't retry in lockstep).
-    """
-
-    task_timeout: float | None = None
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError(f"task_timeout must be positive (or None), "
-                             f"got {self.task_timeout}")
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-
-    @classmethod
-    def of(cls, task_timeout: float | None = None,
-           max_retries: int | None = None) -> FaultTolerance:
-        """The default policy with *task_timeout* and, unless ``None``,
-        *max_retries* laid over it."""
-        if max_retries is None:
-            return cls(task_timeout)
-        return cls(task_timeout, max_retries)
-
-    def backoff_delay(self, key: str, retry_number: int) -> float:
-        base = min(self.backoff_base * (2 ** (retry_number - 1)),
-                   self.backoff_cap)
-        jitter = random.Random(f"{key}:{retry_number}").uniform(0.0, 0.25)
-        return base * (1.0 + jitter)
+def check_timeout(task_timeout: float | None) -> None:
+    """``ValueError`` unless *task_timeout* is a valid per-attempt limit:
+    positive seconds, or ``None`` for none."""
+    if task_timeout is not None and task_timeout <= 0:
+        raise ValueError(f"task_timeout must be positive (or None), "
+                         f"got {task_timeout}")
 
 
 def usable_cpus() -> int:
@@ -366,9 +319,9 @@ def _attempt_task(task: SweepTask, key: str, attempt: int) -> list[GridRecord]:
     """One attempt at a task's slab, reporting into the fault registry.
 
     Top-level (picklable) so it can be submitted to a process pool; the
-    1-based *attempt* index lets a :class:`~repro.faults.FaultPlan`
-    schedule failures per attempt deterministically even when retries
-    land on different worker processes.
+    *attempt* index (1 or 2) lets a :class:`~repro.faults.FaultPlan`
+    fail the first attempt and let the re-run through, whichever
+    process runs each.
     """
     faults.fire("sweep.worker", key=key, attempt=attempt)
     return simulate_task(task)
@@ -395,23 +348,25 @@ def _check_slab(records) -> list[GridRecord]:
 def imap_tasks(
     tasks: Sequence[SweepTask],
     jobs: int | None = 0,
-    tolerance: FaultTolerance | None = None,
+    task_timeout: float | None = None,
     checkpoints: Store | None = None,
     failure: SweepFailure | None = None,
 ) -> Iterator[list[GridRecord]]:
     """Yield one record batch per task, in task order.
 
     With an effective worker count of one (or a single outstanding
-    task) everything runs inline; otherwise tasks fan out as individual
-    futures over a process pool governed by *tolerance* (timeouts,
-    retries with backoff, serial degradation, pool rebuild on
-    ``BrokenProcessPool``).  When *checkpoints* is given, a task whose
+    task) every first attempt runs inline; otherwise first attempts fan
+    out over a process pool (:func:`_run_pooled`).  A first attempt
+    that raises, dies with a broken pool or passes *task_timeout*
+    seconds in a worker (``None``: never) is re-run once in this
+    process with a ``RuntimeWarning``; a re-run that fails raises
+    :class:`SweepError`.  When *checkpoints* is given, a task whose
     slab the store holds under its :func:`task_key` is loaded instead
     of simulated, and every freshly simulated slab is stored as soon as
     it completes.  *failure* (a :class:`SweepFailure`, created if
     omitted) accumulates what the executor had to recover from.
     """
-    tolerance = tolerance if tolerance is not None else FaultTolerance()
+    check_timeout(task_timeout)
     report = failure if failure is not None else SweepFailure()
     keys = [task_key(task) for task in tasks]
     names = [task.spec.name for task in tasks]
@@ -432,176 +387,112 @@ def imap_tasks(
             checkpoints.store(keys[index], records)
         results[index] = records
 
+    def rerun(index: int) -> None:
+        name = names[index]
+        report.degraded.append(name)
+        warnings.warn(
+            f"sweep task {name!r}: "
+            f"{report.errors.get(name, 'its pool was shut down')}; "
+            "re-running it in process",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        try:
+            records = _attempt_task(tasks[index], keys[index], 2)
+        except Exception as exc:
+            report.errors[name] = repr(exc)
+            raise SweepError(f"sweep task {name!r} failed both attempts: "
+                             f"{exc!r}", failure=report) from exc
+        finish(index, records)
+
     jobs = resolve_jobs(jobs, task_count=len(pending) or 1)
     if jobs <= 1:
         for index in pending:
-            finish(index, _run_inline(tasks[index], keys[index],
-                                      names[index], tolerance, report))
+            try:
+                records = _attempt_task(tasks[index], keys[index], 1)
+            except Exception as exc:
+                report.errors[names[index]] = repr(exc)
+                rerun(index)
+            else:
+                finish(index, records)
     elif pending:
-        _run_pooled(tasks, pending, keys, names, jobs,
-                    tolerance, report, finish)
+        for index in _run_pooled(tasks, pending, keys, names, jobs,
+                                 task_timeout, report, finish):
+            rerun(index)
     for index in range(len(tasks)):
         yield results[index]
 
 
-def _run_inline(task: SweepTask, key: str, name: str,
-                tolerance: FaultTolerance, report: SweepFailure,
-                first_attempt: int = 1,
-                max_retries: int | None = None) -> list[GridRecord]:
-    """Run one task in-process, retrying failures up to the budget."""
-    budget = tolerance.max_retries if max_retries is None else max_retries
-    attempt = first_attempt
-    while True:
-        try:
-            return _attempt_task(task, key, attempt)
-        except Exception as exc:
-            report.errors[name] = repr(exc)
-            used = attempt - first_attempt
-            if used >= budget:
-                raise SweepError(
-                    f"sweep task {name!r} failed after "
-                    f"{used + 1} in-process attempt(s): {exc!r}",
-                    failure=report,
-                ) from exc
-            report.retried[name] = report.retried.get(name, 0) + 1
-            sweepcache.note_retry()
-            time.sleep(tolerance.backoff_delay(key, used + 1))
-            attempt += 1
+def _run_pooled(tasks, pending, keys, names, jobs, task_timeout,
+                report: SweepFailure, finish) -> list[int]:
+    """Run the first attempt of each *pending* task on a pool of *jobs*
+    workers; return the tasks left for a re-run, in task order.
 
-
-def _run_pooled(tasks, pending, keys, names, jobs,
-                tolerance: FaultTolerance, report: SweepFailure,
-                finish) -> None:
-    """Fan *pending* task indices out over a self-healing process pool."""
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    #: future -> (task index, attempt, deadline or None)
+    At most *jobs* attempts are in flight, so an attempt's deadline
+    starts when a worker is free to run it.  An attempt that raises is
+    left for the re-run while the pool carries on; a timeout or a
+    broken pool ends the pool, and every unfinished task is left too.
+    """
+    waiting = list(reversed(pending))
+    #: future -> (task index, monotonic time it was submitted)
     inflight: dict = {}
-    #: min-heap of (ready_time, task index, next attempt)
-    retry_queue: list[tuple[float, int, int]] = []
-    #: (task index, next attempt) pairs that exhausted pool retries
-    degraded: list[tuple[int, int]] = []
-    saw_timeout = False
-
-    def submit(index: int, attempt: int) -> None:
-        nonlocal pool
-        deadline = (time.monotonic() + tolerance.task_timeout
-                    if tolerance.task_timeout is not None else None)
-        try:
-            future = pool.submit(_attempt_task, tasks[index],
-                                 keys[index], attempt)
-        except (BrokenProcessPool, RuntimeError):
-            # The previous attempt's crash broke the executor; rebuild
-            # it and resubmit on the fresh pool.
-            pool.shutdown(wait=True, cancel_futures=True)
-            pool = ProcessPoolExecutor(max_workers=jobs)
-            future = pool.submit(_attempt_task, tasks[index],
-                                 keys[index], attempt)
-        inflight[future] = (index, attempt, deadline)
-
-    def retry_or_degrade(index: int, attempt: int) -> None:
-        # ``attempt`` is 1-based, so retries used so far = attempt - 1.
-        if attempt - 1 < tolerance.max_retries:
-            report.retried[names[index]] = (
-                report.retried.get(names[index], 0) + 1
-            )
-            sweepcache.note_retry()
-            delay = tolerance.backoff_delay(keys[index], attempt)
-            heapq.heappush(retry_queue,
-                           (time.monotonic() + delay, index, attempt + 1))
-        else:
-            degraded.append((index, attempt + 1))
-
+    failed: list[int] = []
+    healthy = True
+    pool = ProcessPoolExecutor(max_workers=jobs)
     try:
-        for index in pending:
-            submit(index, 1)
-        while inflight or retry_queue:
-            now = time.monotonic()
-            while retry_queue and retry_queue[0][0] <= now:
-                _, index, attempt = heapq.heappop(retry_queue)
-                submit(index, attempt)
-            waits = []
-            if retry_queue:
-                waits.append(retry_queue[0][0] - now)
-            deadlines = [deadline for (_, _, deadline) in inflight.values()
-                         if deadline is not None]
-            if deadlines:
-                waits.append(min(deadlines) - now)
-            if not inflight:
-                # Nothing running; sleep until the next retry is due.
-                time.sleep(max(0.0, min(waits)))
-                continue
-            timeout = max(0.01, min(waits)) if waits else None
-            done, _ = wait(set(inflight), timeout=timeout,
+        while healthy and (waiting or inflight):
+            try:
+                while waiting and len(inflight) < jobs:
+                    index = waiting[-1]
+                    future = pool.submit(_attempt_task, tasks[index],
+                                         keys[index], 1)
+                    inflight[future] = (waiting.pop(), time.monotonic())
+            except BrokenProcessPool:
+                healthy = False
+                break
+            timeout = None
+            if task_timeout is not None:
+                oldest = min(started for _, started in inflight.values())
+                timeout = max(0.0, oldest + task_timeout - time.monotonic())
+            done, _ = wait(inflight, timeout=timeout,
                            return_when=FIRST_COMPLETED)
-            pool_broke = False
             for future in done:
-                index, attempt, _ = inflight.pop(future)
+                index, _ = inflight.pop(future)
                 try:
                     records = future.result()
-                except BrokenProcessPool as exc:
-                    report.errors[names[index]] = repr(exc)
-                    pool_broke = True
-                    retry_or_degrade(index, attempt)
                 except Exception as exc:
                     report.errors[names[index]] = repr(exc)
-                    retry_or_degrade(index, attempt)
+                    failed.append(index)
+                    if isinstance(exc, BrokenProcessPool):
+                        healthy = False
                 else:
                     finish(index, records)
-            if pool_broke:
-                # Every sibling future on the broken pool will surface
-                # its own BrokenProcessPool next iteration; replace the
-                # executor now so retries land on a healthy pool.  The
-                # broken pool's workers are already dead, so a waiting
-                # shutdown returns promptly (and keeps interpreter exit
-                # from tripping over its half-closed pipes).
-                pool.shutdown(wait=True, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=jobs)
             now = time.monotonic()
-            for future, (index, attempt, deadline) in list(inflight.items()):
-                if deadline is None or deadline > now or future.done():
-                    continue
-                del inflight[future]
-                future.cancel()  # no-op if already running; we abandon it
-                saw_timeout = True
-                report.timeouts[names[index]] = (
-                    report.timeouts.get(names[index], 0) + 1
-                )
-                report.errors[names[index]] = (
-                    f"timed out after {tolerance.task_timeout}s "
-                    f"(attempt {attempt})"
-                )
-                retry_or_degrade(index, attempt)
+            for future, (index, started) in inflight.items():
+                if (task_timeout is not None and not future.done()
+                        and now - started >= task_timeout):
+                    report.timeouts.append(names[index])
+                    report.errors[names[index]] = (
+                        f"timed out after {task_timeout}s"
+                    )
+                    healthy = False
     finally:
-        if saw_timeout:
-            # Hung workers would block a waiting shutdown forever:
-            # abandon the pool and put the stragglers down.
-            pool.shutdown(wait=False, cancel_futures=True)
+        if not healthy:
+            # Hung workers would block a waiting shutdown forever, and
+            # a broken pool's are dead already: put the pool down.
             _terminate_workers(pool)
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-    for index, attempt in degraded:
-        report.degraded.append(names[index])
-        warnings.warn(
-            f"sweep task {names[index]!r} exhausted "
-            f"{tolerance.max_retries} pool retries; degrading to "
-            f"in-process serial execution",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        # Last resort: one in-process attempt, no timeout.  If this
-        # also fails the sweep legitimately cannot proceed.
-        finish(index, _run_inline(tasks[index], keys[index], names[index],
-                                  tolerance, report,
-                                  first_attempt=attempt, max_retries=0))
+        pool.shutdown(wait=True, cancel_futures=True)
+    return sorted(failed + [index for index, _ in inflight.values()]
+                  + waiting)
 
 
 def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-    """Forcibly kill workers left hung past their task timeout.
+    """Forcibly kill the workers of a pool the sweep abandons.
 
     An abandoned (timed-out) attempt keeps running inside its worker;
-    without this, interpreter shutdown would block joining it.  Reaches
-    into the executor's process table because the public API offers no
-    kill switch; best-effort by design.
+    without this, shutdown would block joining it.  Reaches into the
+    executor's process table because the public API offers no kill
+    switch; best-effort by design.
     """
     processes = getattr(pool, "_processes", None) or {}
     for process in list(processes.values()):

@@ -26,9 +26,9 @@ from typing import Callable, Iterable, Sequence
 from repro.analysis import sweepcache
 from repro.analysis.kernel import KernelConfig, one_pass_grid
 from repro.analysis.parallel import (
-    FaultTolerance,
     GridRecord,
     SweepFailure,
+    check_timeout,
     estimate_task_accesses,
     imap_tasks,
     plan_jobs,
@@ -286,7 +286,6 @@ def run_sweep_parallel(
     jobs: int = 0,
     progress: Callable[[str], None] | None = None,
     task_timeout: float | None = None,
-    max_retries: int | None = None,
     checkpoints: Store | None = None,
     one_pass: bool = True,
 ) -> SweepResult:
@@ -300,15 +299,14 @@ def run_sweep_parallel(
     identical to :func:`run_sweep`'s on the same specs.  The policy
     specs travel as canonical JSON and are part of each slab's key.
 
-    Execution is fault tolerant: attempts that fail or exceed
-    *task_timeout* seconds are retried up to *max_retries* times
-    (default :class:`~repro.analysis.parallel.FaultTolerance`'s) with
-    exponential backoff, tasks that exhaust retries degrade to
-    in-process execution, and when *checkpoints* (a
-    :class:`~repro.analysis.sweepcache.Store`) is given slabs it holds
-    are loaded instead of simulated and each simulated slab is stored
-    there as it completes.  The returned grid's ``fault_report``
-    records what was retried, timed out, degraded, or loaded.
+    Each task gets at most two attempts: a first attempt that fails,
+    or that a pool worker runs past *task_timeout* seconds, is re-run
+    once in this process (see :mod:`repro.analysis.parallel`).  When
+    *checkpoints* (a :class:`~repro.analysis.sweepcache.Store`) is
+    given, slabs it holds are loaded instead of simulated and each
+    simulated slab is stored there as it completes.  The returned
+    grid's ``fault_report`` records what timed out, was re-run in
+    process, or was loaded.
     """
     pressures = tuple(pressures)
     started = time.perf_counter()
@@ -323,10 +321,9 @@ def run_sweep_parallel(
         track_links=track_links,
         one_pass=one_pass,
     )
-    tolerance = FaultTolerance.of(task_timeout, max_retries)
     failure = SweepFailure()
     stats: dict[tuple[str, str, float], SimulationStats] = {}
-    batches = imap_tasks(tasks, jobs, tolerance=tolerance,
+    batches = imap_tasks(tasks, jobs, task_timeout=task_timeout,
                          checkpoints=checkpoints, failure=failure)
     for task, batch in zip(tasks, batches):
         for benchmark, policy, pressure, record in batch:
@@ -363,7 +360,6 @@ _ENVIRONMENT = {
     "jobs": ("REPRO_SWEEP_JOBS", int),
     "use_cache": ("REPRO_SWEEP_CACHE", _parse_flag),
     "task_timeout": ("REPRO_SWEEP_TIMEOUT", float),
-    "max_retries": ("REPRO_SWEEP_RETRIES", int),
 }
 
 
@@ -374,30 +370,28 @@ class SweepOptions:
     ``jobs`` is the worker count (``None``/1 inline, 0 all cores, N
     workers, capped by :func:`~repro.analysis.parallel.plan_jobs`),
     ``use_cache`` the on-disk sweep store (off: no disk I/O at all),
-    and ``task_timeout`` and ``max_retries`` bound each pooled task
-    attempt (``None`` keeps
-    :class:`~repro.analysis.parallel.FaultTolerance`'s defaults: no
-    timeout, 2 retries).  None of them changes the grid.
+    and ``task_timeout`` the seconds a pooled first attempt may run
+    before it is abandoned and re-run in process (``None``: no
+    timeout).  None of them changes the grid.
     """
 
     jobs: int | None = None
     use_cache: bool = True
     task_timeout: float | None = None
-    max_retries: int | None = None
 
     def __post_init__(self) -> None:
         # The range rules live with the engine that applies them.
         resolve_jobs(self.jobs)
-        FaultTolerance.of(self.task_timeout, self.max_retries)
+        check_timeout(self.task_timeout)
 
     @classmethod
     def from_env(cls) -> SweepOptions:
-        """The options ``REPRO_SWEEP_JOBS``, ``REPRO_SWEEP_CACHE``,
-        ``REPRO_SWEEP_TIMEOUT`` and ``REPRO_SWEEP_RETRIES`` set, the
-        rest at their defaults; the one reader of those variables.  A
-        blank variable means the default; ``REPRO_SWEEP_CACHE`` takes
-        1/0, on/off, true/false or yes/no in any case.  Anything else
-        raises ``ValueError`` naming the variable.
+        """The options ``REPRO_SWEEP_JOBS``, ``REPRO_SWEEP_CACHE`` and
+        ``REPRO_SWEEP_TIMEOUT`` set, the rest at their defaults; the
+        one reader of those variables.  A blank variable means the
+        default; ``REPRO_SWEEP_CACHE`` takes 1/0, on/off, true/false or
+        yes/no in any case.  Anything else raises ``ValueError`` naming
+        the variable.
         """
         options = cls()
         for name, (variable, parse) in _ENVIRONMENT.items():
@@ -434,9 +428,12 @@ def full_sweep(
     :func:`~repro.analysis.sweepcache.cache_dir` when present and
     stored there when simulated, so a second process loads the whole
     grid and an interrupted sweep re-simulates only its unfinished
-    benchmarks.  ``task_timeout`` and ``max_retries`` bound each task
-    attempt.  The ladder runs on the one-pass kernel unless a check
-    level is active or the C kernel cannot load.
+    benchmarks.  A task whose first attempt fails (or passes
+    ``task_timeout`` in a pool worker) is re-run once in process; if
+    that fails too, :class:`~repro.analysis.parallel.SweepError` is
+    raised and rerunning resumes from the stored slabs.  The ladder
+    runs on the one-pass kernel unless a check level is active or the
+    C kernel cannot load.
     """
     pressures = tuple(pressures)
     unit_counts = tuple(unit_counts)
@@ -460,7 +457,6 @@ def full_sweep(
         jobs=plan_jobs(options.jobs, task_count=len(planned),
                        per_task_accesses=per_task),
         task_timeout=options.task_timeout,
-        max_retries=options.max_retries,
         checkpoints=(sweepcache.default_store() if options.use_cache
                      else None),
     )

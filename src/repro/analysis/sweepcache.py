@@ -21,8 +21,8 @@ The store is hardened against dirty state and bad disks:
 * A write that fails (disk full, permissions, an unpicklable value)
   warns and returns None; the caller already has its value, so a
   failed store never fails the run.
-* One set of process counters (hits, misses, stores, store failures,
-  quarantines and sweep-task retries) backs the CLI's ``cache-stats``.
+* One set of process counters (hits, misses, stores, store failures
+  and quarantines) backs the CLI's ``cache-stats``.
 
 The policy search and the service tier keep their own state in a
 :class:`Store` at their own roots: the search its state and candidate
@@ -66,7 +66,6 @@ _COUNTERS = {
     "stores": 0,
     "store_failures": 0,
     "quarantines": 0,
-    "retries": 0,
 }
 
 
@@ -261,11 +260,6 @@ def clear() -> int:
     """Empty the sweep store, quarantine included; returns files
     removed.  Other roots under it (the search's) are left alone."""
     return default_store().clear()
-
-
-def note_retry() -> None:
-    """Record one sweep-task retry (surfaced by ``cache-stats``)."""
-    _COUNTERS["retries"] += 1
 
 
 def counters() -> dict[str, int]:

@@ -22,14 +22,15 @@ Design constraints, in order:
   plan publishes it both in this process (module global) and through
   the ``REPRO_FAULT_PLAN`` environment variable as JSON, so forked and
   spawned workers observe the same plan; per-attempt triggering keys on
-  the attempt number the parent passes in, never on per-process call
-  counters, so retries that land on a different worker still see a
-  coherent schedule.
+  the attempt number the executor passes in (1 for a task's first
+  attempt, 2 for its in-process re-run), never on per-process call
+  counters, so the schedule holds whichever process runs each attempt.
 
 Named fault points wired into production code:
 
 ========================  ====================================================
-``sweep.worker``          entry of one sweep task attempt (parallel or inline)
+``sweep.worker``          entry of one sweep task attempt (pooled or inline
+                          first attempt 1, in-process re-run attempt 2)
 ``cache.load``            bytes of a stored value (a sweep slab, the search's
                           state), before unpickling
 ``cache.store``           bytes of a value to store, before the round-trip
@@ -144,10 +145,11 @@ class FaultSpec:
     """One scheduled fault.
 
     ``times`` selects *which* calls fire: the spec triggers on call (or
-    attempt) indices ``1..times`` at its point, so ``times=1`` fails the
-    first attempt and lets every retry through, while ``times=3``
-    outlasts two retries.  ``keys`` restricts the spec to specific task
-    keys (``None`` hits every key).
+    attempt) indices ``1..times`` at its point, so at ``sweep.worker``
+    ``times=1`` fails a task's first attempt and lets its re-run
+    through, while ``times=2`` fails both and the sweep raises.
+    ``keys`` restricts the spec to specific task keys (``None`` hits
+    every key).
     """
 
     point: str
@@ -273,13 +275,13 @@ def fire(point: str, key: str | None = None,
          attempt: int | None = None, data: bytes | None = None):
     """Report one call at *point*; inject whatever the armed plan says.
 
-    ``attempt`` is the 1-based attempt index supplied by callers with
-    retry semantics (the sweep executor); without it, a process-local
-    per-(point, key) counter numbers the calls.  ``data`` is returned
-    unchanged unless a ``corrupt`` spec fires, in which case a
-    deterministically damaged copy comes back.  ``raise`` specs raise
-    :class:`InjectedFault`; ``hang`` specs sleep for ``hang_seconds``
-    (long enough to trip any reasonable task timeout).
+    ``attempt`` is the 1-based attempt index supplied by callers that
+    re-run work (the sweep executor: 1, then 2 for the re-run); without
+    it, a process-local per-(point, key) counter numbers the calls.
+    ``data`` is returned unchanged unless a ``corrupt`` spec fires, in
+    which case a deterministically damaged copy comes back.  ``raise``
+    specs raise :class:`InjectedFault`; ``hang`` specs sleep for
+    ``hang_seconds`` (long enough to trip any reasonable task timeout).
     """
     current = _PLAN if _ENV_SCANNED else active_plan()
     if current is None:

@@ -6,9 +6,10 @@ seeded mutants, repeat.  Three properties matter more than cleverness:
 
 * **The evaluation backend is the sweep engine.**  Candidates travel as
   JSON policy specs through ``run_sweep_parallel(policy_specs=...)``,
-  so scoring inherits the engine's fan-out, per-task retries/timeouts
-  and stored slabs for free; a generation whose process died
-  mid-evaluation re-simulates only its unfinished benchmark slabs.
+  so scoring inherits the engine's fan-out, its in-process re-run of a
+  failed task and its stored slabs for free; a generation whose
+  process died mid-evaluation re-simulates only its unfinished
+  benchmark slabs.
 
 * **Fitness is the paper's.**  A candidate's score is the unified
   Eq. 1 miss rate over the fitness set at one high pressure factor,
@@ -224,7 +225,7 @@ def _evaluate_policies(
     fitness.
 
     The specs ride ``run_sweep_parallel(policy_specs=...)`` across the
-    registry benchmarks (fan-out, retries, stored slabs); the
+    registry benchmarks (fan-out, re-runs, stored slabs); the
     hostile scenarios are combined workloads without a registry spec,
     so they run through the serial engine.
     """

@@ -27,11 +27,13 @@ arena and an unshared one (every tenant on private entries), reporting
 dedup ratio, peak bytes saved and the unified miss-rate delta (the
 ``dedup`` section of ``BENCH_service.json``).
 
-Determinism note: the chaos driver sends batches in ``sync`` mode,
-round-robin across tenants from a single task, so every arena applies
-batches in one fixed interleaving.  That is what makes the
-field-identical comparison meaningful — and it is exactly the
-interleaving the write-ahead log re-creates on replay.
+Determinism note: the chaos drill and the dedup A/B send batches in
+``sync`` mode, round-robin across tenants from a single task
+(:func:`_drive_round_robin`), so every arena applies batches in one
+fixed interleaving.  That is what makes the chaos drill's
+field-identical comparison meaningful and the dedup numbers exact —
+and it is exactly the interleaving the write-ahead log re-creates on
+replay.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from repro.service import protocol
 from repro.service.client import (
     ResilientClient,
     ServiceClient,
-    run_load,
     tenant_benchmarks,
     tenant_spec,
 )
@@ -146,30 +147,77 @@ async def run_scale_bench(root: str | Path, config: ServiceConfig,
     }
 
 
+async def _drive_round_robin(clients: list[ResilientClient],
+                             traces: list[list[int]], batch: int,
+                             events: dict[int, list] | None = None) -> None:
+    """Send each client's trace in *batch*-access chunks, one chunk per
+    client per round in client order, all from this one task.
+
+    With sync clients every arena then applies the batches in one fixed
+    interleaving — the one its write-ahead log re-creates on replay —
+    so two runs of the same traffic give the same stats.  *events* maps
+    a round number to callbacks awaited before that round's chunks.
+    """
+    events = events or {}
+    longest = max(len(trace) for trace in traces)
+    for batch_round, start in enumerate(range(0, longest, batch)):
+        for callback in events.get(batch_round, ()):
+            await callback()
+        for client, trace in zip(clients, traces):
+            chunk = trace[start:start + batch]
+            if chunk:
+                await client.access(chunk)
+
+
 async def _run_dedup_side(config: ServiceConfig, tenants: int,
                           benchmark: str, scale: float, accesses: int,
                           batch: int) -> dict:
     """One side of the dedup A/B: an in-process server on *config*, N
     tenants all replaying the *same* seeded workload (common seed —
-    sizes, links and trace identical), sharing as *config* says."""
+    sizes, links and trace identical), sharing as *config* says, driven
+    round-robin in sync mode so the side's stats are deterministic."""
+    spec = tenant_spec(f"tenant-0:{benchmark}", benchmark, scale, accesses,
+                       seed=1000, share_content=config.sharing)
+    names = [f"tenant-{index}:{benchmark}" for index in range(tenants)]
     service = CacheService(config)
     await service.start()
+    clients = [
+        ResilientClient([(config.host, service.port)], name,
+                        block_sizes=spec["block_sizes"], sync=True,
+                        block_digests=spec.get("block_digests"))
+        for name in names
+    ]
     try:
-        report = await run_load(
-            config.host, service.port, tenants,
-            benchmarks=[benchmark], scale=scale, accesses=accesses,
-            batch=batch, share_content=config.sharing, common_seed=1000,
-        )
+        for client in clients:
+            await client.connect()
+        started = time.monotonic()
+        await _drive_round_robin(clients, [spec["trace"]] * tenants, batch)
+        farewells = [await client.close_session() for client in clients]
+        elapsed = time.monotonic() - started
     finally:
+        for client in clients:
+            await client.aclose()
+        await service.wait_disconnected()
         await service.drain()
     arena = service.arena.to_dict()
+    total = tenants * len(spec["trace"])
     return {
-        "elapsed_seconds": report["elapsed_seconds"],
-        "accesses_per_second": report["accesses_per_second"],
-        "unified_miss_rate": report["unified"]["miss_rate"],
+        "elapsed_seconds": elapsed,
+        "accesses_per_second": total / elapsed if elapsed > 0 else 0.0,
+        "unified_miss_rate": farewells[-1]["unified"]["miss_rate"],
         "peak_resident_bytes": arena["peak_resident_bytes"],
         "peak_logical_bytes": arena["peak_logical_bytes"],
-        "per_tenant": report["per_tenant"],
+        "per_tenant": [
+            {
+                "tenant": name,
+                "benchmark": benchmark,
+                "accesses": len(spec["trace"]),
+                "miss_rate": farewell["tenant"]["miss_rate"],
+                "evicted_bytes": farewell["tenant"]["evicted_bytes"],
+                "retried_requests": client.retried_requests,
+            }
+            for name, client, farewell in zip(names, clients, farewells)
+        ],
         "arena": arena,
     }
 
@@ -325,18 +373,9 @@ async def _run_chaos_fleet(root: Path, config: ServiceConfig, shards: int,
             events.setdefault(schedule["destroy_round"],
                               []).append(destroy_wal)
 
-        traces = [spec["trace"] for spec in specs]
-        longest = max(len(trace) for trace in traces)
         started = time.monotonic()
-        batch_round = 0
-        for start in range(0, longest, batch):
-            for callback in events.get(batch_round, ()):
-                await callback()
-            batch_round += 1
-            for client, trace in zip(clients, traces):
-                chunk = trace[start:start + batch]
-                if chunk:
-                    await client.access(chunk)
+        await _drive_round_robin(clients, [spec["trace"] for spec in specs],
+                                 batch, events)
 
         stats = {}
         reconnects = resends_skipped = replayed_batches = 0

@@ -215,6 +215,8 @@ class CacheService:
         self.sessions_admitted = 0
         self.sessions_rejected = 0
         self._server: asyncio.Server | None = None
+        #: Live connection handlers (see :meth:`wait_disconnected`).
+        self._handlers: set[asyncio.Task] = set()
 
     # -- Admission ----------------------------------------------------------
 
@@ -346,6 +348,14 @@ class CacheService:
             self.arena.snapshot_now()
         self.arena.check_now()
 
+    async def wait_disconnected(self) -> None:
+        """Return once every connection handler has ended: for an
+        in-process harness whose clients have all hung up, so that its
+        event loop's shutdown never cancels a handler still closing its
+        transport (Python 3.11 logs that as an error)."""
+        if self._handlers:
+            await asyncio.wait(set(self._handlers))
+
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
@@ -353,6 +363,9 @@ class CacheService:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
         session: Session | None = None
         try:
             while True:

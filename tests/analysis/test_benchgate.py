@@ -205,6 +205,39 @@ class TestCli:
         refreshed = json.loads(baselines.read_text())
         assert refreshed["metrics"]["rate"]["baseline"] == 9.0
 
+    @pytest.mark.parametrize("write", (False, True))
+    def test_missing_baselines_is_a_one_line_usage_error(
+            self, tmp_path, monkeypatch, capsys, write):
+        # The default path is cwd-relative; from elsewhere it is absent.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            analysis_main(["bench-gate", "--bench-dir", str(tmp_path)]
+                          + ["--write-baselines"] * write)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert benchgate.DEFAULT_BASELINES in err
+        assert "No such file" in err
+
+    @pytest.mark.parametrize("write", (False, True))
+    @pytest.mark.parametrize("content,reason", (
+        ('{"metrics": {}}', "non-empty"),
+        ("not json", "not JSON"),
+    ))
+    def test_malformed_baselines_is_a_one_line_usage_error(
+            self, tmp_path, capsys, write, content, reason):
+        baselines = tmp_path / "baselines.json"
+        baselines.write_text(content)
+        with pytest.raises(SystemExit) as excinfo:
+            analysis_main(["bench-gate", "--baselines", str(baselines),
+                           "--bench-dir", str(tmp_path)]
+                          + ["--write-baselines"] * write)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(baselines) in err and reason in err
+        assert baselines.read_text() == content
+
     def test_committed_baselines_parse(self):
         specs = benchgate.load_baselines("benchmarks/baselines.json")
         names = {spec.name for spec in specs}

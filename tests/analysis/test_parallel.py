@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis import sweep
 from repro.analysis.parallel import (
     SweepTask,
     canonical_specs,
@@ -68,22 +69,33 @@ class TestResolveJobs:
 
 class TestEnvKnobs:
     def test_unset_env_means_none(self, monkeypatch):
-        for name in ("REPRO_SWEEP_JOBS", "REPRO_SWEEP_TIMEOUT",
-                     "REPRO_SWEEP_RETRIES"):
+        for name in ("REPRO_SWEEP_JOBS", "REPRO_SWEEP_TIMEOUT"):
             monkeypatch.delenv(name, raising=False)
         options = SweepOptions.from_env()
         assert options.jobs is None
         assert options.task_timeout is None
-        assert options.max_retries is None
 
     def test_valid_values_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "4")
         monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "2.5")
-        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "0")
         options = SweepOptions.from_env()
         assert options.jobs == 4
         assert options.task_timeout == 2.5
-        assert options.max_retries == 0
+
+    def test_only_the_three_sweep_variables_are_read(self, monkeypatch):
+        read = []
+
+        class Environ(dict):
+            def get(self, name, default=None):
+                read.append(name)
+                return super().get(name, default)
+
+        monkeypatch.setattr(sweep.os, "environ", Environ())
+        assert SweepOptions.from_env() == SweepOptions()
+        assert sorted(read) == ["REPRO_SWEEP_CACHE", "REPRO_SWEEP_JOBS",
+                                "REPRO_SWEEP_TIMEOUT"]
+        assert [field.name for field in dataclasses.fields(SweepOptions)
+                ] == ["jobs", "use_cache", "task_timeout"]
 
     def test_bad_jobs_value_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "many")
@@ -93,22 +105,16 @@ class TestEnvKnobs:
         with pytest.raises(ValueError, match="REPRO_SWEEP_JOBS"):
             SweepOptions.from_env()
 
-    def test_bad_timeout_and_retries_name_their_variables(self,
-                                                          monkeypatch):
+    def test_bad_timeout_names_its_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "soon")
         with pytest.raises(ValueError, match="REPRO_SWEEP_TIMEOUT"):
             SweepOptions.from_env()
         monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "-1")
         with pytest.raises(ValueError, match="REPRO_SWEEP_TIMEOUT"):
             SweepOptions.from_env()
-        monkeypatch.delenv("REPRO_SWEEP_TIMEOUT")
-        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "-3")
-        with pytest.raises(ValueError, match="REPRO_SWEEP_RETRIES"):
-            SweepOptions.from_env()
 
     def test_constructor_holds_the_range_checks(self):
-        for bad in ({"jobs": -1}, {"task_timeout": 0},
-                    {"max_retries": -1}):
+        for bad in ({"jobs": -1}, {"task_timeout": 0}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 SweepOptions(**bad)
 

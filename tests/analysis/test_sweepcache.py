@@ -155,13 +155,6 @@ class TestHardening:
         assert not list(cache_dir.glob("*.pkl"))
         assert sweepcache.counters()["store_failures"] == 1
 
-    def test_retry_counter_is_exposed(self):
-        sweepcache.reset_counters()
-        sweepcache.note_retry()
-        sweepcache.note_retry()
-        assert sweepcache.counters()["retries"] == 2
-        sweepcache.reset_counters()
-
 
 class TestMaintenance:
     def test_entries_and_clear(self, cache_dir):

@@ -1,11 +1,19 @@
-"""The chaos drill's tenant placement: two distinct tenants on every
-shard, so each faulted shard recovers two interleaved tenants from its
-write-ahead log (and, under sharing, co-owned entries)."""
+"""The fleet benches' setup: the chaos drill's tenant placement (two
+distinct tenants on every shard, so each faulted shard recovers two
+interleaved tenants from its write-ahead log and, under sharing,
+co-owned entries) and the dedup A/B's determinism."""
+
+import asyncio
 
 import pytest
 
-from repro.service.bench import CHAOS_TENANTS_PER_SHARD, _chaos_specs
+from repro.service.bench import (
+    CHAOS_TENANTS_PER_SHARD,
+    _chaos_specs,
+    run_dedup_bench,
+)
 from repro.service.router import HashRing, RouterConfig
+from repro.service.server import ServiceConfig
 
 SHARDS = [f"shard-{index}" for index in range(4)]
 
@@ -43,3 +51,23 @@ class TestChaosSpecs:
         specs = _specs(sharing=False)
         assert len({spec["seed"] for spec in specs}) == len(specs)
         assert all("block_digests" not in spec for spec in specs)
+
+
+class TestDedupIsDeterministic:
+    def test_two_runs_report_the_same_numbers(self):
+        """Both sides drive their tenants round-robin from one task, so
+        the arena's interleaving, and with it every reported count and
+        rate, is the same run to run."""
+        def run() -> dict:
+            report = asyncio.run(run_dedup_bench(
+                ServiceConfig(capacity_bytes=64 * 1024), tenants=3,
+                benchmark="gzip", scale=0.25, accesses=3000, batch=128))
+            for side in ("sharing_off", "sharing_on"):
+                for key in ("elapsed_seconds", "accesses_per_second"):
+                    report[side].pop(key)
+            return report
+
+        first = run()
+        assert first["miss_rate_delta"] > 0
+        assert first["bytes_saved"] > 0
+        assert run() == first

@@ -155,6 +155,23 @@ class TestTcpProtocol:
 
         asyncio.run(scenario())
 
+    def test_wait_disconnected_outlasts_every_handler(self):
+        """Once the clients hang up, nothing of the server is left for
+        the event loop's shutdown to cancel."""
+        async def scenario():
+            service = _service()
+            await service.start()
+            for _ in range(3):
+                client = await ServiceClient.connect("127.0.0.1",
+                                                     service.port)
+                assert (await client.ping())["ok"]
+                await client.aclose()
+            await asyncio.wait_for(service.wait_disconnected(), timeout=10)
+            await service.drain()
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+
+        asyncio.run(scenario())
+
     def test_malformed_line_answered_not_fatal(self):
         async def scenario():
             service = _service()

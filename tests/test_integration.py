@@ -174,21 +174,21 @@ class TestCli:
 
         monkeypatch.setattr(experiments, "full_sweep", full_sweep)
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "3")
-        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "5")
+        monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "5")
         monkeypatch.setenv("REPRO_SWEEP_CACHE", "on")
         with pytest.raises(Swept):
             analysis_main(["figure7", "--task-timeout", "9", "--no-cache"])
         assert seen["options"] == SweepOptions(
-            jobs=3, use_cache=False, task_timeout=9.0, max_retries=5)
+            jobs=3, use_cache=False, task_timeout=9.0)
 
     @pytest.mark.parametrize("argv,env,named", (
         (["--jobs", "-1"], {}, "--jobs"),
         (["--task-timeout", "0"], {}, "--task-timeout"),
-        (["--max-retries", "-1"], {}, "--max-retries"),
+        (["--task-timeout", "-2.5"], {}, "--task-timeout"),
         ([], {"REPRO_SWEEP_JOBS": "many"}, "REPRO_SWEEP_JOBS"),
         ([], {"REPRO_SWEEP_TIMEOUT": "-1"}, "REPRO_SWEEP_TIMEOUT"),
         ([], {"REPRO_SWEEP_TIMEOUT": "soon"}, "REPRO_SWEEP_TIMEOUT"),
-        ([], {"REPRO_SWEEP_RETRIES": "-3"}, "REPRO_SWEEP_RETRIES"),
+        ([], {"REPRO_SWEEP_JOBS": "-2"}, "REPRO_SWEEP_JOBS"),
         ([], {"REPRO_SWEEP_CACHE": "disabled"}, "REPRO_SWEEP_CACHE"),
     ))
     def test_bad_sweep_option_names_its_source(self, capsys, monkeypatch,
