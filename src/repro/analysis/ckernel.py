@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.links import BACKPOINTER_ENTRY_BYTES
 
 #: The C kernel packs residency into a 64-bit word per block, one bit
-#: per geometry; wider grids are split by the caller.
+#: per geometry; the caller runs wider grids in chunks of this many.
 MAX_GEOMETRIES = 64
 
 KIND_CODES = {"flush": 0, "unit": 1, "fifo": 2}

@@ -18,7 +18,8 @@ geometries a block is *missing* from pay their miss path, walked kind
 by kind over the missing bits.  Hits are derived
 (``accesses - misses``) rather than counted.  Up to
 :data:`~repro.analysis.ckernel.MAX_GEOMETRIES` geometries share a
-traversal, which covers every standard grid.
+traversal, which covers every standard grid; a wider custom grid runs
+in chunks of that many, one traversal each.
 
 The traversal itself is C (``_onepass.c``, loaded by
 :mod:`repro.analysis.ckernel`).  This module resolves a grid into
@@ -307,18 +308,17 @@ def one_pass_grid(
     ladder = [key for key in geometries if key[0] != "priority"]
     scored = [key for key in geometries if key[0] == "priority"]
 
-    if len(ladder) > ckernel.MAX_GEOMETRIES:
-        return _split_grid(superblocks, trace, capacities, configs,
-                           overhead_model=overhead_model,
-                           track_links=track_links, benchmark=benchmark)
-
     population = _population(superblocks)
     if track_links or scored:
         population.ensure_links(superblocks)
     counters: dict[tuple, dict] = {}
-    if ladder:
-        counters.update(zip(ladder, _ladder_counters(
-            population, trace, ladder, track_links)))
+    # One traversal holds MAX_GEOMETRIES residency bits; wider custom
+    # grids run in chunks of that many.
+    width = ckernel.MAX_GEOMETRIES
+    for start in range(0, len(ladder), width):
+        chunk = ladder[start:start + width]
+        counters.update(zip(chunk, _ladder_counters(
+            population, trace, chunk, track_links)))
     if scored:
         from repro.search.expr import compile_program
         cells = [(capacity_bytes, compile_program(expression))
@@ -368,24 +368,3 @@ def _ladder_counters(population, trace, geometries, track_links):
             caps[index] = key[1]
     return ckernel.run_geometries(population, trace, kinds, caps, ucaps,
                                   ucounts, track_links)
-
-
-def _split_grid(superblocks, trace, capacities, configs, **shared):
-    """Run a grid with more distinct ladder geometries than one C
-    traversal holds (:data:`~repro.analysis.ckernel.MAX_GEOMETRIES`) as
-    two half grids: halve the capacity axis, or the config axis when
-    only one capacity remains.  Standard grids never get here; custom
-    ``--pressures`` lists and ladders can."""
-    if len(capacities) > 1:
-        half = len(capacities) // 2
-        return (one_pass_grid(superblocks, trace, capacities[:half],
-                              configs, **shared)
-                + one_pass_grid(superblocks, trace, capacities[half:],
-                                configs, **shared))
-    half = len(configs) // 2
-    left = one_pass_grid(superblocks, trace, capacities, configs[:half],
-                         **shared)
-    right = one_pass_grid(superblocks, trace, capacities, configs[half:],
-                          **shared)
-    return [{**head, **tail} for head, tail in zip(left, right)]
-

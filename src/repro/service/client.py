@@ -66,12 +66,16 @@ class ServiceClient:
         return cls(reader, writer)
 
     @classmethod
-    async def request_once(cls, host: str, port: int,
-                           message: dict) -> dict:
-        """Connect, make one round trip, close (admin ops, pings)."""
-        client = await cls.connect(host, port)
+    async def request_once(cls, host: str, port: int, message: dict,
+                           timeout: float | None = None) -> dict:
+        """Connect, make one round trip, close (admin ops, pings).
+
+        With *timeout*, the connection and the reply must each come
+        within that many seconds, or ``asyncio.TimeoutError`` is raised.
+        """
+        client = await asyncio.wait_for(cls.connect(host, port), timeout)
         try:
-            return await client.request(message)
+            return await asyncio.wait_for(client.request(message), timeout)
         finally:
             await client.aclose()
 

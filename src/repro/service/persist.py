@@ -10,9 +10,11 @@ temp-file-and-replace writes, quarantine instead of silent deletion):
   object with its live cache state, the tenant table with per-tenant
   Equation 1 stats and exactly-once watermarks, the unified counters),
   written every ``snapshot_interval`` arena accesses and atomically
-  replaced.  A snapshot records the write-ahead-log sequence it covers,
-  so replay after a crash between "snapshot written" and "log
-  truncated" simply skips the already-covered records.
+  replaced.  A snapshot is taken under the arena lock after the last
+  append, so it covers every logged record; it records the
+  write-ahead-log sequence it covers, so replay after a crash between
+  "snapshot written" and "logs deleted" simply skips the
+  already-covered records.
 * **Write-ahead log** — one JSON line per arena mutation (attach,
   access batch, detach), appended and flushed *inside the same critical
   section that applies it*, so the log's record order is exactly the
@@ -23,9 +25,12 @@ temp-file-and-replace writes, quarantine instead of silent deletion):
 
 Recovery (:func:`recover_arena`) loads the latest snapshot — verifying
 it against the worker's configuration fingerprint, quarantining a
-corrupt or mismatched one — then replays the log tail on top.  The
-result is an arena whose per-tenant stats are field-identical to the
-moment each logged batch was applied; a resumed session learns its
+corrupt or mismatched one — then replays the log tail on top, and ends
+by setting both logs (primary and standby) to exactly the records it
+applied.  No append ever follows a torn, corrupt or unreplayed line,
+so a second crash loses nothing the first recovery kept.  The result
+is an arena whose per-tenant stats are field-identical to the moment
+each logged batch was applied; a resumed session learns its
 ``applied_seq`` watermark from the hello response and resends
 everything after it.
 
@@ -42,10 +47,10 @@ quarantine and replay what is trustworthy — never crashes the worker.
 
 **Bounded WAL growth**: a snapshot is only trusted after a round-trip
 verification (load the stored blob back, re-check the configuration
-fingerprint); then the WAL is *rotated* — rewritten atomically keeping
-exactly the suffix of records the snapshot does not cover — and the
-rotation is mirrored to the standby.  A crash between "snapshot
-written" and "log rotated" only means replay skips covered records.
+fingerprint); then the logs are *rotated*: since the snapshot covers
+every logged record, both the primary and the standby log are deleted.
+A crash between "snapshot written" and "logs deleted" only means
+replay skips covered records.
 
 Fault points: ``service.snapshot`` covers the snapshot bytes on both
 the store and load sides (``corrupt`` mode damages them, which the
@@ -87,8 +92,10 @@ DEFAULT_SNAPSHOT_INTERVAL = 50_000
 _RECORD_TYPES = ("attach", "access", "detach")
 
 
-class RecoveryError(RuntimeError):
-    """Recovery could not produce a usable arena at all."""
+def _encode(record: dict) -> bytes:
+    """One WAL line."""
+    return json.dumps(record, separators=(",", ":"),
+                      sort_keys=True).encode("utf-8") + b"\n"
 
 
 def fingerprint_digest(fingerprint: dict | None) -> str | None:
@@ -168,8 +175,7 @@ class ArenaPersister:
             return
         self.wal_seq += 1
         record["seq"] = self.wal_seq
-        line = json.dumps(record, separators=(",", ":"),
-                          sort_keys=True).encode("utf-8") + b"\n"
+        line = _encode(record)
         handle = self._wal()
         handle.write(line)
         # Flush to the OS so a SIGKILLed worker loses nothing it
@@ -265,14 +271,14 @@ class ArenaPersister:
         """Persist *state* atomically; True when the blob was written
         *and verified*.
 
-        The WAL is only rotated after a round-trip verification: the
-        stored blob is loaded back, unpickled, and its configuration
-        fingerprint re-checked.  A blob that fails verification is
-        quarantined and the WAL keeps every record, so the worst a
-        torn snapshot write costs is replay time, never data.  On
-        success the snapshot is replicated to the standby and the WAL
-        rotated down to exactly the suffix the snapshot does not cover
-        (normally empty), with the rotation mirrored to the standby.
+        *state* must cover every logged record (the arena takes it
+        under its lock, after the last append).  The logs are only
+        rotated after a round-trip verification: the stored blob is
+        loaded back, unpickled, and its configuration fingerprint
+        re-checked.  A blob that fails verification is quarantined and
+        the WAL keeps every record, so the worst a torn snapshot write
+        costs is replay time, never data.  On success the snapshot is
+        replicated to the standby and both logs are deleted.
         """
         state = dict(state)
         state["wal_seq"] = self.wal_seq
@@ -300,7 +306,8 @@ class ArenaPersister:
                 self.standby_snapshots += 1
             else:
                 self.standby_errors += 1
-        self._truncate_wal(keep_after_seq=self.snapshot_seq)
+        self._set_logs(b"")
+        self.wal_rotations += 1
         return True
 
     def _verify_snapshot(self, state: dict) -> bool:
@@ -334,56 +341,31 @@ class ArenaPersister:
             return False
         return True
 
-    def _truncate_wal(self, keep_after_seq: int) -> None:
-        """Rotate the WAL down to records with ``seq > keep_after_seq``.
+    def _set_logs(self, payload: bytes) -> None:
+        """Set the primary and the standby log to exactly *payload*,
+        deleting both when it is empty.  Appends reopen the files.
 
-        The retained suffix is rewritten atomically (temp file and
-        replace), and the same suffix is pushed to the standby — which
-        doubles as a repair: a standby whose copy diverged (torn line,
-        injected corruption) is refreshed from the primary's bytes.
+        Rotation after a verified snapshot deletes both; recovery sets
+        both to the records it applied, which also re-syncs a standby
+        whose copy diverged (torn line, injected corruption).  A
+        standby that cannot be written is counted, never fatal.
         """
-        if self._wal_file is not None:
-            self._wal_file.close()
-            self._wal_file = None
-        try:
-            raw = self.wal_path.read_bytes()
-        except FileNotFoundError:
-            raw = b""
-        retained: list[bytes] = []
-        for line in raw.split(b"\n"):
-            if not line.strip():
-                continue
+        self.close()
+        for path in (self.wal_path, self.standby_wal_path):
+            if path is None:
+                continue  # no standby
             try:
-                record = json.loads(line)
-                seq = record["seq"]
-            except Exception:
-                continue  # torn tail: never applied, never retained
-            if isinstance(seq, int) and seq > keep_after_seq:
-                retained.append(line + b"\n")
-        suffix = b"".join(retained)
-        self._rewrite_wal(self.wal_path, suffix)
-        self.wal_rotations += 1
-        if self.standby_root is not None:
-            if self._standby_wal_file is not None:
-                self._standby_wal_file.close()
-                self._standby_wal_file = None
-            try:
-                self.standby_root.mkdir(parents=True, exist_ok=True)
-                self._rewrite_wal(self.standby_wal_path, suffix)
+                if not payload:
+                    path.unlink(missing_ok=True)
+                    continue
+                path.parent.mkdir(parents=True, exist_ok=True)
+                temp = path.with_suffix(".tmp")
+                temp.write_bytes(payload)
+                temp.replace(path)
             except OSError:
+                if path == self.wal_path:
+                    raise
                 self.standby_errors += 1
-
-    @staticmethod
-    def _rewrite_wal(path: Path, payload: bytes) -> None:
-        if not payload:
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
-            return
-        temp = path.with_suffix(".tmp")
-        temp.write_bytes(payload)
-        temp.replace(path)
 
     def load_snapshot(self, expected_fingerprint: dict) -> dict | None:
         """The latest snapshot state, or None (quarantining bad blobs).
@@ -548,7 +530,8 @@ def recover_arena(
     Returns ``(arena, report)``.  The arena is always usable: a missing
     or quarantined snapshot degrades to WAL-only replay, a damaged WAL
     record stops replay there (the remainder is quarantined with the
-    log file), and an empty directory yields a fresh arena.
+    log file), and an empty directory yields a fresh arena.  Both logs
+    end holding exactly the records replay applied.
     """
     from repro.service.tenancy import (
         SharedArena,
@@ -591,6 +574,7 @@ def recover_arena(
     persister._accesses_at_snapshot = arena.total_accesses
 
     max_seq = snapshot_seq
+    applied: list[bytes] = []
     persister.replaying = True
     try:
         for record in persister.read_wal():
@@ -616,9 +600,11 @@ def recover_arena(
                 )
                 break
             persister.records_replayed += 1
+            applied.append(_encode(record))
             max_seq = seq
     finally:
         persister.replaying = False
+    persister._set_logs(b"".join(applied))
     persister.wal_seq = max(max_seq, persister.wal_seq)
     persister.recovered = state is not None or persister.records_replayed > 0
     persister.recovery_seconds = time.monotonic() - started

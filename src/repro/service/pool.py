@@ -44,10 +44,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from repro.service import protocol
 from repro.service.server import ServiceConfig, serve_arguments
 
-#: Seconds to wait for a spawned worker to answer its first ping.
+#: Seconds to wait for a spawned worker's ready handshake.
 DEFAULT_READY_TIMEOUT = 20.0
 
 #: Admission limit of a pool's workers unless its config says
@@ -146,11 +145,9 @@ class WorkerPool:
                 *serve_arguments(config)]
 
     async def start(self) -> None:
-        """Spawn every worker and wait until each answers a ping."""
+        """Spawn every worker and wait for each one's ready handshake."""
         for handle in self.workers.values():
             await self._spawn(handle)
-        for handle in self.workers.values():
-            await self._wait_ready(handle)
 
     async def _spawn(self, handle: WorkerHandle) -> None:
         env = dict(os.environ)
@@ -173,7 +170,11 @@ class WorkerPool:
         )
 
     async def _handshake(self, handle: WorkerHandle) -> None:
-        """Read the worker's JSON ready line and learn its bound port."""
+        """Read the worker's JSON ready line and learn its bound port.
+
+        A worker prints that line only once recovery has finished and
+        its listener accepts connections, so the handshake is the whole
+        readiness check."""
         deadline = asyncio.get_running_loop().time() + self.ready_timeout
         while True:
             remaining = deadline - asyncio.get_running_loop().time()
@@ -217,37 +218,6 @@ class WorkerPool:
             while await stream.readline():
                 pass
 
-    async def _wait_ready(self, handle: WorkerHandle) -> None:
-        deadline = (asyncio.get_running_loop().time()
-                    + self.ready_timeout)
-        while True:
-            if not handle.alive:
-                raise WorkerError(
-                    f"{handle.shard_id} exited with code "
-                    f"{handle.process.returncode} before becoming ready"
-                )
-            try:
-                reader, writer = await asyncio.open_connection(
-                    handle.host, handle.port
-                )
-                writer.write(protocol.encode({"op": "ping"}))
-                await writer.drain()
-                reply = protocol.decode_line(await reader.readline())
-                writer.close()
-                with contextlib.suppress(ConnectionError, OSError):
-                    await writer.wait_closed()
-                if reply.get("ok"):
-                    return
-            except (ConnectionError, OSError, protocol.ProtocolError):
-                pass
-            if asyncio.get_running_loop().time() >= deadline:
-                raise WorkerError(
-                    f"{handle.shard_id} not ready on "
-                    f"{handle.host}:{handle.port} within "
-                    f"{self.ready_timeout}s"
-                )
-            await asyncio.sleep(0.05)
-
     async def kill(self, shard_id: str) -> None:
         """SIGKILL a worker — the crash the recovery story is for."""
         handle = self.workers[shard_id]
@@ -257,14 +227,13 @@ class WorkerPool:
 
     async def restart(self, shard_id: str) -> None:
         """Bring a (killed or dead) worker back on its original port
-        and snapshot directory; blocks until it answers a ping —
+        and snapshot directory; blocks until its ready handshake —
         i.e. until recovery (snapshot load + WAL replay) finished."""
         handle = self.workers[shard_id]
         if handle.alive:
             await self.kill(shard_id)
         handle.restarts += 1
         await self._spawn(handle)
-        await self._wait_ready(handle)
 
     async def spawn_shard(self,
                           shard_id: str | None = None) -> WorkerHandle:
@@ -279,7 +248,6 @@ class WorkerPool:
         handle = self._new_handle(shard_id)
         try:
             await self._spawn(handle)
-            await self._wait_ready(handle)
         except BaseException:
             self.workers.pop(handle.shard_id, None)
             raise

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 from repro import faults
 from repro.service import protocol
+from repro.service.client import ServiceClient
 
 #: Virtual nodes per shard on the ring; more → smoother balance.
 DEFAULT_VNODES = 64
@@ -522,20 +523,11 @@ class ServiceRouter:
         feeds the circuit breakers."""
         health: dict[str, bool] = {}
         for shard_id, (host, port) in sorted(self.shards.items()):
-            healthy = False
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port), timeout
-                )
-                writer.write(protocol.encode({"op": "ping"}))
-                await writer.drain()
-                reply = protocol.decode_line(
-                    await asyncio.wait_for(reader.readline(), timeout)
+                reply = await ServiceClient.request_once(
+                    host, port, {"op": "ping"}, timeout=timeout
                 )
                 healthy = bool(reply.get("ok"))
-                writer.close()
-                with contextlib.suppress(ConnectionError, OSError):
-                    await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.TimeoutError,
                     protocol.ProtocolError):
                 healthy = False

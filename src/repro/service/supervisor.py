@@ -39,10 +39,10 @@ skipped entirely — a retired worker is not a crashed one.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import time
 
 from repro.service import protocol
+from repro.service.client import ServiceClient
 
 #: Seconds between probe rounds.
 DEFAULT_INTERVAL = 0.5
@@ -140,18 +140,10 @@ class ShardSupervisor:
         if not handle.alive:
             return False
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(handle.host, handle.port),
-                self.probe_timeout,
+            reply = await ServiceClient.request_once(
+                handle.host, handle.port, {"op": "ping"},
+                timeout=self.probe_timeout,
             )
-            writer.write(protocol.encode({"op": "ping"}))
-            await writer.drain()
-            reply = protocol.decode_line(await asyncio.wait_for(
-                reader.readline(), self.probe_timeout
-            ))
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
         except (ConnectionError, OSError, asyncio.TimeoutError,
                 protocol.ProtocolError):
             return False

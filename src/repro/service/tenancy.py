@@ -35,9 +35,9 @@ capacity) and serves every tenant from it:
   identical translations across tenants become *one* refcounted arena
   entry.  A tenant whose content another tenant already inserted joins
   as a co-owner on a plain cache hit (the dedup win: N tenants running
-  the same benchmark occupy ~1× the bytes); per-tenant chaining/eviction
-  metadata (the FIFO ``order`` deque, the ``resident`` set) stays
-  copy-on-write per tenant, so reclaim decisions remain tenant-local.
+  the same benchmark occupy ~1× the bytes); per-tenant eviction metadata
+  (the insertion-ordered ``resident`` map) stays copy-on-write per
+  tenant, so reclaim decisions remain tenant-local.
   Eviction of a shared entry is *deferred* until the last owner
   releases it; a policy-driven eviction attributes the physical bytes
   across the owners with an exact largest-remainder split, and the
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 from repro.core.cache import ConfigurationError
@@ -78,8 +77,9 @@ DEFAULT_MAX_BLOCK_BYTES = 8192
 
 #: Bumped when the snapshot layout changes incompatibly; part of the
 #: fingerprint, so an older snapshot is quarantined, not misread.
-#: v3: every tenant's blocks are entries of one table.
-SNAPSHOT_VERSION = 3
+#: v3: every tenant's blocks are entries of one table.  v4: a tenant's
+#: residency is one insertion-ordered map (no separate FIFO deque).
+SNAPSHOT_VERSION = 4
 
 
 def arena_fingerprint(policy: str, capacity_bytes: int,
@@ -195,10 +195,10 @@ class TenantState:
         self.stats = SimulationStats(benchmark=name,
                                      overhead_model=overhead_model)
         self.resident_bytes = 0
-        #: Resident gids in insertion order — the victim order for
-        #: quota and pressure reclaim (oldest first, FIFO-faithful).
-        self.order: deque[int] = deque()
-        self.resident: set[int] = set()
+        #: The gids the tenant owns, in the order each last entered
+        #: (``gid -> None``): the victim order for quota and pressure
+        #: reclaim, oldest first, FIFO-faithful.
+        self.resident: dict[int, None] = {}
         self.quota_reclaims = 0
         self.quota_reclaimed_bytes = 0
         self.detached = False
@@ -518,7 +518,6 @@ class SharedArena:
             if tenant.resident:
                 self._release(tenant, list(tenant.resident), tenant.stats)
             tenant.attributed_bytes = 0.0
-            tenant.order.clear()
             tenant.detached = True
             del self._tenants[name]
             self._closed_stats.append(tenant.stats)
@@ -617,8 +616,7 @@ class SharedArena:
             size = self._blocks.sizes()[gid]
             self.table.owners[gid].add(tenant.slot)
             tenant.attributed_bytes += size
-            tenant.resident.add(gid)
-            tenant.order.append(gid)
+            tenant.resident[gid] = None
             tenant.resident_bytes += size
             self._resident_bytes += size
             self._logical_bytes += size
@@ -648,8 +646,7 @@ class SharedArena:
             )
         tenant.attributed_bytes += size / (n + 1)
         owners.add(tenant.slot)
-        tenant.resident.add(gid)
-        tenant.order.append(gid)
+        tenant.resident[gid] = None
         tenant.resident_bytes += size
         self._logical_bytes += size
         self.table.shared_joins += 1
@@ -680,7 +677,7 @@ class SharedArena:
                     owner.stats.evicted_blocks += 1
                     owner.stats.evicted_bytes += size
                     owner.attributed_bytes -= size
-                    owner.resident.discard(gid)
+                    owner.resident.pop(gid, None)
                     owner.resident_bytes -= size
                     self._logical_bytes -= size
                     self._resident_bytes -= size
@@ -693,7 +690,7 @@ class SharedArena:
                     owner.stats.evicted_bytes += base + (1 if i < extra
                                                          else 0)
                     owner.attributed_bytes -= size / n
-                    owner.resident.discard(gid)
+                    owner.resident.pop(gid, None)
                     owner.resident_bytes -= size
                     self._logical_bytes -= size
                 owners.clear()
@@ -725,7 +722,7 @@ class SharedArena:
                     size / m - size / n
                 )
             tenant.attributed_bytes -= size / n
-            tenant.resident.discard(gid)
+            tenant.resident.pop(gid, None)
             tenant.resident_bytes -= size
             self._logical_bytes -= size
             table.deferred_releases += 1
@@ -738,21 +735,16 @@ class SharedArena:
 
     def _release_oldest(self, tenant: TenantState, needed: float,
                         stats) -> float:
-        """Walk the tenant's FIFO order releasing its oldest claims
-        until the *attributed* charge released covers *needed*.  A block
-        evicted and re-inserted sits in the order twice; it is released
-        once."""
+        """Release the tenant's oldest claims, in ``resident`` order,
+        until the *attributed* charge released covers *needed*."""
         victims: list[int] = []
-        chosen: set[int] = set()
         est = 0.0
         sizes = self._blocks.sizes()
         owners_of = self.table.owners
-        while tenant.order and est < needed:
-            gid = tenant.order.popleft()
-            if gid not in tenant.resident or gid in chosen:
-                continue  # already evicted/released, or a stale entry
+        for gid in tenant.resident:
+            if est >= needed:
+                break
             victims.append(gid)
-            chosen.add(gid)
             est += sizes[gid] / len(owners_of[gid])
         if not victims:
             return 0.0

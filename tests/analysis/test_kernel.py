@@ -286,8 +286,8 @@ class TestEngines:
     def test_wide_grids_split_past_c_geometry_cap(self, monkeypatch):
         # 17 distinct unit counts x 2 capacities = 34 geometries fit one
         # 64-bit residency word: one traversal.  At 4 capacities the 68
-        # geometries are past it, so the grid splits by capacity.  Both
-        # must match replay.
+        # geometries are past it, so they run in chunks of 64 and 4.
+        # Both must match replay.
         blocks = [Superblock(i, 32, links=(i,)) for i in range(40)]
         population = SuperblockSet(blocks)
         trace = [i % 40 for i in range(400)]
@@ -296,7 +296,7 @@ class TestEngines:
         traversals = self._count_traversals(monkeypatch)
         for capacities, want in (([32 * 20, 32 * 23], [34]),
                                  ([32 * 20, 32 * 23, 32 * 26, 32 * 29],
-                                  [34, 34])):
+                                  [64, 4])):
             traversals.clear()
             grid = one_pass_grid(population, trace, capacities, configs)
             assert traversals == want
@@ -321,8 +321,8 @@ class TestEngines:
         assert grid[0] == _replay(blocks, workload.trace, capacity, counts)
 
         # 69 distinct unit counts plus fine FIFO at one capacity: more
-        # geometries than one residency word holds, and no capacity
-        # axis left to split, so the config axis splits.
+        # geometries than one residency word holds, so they run in
+        # chunks of 64 and 6.
         population, sids = _population(count=120, size=16)
         # A 90-block working set that shifts every 270 accesses.
         trace = [sids[(i % 90 + 13 * (i // 270)) % 120]
@@ -332,7 +332,7 @@ class TestEngines:
         configs = _ladder_configs(counts)
         traversals.clear()
         grid = one_pass_grid(population, trace, [capacity], configs)
-        assert traversals == [35, 35]
+        assert traversals == [64, 6]
         assert list(grid[0]) == [config.name for config in configs]
         assert grid[0] == _replay(population, trace, capacity, counts)
 

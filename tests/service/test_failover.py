@@ -79,8 +79,8 @@ class TestVerifiedRotation:
             persister = service.persister
             assert persister.wal_path.exists()
             assert service.arena.snapshot_now()
-            # The snapshot covers every record: the rotation keeps an
-            # empty suffix, i.e. removes the log — primary and standby.
+            # The snapshot covers every record: the rotation deletes
+            # both logs, primary and standby.
             assert persister.wal_rotations == 1
             assert persister.snapshot_verifications == 1
             assert not persister.wal_path.exists()
@@ -225,6 +225,39 @@ class TestPromotion:
             assert restarted.recovery["replay_truncated"] == 1
             assert restarted.recovery["records_replayed"] == 0
             assert not restarted.arena.has_tenant("t")
+            await restarted.drain()
+            await service.drain()
+
+        asyncio.run(scenario())
+
+    def test_tenant_attached_after_a_torn_promotion_survives_a_crash(
+            self, tmp_path):
+        """Recovery after a promotion over a torn first line empties
+        both logs, so a tenant attached afterwards is logged from the
+        first line on and comes back after the next crash."""
+        async def scenario():
+            with faults.plan(faults.FaultSpec(point="service.standby",
+                                              mode="corrupt", times=1)):
+                service = _service(tmp_path)
+                await _stream(service, "t", [list(range(16))] * 2)
+            shutil.rmtree(tmp_path / "primary")
+            promoted = _service(tmp_path)
+            assert promoted.recovery["standby_promoted"]
+            assert promoted.recovery["replay_truncated"] == 1
+            session, seq = await _stream(promoted, "u",
+                                         [list(range(16))] * 3)
+            reference = await session.stats()
+            # A crash before any snapshot.
+            restarted = _service(tmp_path)
+            assert restarted.arena.has_tenant("u")
+            assert restarted.arena.applied_seq("u") == seq == 3
+            assert restarted.recovery["replay_truncated"] == 0
+            resumed = restarted.open_session("u", resume=True)
+            assert await resumed.stats() == reference
+            # Recovery re-synced the standby: its log is the primary's.
+            persister = restarted.persister
+            assert (persister.standby_wal_path.read_bytes()
+                    == persister.wal_path.read_bytes())
             await restarted.drain()
             await service.drain()
 

@@ -79,7 +79,7 @@ def _arena(policy: str, sharing: str, pressure: bool) -> SharedArena:
 
 def _tenant_state(arena: SharedArena) -> list[tuple]:
     return [(t.name, t.stats, t.resident, t.attributed_bytes,
-             t.resident_bytes, list(t.order), t.quota_reclaims,
+             t.resident_bytes, list(t.resident), t.quota_reclaims,
              t.quota_reclaimed_bytes) for t in arena.tenants()]
 
 

@@ -85,7 +85,7 @@ class TestRestartRecovery:
         asyncio.run(scenario())
 
     def test_snapshot_skips_covered_records(self, tmp_path):
-        """A crash between snapshot-write and WAL-truncate must not
+        """A crash between snapshot-write and WAL deletion must not
         double-apply: replay skips records at or below the snapshot's
         sequence."""
         async def scenario():
@@ -94,8 +94,8 @@ class TestRestartRecovery:
                 service, "t", [list(range(16))] * 3
             )
             assert service.arena.snapshot_now()
-            # Simulate the torn window: re-append pre-snapshot records
-            # after the truncate, as if the unlink never happened.
+            # Simulate the torn window: put a pre-snapshot record back
+            # in front of the log, as if the unlink never happened.
             persister = service.persister
             covered = persister.snapshot_seq
             session.submit(list(range(16)), seq=seq + 1)
@@ -329,6 +329,36 @@ class TestDegradedArtifacts:
             assert restarted.recovery["replay_truncated"] == 1
             resumed = restarted.open_session("t", resume=True)
             assert await resumed.stats() == reference
+            await restarted.drain()
+
+        asyncio.run(scenario())
+
+    def test_batches_after_a_torn_tail_survive_a_second_crash(self,
+                                                                tmp_path):
+        """Recovery leaves the log holding exactly the records it
+        applied, so nothing appended afterwards sits behind the torn
+        line where the next replay would stop."""
+        async def scenario():
+            service = _service(tmp_path, snapshot_interval=10**9)
+            await _stream(service, "t", [list(range(16))] * 3)
+            with open(service.persister.wal_path, "ab") as handle:
+                handle.write(b'{"type":"access","tenant":"t","si')
+            recovered = _service(tmp_path, snapshot_interval=10**9)
+            assert recovered.recovery["replay_truncated"] == 1
+            session, seq = await _stream(
+                recovered, "t", [list(range(16))] * 4, seq_start=4,
+                resume=True,
+            )
+            reference = await session.stats()
+            # A second crash, before any snapshot.
+            restarted = _service(tmp_path, snapshot_interval=10**9)
+            assert restarted.arena.applied_seq("t") == seq == 7
+            resumed = restarted.open_session("t", resume=True)
+            after = await resumed.stats()
+            assert after["accesses"] == 112
+            assert after == reference
+            assert restarted.recovery["replay_truncated"] == 0
+            assert restarted.recovery["records_replayed"] == 8
             await restarted.drain()
 
         asyncio.run(scenario())

@@ -1,6 +1,7 @@
 """The shared arena: private entries, per-tenant accounting, quotas,
 and Memshare-style pressure reclaim — all under invariant checking."""
 
+import pickle
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from repro.core.policies import (
     policy_from_spec,
 )
 from repro.service.tenancy import SharedArena, TenantQuota
+from repro.workloads.registry import build_workload, get_benchmark
 
 
 def _sizes(count, seed=0, low=64, high=2048):
@@ -232,6 +234,32 @@ class TestQuotas:
         assert arena.pressure_reclaims == 0
         arena.check_now()
 
+    def test_reclaim_releases_a_reinserted_block_at_its_latest_position(
+            self):
+        """A block the policy evicted and the tenant inserted again is
+        the tenant's newest claim: quota reclaim releases older ones
+        first."""
+        arena = _arena(policy_from_spec("fifo"), capacity=8 * 1024,
+                       check_level="paranoid")
+        arena.attach("t", [1024] * 4, TenantQuota(quota_bytes=3 * 1024))
+        arena.attach("hog", [1024] * 6)
+        for sid in range(3):
+            arena.access("t", sid)
+        for sid in range(6):  # the ninth KiB evicts t's oldest block
+            arena.access("hog", sid)
+        tenant = arena.tenants()[0]
+        a, b, c, d = tenant.block_map
+        assert set(tenant.resident) == {b, c}
+        assert tenant.stats.evicted_blocks == 1
+        arena.detach("hog")
+        arena.access("t", 0)  # back in, at quota: nothing reclaimed
+        assert tenant.quota_reclaims == 0
+        arena.access("t", 3)  # over quota by one block
+        assert tenant.quota_reclaims == 1
+        assert b not in tenant.resident and a in tenant.resident
+        assert list(tenant.resident) == [c, a, d]
+        arena.check_now()
+
     def test_quota_reclaim_attributed_to_owner(self):
         arena = _arena(capacity=64 * 1024, check_level="light")
         arena.attach("t", [1024] * 32, TenantQuota(quota_bytes=4 * 1024))
@@ -277,6 +305,80 @@ class TestPressureReclaim:
             _arena(pressure_threshold=1.5)
         with pytest.raises(ConfigurationError, match="reclaim_fraction"):
             _arena(pressure_threshold=0.5, reclaim_fraction=0.9)
+
+
+class TestResidencyOrder:
+    """``TenantState.resident`` is exactly the gids the tenant owns, in
+    the order each last entered: the order reclaim walks."""
+
+    @pytest.mark.parametrize("sharing", ("off", "common"))
+    @pytest.mark.parametrize("policy_spec", ("8-unit", "fifo", "gen"))
+    def test_resident_is_owned_gids_in_entry_order(self, policy_spec,
+                                                   sharing):
+        arena = SharedArena(policy_from_spec(policy_spec), 128 * 1024,
+                            sharing=sharing != "off", check_level="off",
+                            pressure_threshold=0.9)
+        common = _sizes(30, seed=21, high=4096)
+        for index, name in enumerate("abcd"):
+            digests = None
+            if sharing == "common":
+                digests = ([f"common/{i}" for i in range(30)]
+                           + [f"{name}/{i}" for i in range(30)])
+            arena.attach(name, common + _sizes(30, seed=index, high=4096),
+                         TenantQuota(40 * 1024), block_digests=digests)
+        tenants = arena.tenants()
+        entered: dict[str, dict[int, int]] = {t.name: {} for t in tenants}
+        reentries = 0
+        rng = random.Random(13)
+        for step in range(3000):
+            # Tenant a alone runs into its quota; then all four push
+            # the arena past its pressure threshold.
+            name = "a" if step < 800 else rng.choice("abcd")
+            before = {t.name: dict(t.resident) for t in tenants}
+            arena.access(name, rng.randrange(60))
+            owned: dict[int, set[int]] = {t.slot: set() for t in tenants}
+            for gid, owners in enumerate(arena.table.owners):
+                for slot in owners:
+                    owned[slot].add(gid)
+            for tenant in tenants:
+                assert set(tenant.resident) == owned[tenant.slot]
+                entries = entered[tenant.name]
+                for gid in tenant.resident:
+                    if gid not in before[tenant.name]:
+                        reentries += gid in entries
+                        entries[gid] = step
+                order = [entries[gid] for gid in tenant.resident]
+                assert order == sorted(order)
+        assert reentries > 0
+        assert sum(t.quota_reclaims for t in tenants) > 0
+        assert arena.pressure_reclaims > 0
+        if sharing == "common":
+            assert arena.table.shared_joins > 0
+
+    def test_snapshot_stays_bounded_by_resident_blocks(self):
+        """Three passes of the same traffic leave the resident set, and
+        so the pickled snapshot, about where one pass left them."""
+        tenants = []
+        for index, name in enumerate(("gzip", "gcc")):
+            workload = build_workload(get_benchmark(name), scale=0.25,
+                                      trace_accesses=48_000,
+                                      seed=5 * 1009 + index)
+            sizes = workload.superblocks.sizes()
+            tenants.append((name, [sizes[s] for s in range(len(sizes))],
+                            workload.trace.tolist()))
+        arena = SharedArena(policy_from_spec("8-unit"), 256 * 1024,
+                            check_level="off")
+        for name, sizes, _ in tenants:
+            arena.attach(name, sizes)
+        snapshot_bytes = []
+        for _ in range(3):
+            for start in range(0, 48_000, 256):
+                for name, _, trace in tenants:
+                    arena.access_many(name, trace[start:start + 256])
+            snapshot_bytes.append(len(pickle.dumps(
+                arena.snapshot_state(), protocol=pickle.HIGHEST_PROTOCOL)))
+        first, _, third = snapshot_bytes
+        assert abs(third - first) <= 0.05 * first, snapshot_bytes
 
 
 class TestCheckLevelPlumbing:
