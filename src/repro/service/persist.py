@@ -48,9 +48,13 @@ quarantine and replay what is trustworthy — never crashes the worker.
 **Bounded WAL growth**: a snapshot is only trusted after a round-trip
 verification (load the stored blob back, re-check the configuration
 fingerprint); then the logs are *rotated*: since the snapshot covers
-every logged record, both the primary and the standby log are deleted.
-A crash between "snapshot written" and "logs deleted" only means
-replay skips covered records.
+every logged record, the primary log is deleted, and so is the
+standby's once the verified bytes are copied there.  The standby's
+snapshot plus its log always cover every logged record: a standby that
+did not get the copy keeps its log, and recovery gives the standby the
+snapshot it loaded before it cuts the standby log.  A crash between
+"snapshot written" and "logs deleted" only means replay skips covered
+records.
 
 Fault points: ``service.snapshot`` covers the snapshot bytes on both
 the store and load sides (``corrupt`` mode damages them, which the
@@ -173,9 +177,11 @@ class ArenaPersister:
     def _log(self, record: dict) -> None:
         if self.replaying:
             return
-        self.wal_seq += 1
-        record["seq"] = self.wal_seq
+        # Encode first: a record json cannot encode raises before the
+        # sequence moves or a byte is written.
+        record["seq"] = self.wal_seq + 1
         line = _encode(record)
+        self.wal_seq += 1
         handle = self._wal()
         handle.write(line)
         # Flush to the OS so a SIGKILLed worker loses nothing it
@@ -221,11 +227,14 @@ class ArenaPersister:
             record["block_digests"] = [str(d) for d in block_digests]
         self._log(record)
 
-    def log_access(self, name: str, sids, tseq: int | None) -> None:
+    def log_access(self, name: str, sids: list[int],
+                   tseq: int | None) -> None:
+        """Log one access batch.  *sids* goes into the record as it is,
+        uncopied: every caller passes a list of exact ints."""
         self._log({
             "type": "access",
             "tenant": name,
-            "sids": [int(sid) for sid in sids],
+            "sids": sids,
             "tseq": tseq,
         })
 
@@ -277,8 +286,9 @@ class ArenaPersister:
         loaded back, unpickled, and its configuration fingerprint
         re-checked.  A blob that fails verification is quarantined and
         the WAL keeps every record, so the worst a torn snapshot write
-        costs is replay time, never data.  On success the snapshot is
-        replicated to the standby and both logs are deleted.
+        costs is replay time, never data.  On success the verified
+        bytes are copied to the standby and the primary log is deleted;
+        the standby log is deleted only when the copy succeeded.
         """
         state = dict(state)
         state["wal_seq"] = self.wal_seq
@@ -294,24 +304,30 @@ class ArenaPersister:
         payload = faults.fire("service.snapshot", key="store", data=payload)
         if self.store.store_blob(SNAPSHOT_BLOB, payload) is None:
             return False
-        if not self._verify_snapshot(state):
+        stored = self._verify_snapshot(state)
+        if stored is None:
             return False
         self.snapshot_seq = self.wal_seq
         self._accesses_at_snapshot = total_accesses
         self.snapshots_written += 1
-        if self.standby_store is not None:
-            stored = self.store.load_blob(SNAPSHOT_BLOB)
-            if (stored is not None and self.standby_store.store_blob(
-                    SNAPSHOT_BLOB, stored) is not None):
-                self.standby_snapshots += 1
-            else:
-                self.standby_errors += 1
-        self._set_logs(b"")
+        self._set_logs(b"", standby=self._copy_to_standby(stored))
         self.wal_rotations += 1
         return True
 
-    def _verify_snapshot(self, state: dict) -> bool:
-        """Round-trip the stored blob; quarantine it on any mismatch."""
+    def _copy_to_standby(self, payload: bytes) -> bool:
+        """Copy verified snapshot bytes to the standby; True when it
+        now holds them (always False without a standby)."""
+        if self.standby_store is None:
+            return False
+        if self.standby_store.store_blob(SNAPSHOT_BLOB, payload) is None:
+            self.standby_errors += 1
+            return False
+        self.standby_snapshots += 1
+        return True
+
+    def _verify_snapshot(self, state: dict) -> bytes | None:
+        """Round-trip the stored blob; quarantine it on any mismatch.
+        Returns the verified bytes, or None."""
         self.snapshot_verifications += 1
         stored = self.store.load_blob(SNAPSHOT_BLOB)
         try:
@@ -338,22 +354,26 @@ class ArenaPersister:
                 f"({exc!r}); keeping the full write-ahead log",
                 RuntimeWarning, stacklevel=2,
             )
-            return False
-        return True
+            return None
+        return stored
 
-    def _set_logs(self, payload: bytes) -> None:
-        """Set the primary and the standby log to exactly *payload*,
-        deleting both when it is empty.  Appends reopen the files.
+    def _set_logs(self, payload: bytes, standby: bool = True) -> None:
+        """Set the primary log, and the standby's unless *standby* is
+        false, to exactly *payload*, deleting a log when it is empty.
+        Appends reopen the files.
 
         Rotation after a verified snapshot deletes both; recovery sets
         both to the records it applied, which also re-syncs a standby
-        whose copy diverged (torn line, injected corruption).  A
-        standby that cannot be written is counted, never fatal.
+        whose copy diverged (torn line, injected corruption).  Either
+        leaves the standby log alone when the standby lacks the
+        snapshot those records follow.  A standby that cannot be
+        written is counted, never fatal.
         """
         self.close()
-        for path in (self.wal_path, self.standby_wal_path):
-            if path is None:
-                continue  # no standby
+        paths = [self.wal_path]
+        if standby and self.standby_wal_path is not None:
+            paths.append(self.standby_wal_path)
+        for path in paths:
             try:
                 if not payload:
                     path.unlink(missing_ok=True)
@@ -367,8 +387,10 @@ class ArenaPersister:
                     raise
                 self.standby_errors += 1
 
-    def load_snapshot(self, expected_fingerprint: dict) -> dict | None:
-        """The latest snapshot state, or None (quarantining bad blobs).
+    def load_snapshot(
+            self, expected_fingerprint: dict) -> tuple[dict, bytes] | None:
+        """The latest snapshot state and the bytes it was read from, or
+        None (quarantining bad blobs).
 
         A snapshot that cannot be unpickled, has the wrong shape, or
         was taken under a different configuration fingerprint is moved
@@ -402,7 +424,7 @@ class ArenaPersister:
             self._quarantine_snapshot(payload, exc, expected_fingerprint,
                                       actual_fingerprint)
             return None
-        return state
+        return state, payload
 
     def _quarantine_snapshot(self, payload: bytes, exc: Exception,
                              expected_fingerprint: dict,
@@ -552,8 +574,11 @@ def recover_arena(
     )
     expected = arena_fingerprint(fresh_policy.name, capacity_bytes,
                                  max_block_bytes, sharing)
-    state = persister.load_snapshot(expected)
-    if state is None and persister.standby_root is not None:
+    loaded = persister.load_snapshot(expected)
+    # Cut the standby log only if the standby holds the snapshot replay
+    # starts from: its snapshot plus its log must cover every record.
+    standby_current = True
+    if loaded is None and persister.standby_root is not None:
         # The failover decision: promote the standby only when the
         # primary is genuinely unusable — its snapshot was quarantined
         # (corrupt / wrong fingerprint) or the whole directory is empty
@@ -562,7 +587,12 @@ def recover_arena(
         quarantined = persister.last_quarantine_record is not None
         if quarantined or not persister.has_primary_artifacts():
             if persister.promote_standby():
-                state = persister.load_snapshot(expected)
+                loaded = persister.load_snapshot(expected)
+    elif loaded is not None and persister.standby_store is not None:
+        standby_current = (
+            persister.standby_store.load_blob(SNAPSHOT_BLOB) == loaded[1]
+            or persister._copy_to_standby(loaded[1]))
+    state = loaded[0] if loaded is not None else None
     if state is not None:
         arena = SharedArena(state["policy_object"], capacity_bytes,
                             restore_state=state, **arena_kwargs)
@@ -604,7 +634,7 @@ def recover_arena(
             max_seq = seq
     finally:
         persister.replaying = False
-    persister._set_logs(b"".join(applied))
+    persister._set_logs(b"".join(applied), standby=standby_current)
     persister.wal_seq = max(max_seq, persister.wal_seq)
     persister.recovered = state is not None or persister.records_replayed > 0
     persister.recovery_seconds = time.monotonic() - started

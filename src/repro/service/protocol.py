@@ -21,14 +21,18 @@ Requests (``op`` selects the operation):
     server; the response's ``sharing`` flag reports the server's mode.
 ``access``
     Stream a batch: ``{"op": "access", "sids": [int, ...], "seq":
-    int?, "sync": bool?}``.  The batch is *queued*, not applied
-    synchronously; a full session queue rejects the batch with
-    ``retry_after`` (backpressure).  ``seq`` is the per-tenant batch
-    sequence number for exactly-once application after a failover;
-    ``sync`` asks the server to flush before acknowledging (the
-    deterministic mode recovery harnesses drive).  Over its per-tenant
-    token-bucket budget the batch is rejected ``rate-limited`` with the
-    exact ``retry_after`` the bucket needs to refill.
+    int?, "sync": bool?}``.  Without ``sync`` the batch is *queued*
+    and acknowledged before it is applied; a full session queue
+    rejects the batch with ``retry_after`` (backpressure).  With
+    ``sync`` the server applies the batch, after every batch queued
+    before it, before acknowledging (the deterministic mode recovery
+    harnesses drive).  ``seq`` is the per-tenant batch sequence number
+    for exactly-once application after a failover.  Over its
+    per-tenant token-bucket budget the batch is rejected
+    ``rate-limited`` with the exact ``retry_after`` the bucket needs to
+    refill.  :func:`encode` sorts keys and every other access field
+    sorts after ``op``, so an encoded access line starts with
+    :data:`ACCESS_PREFIX`.
 ``stats``
     Flush the session's queue, then report per-tenant and unified
     stats.
@@ -65,6 +69,10 @@ PROTOCOL_VERSION = 1
 MAX_LINE_BYTES = 1 << 20
 
 OPS = ("hello", "access", "stats", "close", "ping")
+
+#: How every :func:`encode`-d access request starts: the router relays
+#: a line with this prefix without decoding it.
+ACCESS_PREFIX = b'{"op":"access",'
 
 #: Stable error tokens clients can dispatch on.
 ERR_OVERLOADED = "overloaded"

@@ -12,7 +12,9 @@ fleet of workers (shards) with tenants partitioned across them.  The
   workers.  The first ``hello`` on a connection picks the shard; from
   then on every line is relayed verbatim (one request in, one response
   out — the protocol's strict ordering makes the relay loop trivial
-  and keeps the router stateless per connection).
+  and keeps the router stateless per connection).  An access line that
+  starts with :data:`~repro.service.protocol.ACCESS_PREFIX` is relayed
+  without being decoded; the worker parses it anyway.
 * **Failure containment** — a per-shard :class:`CircuitBreaker` opens
   after consecutive connect/relay failures, so a dead worker costs its
   clients one fast ``shard-unavailable`` rejection (with a
@@ -310,14 +312,20 @@ class ServiceRouter:
                     break
                 if not line:
                     break
-                try:
-                    message = protocol.decode_line(line)
-                    op = message.get("op")
-                except protocol.ProtocolError as error:
-                    if not await respond(protocol.error(
-                            "?", protocol.ERR_BAD_REQUEST, str(error))):
-                        break
-                    continue
+                if line.startswith(protocol.ACCESS_PREFIX):
+                    # The hot path: relayed unparsed; a malformed line
+                    # gets the worker's bad-request.
+                    op = "access"
+                else:
+                    try:
+                        message = protocol.decode_line(line)
+                        op = message.get("op")
+                    except protocol.ProtocolError as error:
+                        if not await respond(protocol.error(
+                                "?", protocol.ERR_BAD_REQUEST,
+                                str(error))):
+                            break
+                        continue
                 if op == "admin":
                     if not await respond(await self._admin(message)):
                         break

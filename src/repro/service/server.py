@@ -384,6 +384,10 @@ class CacheService:
                 except ConnectionError:
                     break
                 if done:
+                    # Closed or failed: either way its tenant is
+                    # detached, and the name and the admission slot
+                    # are free again.
+                    self._release(session)
                     session = None
         finally:
             if session is not None:
@@ -470,10 +474,10 @@ class CacheService:
                         f"{bucket.rate:g} accesses/s budget",
                         retry_after=wait,
                     ), False
-            queued = session.submit(sids, seq=message.get("seq"))
             if message.get("sync"):
-                await session.flush()
-                queued = 0
+                await session.apply(sids, message.get("seq"))
+                return protocol.ok("access", queued_batches=0), False
+            queued = session.submit(sids, seq=message.get("seq"))
             return protocol.ok("access", queued_batches=queued), False
         if op == "stats":
             tenant_stats = await session.stats()

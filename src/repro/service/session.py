@@ -1,20 +1,29 @@
 """One tenant's attachment to the service: a fault-isolated pipeline.
 
 A :class:`Session` sits between the protocol layer and the
-:class:`~repro.service.tenancy.SharedArena`.  Access batches land in a
-*bounded* queue (the backpressure boundary: a full queue rejects the
-batch with a retry hint instead of buffering without limit) and a
-consumer task drains them through the arena in a worker thread, so the
-event loop never blocks on simulation work or on the arena lock — and
-so an injected ``hang`` at the ``service.session`` fault point stalls
-only this tenant's consumer, not the server.
+:class:`~repro.service.tenancy.SharedArena`.  Asynchronous access
+batches land in a *bounded* queue (the backpressure boundary: a full
+queue rejects the batch with a retry hint instead of buffering without
+limit) and a consumer task drains them through the arena in a worker
+thread, so an injected ``hang`` at the ``service.session`` fault point
+stalls only this tenant's consumer, not the server.
 
-Failure is contained by construction: any exception in the consumer —
-including :class:`~repro.faults.InjectedFault` — marks the session
-``failed``, detaches the tenant from the arena (evicting its resident
-blocks and archiving its stats, which keeps the unified byte
-conservation the invariant checker enforces), and drains the pending
-queue.  Other tenants' sessions never observe anything.
+A sync batch (:meth:`Session.apply`) skips the queue when nothing is
+queued and no fault plan is armed: it is applied on the calling task,
+under the arena lock, with no thread hop.  A worker is one process
+under the GIL, so the consumer thread never ran Python alongside the
+event loop anyway; an inline apply blocks the loop for one batch, as
+reading stats under the arena lock already does.  Queued batches, or
+an armed plan, send a sync batch down the queue like any other and
+flush it.
+
+Failure is contained by construction: any exception in the consumer
+or an inline apply — including :class:`~repro.faults.InjectedFault` —
+marks the session ``failed``, detaches the tenant from the arena
+(evicting its resident blocks and archiving its stats, which keeps the
+unified byte conservation the invariant checker enforces), drains the
+pending queue and ends the consumer.  Other tenants' sessions never
+observe anything.
 """
 
 from __future__ import annotations
@@ -107,8 +116,7 @@ class Session:
 
         The ``service.flush`` fault point fires in a worker thread, so
         an armed ``hang`` sleeps off the event loop.  With no plan
-        armed ``fire`` is a no-op, and the flush skips that thread hop:
-        a sync batch then costs one hop, the consumer's apply.
+        armed ``fire`` is a no-op, and the flush skips that thread hop.
         """
         if faults.active_plan() is not None:
             await asyncio.to_thread(
@@ -116,6 +124,32 @@ class Session:
             )
         await self._queue.join()
         self._require_open()
+
+    async def apply(self, sids: list[int], seq: int | None = None) -> None:
+        """Apply one sync batch before returning.
+
+        With no fault plan armed and nothing queued, the batch runs on
+        the calling task: after the consumer finishes the batch it may
+        be applying, ``access_many`` runs here and the consumer's
+        counters move as if it had run it.  Whatever it raises fails
+        the session as a consumer failure does, and the caller gets
+        ``session-failed``.  Otherwise the batch is submitted and
+        flushed: backpressure, the ``service.session`` hang's thread
+        and one ``service.flush`` fire per batch all live on that path.
+        """
+        if faults.active_plan() is not None or not self._queue.empty():
+            self.submit(sids, seq)
+            await self.flush()
+            return
+        await self._queue.join()
+        self._require_open()
+        try:
+            hits = self.arena.access_many(self.tenant, sids, tseq=seq)
+        except Exception as error:
+            self._fail(error)
+            await self._stop_consumer()
+            self._require_open()  # raises session-failed
+        self._count(hits, len(sids))
 
     async def stats(self) -> dict:
         """Flush, then snapshot this tenant's stats record."""
@@ -165,12 +199,7 @@ class Session:
         await self._queue.join()
         if self.failure is not None:  # the last batch may have failed
             self._require_open()
-        if self._consumer is not None:
-            self._consumer.cancel()
-            try:
-                await self._consumer
-            except asyncio.CancelledError:
-                pass
+        await self._stop_consumer()
         self._final_stats = self._detach()
         self.state = CLOSED
         return self._verified_stats(self._final_stats)
@@ -179,12 +208,7 @@ class Session:
         """Tear the session down without flushing (connection lost)."""
         if self.state == CLOSED:
             return
-        if self._consumer is not None:
-            self._consumer.cancel()
-            try:
-                await self._consumer
-            except asyncio.CancelledError:
-                pass
+        await self._stop_consumer()
         if self.state != FAILED:
             self._final_stats = self._detach()
             self.state = CLOSED
@@ -200,15 +224,18 @@ class Session:
         """
         if self.state in (CLOSED, PARKED):
             return
+        await self._stop_consumer()
+        self._drain_pending()
+        if self.state != FAILED:
+            self.state = PARKED
+
+    async def _stop_consumer(self) -> None:
         if self._consumer is not None:
             self._consumer.cancel()
             try:
                 await self._consumer
             except asyncio.CancelledError:
                 pass
-        self._drain_pending()
-        if self.state != FAILED:
-            self.state = PARKED
 
     def _require_open(self) -> None:
         if self.state == FAILED:
@@ -243,10 +270,13 @@ class Session:
                 self._queue.task_done()
                 self._drain_pending()
                 return
-            self.hits += hits
-            self.accesses_applied += len(batch)
-            self.batches_applied += 1
+            self._count(hits, len(batch))
             self._queue.task_done()
+
+    def _count(self, hits: int, accesses: int) -> None:
+        self.hits += hits
+        self.accesses_applied += accesses
+        self.batches_applied += 1
 
     def _fail(self, error: Exception) -> None:
         self.state = FAILED

@@ -5,7 +5,10 @@ in field-identical recovered stats or a clean, bounded degradation."""
 import asyncio
 import shutil
 
+import pytest
+
 from repro import faults
+from repro.analysis.sweepcache import Store
 from repro.service.persist import SNAPSHOT_BLOB
 from repro.service.server import CacheService, ServiceConfig
 
@@ -18,6 +21,20 @@ def _service(tmp_path, **overrides) -> CacheService:
                     snapshot_interval=10**9)
     defaults.update(overrides)
     return CacheService(ServiceConfig(**defaults))
+
+
+def _refuse_standby_snapshots(monkeypatch, tmp_path) -> None:
+    """The standby store refuses every snapshot copy, as a full or
+    failing replica volume would; WAL mirroring still works."""
+    store_blob = Store.store_blob
+    standby = tmp_path / "standby"
+
+    def refusing(self, name, payload):
+        if self.root == standby:
+            return None
+        return store_blob(self, name, payload)
+
+    monkeypatch.setattr(Store, "store_blob", refusing)
 
 
 async def _stream(service, tenant, batches, seq_start=1):
@@ -97,6 +114,110 @@ class TestVerifiedRotation:
             assert await resumed.stats() == reference
             await restarted.drain()
             await service.drain()
+
+        asyncio.run(scenario())
+
+    def test_verified_snapshot_is_read_back_once(self, tmp_path,
+                                                 monkeypatch):
+        """Verification reads the stored blob back; the standby gets
+        those same bytes, not a second read."""
+        async def scenario():
+            service = _service(tmp_path)
+            await _stream(service, "t", [list(range(16))] * 3)
+            persister = service.persister
+            reads = []
+            load_blob = persister.store.load_blob
+
+            def counted(name):
+                reads.append(name)
+                return load_blob(name)
+
+            monkeypatch.setattr(persister.store, "load_blob", counted)
+            assert service.arena.snapshot_now()
+            assert reads == [SNAPSHOT_BLOB]
+            assert persister.standby_snapshots == 1
+            assert ((tmp_path / "standby" / SNAPSHOT_BLOB).read_bytes()
+                    == (tmp_path / "primary" / SNAPSHOT_BLOB).read_bytes())
+            await service.drain()
+
+        asyncio.run(scenario())
+
+    def test_standby_that_missed_the_snapshot_keeps_its_log(
+            self, tmp_path, monkeypatch):
+        """A rotation cuts the standby log only when the standby got
+        the snapshot: a promotion then still replays every batch."""
+        async def scenario():
+            _refuse_standby_snapshots(monkeypatch, tmp_path)
+            service = _service(tmp_path)
+            session, seq = await _stream(
+                service, "t", [list(range(16))] * 3
+            )
+            persister = service.persister
+            assert service.arena.snapshot_now()
+            assert persister.standby_errors == 1
+            assert not persister.wal_path.exists()
+            assert persister.standby_wal_path.exists()
+            session.submit(list(range(16)), seq=seq + 1)
+            await session.flush()
+            reference = await session.stats()
+            assert reference["accesses"] == 64
+            shutil.rmtree(tmp_path / "primary")
+            restarted = _service(tmp_path)
+            assert restarted.recovery["standby_promoted"]
+            assert restarted.recovery["replay_quarantined"] == 0
+            assert restarted.recovery["records_replayed"] == 5
+            resumed = restarted.open_session("t", resume=True)
+            assert resumed.resumed
+            assert await resumed.stats() == reference
+            await restarted.drain()
+            await service.drain()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("standby_back", (False, True))
+    def test_recovery_gives_the_standby_its_snapshot_before_cutting_its_log(
+            self, tmp_path, monkeypatch, standby_back):
+        """A clean restart between the missed copy and the disk loss:
+        the recovery copies the snapshot it loaded to the standby
+        before it cuts the standby log, or, while the standby still
+        refuses it, leaves that log alone."""
+        async def scenario():
+            _refuse_standby_snapshots(monkeypatch, tmp_path)
+            service = _service(tmp_path)
+            session, seq = await _stream(
+                service, "t", [list(range(16))] * 3
+            )
+            assert service.arena.snapshot_now()
+            assert service.persister.standby_errors == 1
+            session.submit(list(range(16)), seq=seq + 1)
+            await session.flush()
+            # The client goes away (its tenant parks, as a lost
+            # connection does), then the worker drains: one more
+            # snapshot, which the standby refuses too.
+            await session.park()
+            service._release(session)
+            await service.drain()
+            assert service.persister.standby_errors == 2
+            if standby_back:
+                monkeypatch.undo()
+            restarted = _service(tmp_path)
+            assert restarted.recovery["snapshot_loaded"]
+            assert restarted.recovery["tenants"] == ["t"]
+            assert restarted.persister.standby_snapshots == int(standby_back)
+            session, _ = await _stream(restarted, "t", [list(range(16))],
+                                       seq_start=seq + 2)
+            reference = await session.stats()
+            assert reference["accesses"] == 80
+            restarted.persister.close()
+            shutil.rmtree(tmp_path / "primary")
+            promoted = _service(tmp_path)
+            assert promoted.recovery["standby_promoted"]
+            assert promoted.recovery["snapshot_loaded"] == standby_back
+            assert promoted.recovery["replay_quarantined"] == 0
+            resumed = promoted.open_session("t", resume=True)
+            assert await resumed.stats() == reference
+            await promoted.drain()
+            await restarted.drain()
 
         asyncio.run(scenario())
 

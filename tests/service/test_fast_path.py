@@ -1,4 +1,4 @@
-"""The arena's owned-hit fast path and the sync batch's one thread hop.
+"""The arena's owned-hit fast path and the sync batch's inline apply.
 
 ``SharedArena.access_many`` counts an access to an entry the tenant
 already owns as a plain hit without calling ``step()``.  The
@@ -8,11 +8,17 @@ path) and requires every counter to be equal.  Both arenas run
 unchecked: the checker turns the fast path off, and its entry check
 resyncs ``attributed_bytes``, so a checked twin would not be a
 bit-exact reference under sharing.
+
+A sync batch is applied on its connection's task when nothing is queued
+and no fault plan is armed, and goes through the queue otherwise; the
+tests below hold the two paths to the same order, backpressure and
+failure behaviour.
 """
 
 import asyncio
 import contextlib
 import random
+import threading
 
 import pytest
 
@@ -125,13 +131,31 @@ class TestOwnedHitFastPath:
             assert report["pressure_reclaims"] > 0
 
 
+async def _hello(service: CacheService, tenant: str = "t", blocks: int = 4):
+    reply, _ = await service._dispatch_line(protocol.encode(
+        {"op": "hello", "tenant": tenant, "block_sizes": [512] * blocks}
+    ), None)
+    assert reply["ok"], reply
+    return service.sessions[tenant]
+
+
+#: Armed for a point nothing here reaches: the plan forces the queued
+#: path, and fires nothing.
+IDLE_PLAN = faults.FaultSpec(point="service.accept", keys=("nobody",))
+
+
+def _armed(armed: bool):
+    return faults.plan(IDLE_PLAN) if armed else contextlib.nullcontext()
+
+
 class TestSyncBatchThreadHops:
-    @pytest.mark.parametrize("armed, hops", ((False, 1), (True, 2)))
-    def test_sync_access_hops_once_unless_a_plan_is_armed(
+    @pytest.mark.parametrize("armed, hops", ((False, 0), (True, 2)))
+    def test_sync_access_hops_only_when_a_plan_is_armed(
             self, monkeypatch, armed, hops):
-        """The consumer's apply always runs in a worker thread; the
-        ``service.flush`` fault point needs one only when a plan is
-        armed (an armed ``hang`` must sleep off the event loop)."""
+        """Unarmed, a sync batch is applied on the connection's task.
+        Armed, it takes the queue: the consumer's apply runs in a
+        worker thread, and so does the ``service.flush`` fault point
+        (an armed ``hang`` must sleep off the event loop)."""
         calls = []
         to_thread = asyncio.to_thread
 
@@ -144,11 +168,7 @@ class TestSyncBatchThreadHops:
         async def scenario():
             service = CacheService(ServiceConfig(
                 policy="8-unit", capacity_bytes=64 * 1024))
-            reply, _ = await service._dispatch_line(protocol.encode(
-                {"op": "hello", "tenant": "t", "block_sizes": [512] * 4}
-            ), None)
-            assert reply["ok"]
-            session = service.sessions["t"]
+            session = await _hello(service)
             calls.clear()
             reply, _ = await service._dispatch_line(protocol.encode(
                 {"op": "access", "sids": [0, 1, 0], "seq": 1, "sync": True}
@@ -156,12 +176,169 @@ class TestSyncBatchThreadHops:
             assert reply["ok"] and reply["queued_batches"] == 0
             assert len(calls) == hops
             assert session.hits == 1
+            assert session.batches_applied == 1
             await session.close()
 
         assert faults.active_plan() is None
-        # Armed for another point: the flush still hops, fires nothing.
-        plan = (faults.plan(faults.FaultSpec(point="service.accept",
-                                             keys=("nobody",)))
-                if armed else contextlib.nullcontext())
-        with plan:
+        with _armed(armed):
+            asyncio.run(scenario())
+
+
+class TestInlineSyncApply:
+    def test_sync_batch_waits_for_the_async_batch_in_flight(
+            self, monkeypatch):
+        """The consumer is mid-batch (the queue is empty): the inline
+        apply waits for it, then runs on the event loop's thread."""
+        entered, release = threading.Event(), threading.Event()
+        applied = []
+        access_many = SharedArena.access_many
+
+        def gated(arena, name, sids, tseq=None):
+            if not applied:
+                entered.set()
+                release.wait(10)
+            applied.append((tseq, threading.current_thread()))
+            return access_many(arena, name, sids, tseq=tseq)
+
+        monkeypatch.setattr(SharedArena, "access_many", gated)
+
+        async def scenario():
+            service = CacheService(ServiceConfig(
+                policy="8-unit", capacity_bytes=64 * 1024))
+            session = await _hello(service)
+            reply, _ = await service._dispatch_line(protocol.encode(
+                {"op": "access", "sids": [0, 1], "seq": 1}), session)
+            assert reply["ok"] and reply["queued_batches"] == 1
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
+            assert session._queue.empty()
+            sync = asyncio.ensure_future(service._dispatch_line(protocol.encode(
+                {"op": "access", "sids": [1, 2], "seq": 2, "sync": True}
+            ), session))
+            await asyncio.sleep(0.05)
+            assert not sync.done()
+            release.set()
+            reply, _ = await sync
+            assert reply["ok"] and reply["queued_batches"] == 0
+            assert [seq for seq, _ in applied] == [1, 2]
+            assert applied[0][1] is not threading.main_thread()
+            assert applied[1][1] is threading.main_thread()
+            assert session.hits == 1 and session.batches_applied == 2
+            await session.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("armed", (False, True))
+    def test_mixed_traffic_applies_in_sending_order(self, armed):
+        """Async batches, then a sync one, then more of both: the stats
+        equal one in-process replay in sending order."""
+        rng = random.Random(7)
+        traffic = [([rng.randrange(40) for _ in range(16)], rng.random() < 0.4)
+                   for _ in range(60)]
+
+        async def scenario():
+            service = CacheService(ServiceConfig(
+                policy="8-unit", capacity_bytes=8 * 1024,
+                check_level="light"))
+            session = await _hello(service, blocks=40)
+            for seq, (sids, sync) in enumerate(traffic, start=1):
+                message = {"op": "access", "sids": sids, "seq": seq}
+                if sync:
+                    message["sync"] = True
+                reply, _ = await service._dispatch_line(protocol.encode(message),
+                                                        session)
+                assert reply["ok"], reply
+                if seq % 7 == 0:
+                    await asyncio.sleep(0)  # let the consumer run
+            return await session.stats()
+
+        with _armed(armed):
+            served = asyncio.run(scenario())
+        reference = SharedArena(policy_from_spec("8-unit"), 8 * 1024,
+                                check_level="light")
+        reference.attach("t", [512] * 40)
+        for seq, (sids, _) in enumerate(traffic, start=1):
+            reference.access_many("t", sids, tseq=seq)
+        assert served == reference.tenant_stats("t").to_dict()
+
+    def test_sync_batch_behind_a_full_queue_gets_backpressure(self):
+        async def scenario():
+            service = CacheService(ServiceConfig(
+                policy="8-unit", capacity_bytes=64 * 1024,
+                queue_batches=2))
+            session = await _hello(service)
+            for seq in (1, 2):
+                reply, _ = await service._dispatch_line(protocol.encode(
+                    {"op": "access", "sids": [0], "seq": seq}), session)
+                assert reply["ok"]
+            reply, done = await service._dispatch_line(protocol.encode(
+                {"op": "access", "sids": [1], "seq": 3, "sync": True}
+            ), session)
+            assert reply["error"] == protocol.ERR_BACKPRESSURE
+            assert reply["retry_after"] > 0 and not done
+            await session.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("armed", (False, True))
+    def test_out_of_range_sid_fails_the_session(self, tmp_path, armed):
+        """Both paths fail a bad sync batch alike: ``session-failed``
+        (never ``bad-request``), the tenant detached, no access record
+        logged for the batch, and the consumer task ended."""
+        async def scenario():
+            service = CacheService(ServiceConfig(
+                policy="8-unit", capacity_bytes=64 * 1024,
+                snapshot_dir=str(tmp_path), snapshot_interval=10**9))
+            session = await _hello(service)
+            reply, _ = await service._dispatch_line(protocol.encode(
+                {"op": "access", "sids": [0, 1], "seq": 1, "sync": True}
+            ), session)
+            assert reply["ok"]
+            reply, done = await service._dispatch_line(protocol.encode(
+                {"op": "access", "sids": [0, 9], "seq": 2, "sync": True}
+            ), session)
+            assert reply["error"] == protocol.ERR_SESSION_FAILED
+            assert done
+            assert "superblock 9" in session.failure
+            assert not service.arena.has_tenant("t")
+            await asyncio.sleep(0)
+            assert session._consumer.done()
+            records = service.persister.read_wal()
+            assert [(r["type"], r.get("tseq")) for r in records] == [
+                ("attach", None), ("access", 1), ("detach", None)]
+            reply, _ = await service._dispatch_line(protocol.encode(
+                {"op": "access", "sids": [0], "seq": 3, "sync": True}
+            ), session)
+            assert reply["error"] == protocol.ERR_SESSION_FAILED
+            service.persister.close()
+
+        with _armed(armed):
+            asyncio.run(scenario())
+
+    def test_armed_plan_fires_the_flush_point_once_per_sync_batch(
+            self, monkeypatch):
+        fired = []
+        fire = faults.fire
+
+        def counted(point, *args, **kwargs):
+            fired.append(point)
+            return fire(point, *args, **kwargs)
+
+        monkeypatch.setattr(faults, "fire", counted)
+
+        async def scenario():
+            service = CacheService(ServiceConfig(
+                policy="8-unit", capacity_bytes=64 * 1024))
+            session = await _hello(service)
+            fired.clear()
+            for seq in range(1, 6):
+                reply, _ = await service._dispatch_line(protocol.encode(
+                    {"op": "access", "sids": [seq % 4], "seq": seq,
+                     "sync": True}), session)
+                assert reply["ok"]
+            assert fired.count("service.flush") == 5
+            assert fired.count("service.session") == 5
+            await session.close()
+
+        with _armed(True):
             asyncio.run(scenario())

@@ -574,3 +574,32 @@ class TestPersisterUnit:
         assert not report["recovered"]
         assert report["tenants"] == []
         assert arena.total_accesses == 0
+
+    def test_access_records_keep_their_bytes(self, tmp_path):
+        """The logged sids are the caller's list, and the WAL line is
+        byte for byte what the copying encoder wrote."""
+        persister = ArenaPersister(tmp_path)
+        sids = [3, 0, 3]
+        persister.log_access("t", sids, 7)
+        persister.log_access("t", [1], None)
+        persister.close()
+        assert persister.wal_path.read_bytes() == (
+            b'{"seq":1,"sids":[3,0,3],"tenant":"t","tseq":7,'
+            b'"type":"access"}\n'
+            b'{"seq":2,"sids":[1],"tenant":"t","tseq":null,'
+            b'"type":"access"}\n'
+        )
+        assert sids == [3, 0, 3]
+
+    def test_unencodable_batch_raises_before_anything_moves(self,
+                                                           tmp_path):
+        persister = ArenaPersister(tmp_path, standby_root=tmp_path / "sb")
+        persister.log_access("t", [0], 1)
+        with pytest.raises(TypeError):
+            persister.log_access("t", [1, object()], 2)
+        assert persister.wal_seq == persister.records_logged == 1
+        persister.log_access("t", [2], 3)
+        persister.close()
+        assert [r["seq"] for r in persister.read_wal()] == [1, 2]
+        assert (persister.standby_wal_path.read_bytes()
+                == persister.wal_path.read_bytes())

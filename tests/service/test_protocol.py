@@ -1,6 +1,8 @@
 """The JSON-lines wire protocol: framing, validation, error shapes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import protocol
 
@@ -29,6 +31,27 @@ class TestFraming:
     def test_non_object_rejected(self):
         with pytest.raises(protocol.ProtocolError, match="JSON object"):
             protocol.decode_line(b"[1, 2, 3]\n")
+
+
+class TestAccessPrefix:
+    @settings(max_examples=200, deadline=None)
+    @given(sids=st.lists(st.integers(min_value=0, max_value=2**40),
+                         min_size=1, max_size=64),
+           seq=st.none() | st.integers(min_value=1, max_value=2**40),
+           sync=st.none() | st.booleans())
+    def test_every_encoded_access_starts_with_the_prefix(self, sids, seq,
+                                                         sync):
+        """The router relays a line with this prefix undecoded, so
+        every access request the codec writes must carry it."""
+        message = {"op": "access", "sids": sids}
+        if seq is not None:
+            message["seq"] = seq
+        if sync is not None:
+            message["sync"] = sync
+        line = protocol.encode(message)
+        assert line.startswith(protocol.ACCESS_PREFIX)
+        assert protocol.validate_request(protocol.decode_line(line)) \
+            == "access"
 
 
 class TestValidation:

@@ -245,6 +245,44 @@ class TestRouterProxy:
 
         asyncio.run(scenario())
 
+    def test_access_lines_relay_undecoded_and_others_decoded(self):
+        """A line with the access prefix is relayed as it is, so a
+        malformed one gets the worker's ``bad-request`` and the session
+        carries on; a hand-ordered access line, which lacks the prefix,
+        is decoded by the router and relayed too."""
+        async def scenario():
+            router, shards = await _fleet(1)
+            try:
+                client = await ServiceClient.connect(
+                    "127.0.0.1", router.port
+                )
+                assert (await client.hello(
+                    "t", block_sizes=[512] * 4))["ok"]
+
+                async def raw(line: bytes) -> dict:
+                    client._writer.write(line)
+                    await client._writer.drain()
+                    return protocol.decode_line(
+                        await client._reader.readline())
+
+                reply = await raw(protocol.ACCESS_PREFIX + b'"sids":[0,\n')
+                assert reply["error"] == protocol.ERR_BAD_REQUEST
+                assert "undecodable" in reply["detail"]
+                reply = await raw(
+                    b'{"sids":[0],"op":"access","seq":1,"sync":true}\n')
+                assert reply == protocol.ok("access", queued_batches=0)
+                reply = await client.access([1, 0], seq=2, sync=True)
+                assert reply["ok"]
+                stats = await client.stats()
+                assert stats["tenant"]["accesses"] == 3
+                assert stats["tenant"]["hits"] == 1
+                assert router.relay_failures == 0
+                await client.aclose()
+            finally:
+                await _teardown(router, shards)
+
+        asyncio.run(scenario())
+
     def test_dead_shard_fails_fast_and_opens_breaker(self):
         async def scenario():
             router, shards = await _fleet(2)

@@ -216,6 +216,39 @@ class TestTcpProtocol:
 
         asyncio.run(scenario())
 
+    def test_failed_session_lets_its_tenant_back_in(self):
+        """A session that failed frees its tenant name and its
+        admission slot: the tenant re-attaches fresh (the failure
+        archived its stats) and, at ``max_sessions=1``, the next tenant
+        is admitted."""
+        async def scenario():
+            service = _service(max_sessions=1)
+            await service.start()
+            client = await ServiceClient.connect("127.0.0.1", service.port)
+            assert (await client.hello("t", block_sizes=[512] * 4))["ok"]
+            assert (await client.access([0, 1], sync=True))["ok"]
+            reply = await client.access([0, 9], sync=True)
+            assert reply["error"] == protocol.ERR_SESSION_FAILED
+            await client.aclose()
+            await asyncio.wait_for(service.wait_disconnected(), timeout=10)
+            assert not service.sessions
+            for tenant in ("t", "u"):
+                client = await ServiceClient.connect("127.0.0.1",
+                                                     service.port)
+                greeting = await client.hello(tenant, block_sizes=[512] * 4)
+                assert greeting["ok"], greeting
+                assert not greeting["resumed"]
+                assert (await client.access([0], sync=True))["ok"]
+                stats = await client.stats()
+                assert stats["tenant"]["accesses"] == 1
+                assert (await client.close_session())["ok"]
+                await client.aclose()
+            # The failed session's two accesses stay in the unified merge.
+            assert service.arena.unified_stats().accesses == 4
+            await service.drain()
+
+        asyncio.run(scenario())
+
     def test_drain_closes_live_sessions(self):
         async def scenario():
             service = _service()
