@@ -8,11 +8,14 @@ out-targets, then its in-sources).  ``one_pass`` simulates up to
 and returns integer counters equal to those of replaying each geometry
 through ``CodeCacheSimulator``; it keeps no floating point, because
 the overheads of Equations 2-4 are priced from the counters by the
-stats records the caller builds.  ``priority_pass`` simulates one
-priority-function cell, scoring victims with a stack VM over the
-expression's postfix program (:func:`repro.search.expr.compile_program`)
-in IEEE doubles, the same arithmetic as
-:func:`repro.search.expr.evaluate`; ``vm_score`` exports the VM itself.
+stats records the caller builds.  ``priority_pass`` simulates every
+priority-function cell of one trace in one call, scoring victims with a
+stack VM over each expression's postfix program
+(:func:`repro.search.expr.compile_program`) in IEEE doubles, the same
+arithmetic as :func:`repro.search.expr.evaluate`.  It scores the
+subtrees that read only per-block features once per block, and the
+rest column by column over the residents at each victim scan;
+``vm_score`` exports the VM itself.
 
 This module compiles the kernel on first use with the system C compiler
 (``gcc`` by default, override with ``REPRO_KERNEL_CC``) and caches the
@@ -30,6 +33,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -114,14 +118,14 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         p, p,                     # in_deg, out_deg
         c_int,                    # track_links
         p, p, p, p,               # nb_idx, nb_split, nb_dat, sf
-        c_i64,                    # cap
-        c_int, p, p, c_int,       # n_code, code, imm, depth
+        c_int, p, p, p,           # n_programs, bounds, code, imm
+        c_int, p, p,              # n_cells, programs, caps
         p,                        # out
     ]
     lib.vm_score.restype = ctypes.c_double
     lib.vm_score.argtypes = [
         c_int, p, p,              # n_code, code, imm
-        p, p,                     # feat, stack
+        c_i64, p, p,              # n_rows, cols, stack
     ]
     return lib
 
@@ -225,59 +229,65 @@ def run_geometries(population, trace, kinds, caps, ucaps, ucounts,
 
 
 def run_priority(population, trace, cells, track_links):
-    """Run priority-function cells over one trace.
+    """Run a trace's priority-function cells in one C call.
 
     *cells* are ``(capacity, program)`` pairs, each program a
-    :class:`repro.search.expr.Program`; every cell is one C call over
-    the same marshalled trace and links.  Returns one counter dict per
-    cell and raises like :func:`run_geometries`.
+    :class:`repro.search.expr.Program`; cells that share a program
+    object share its split and its per-block prelude.  Returns one
+    counter dict per cell and raises like :func:`run_geometries`
+    (status -2 there: a capacity below the largest block).
     """
     lib = _require()
     trace_arr = _trace_array(population, trace)
-    links = _link_args(population, track_links)
-    compiled: dict = {}
-    rows = []
-    for capacity, program in cells:
-        arrays = compiled.get(program)
-        if arrays is None:
-            arrays = compiled[program] = _program_arrays(program)
-        code, imm = arrays
-        out = np.zeros(len(_OUT_FIELDS), dtype=np.int64)
-        status = lib.priority_pass(
-            len(trace_arr), _ptr(trace_arr),
-            population.count, _ptr(population.sizes),
-            _ptr(population.in_degree), _ptr(population.out_degree),
-            1 if track_links else 0,
-            *links,
-            capacity,
-            len(code), _ptr(code), _ptr(imm), program.stack_depth,
-            _ptr(out),
-        )
-        if status != 0:
-            raise RuntimeError(
-                f"C priority kernel failed with status {status}")
-        rows.append(out.tolist())
-    return _counters(rows)
+    index: dict[int, int] = {}
+    programs = []
+    for _capacity, program in cells:
+        if index.setdefault(id(program), len(programs)) == len(programs):
+            programs.append(program)
+    code = np.fromiter(chain.from_iterable(p.code for p in programs),
+                       dtype=np.int32)
+    imm = np.fromiter(chain.from_iterable(p.imm for p in programs),
+                      dtype=np.float64)
+    bounds = np.cumsum([0, *(len(p.code) for p in programs)],
+                       dtype=np.int32)
+    of_cell = np.fromiter((index[id(program)] for _c, program in cells),
+                          dtype=np.int32, count=len(cells))
+    caps = np.fromiter((capacity for capacity, _p in cells),
+                       dtype=np.int64, count=len(cells))
+    out = np.zeros(len(cells) * len(_OUT_FIELDS), dtype=np.int64)
+    status = lib.priority_pass(
+        len(trace_arr), _ptr(trace_arr),
+        population.count, _ptr(population.sizes),
+        _ptr(population.in_degree), _ptr(population.out_degree),
+        1 if track_links else 0,
+        *_link_args(population, track_links),
+        len(programs), _ptr(bounds), _ptr(code), _ptr(imm),
+        len(cells), _ptr(of_cell), _ptr(caps),
+        _ptr(out),
+    )
+    if status != 0:
+        raise RuntimeError(f"C priority kernel failed with status {status}")
+    return _counters(out.reshape(len(cells), len(_OUT_FIELDS)).tolist())
 
 
 def score(program, features) -> float:
     """Score one feature vector (values in ``FEATURES`` order) with the
-    kernel's VM — the function ``priority_pass`` scores victims with."""
+    kernel's VM — the function ``priority_pass`` scores victims with —
+    over a single row."""
     from repro.search.expr import FEATURES
     lib = _require()
-    code, imm = _program_arrays(program)
+    code = np.ascontiguousarray(program.code, dtype=np.int32)
+    imm = np.ascontiguousarray(program.imm, dtype=np.float64)
     feat = np.ascontiguousarray(features, dtype=np.float64)
     if feat.shape != (len(FEATURES),):
         raise ValueError(f"expected {len(FEATURES)} feature values in "
                          f"FEATURES order, got shape {feat.shape}")
+    # One one-row column per feature.
+    cols = feat.ctypes.data + feat.itemsize * np.arange(
+        len(FEATURES), dtype=np.uintp)
     stack = np.zeros(program.stack_depth, dtype=np.float64)
-    return lib.vm_score(len(code), _ptr(code), _ptr(imm), _ptr(feat),
+    return lib.vm_score(len(code), _ptr(code), _ptr(imm), 1, _ptr(cols),
                         _ptr(stack))
-
-
-def _program_arrays(program):
-    return (np.ascontiguousarray(program.code, dtype=np.int32),
-            np.ascontiguousarray(program.imm, dtype=np.float64))
 
 
 def _link_args(population, track_links):

@@ -146,10 +146,10 @@ class KernelConfig:
 class _Population:
     """Dense per-workload arrays, cached across kernel invocations.
 
-    One workload's slab can take several kernel calls (each priority
-    cell, a grid wider than one traversal), and the policy search
-    re-scores the same memoized workloads every generation, so the
-    flattening work, the neighbour rows included, is memoized per
+    One workload's slab can take several kernel calls (the ladder, its
+    priority cells, a grid wider than one traversal), and the policy
+    search re-scores the same memoized workloads every generation, so
+    the flattening work, the neighbour rows included, is memoized per
     :class:`SuperblockSet` (weakly, so it dies with the workload).
     Every array is built with numpy straight from the set's columns
     (:attr:`~SuperblockSet.size_column`,
@@ -256,8 +256,9 @@ def one_pass_grid(
     This is the full amortisation: one pass over *trace* evaluates
     every pressure rung and every ladder rung simultaneously, each
     geometry keeping its own eviction frontier and residency bit.
-    Priority configs are simulated one (capacity, expression) cell per
-    C call over the same marshalled trace and links.  Returns a list
+    Priority configs are simulated in one more C call over the same
+    marshalled trace and links, every (capacity, expression) cell of
+    the grid at once.  Returns a list
     parallel to *capacities*; element ``i`` maps ``config.name`` to
     stats for ``capacities[i]``, field-identical to replaying each
     (capacity, config) cell through :class:`CodeCacheSimulator`.

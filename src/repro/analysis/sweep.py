@@ -179,7 +179,7 @@ def simulate_slab(
     (:meth:`KernelConfig.from_spec`: the ladder kinds and priority
     functions, none when the C kernel cannot load) are evaluated by
     :func:`repro.analysis.kernel.one_pass_grid` — the ladder in a
-    single trace traversal, each priority cell in one C call; every
+    single trace traversal, the priority cells in one more C call; every
     other spec replays through :class:`CodeCacheSimulator` with the
     workload's superblocks bound, one fresh policy per pressure.  The
     kernel is field-identical to replay, but it has no invariant hooks,

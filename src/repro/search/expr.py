@@ -60,7 +60,7 @@ class ExpressionError(ValueError):
     malformed serialized form)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const:
     value: float
 
@@ -69,6 +69,18 @@ class Const:
                 float(self.value)):
             raise ExpressionError(f"constant must be finite, got {self.value!r}")
         object.__setattr__(self, "value", float(self.value))
+
+    def __eq__(self, other: object) -> bool:
+        # Signed zeros differ, as in ``dumps``: equal trees serialize
+        # to equal strings.
+        if other.__class__ is not Const:
+            return NotImplemented
+        return (self.value == other.value
+                and math.copysign(1.0, self.value)
+                == math.copysign(1.0, other.value))
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def __str__(self) -> str:
         return f"{self.value:g}"
@@ -185,9 +197,10 @@ class Program:
     stack_depth: int
 
 
-#: Compiled programs by canonical JSON: one entry per distinct
-#: expression a process scores.
-_PROGRAMS: dict[str, Program] = {}
+#: Compiled programs by expression: one entry per distinct expression
+#: a process scores.  Trees are equal exactly when their canonical JSON
+#: is, signed zeros included.
+_PROGRAMS: dict[Expr, Program] = {}
 
 
 def compile_program(node: Expr) -> Program:
@@ -197,8 +210,7 @@ def compile_program(node: Expr) -> Program:
     not bound a tree's depth, so a spec file may hold a deeper tree
     than :func:`mutate` ever builds.
     """
-    key = dumps(node)
-    program = _PROGRAMS.get(key)
+    program = _PROGRAMS.get(node)
     if program is None:
         code: list[int] = []
         imm: list[float] = []
@@ -223,7 +235,7 @@ def compile_program(node: Expr) -> Program:
             imm.append(0.0)
 
         emit(node)
-        program = _PROGRAMS[key] = Program(tuple(code), tuple(imm), peak)
+        program = _PROGRAMS[node] = Program(tuple(code), tuple(imm), peak)
     return program
 
 

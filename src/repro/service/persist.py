@@ -46,8 +46,9 @@ corrupt standby therefore degrades exactly like a corrupt primary —
 quarantine and replay what is trustworthy — never crashes the worker.
 
 **Bounded WAL growth**: a snapshot is only trusted after a round-trip
-verification (load the stored blob back, re-check the configuration
-fingerprint); then the logs are *rotated*: since the snapshot covers
+verification (store it under a staged name, load it back, re-check the
+configuration fingerprint) and only then published over the last one;
+then the logs are *rotated*: since the snapshot covers
 every logged record, the primary log is deleted, and so is the
 standby's once the verified bytes are copied there.  The standby's
 snapshot plus its log always cover every logged record: a standby that
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
 import time
 import warnings
@@ -81,6 +83,10 @@ from repro.core.policies import policy_from_spec
 
 #: Blob name of the arena snapshot inside the persister's store.
 SNAPSHOT_BLOB = "arena-snapshot.pkl"
+
+#: Blob name a new snapshot is stored under until it is verified;
+#: recovery never reads it.
+STAGED_SNAPSHOT_BLOB = "arena-snapshot.staged"
 
 #: JSON sidecar written next to a quarantined snapshot with the full
 #: mismatch forensics (expected vs actual fingerprints and digests).
@@ -281,14 +287,16 @@ class ArenaPersister:
         *and verified*.
 
         *state* must cover every logged record (the arena takes it
-        under its lock, after the last append).  The logs are only
-        rotated after a round-trip verification: the stored blob is
-        loaded back, unpickled, and its configuration fingerprint
-        re-checked.  A blob that fails verification is quarantined and
-        the WAL keeps every record, so the worst a torn snapshot write
-        costs is replay time, never data.  On success the verified
-        bytes are copied to the standby and the primary log is deleted;
-        the standby log is deleted only when the copy succeeded.
+        under its lock, after the last append).  The blob is stored
+        under a staged name and verified there: loaded back, unpickled,
+        and its configuration fingerprint re-checked.  Only verified
+        bytes replace the published snapshot, and only then are the
+        logs rotated.  A staged blob that fails verification is
+        quarantined, leaving the last verified snapshot and the WAL
+        since it in place, so the worst a torn snapshot write costs is
+        replay time, never data.  On success the verified bytes are
+        copied to the standby and the primary log is deleted; the
+        standby log is deleted only when the copy succeeded.
         """
         state = dict(state)
         state["wal_seq"] = self.wal_seq
@@ -302,10 +310,20 @@ class ArenaPersister:
             )
             return False
         payload = faults.fire("service.snapshot", key="store", data=payload)
-        if self.store.store_blob(SNAPSHOT_BLOB, payload) is None:
+        if self.store.store_blob(STAGED_SNAPSHOT_BLOB, payload) is None:
             return False
         stored = self._verify_snapshot(state)
         if stored is None:
+            return False
+        try:
+            os.replace(self.store.path(STAGED_SNAPSHOT_BLOB),
+                       self.store.path(SNAPSHOT_BLOB))
+        except OSError as exc:
+            warnings.warn(
+                f"verified arena snapshot could not be published "
+                f"({exc!r}); keeping the full write-ahead log",
+                RuntimeWarning, stacklevel=2,
+            )
             return False
         self.snapshot_seq = self.wal_seq
         self._accesses_at_snapshot = total_accesses
@@ -326,10 +344,10 @@ class ArenaPersister:
         return True
 
     def _verify_snapshot(self, state: dict) -> bytes | None:
-        """Round-trip the stored blob; quarantine it on any mismatch.
+        """Round-trip the staged blob; quarantine it on any mismatch.
         Returns the verified bytes, or None."""
         self.snapshot_verifications += 1
-        stored = self.store.load_blob(SNAPSHOT_BLOB)
+        stored = self.store.load_blob(STAGED_SNAPSHOT_BLOB)
         try:
             if stored is None:
                 raise ValueError("snapshot blob unreadable after store")
@@ -347,7 +365,8 @@ class ArenaPersister:
         except Exception as exc:
             self.snapshot_verify_failures += 1
             self.store.quarantine_blob(
-                SNAPSHOT_BLOB, f"failed post-write verification ({exc})"
+                STAGED_SNAPSHOT_BLOB,
+                f"failed post-write verification ({exc})",
             )
             warnings.warn(
                 f"arena snapshot failed post-write verification "

@@ -391,6 +391,17 @@ class TestPriorityCells:
         # score's order moves with it.
         "occupancy-aged": Binary("sub", Binary("mul", Feature("occupancy"),
                                                _AGE), Feature("recency")),
+        # Fixed per block, so scored once per block and only loaded by
+        # the victim scan.
+        "hoisted": Unary("neg", Binary("mul", Feature("size"), Unary(
+            "log1p", Binary("sub", Feature("out_degree"),
+                            Feature("size"))))),
+        # A hoisted value past the score limit reaches its parent
+        # unclamped: every score clamps to the limit and ties, so the
+        # first resident goes, where a clamped 1e18 would pick the
+        # least recently touched.
+        "hoisted-unclamped": Binary("div", Binary(
+            "max", Feature("size"), Const(1e300)), Feature("recency")),
     }
 
     def _configs(self):

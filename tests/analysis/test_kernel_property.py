@@ -14,6 +14,7 @@ halves still run.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,12 @@ from hypothesis import strategies as st
 
 from repro.analysis import ckernel
 from repro.analysis.kernel import KernelConfig, one_pass_grid
-from repro.core.overhead import LinearCost, OverheadModel
+from repro.core.overhead import PAPER_MODEL, LinearCost, OverheadModel
 from repro.core.policies import granularity_ladder, ladder_specs
 from repro.core.refmodel import ReferenceSimulator, reference_ladder
 from repro.core.simulator import CodeCacheSimulator
 from repro.core.superblock import Superblock, SuperblockSet
-from repro.search.expr import FEATURES, Const, Feature
+from repro.search.expr import BINARY_OPS, FEATURES, Binary, Const, Feature
 from repro.search.priority import PriorityFunctionPolicy
 from tests.search.test_expr import _EDGE_VALUES, _expressions, _mutated
 
@@ -230,11 +231,50 @@ def _trees():
                      st.integers(0, 3)).map(_mutated)
 
 
+#: The features fixed per block, whose subtrees the kernel scores once
+#: per block, and those a victim scan recomputes.
+_FIXED = ("size", "in_degree", "out_degree")
+_SCANNED = ("age", "hotness", "recency", "occupancy")
+
+#: Edge values plus constants past the score limit: a hoisted ``max``,
+#: ``min`` or constant carries those unclamped into its parent, and so
+#: must the hoisted value.
+_HOISTED_CONSTANTS = st.sampled_from(_EDGE_VALUES + (1e300, -1e300)).map(
+    Const)
+
+
+def _fixed_trees():
+    """Trees the kernel hoists whole: fixed features and constants
+    only."""
+    return _expressions(st.one_of(st.sampled_from(_FIXED).map(Feature),
+                                  _HOISTED_CONSTANTS))
+
+
 @st.composite
-def _priority_scenario(draw):
+def _mixed_tree(draw):
+    """Hoisted subtrees under operators that read a feature the scan
+    recomputes: ``op(fixed, op'(scanned, rest))`` in either operand
+    order, where *rest* mixes fixed subtrees, scanned features and
+    constants."""
+    rest = draw(_expressions(st.one_of(
+        _fixed_trees(), st.sampled_from(_SCANNED).map(Feature),
+        _HOISTED_CONSTANTS)))
+    scanned = Feature(draw(st.sampled_from(_SCANNED)))
+    inner = draw(st.sampled_from(BINARY_OPS))
+    outer = draw(st.sampled_from(BINARY_OPS))
+    fixed = draw(_fixed_trees())
+    if draw(st.booleans()):
+        return Binary(outer, fixed, Binary(inner, scanned, rest))
+    return Binary(outer, Binary(inner, rest, scanned), fixed)
+
+
+@st.composite
+def _priority_scenario(draw, trees=None, least_capacities=1):
     """A population whose links may repeat and self-loop (raw degrees
     then differ from the deduplicated adjacency), with sparse sids half
-    the time, plus a trace, capacities and expressions."""
+    the time, plus a trace, at least *least_capacities* distinct
+    capacities and the expressions *trees* draws (by default one to
+    three mutated trees over every feature)."""
     count = draw(st.integers(3, 20))
     stride = draw(st.sampled_from((1, 3)))
     sids = [5 * (stride - 1) + index * stride for index in range(count)]
@@ -246,31 +286,32 @@ def _priority_scenario(draw):
     population = SuperblockSet(blocks)
     trace = draw(st.lists(st.sampled_from(sids), min_size=1, max_size=250))
     low = population.max_block_bytes
-    high = max(population.total_bytes, low + 1)
-    capacities = sorted({
-        draw(st.integers(low, high))
-        for _ in range(draw(st.integers(1, 3)))
-    })
-    trees = draw(st.lists(_trees(), min_size=1, max_size=3))
-    return population, trace, capacities, trees
+    high = max(population.total_bytes, low + 2)
+    capacities = sorted(draw(st.lists(
+        st.integers(low, high), min_size=least_capacities, max_size=3,
+        unique=True)))
+    if trees is None:
+        trees = st.lists(_trees(), min_size=1, max_size=3)
+    return population, trace, capacities, draw(trees)
 
 
-@given(_priority_scenario(), _model())
-@settings(max_examples=40, deadline=None)
-def test_priority_cells_match_replay_and_the_reference(scenario, model):
-    """A kernel priority cell equals CodeCacheSimulator replay and the
-    interpreter-scored reference model, in both link modes and under
-    any overhead model."""
-    population, trace, capacities, trees = scenario
+def _assert_priority_cells_match(population, trace, capacities, trees,
+                                 model=PAPER_MODEL):
+    """Every kernel priority cell of the grid, computed in one C call,
+    equals CodeCacheSimulator replay and the interpreter-scored
+    reference model, in both link modes."""
     names = [f"p{index}" for index in range(len(trees))]
     configs = [KernelConfig(name, "priority", expression=tree)
                for name, tree in zip(names, trees)]
     for track_links in (True, False):
         grid = None
         if ckernel.available():
-            grid = one_pass_grid(population, trace, capacities, configs,
-                                 overhead_model=model,
-                                 track_links=track_links)
+            with mock.patch.object(ckernel, "run_priority",
+                                   wraps=ckernel.run_priority) as calls:
+                grid = one_pass_grid(population, trace, capacities,
+                                     configs, overhead_model=model,
+                                     track_links=track_links)
+            assert calls.call_count == 1
         for index, capacity in enumerate(capacities):
             for name, tree in zip(names, trees):
                 policy = PriorityFunctionPolicy(tree, population, name=name)
@@ -284,3 +325,36 @@ def test_priority_cells_match_replay_and_the_reference(scenario, model):
                 if grid is not None:
                     assert grid[index][name] == record, (name,
                                                          track_links)
+
+
+@given(_priority_scenario(), _model())
+@settings(max_examples=40, deadline=None)
+def test_priority_cells_match_replay_and_the_reference(scenario, model):
+    """A kernel priority cell equals CodeCacheSimulator replay and the
+    interpreter-scored reference model, in both link modes and under
+    any overhead model."""
+    _assert_priority_cells_match(*scenario, model)
+
+
+_HOISTING_CASES = {
+    # The whole score is fixed per block: the scan only loads it.
+    "fixed": _priority_scenario(
+        st.lists(_fixed_trees(), min_size=1, max_size=3)),
+    # Hoisted values feed operators over recomputed features.
+    "mixed": _priority_scenario(
+        st.lists(_mixed_tree(), min_size=1, max_size=3)),
+    # One expression, one prelude, several capacities.
+    "shared": _priority_scenario(
+        st.one_of(_trees(), _fixed_trees(), _mixed_tree()).map(
+            lambda tree: [tree]),
+        least_capacities=2),
+}
+
+
+@given(st.sampled_from(sorted(_HOISTING_CASES)).flatmap(
+    _HOISTING_CASES.__getitem__))
+@settings(max_examples=60, deadline=None)
+def test_hoisted_priority_cells_match_replay_and_the_reference(scenario):
+    """The kernel scores subtrees over fixed features once per block and
+    the rest per victim scan; neither split may show in any cell."""
+    _assert_priority_cells_match(*scenario)

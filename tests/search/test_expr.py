@@ -345,6 +345,12 @@ class TestPostfixProgram:
         tree = Binary("max", Feature("size"), Const(2.0))
         twin = expr_mod.loads(expr_mod.dumps(tree))
         assert compile_program(tree) is compile_program(twin)
+        # Signed zeros are two constants, as in ``dumps``.
+        for zero in (-0.0, 0.0):
+            program = compile_program(Binary("max", Feature("size"),
+                                             Const(zero)))
+            assert math.copysign(1.0, program.imm[1]) == math.copysign(
+                1.0, zero)
 
     @pytest.mark.skipif(not ckernel.available(),
                         reason="C kernel unavailable")

@@ -9,7 +9,7 @@ import pytest
 
 from repro import faults
 from repro.analysis.sweepcache import Store
-from repro.service.persist import SNAPSHOT_BLOB
+from repro.service.persist import SNAPSHOT_BLOB, STAGED_SNAPSHOT_BLOB
 from repro.service.server import CacheService, ServiceConfig
 
 
@@ -119,8 +119,9 @@ class TestVerifiedRotation:
 
     def test_verified_snapshot_is_read_back_once(self, tmp_path,
                                                  monkeypatch):
-        """Verification reads the stored blob back; the standby gets
-        those same bytes, not a second read."""
+        """Verification reads the staged blob back; the published
+        snapshot and the standby get those same bytes, not a second
+        read."""
         async def scenario():
             service = _service(tmp_path)
             await _stream(service, "t", [list(range(16))] * 3)
@@ -134,7 +135,8 @@ class TestVerifiedRotation:
 
             monkeypatch.setattr(persister.store, "load_blob", counted)
             assert service.arena.snapshot_now()
-            assert reads == [SNAPSHOT_BLOB]
+            assert reads == [STAGED_SNAPSHOT_BLOB]
+            assert not (tmp_path / "primary" / STAGED_SNAPSHOT_BLOB).exists()
             assert persister.standby_snapshots == 1
             assert ((tmp_path / "standby" / SNAPSHOT_BLOB).read_bytes()
                     == (tmp_path / "primary" / SNAPSHOT_BLOB).read_bytes())
@@ -242,6 +244,61 @@ class TestVerifiedRotation:
             reference = await session.stats()
             restarted = _service(tmp_path)
             assert not restarted.recovery["snapshot_loaded"]
+            resumed = restarted.open_session("t", resume=True)
+            assert await resumed.stats() == reference
+            await restarted.drain()
+            await service.drain()
+
+        asyncio.run(scenario())
+
+    def test_failed_verification_keeps_the_last_verified_snapshot(
+            self, tmp_path):
+        """A snapshot that fails verification after a verified rotation
+        costs nothing: it was staged, so the published snapshot and the
+        WAL since that rotation still hold every acknowledged access."""
+        async def scenario():
+            service = _service(tmp_path)
+            session, seq = await _stream(
+                service, "t", [list(range(16))] * 3
+            )
+            assert service.arena.snapshot_now()
+            session.submit(list(range(16)), seq=seq + 1)
+            await session.flush()
+            reference = await session.stats()
+            assert reference["accesses"] == 64
+            persister = service.persister
+            with faults.plan(faults.FaultSpec(point="service.snapshot",
+                                              mode="corrupt",
+                                              keys=("store",))):
+                assert not service.arena.snapshot_now()
+            assert persister.snapshot_verify_failures == 1
+            quarantine = tmp_path / "primary" / "quarantine"
+            assert [p.name for p in quarantine.iterdir()] == [
+                STAGED_SNAPSHOT_BLOB]
+            restarted = _service(tmp_path)
+            assert restarted.recovery["snapshot_loaded"]
+            assert not restarted.recovery["standby_promoted"]
+            assert restarted.recovery["replay_quarantined"] == 0
+            assert restarted.arena.applied_seq("t") == seq + 1
+            resumed = restarted.open_session("t", resume=True)
+            assert await resumed.stats() == reference
+            await restarted.drain()
+            await service.drain()
+
+        asyncio.run(scenario())
+
+    def test_leftover_staged_snapshot_is_ignored(self, tmp_path):
+        """A crash between staging and publishing leaves a staged blob
+        that recovery never reads."""
+        async def scenario():
+            service = _service(tmp_path)
+            session, _ = await _stream(service, "t", [list(range(16))] * 2)
+            reference = await session.stats()
+            (tmp_path / "primary" / STAGED_SNAPSHOT_BLOB).write_bytes(
+                b"torn")
+            restarted = _service(tmp_path)
+            assert not restarted.recovery["snapshot_loaded"]
+            assert restarted.recovery["replay_quarantined"] == 0
             resumed = restarted.open_session("t", resume=True)
             assert await resumed.stats() == reference
             await restarted.drain()
