@@ -17,27 +17,26 @@ subtrees that read only per-block features once per block, and the
 rest column by column over the residents at each victim scan;
 ``vm_score`` exports the VM itself.
 
-This module compiles the kernel on first use with the system C compiler
-(``gcc`` by default, override with ``REPRO_KERNEL_CC``) and caches the
-shared object in the system temp directory keyed by the source and the
-whole compile command.  When no compiler is available :func:`load`
-returns ``None``, :func:`available` is false and every runner raises
-``RuntimeError``; :meth:`repro.analysis.kernel.KernelConfig.from_spec`
-then admits no spec, so sweeps replay every cell.
+This module compiles and loads the kernel once per process through
+:func:`repro.native.load` (the system C compiler, ``gcc`` by default,
+override with ``REPRO_KERNEL_CC``; the shared object is cached in the
+system temp directory keyed by the source and the whole compile
+command).  The kernel links nothing but libm.  When no compiler is
+available :func:`load` returns ``None``, :func:`available` is false and
+every runner raises ``RuntimeError``;
+:meth:`repro.analysis.kernel.KernelConfig.from_spec` then admits no
+spec, so sweeps replay every cell.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from repro import native
 from repro.core.links import BACKPOINTER_ENTRY_BYTES
 
 #: The C kernel packs residency into a 64-bit word per block, one bit
@@ -58,47 +57,11 @@ _OUT_FIELDS = (
     "peak_backpointer_bytes",
 )
 
-_lib = None
-_lib_error: str | None = None
-_lib_loaded = False
-
 _EMPTY_I32 = np.zeros(1, dtype=np.int32)
 _EMPTY_U8 = np.zeros(1, dtype=np.uint8)
 
 
-#: Flags and libraries of every build.  The expression VM's doubles
-#: must not be contracted into fused multiply-adds, and libm supplies
-#: ``log1p``.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_LIBS = ("-lm",)
-
-
-def _so_path(source: bytes, compiler: str) -> Path:
-    """Where the build of *source* by *compiler* lives.  The key covers
-    the whole compile command, so a changed compiler or flag builds
-    afresh instead of loading an object built another way."""
-    recipe = "\0".join((compiler, *_CFLAGS, *_LIBS)).encode()
-    digest = hashlib.sha256(source + b"\0" + recipe).hexdigest()[:16]
-    uid = getattr(os, "getuid", lambda: 0)()
-    return (Path(tempfile.gettempdir())
-            / f"repro-onepass-{digest}-{uid}.so")
-
-
-def _compile(compiler: str, source_path: Path, so_path: Path) -> None:
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(so_path.parent))
-    os.close(fd)
-    try:
-        subprocess.run(
-            [compiler, *_CFLAGS, "-o", tmp, str(source_path), *_LIBS],
-            check=True, capture_output=True, timeout=120,
-        )
-        os.replace(tmp, so_path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
+def _declare(lib: ctypes.CDLL) -> None:
     c_i64 = ctypes.c_longlong
     c_int = ctypes.c_int
     p = ctypes.c_void_p
@@ -127,33 +90,18 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         c_int, p, p,              # n_code, code, imm
         c_i64, p, p,              # n_rows, cols, stack
     ]
-    return lib
 
 
 def load() -> ctypes.CDLL | None:
-    """Compile (once per source and compile command) and load the C
-    kernel, or return ``None`` with the failure recorded in
-    :func:`load_error`."""
-    global _lib, _lib_error, _lib_loaded
-    if _lib_loaded:
-        return _lib
-    _lib_loaded = True
-    try:
-        compiler = os.environ.get("REPRO_KERNEL_CC", "gcc")
-        so_path = _so_path(_SOURCE.read_bytes(), compiler)
-        if not so_path.exists():
-            _compile(compiler, _SOURCE, so_path)
-        _lib = _configure(ctypes.CDLL(str(so_path)))
-    except Exception as exc:  # noqa: BLE001 - any failure means replay
-        _lib = None
-        _lib_error = f"{type(exc).__name__}: {exc}"
-    return _lib
+    """The C kernel, compiled once per source and compile command, or
+    ``None`` with the failure recorded in :func:`load_error`."""
+    return native.load("onepass", _SOURCE, declare=_declare)
 
 
 def load_error() -> str | None:
     """Why the C kernel is unavailable (``None`` when it loaded)."""
     load()
-    return _lib_error
+    return native.load_error("onepass")
 
 
 def available() -> bool:
@@ -163,7 +111,7 @@ def available() -> bool:
 def _require() -> ctypes.CDLL:
     lib = load()
     if lib is None:
-        raise RuntimeError(f"C kernel engine unavailable: {_lib_error}")
+        raise RuntimeError(f"C kernel engine unavailable: {load_error()}")
     return lib
 
 

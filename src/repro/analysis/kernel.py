@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -151,11 +150,12 @@ class _Population:
     search re-scores the same memoized workloads every generation, so
     the flattening work, the neighbour rows included, is memoized per
     :class:`SuperblockSet` (weakly, so it dies with the workload).
-    Every array is built with numpy straight from the set's columns
-    (:attr:`~SuperblockSet.size_column`,
-    :attr:`~SuperblockSet.link_column`), so no :class:`Superblock`
-    object and no reverse adjacency is needed; the arrays are
-    contiguous and handed to the C engine as they are.
+    Every array is built with numpy straight from the set's array
+    columns (:attr:`~SuperblockSet.size_array`,
+    :attr:`~SuperblockSet.link_csr`), which a generated workload's set
+    holds from the start, so no :class:`Superblock` object, link tuple
+    or reverse adjacency is needed; the arrays are contiguous and
+    handed to the C engine as they are.
     """
 
     __slots__ = ("count", "index_of", "sizes", "nb_idx", "nb_split",
@@ -173,8 +173,7 @@ class _Population:
             ids = np.fromiter(sids, dtype=np.int64, count=self.count)
             self.index_of = np.full(int(ids.max()) + 1, -1, dtype=np.int32)
             self.index_of[ids] = np.arange(self.count, dtype=np.int32)
-        self.sizes = np.fromiter(superblocks.size_column, dtype=np.int64,
-                                 count=self.count)
+        self.sizes = superblocks.size_array
         #: Deduplicated adjacency in dense indices, built by
         #: :meth:`ensure_links`: one int32 neighbour row per block
         #: (``nb_dat[nb_idx[b]:nb_idx[b + 1]]``) holding its outgoing
@@ -196,11 +195,8 @@ class _Population:
         if self.nb_idx is not None:
             return
         count = self.count
-        links = superblocks.link_column
-        out_degree = np.fromiter(map(len, links), dtype=np.int64,
-                                 count=count)
-        targets = np.fromiter(chain.from_iterable(links), dtype=np.int64,
-                              count=int(out_degree.sum()))
+        offsets, targets = superblocks.link_csr
+        out_degree = np.diff(offsets)
         if self.index_of is not None:
             targets = self.index_of[targets]
         sources = np.repeat(np.arange(count, dtype=np.int64), out_degree)

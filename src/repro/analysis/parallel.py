@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro import faults
-from repro.analysis import sweepcache
+from repro.analysis import ckernel, sweepcache
 from repro.analysis.sweepcache import Store
 from repro.core.metrics import SimulationStats
 from repro.core.overhead import PAPER_MODEL, OverheadModel
@@ -298,6 +298,30 @@ def _task_workload(task: SweepTask):
     return workload
 
 
+#: Each spec list's parsed specs and kernel cells
+#: (:func:`repro.analysis.sweep.kernel_configs`, none for a task that
+#: replays), resolved once per process: every task of a sweep, and
+#: every sweep of a search generation's re-scored population, carries
+#: the same list.  Keyed by whether the kernel runs too, and
+#: FIFO-bounded like the workloads.
+_SPEC_MEMO: dict[tuple, tuple[list, dict]] = {}
+
+
+def _task_specs(task: SweepTask) -> tuple[list, dict]:
+    from repro.analysis.sweep import kernel_configs  # sweep imports us
+
+    one_pass = task.one_pass and ckernel.available()
+    key = (task.policy_specs, one_pass)
+    resolved = _SPEC_MEMO.get(key)
+    if resolved is None:
+        specs = [json.loads(raw) for raw in task.policy_specs]
+        resolved = (specs, kernel_configs(specs) if one_pass else {})
+        while len(_SPEC_MEMO) >= _WORKLOAD_MEMO_MAX:
+            _SPEC_MEMO.pop(next(iter(_SPEC_MEMO)))
+        _SPEC_MEMO[key] = resolved
+    return resolved
+
+
 def simulate_task(task: SweepTask) -> list[GridRecord]:
     """Rebuild the task's workload and simulate its whole grid slab.
 
@@ -307,12 +331,10 @@ def simulate_task(task: SweepTask) -> list[GridRecord]:
     """
     from repro.analysis.sweep import simulate_slab  # sweep imports us
 
-    return simulate_slab(_task_workload(task),
-                         [json.loads(raw) for raw in task.policy_specs],
-                         task.pressures,
-                         overhead_model=task.overhead_model,
-                         track_links=task.track_links,
-                         one_pass=task.one_pass)
+    specs, configs = _task_specs(task)
+    return simulate_slab(_task_workload(task), specs, task.pressures,
+                         configs, overhead_model=task.overhead_model,
+                         track_links=task.track_links)
 
 
 def _attempt_task(task: SweepTask, key: str, attempt: int) -> list[GridRecord]:

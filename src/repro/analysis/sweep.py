@@ -163,39 +163,50 @@ class SweepResult:
         return fractions
 
 
+def kernel_configs(
+        policy_specs: Sequence[PolicySpec]) -> dict[int, KernelConfig]:
+    """The kernel cell of every spec the one-pass kernel can run
+    (:meth:`KernelConfig.from_spec`), by spec index; the other specs
+    replay.  Each resolution builds the spec's policy, and a priority
+    spec re-parses its expression, so the sweep engines resolve a spec
+    list once, not once per workload."""
+    configs: dict[int, KernelConfig] = {}
+    for index, spec in enumerate(policy_specs):
+        config = KernelConfig.from_spec(spec)
+        if config is not None:
+            configs[index] = config
+    return configs
+
+
 def simulate_slab(
     workload: Workload,
     policy_specs: Sequence[PolicySpec],
     pressures: Sequence[float],
+    configs: dict[int, KernelConfig],
     overhead_model: OverheadModel = PAPER_MODEL,
     track_links: bool = True,
     check_level: str | None = None,
-    one_pass: bool = True,
 ) -> list[GridRecord]:
     """Simulate one workload's (pressure x policy) slab — the code both
     sweep engines run.
 
-    With ``one_pass`` the specs the kernel can express
-    (:meth:`KernelConfig.from_spec`: the ladder kinds and priority
-    functions, none when the C kernel cannot load) are evaluated by
+    *configs* holds the kernel cell of each spec the caller routes
+    through the one-pass kernel, by spec index (:func:`kernel_configs`;
+    ``{}`` replays every spec).  Those cells are evaluated by
     :func:`repro.analysis.kernel.one_pass_grid` — the ladder in a
     single trace traversal, the priority cells in one more C call; every
     other spec replays through :class:`CodeCacheSimulator` with the
     workload's superblocks bound, one fresh policy per pressure.  The
     kernel is field-identical to replay, but it has no invariant hooks,
     so an active check level (``None`` defers to
-    ``REPRO_CHECK_LEVEL``) forces replay.  Records come out
+    ``REPRO_CHECK_LEVEL``) replays every spec.  Records come out
     pressure-outer, spec-order inner.
     """
     superblocks = workload.superblocks
     capacities = [pressured_capacity(superblocks, pressure)
                   for pressure in pressures]
-    configs: dict[int, KernelConfig] = {}
-    if one_pass and resolve_check_level(check_level) == "off":
-        for index, spec in enumerate(policy_specs):
-            config = KernelConfig.from_spec(spec)
-            if config is not None:
-                configs[index] = config
+    if resolve_check_level(check_level) != "off":
+        configs = {}
     cells: list[dict[str, SimulationStats]] = [{} for _ in capacities]
     if configs:
         cells = one_pass_grid(superblocks, workload.trace, capacities,
@@ -250,19 +261,22 @@ def run_sweep(
     ``REPRO_CHECK_LEVEL`` (default ``off``), which is also how pool
     workers of the parallel engine pick the level up.  Slabs loaded
     from the sweep store were validated when first simulated, not per
-    load.  ``one_pass`` lets :func:`simulate_slab` route the specs the
-    one-pass kernel can express through it (the result is the same
-    either way; ``False`` forces replay for A/B checks).
+    load.  ``one_pass`` routes the specs the one-pass kernel can
+    express (:meth:`KernelConfig.from_spec`: the ladder kinds and
+    priority functions, none when the C kernel cannot load) through it;
+    the result is the same either way, and ``False`` forces replay for
+    A/B checks.  Each spec is resolved once per call, not per workload.
     """
     pressures = tuple(pressures)
     started = time.perf_counter()
     names = policy_names(policy_specs)
+    configs = kernel_configs(policy_specs) if one_pass else {}
     stats: dict[tuple[str, str, float], SimulationStats] = {}
     for workload in workloads:
         for benchmark, policy, pressure, record in simulate_slab(
-                workload, policy_specs, pressures,
+                workload, policy_specs, pressures, configs,
                 overhead_model=overhead_model, track_links=track_links,
-                check_level=check_level, one_pass=one_pass):
+                check_level=check_level):
             stats[(benchmark, policy, pressure)] = record
         if progress is not None:
             progress(f"swept {workload.name}")

@@ -14,6 +14,7 @@ from repro.workloads.distributions import (
     size_histogram,
 )
 from repro.workloads.linkgraph import (
+    generate_link_columns,
     generate_links,
     mean_out_degree,
     self_loop_fraction,
@@ -64,6 +65,7 @@ __all__ = [
     "LogNormalSizeDistribution",
     "median_of",
     "size_histogram",
+    "generate_link_columns",
     "generate_links",
     "mean_out_degree",
     "self_loop_fraction",

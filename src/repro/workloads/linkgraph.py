@@ -15,11 +15,57 @@ We model each block's outbound links as:
   geometrically-distributed signed distance in superblock-id space
   (ids are assigned in formation order, so id distance models
   creation-time distance).
+
+The Poisson counts and self-loop flags are drawn vectorized; the
+per-link draws (a geometric distance, then a uniform for its sign) run
+in C (``_linkdraw.c``) through numpy's own geometric sampler and the
+Generator's bit generator, the same draws in the same order as the
+per-link Python loop, so the graph and the generator's state afterwards
+are bit-identical to it.  The C loop is compiled and loaded once per
+process by :func:`repro.native.load`, linked with numpy's
+``numpy/random/lib/libnpyrandom.a``; where it cannot be built (no
+compiler, no archive) the Python loop runs instead and
+:func:`load_error` says why.  It also stays as the C loop's test
+oracle.  :func:`generate_link_columns` returns the graph as CSR
+columns, which :meth:`~repro.core.superblock.SuperblockSet.from_csr`
+and the sweep kernel take as they are.
 """
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
+
+from repro import native
+
+_SOURCE = Path(__file__).with_name("_linkdraw.c")
+#: numpy's C distributions, ``random_geometric`` among them.
+_NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
+
+def _declare(lib: ctypes.CDLL) -> None:
+    p = ctypes.c_void_p
+    lib.draw_links.restype = ctypes.c_int
+    lib.draw_links.argtypes = [
+        p, ctypes.c_int64, p, p,  # bitgen, count, self_loops, outward
+        ctypes.c_double, p, p,    # p, offsets, targets
+    ]
+
+
+def _load() -> ctypes.CDLL | None:
+    """The C draw loop, compiled once per source, compile command and
+    numpy archive, or ``None`` with the failure recorded in
+    :func:`load_error`."""
+    return native.load("linkdraw", _SOURCE, cflags=("-I", np.get_include()),
+                       archives=(_NPYRANDOM,), declare=_declare)
+
+
+def load_error() -> str | None:
+    """Why the C draw loop is unavailable (``None`` when it loaded)."""
+    _load()
+    return native.load_error("linkdraw")
 
 
 def generate_links(
@@ -46,7 +92,28 @@ def generate_links(
     Returns
     -------
     A list whose ``i``-th entry is block ``i``'s outgoing link tuple,
-    deduplicated, targets within ``[0, count)``.
+    deduplicated, targets within ``[0, count)``: the rows of
+    :func:`generate_link_columns`.
+    """
+    offsets, targets = generate_link_columns(
+        count, rng, mean_out_degree, self_loop_prob, locality_scale)
+    flat = targets.tolist()
+    bounds = offsets.tolist()
+    return [tuple(flat[start:end])
+            for start, end in zip(bounds, bounds[1:])]
+
+
+def generate_link_columns(
+    count: int,
+    rng: np.random.Generator,
+    mean_out_degree: float = 1.7,
+    self_loop_prob: float = 0.3,
+    locality_scale: float = 12.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`generate_links` graph as CSR columns ``(offsets,
+    targets)``, both ``int64``: block ``i``'s outgoing targets are
+    ``targets[offsets[i]:offsets[i + 1]]``.  Same parameters, same
+    draws.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -62,8 +129,34 @@ def generate_links(
     outward_mean = mean_out_degree - self_loop_prob
     self_loops = rng.random(count) < self_loop_prob
     outward_counts = rng.poisson(outward_mean, size=count)
-    links: list[tuple[int, ...]] = []
     geometric_p = 1.0 / locality_scale
+    # A p that rng.geometric rejects raises from the Python loop, at
+    # the first draw, exactly as it always has.
+    lib = _load() if 0.0 < geometric_p <= 1.0 else None
+    if lib is None:
+        return _draw_in_python(count, rng, self_loops, outward_counts,
+                               geometric_p)
+    offsets = np.empty(count + 1, dtype=np.int64)
+    targets = np.empty(max(1, int(self_loops.sum())
+                           + int(outward_counts.sum())), dtype=np.int64)
+    outward_counts = np.ascontiguousarray(outward_counts, dtype=np.int64)
+    bit_generator = rng.bit_generator
+    # ctypes releases the GIL: hold the lock numpy's own methods take.
+    with bit_generator.lock:
+        status = lib.draw_links(
+            bit_generator.ctypes.bit_generator, count,
+            self_loops.ctypes.data, outward_counts.ctypes.data,
+            geometric_p, offsets.ctypes.data, targets.ctypes.data)
+    if status != 0:
+        raise MemoryError(f"C link draw failed with status {status}")
+    return offsets, targets[:offsets[-1]]
+
+
+def _draw_in_python(count, rng, self_loops, outward_counts, geometric_p):
+    """The per-link loop, one numpy call per draw: the fallback where
+    the C loop cannot load, and its test oracle."""
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    flat: list[int] = []
     for sid in range(count):
         targets: list[int] = []
         if self_loops[sid]:
@@ -80,14 +173,9 @@ def generate_links(
             if target != sid:
                 targets.append(target)
         # Deduplicate, preserving order.
-        seen: set[int] = set()
-        unique = []
-        for target in targets:
-            if target not in seen:
-                seen.add(target)
-                unique.append(target)
-        links.append(tuple(unique))
-    return links
+        flat.extend(dict.fromkeys(targets))
+        offsets[sid + 1] = len(flat)
+    return offsets, np.array(flat, dtype=np.int64)
 
 
 def mean_out_degree(links: list[tuple[int, ...]]) -> float:

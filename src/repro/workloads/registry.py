@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.cache import ConfigurationError
 from repro.core.superblock import SuperblockSet
 from repro.workloads.distributions import LogNormalSizeDistribution
-from repro.workloads.linkgraph import generate_links
+from repro.workloads.linkgraph import generate_link_columns
 from repro.workloads.traces import TraceConfig, generate_trace
 
 #: Log-normal shapes calibrated against the paper's maxCache endpoints:
@@ -250,14 +250,14 @@ def build_workload(
     count = max(16, round(spec.superblock_count * scale))
     rng = np.random.default_rng(spec.seed if seed is None else seed)
     sizes = spec.size_distribution.sample(count, rng)
-    links = generate_links(
+    offsets, targets = generate_link_columns(
         count,
         rng,
         mean_out_degree=spec.mean_out_degree,
         self_loop_prob=0.30,
         locality_scale=max(8.0, count * 0.015),
     )
-    superblocks = SuperblockSet.from_arrays(sizes, links)
+    superblocks = SuperblockSet.from_csr(sizes, offsets, targets)
     if trace_accesses is None:
         trace_accesses = default_trace_accesses(count)
     config = replace(spec.trace_profile, accesses=trace_accesses)

@@ -23,6 +23,12 @@ cache.  Four properties of such streams drive the results:
 Ids are assigned in formation order, so the sliding window also means
 new phases touch *newly formed* blocks — which is what makes eviction
 granularity matter.
+
+A trace is a function of the seeded draw sequence, which every sweep
+grid, figure and sweep-store key depends on.  :func:`generate_trace`
+takes a fixed sequence of vectorized draws per phase and samples each
+Zipf law through one CDF built per trace, the CDF and the draws
+``Generator.choice(p=)`` would use.
 """
 
 from __future__ import annotations
@@ -94,11 +100,26 @@ def _zipf_pmf(size: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _zipf_cdf(size: int, exponent: float) -> np.ndarray:
+    """The CDF ``Generator.choice(size, p=pmf)`` samples through: the
+    pmf's cumulative sum, normalised by its last element."""
+    cdf = _zipf_pmf(size, exponent).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def generate_trace(block_count: int, config: TraceConfig,
                    rng: np.random.Generator) -> np.ndarray:
     """Generate an access trace over blocks ``0..block_count-1``.
 
     Returns an ``int64`` array of length ``config.accesses``.
+
+    Each phase takes its draws in one fixed order: one uniform per
+    access picking its component, the Zipf offsets, the phase's window
+    permutation, then the global-set picks.  A Zipf or global pick is
+    ``cdf.searchsorted(rng.random(n), side="right")`` over a CDF built
+    once per trace, the draw and the search ``rng.choice(k, n, p=pmf)``
+    makes, without re-validating the pmf per phase.
     """
     if block_count < 1:
         raise ValueError("block_count must be positive")
@@ -106,50 +127,50 @@ def generate_trace(block_count: int, config: TraceConfig,
     window = max(1, round(config.working_fraction * block_count))
     window = min(window, block_count)
     stride = max(1, round(window * (1.0 - config.overlap)))
-    zipf_pmf = _zipf_pmf(window, config.zipf_exponent)
+    zipf_cdf = _zipf_cdf(window, config.zipf_exponent)
 
     global_size = max(1, round(config.global_set_fraction * block_count))
     global_size = min(global_size, block_count)
     # The global hot set: blocks spread across the id space (library code
     # is formed throughout the run, not all at once).
     global_ids = rng.choice(block_count, size=global_size, replace=False)
-    global_pmf = _zipf_pmf(global_size, config.zipf_exponent)
+    global_cdf = _zipf_cdf(global_size, config.zipf_exponent)
+    # Which component serves an access: global below the first edge,
+    # sweep below the second, Zipf from there on.
+    global_edge = config.global_fraction
+    sweep_edge = config.global_fraction + config.sweep_fraction
 
-    lengths = _phase_lengths(config.accesses, config.phase_count)
-    pieces: list[np.ndarray] = []
+    trace = np.empty(config.accesses, dtype=np.int64)
+    phase_start = 0
     start = 0
     sweep_cursor = 0
-    for length in lengths:
+    for length in _phase_lengths(config.accesses, config.phase_count):
         if length == 0:
             continue
-        # Which component serves each access: 0 = Zipf, 1 = sweep, 2 = global.
+        ids = trace[phase_start:phase_start + length]
+        phase_start += length
         draw = rng.random(length)
-        is_global = draw < config.global_fraction
-        is_sweep = (~is_global) & (
-            draw < config.global_fraction + config.sweep_fraction
-        )
-        is_zipf = ~(is_global | is_sweep)
-
-        ids = np.empty(length, dtype=np.int64)
-        n_zipf = int(is_zipf.sum())
-        if n_zipf:
-            offsets = rng.choice(window, size=n_zipf, p=zipf_pmf)
+        at_zipf = np.flatnonzero(draw >= sweep_edge)
+        if len(at_zipf):
+            offsets = zipf_cdf.searchsorted(rng.random(len(at_zipf)),
+                                            side="right")
             # Per-phase permutation: which blocks in the window are hot
             # changes from phase to phase, while staying spatially local.
             permutation = rng.permutation(window)
-            ids[is_zipf] = (start + permutation[offsets]) % block_count
-        n_sweep = int(is_sweep.sum())
-        if n_sweep:
-            positions = (sweep_cursor + np.arange(n_sweep)) % window
-            ids[is_sweep] = (start + positions) % block_count
-            sweep_cursor = (sweep_cursor + n_sweep) % window
-        n_global = int(is_global.sum())
-        if n_global:
-            picks = rng.choice(global_size, size=n_global, p=global_pmf)
-            ids[is_global] = global_ids[picks]
-        pieces.append(ids)
+            ids[at_zipf] = (start + permutation[offsets]) % block_count
+        at_sweep = np.flatnonzero((draw >= global_edge)
+                                  & (draw < sweep_edge))
+        if len(at_sweep):
+            positions = (sweep_cursor + np.arange(len(at_sweep))) % window
+            ids[at_sweep] = (start + positions) % block_count
+            sweep_cursor = (sweep_cursor + len(at_sweep)) % window
+        at_global = np.flatnonzero(draw < global_edge)
+        if len(at_global):
+            picks = global_cdf.searchsorted(rng.random(len(at_global)),
+                                            side="right")
+            ids[at_global] = global_ids[picks]
         start = (start + stride) % block_count
-    return np.concatenate(pieces)
+    return trace
 
 
 def _phase_lengths(accesses: int, phase_count: int) -> list[int]:

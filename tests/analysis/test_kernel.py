@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.analysis import ckernel
 from repro.analysis import sweep as sweep_module
 from repro.analysis.kernel import KernelConfig, _Population, one_pass_grid
@@ -36,7 +37,7 @@ from repro.workloads.registry import (
     get_benchmark,
     spec_benchmarks,
 )
-from tests.core.test_superblock import _columns, _from_arrays, _from_objects
+from tests.core.test_superblock import _columns, _from_csr, _from_objects
 
 
 def _population(count=12, size=48, sparse=False):
@@ -83,9 +84,7 @@ _NEEDS_C = pytest.mark.skipif(not ckernel.available(),
 
 def _unload(monkeypatch):
     """Make the C kernel look unbuildable for one test."""
-    monkeypatch.setattr(ckernel, "_lib", None)
-    monkeypatch.setattr(ckernel, "_lib_loaded", True)
-    monkeypatch.setattr(ckernel, "_lib_error", "no compiler")
+    monkeypatch.setitem(native._loaded, "onepass", (None, "no compiler"))
 
 
 def _small_workload():
@@ -523,14 +522,12 @@ class TestCLoader:
         # with the default compiler, then a broken compiler must be
         # tried (and reported) instead of loading the cached object.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setattr(ckernel, "_lib", None)
-        monkeypatch.setattr(ckernel, "_lib_loaded", False)
-        monkeypatch.setattr(ckernel, "_lib_error", None)
+        monkeypatch.delitem(native._loaded, "onepass", raising=False)
         monkeypatch.delenv("REPRO_KERNEL_CC", raising=False)
         assert ckernel.available()
         assert len(list(tmp_path.glob("repro-onepass-*.so"))) == 1
 
-        monkeypatch.setattr(ckernel, "_lib_loaded", False)
+        del native._loaded["onepass"]
         monkeypatch.setenv("REPRO_KERNEL_CC", str(tmp_path / "no-such-cc"))
         assert not ckernel.available()
         assert "no-such-cc" in ckernel.load_error()
@@ -555,10 +552,16 @@ def _reference_adjacency(superblocks):
 class TestPopulationArrays:
     """The kernel's numpy marshalling against the per-block loop."""
 
-    @given(_columns(), st.booleans())
+    @given(_columns())
     @settings(max_examples=100, deadline=None)
-    def test_arrays_match_the_per_block_loop(self, columns, objects):
-        blocks = (_from_objects if objects else _from_arrays)(*columns)
+    def test_arrays_match_the_per_block_loop(self, columns):
+        # CSR sets have ids 0..n-1; the object constructor takes any.
+        dense = columns[0] == list(range(len(columns[0])))
+        for build in (_from_objects, _from_csr) if dense else (
+                _from_objects,):
+            self._check_population(build(*columns))
+
+    def _check_population(self, blocks):
         population = _Population(blocks)
         population.ensure_links(blocks)
         index_of = {sid: index for index, sid in enumerate(blocks.sids)}
@@ -593,14 +596,16 @@ class TestPopulationArrays:
 
 
 class TestKernelPathIsLazy:
-    """A freshly built workload reaches the one-pass kernel as columns:
-    sweeping it builds no Superblock and no reverse adjacency."""
+    """A freshly built workload reaches the one-pass kernel as array
+    columns: sweeping it builds no Superblock, no link tuple and no
+    reverse adjacency."""
 
     @_NEEDS_C
     def test_sweep_builds_no_superblock_objects(self, monkeypatch):
-        built, reversed_ = [], []
+        built, reversed_, tupled = [], [], []
         post_init = Superblock.__post_init__
         build_incoming = SuperblockSet._build_incoming
+        build_links = SuperblockSet._build_links
 
         def spy_post_init(block):
             built.append(block.sid)
@@ -610,9 +615,14 @@ class TestKernelPathIsLazy:
             reversed_.append(len(blocks))
             return build_incoming(blocks)
 
+        def spy_build_links(blocks):
+            tupled.append(len(blocks))
+            return build_links(blocks)
+
         monkeypatch.setattr(Superblock, "__post_init__", spy_post_init)
         monkeypatch.setattr(SuperblockSet, "_build_incoming",
                             spy_build_incoming)
+        monkeypatch.setattr(SuperblockSet, "_build_links", spy_build_links)
         specs = ladder_policy_factories((1, 2, 8, 64)) + [
             {"kind": "priority", "name": "linky",
              "expression": expr_to_dict(TestPriorityCells._TREES["linky"])}]
@@ -621,8 +631,8 @@ class TestKernelPathIsLazy:
         result = run_sweep([workload], specs, pressures=(2, 10),
                            one_pass=True, check_level="off")
         assert len(result.stats) == 2 * len(specs)
-        assert built == [] and reversed_ == []
+        assert built == [] and reversed_ == [] and tupled == []
         # The spies see the objects and the adjacency once asked for.
         workload.superblocks.incoming(0)
         assert len(list(workload.superblocks)) == len(built) > 0
-        assert reversed_ == [len(built)]
+        assert reversed_ == tupled == [len(built)]

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.analysis import ckernel, parallel
+from repro.analysis import kernel as kernel_module
+from repro.analysis import sweep as sweep_module
 from repro.analysis.sweep import (
     FINE_NAME,
     FLUSH_NAME,
@@ -14,6 +17,7 @@ from repro.analysis.sweep import (
 )
 from repro.core.policies import policy_from_spec
 from repro.workloads.registry import (
+    all_benchmarks,
     benchmarks_by_names,
     build_suite,
     spec_benchmarks,
@@ -82,6 +86,47 @@ class TestRunSweep:
                            pressures=(4,))
         records = result.records(FLUSH_NAME, 4)
         assert [r.benchmark for r in records] == ["gzip", "vpr"]
+
+
+class TestSpecResolution:
+    """A sweep builds each spec's policy to resolve its kernel cell once
+    per call (and once per process for its tasks), not per workload."""
+
+    _SPECS = ladder_policy_factories((1, 2, 8, 64)) + [
+        {"kind": "priority", "name": "age",
+         "expression": {"kind": "feature", "name": "age"}}]
+
+    def _count_builds(self, monkeypatch):
+        calls = []
+
+        def counting(spec, superblocks=None):
+            calls.append(spec)
+            return policy_from_spec(spec, superblocks)
+
+        for module in (sweep_module, kernel_module):
+            monkeypatch.setattr(module, "policy_from_spec", counting)
+        return calls
+
+    @pytest.mark.skipif(not ckernel.available(),
+                        reason="C kernel unavailable")
+    def test_specs_resolve_once_per_sweep(self, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        specs = benchmarks_by_names([spec.name for spec in all_benchmarks()])
+        workloads = build_suite(specs, scale=0.02, trace_accesses=200)
+        result = run_sweep(workloads, self._SPECS, pressures=(2, 10))
+        assert len(result.stats) == 20 * 2 * len(self._SPECS)
+        # Naming the cells, then resolving the kernel cells.
+        assert len(calls) == 2 * len(self._SPECS)
+
+        calls.clear()
+        monkeypatch.setattr(parallel, "_SPEC_MEMO", {})
+        for _ in range(2):
+            result = run_sweep_parallel(specs, self._SPECS, scale=0.02,
+                                        trace_accesses=200,
+                                        pressures=(2, 10), jobs=1)
+        assert len(result.stats) == 20 * 2 * len(self._SPECS)
+        # Two calls name their cells; the process resolves once.
+        assert len(calls) == 3 * len(self._SPECS)
 
 
 class TestSpecNaming:

@@ -1,5 +1,6 @@
 """Unit tests for superblocks and superblock sets."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,11 +119,12 @@ class TestSetProperties:
 
 
 @st.composite
-def _columns(draw):
-    """Parallel sid/size/link columns: dense or arbitrary unique sids,
-    out-links that may repeat and may loop."""
+def _columns(draw, dense=None):
+    """Parallel sid/size/link columns: ids ``0..n-1`` (always when
+    *dense*) or arbitrary unique ids, out-links that may repeat and may
+    loop."""
     count = draw(st.integers(1, 20))
-    if draw(st.booleans()):
+    if dense or (dense is None and draw(st.booleans())):
         sids = list(range(count))
     else:
         sids = draw(st.lists(st.integers(0, 10_000), min_size=count,
@@ -139,21 +141,26 @@ def _from_objects(sids, sizes, links):
                          for sid, size, targets in zip(sids, sizes, links))
 
 
-def _from_arrays(sids, sizes, links):
-    dense = sids == list(range(len(sids)))
-    return SuperblockSet.from_arrays(sizes, links,
-                                     sids=None if dense else sids)
+def _csr(links):
+    offsets = np.cumsum([0, *map(len, links)])
+    targets = [target for targets in links for target in targets]
+    return offsets, targets
+
+
+def _from_csr(sids, sizes, links):
+    assert sids == list(range(len(sids))), "CSR sets have ids 0..n-1"
+    return SuperblockSet.from_csr(sizes, *_csr(links))
 
 
 class TestArrayConstructor:
-    """``from_arrays`` and the Superblock constructor fill one storage:
+    """``from_csr`` and the Superblock constructor fill one storage:
     every query agrees, and both reject the same inputs alike."""
 
-    @given(_columns())
+    @given(_columns(dense=True))
     @settings(max_examples=100, deadline=None)
     def test_both_constructors_agree(self, columns):
         sids, sizes, links = columns
-        arrays, objects = _from_arrays(*columns), _from_objects(*columns)
+        arrays, objects = _from_csr(*columns), _from_objects(*columns)
         assert arrays.sids == objects.sids == tuple(sids)
         assert arrays.sizes() == objects.sizes() == dict(zip(sids, sizes))
         assert arrays.link_column == objects.link_column == tuple(links)
@@ -168,42 +175,75 @@ class TestArrayConstructor:
             assert arrays.size_of(sid) == objects.size_of(sid)
             assert arrays[sid] == objects[sid]
         assert list(arrays) == list(objects)
+        for got, want in zip((arrays.size_array, *arrays.link_csr),
+                             (sizes, *_csr(links))):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == list(want)
 
-    @given(_columns(), st.sampled_from(
-        ("empty", "duplicate", "unknown", "zero-size", "negative-size",
-         "negative-sid")), st.data())
+    @given(_columns(dense=True), st.sampled_from(
+        ("empty", "unknown", "negative-target", "zero-size",
+         "negative-size")), st.data())
     @settings(max_examples=100, deadline=None)
     def test_both_constructors_reject_alike(self, columns, fault, data):
         sids, sizes, links = (list(column) for column in columns)
         at = data.draw(st.integers(0, len(sids) - 1))
         if fault == "empty":
             sids, sizes, links = [], [], []
-        elif fault == "duplicate":
-            sids.append(sids[at])
-            sizes.append(1)
-            links.append(())
         elif fault == "unknown":
-            links[at] += (max(sids) + 1,)
+            links[at] += (len(sids) + data.draw(st.integers(0, 5)),)
+        elif fault == "negative-target":
+            links[at] += (data.draw(st.integers(-5, -1)),)
         elif fault == "zero-size":
             sizes[at] = 0
-        elif fault == "negative-size":
-            sizes[at] = -sizes[at]
         else:
-            sids[at] = -1 - sids[at]
-        with pytest.raises(ValueError) as from_arrays:
-            SuperblockSet.from_arrays(sizes, links, sids=sids)
+            sizes[at] = -sizes[at]
+        with pytest.raises(ValueError) as from_csr:
+            _from_csr(sids, sizes, links)
         with pytest.raises(ValueError) as from_objects:
             _from_objects(sids, sizes, links)
-        assert str(from_arrays.value) == str(from_objects.value)
+        assert str(from_csr.value) == str(from_objects.value)
 
     def test_columns_must_be_parallel(self):
-        with pytest.raises(ValueError, match="as many sizes"):
-            SuperblockSet.from_arrays([10, 20], [()])
+        with pytest.raises(ValueError, match="CSR offsets must be 3"):
+            SuperblockSet.from_csr([10, 20], [0, 1], [1])
 
     def test_columns_are_what_was_given(self):
-        blocks = SuperblockSet.from_arrays([10, 20], [(1,), (0, 1)])
+        blocks = SuperblockSet.from_csr([10, 20], [0, 1, 3], [1, 0, 1])
         assert blocks.size_column == (10, 20)
         assert blocks.link_column == ((1,), (0, 1))
         assert blocks.incoming(1) == {0, 1}
         assert blocks[1] == Superblock(1, 20, links=(0, 1))
         assert blocks.sizes() is blocks.sizes()
+
+
+class TestCsrConstructor:
+    @pytest.mark.parametrize("offsets", ([1, 1, 2], [0, 3, 2], [0, 1, 3],
+                                         []))
+    def test_malformed_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="CSR offsets must be 3"):
+            SuperblockSet.from_csr([10, 20], offsets, [1, 0])
+
+    def test_columns_are_copied(self):
+        sizes, offsets, targets = (np.array([10, 20]), np.array([0, 1, 3]),
+                                   np.array([1, 0, 1]))
+        blocks = SuperblockSet.from_csr(sizes, offsets, targets)
+        sizes[0] = offsets[1] = targets[0] = 7
+        assert blocks.size_column == (10, 20)
+        assert blocks.link_column == ((1,), (0, 1))
+
+    def test_tuples_are_built_on_first_request(self, monkeypatch):
+        built = []
+        build_links = SuperblockSet._build_links
+
+        def spy(blocks):
+            built.append(len(blocks))
+            return build_links(blocks)
+
+        monkeypatch.setattr(SuperblockSet, "_build_links", spy)
+        blocks = SuperblockSet.from_csr([10, 20], [0, 1, 3], [1, 0, 1])
+        assert blocks.total_bytes == 30 and blocks.max_block_bytes == 20
+        assert blocks.mean_out_degree == 1.5 and len(blocks) == 2
+        assert built == []
+        assert blocks.outgoing(1) == (0, 1) and blocks.incoming(1) == {0, 1}
+        assert blocks.link_column is blocks.link_column
+        assert built == [2]

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.workloads.traces import (
     TraceConfig,
+    _phase_lengths,
+    _zipf_pmf,
     generate_trace,
     loop_trace,
     scan_trace,
@@ -112,3 +116,118 @@ class TestSimpleTraces:
             loop_trace([1], 0)
         with pytest.raises(ValueError):
             scan_trace(0, 1)
+
+
+def _reference_trace(block_count: int, config: TraceConfig,
+                     rng: np.random.Generator) -> np.ndarray:
+    """The trace generator as it was before it sampled through one CDF
+    per trace, kept verbatim: ``rng.choice(p=)`` per phase and three
+    boolean masks per phase."""
+    if block_count < 1:
+        raise ValueError("block_count must be positive")
+
+    window = max(1, round(config.working_fraction * block_count))
+    window = min(window, block_count)
+    stride = max(1, round(window * (1.0 - config.overlap)))
+    zipf_pmf = _zipf_pmf(window, config.zipf_exponent)
+
+    global_size = max(1, round(config.global_set_fraction * block_count))
+    global_size = min(global_size, block_count)
+    # The global hot set: blocks spread across the id space (library code
+    # is formed throughout the run, not all at once).
+    global_ids = rng.choice(block_count, size=global_size, replace=False)
+    global_pmf = _zipf_pmf(global_size, config.zipf_exponent)
+
+    lengths = _phase_lengths(config.accesses, config.phase_count)
+    pieces: list[np.ndarray] = []
+    start = 0
+    sweep_cursor = 0
+    for length in lengths:
+        if length == 0:
+            continue
+        # Which component serves each access: 0 = Zipf, 1 = sweep, 2 = global.
+        draw = rng.random(length)
+        is_global = draw < config.global_fraction
+        is_sweep = (~is_global) & (
+            draw < config.global_fraction + config.sweep_fraction
+        )
+        is_zipf = ~(is_global | is_sweep)
+
+        ids = np.empty(length, dtype=np.int64)
+        n_zipf = int(is_zipf.sum())
+        if n_zipf:
+            offsets = rng.choice(window, size=n_zipf, p=zipf_pmf)
+            # Per-phase permutation: which blocks in the window are hot
+            # changes from phase to phase, while staying spatially local.
+            permutation = rng.permutation(window)
+            ids[is_zipf] = (start + permutation[offsets]) % block_count
+        n_sweep = int(is_sweep.sum())
+        if n_sweep:
+            positions = (sweep_cursor + np.arange(n_sweep)) % window
+            ids[is_sweep] = (start + positions) % block_count
+            sweep_cursor = (sweep_cursor + n_sweep) % window
+        n_global = int(is_global.sum())
+        if n_global:
+            picks = rng.choice(global_size, size=n_global, p=global_pmf)
+            ids[is_global] = global_ids[picks]
+        pieces.append(ids)
+        start = (start + stride) % block_count
+    return np.concatenate(pieces)
+
+
+@st.composite
+def _trace_configs(draw):
+    sweep = draw(st.floats(0.0, 0.95))
+    return TraceConfig(
+        accesses=draw(st.integers(1, 3000)),
+        phase_count=draw(st.integers(1, 12)),
+        working_fraction=draw(st.floats(0.001, 1.0)),
+        zipf_exponent=draw(st.floats(0.1, 3.0)),
+        overlap=draw(st.floats(0.0, 0.99)),
+        sweep_fraction=sweep,
+        global_fraction=draw(st.floats(0.0, 0.99 - sweep)),
+        global_set_fraction=draw(st.floats(0.001, 1.0)),
+    )
+
+
+class TestOneCdfPerTrace:
+    """Sampling through one CDF per trace takes ``rng.choice``'s draws:
+    the same trace and the same generator state afterwards."""
+
+    @given(block_count=st.integers(1, 2000), config=_trace_configs(),
+           seed=st.integers(0, 2**32 - 1))
+    # Zero-length phases (fewer accesses than phases), a one-block
+    # window and a one-block global set.
+    @example(block_count=50, config=_config(accesses=3, phase_count=8),
+             seed=1)
+    @example(block_count=40, config=_config(working_fraction=0.01,
+                                            accesses=500), seed=2)
+    @example(block_count=1, config=_config(accesses=64), seed=3)
+    @example(block_count=300, config=_config(global_set_fraction=0.001,
+                                             global_fraction=0.5,
+                                             sweep_fraction=0.0), seed=4)
+    @settings(max_examples=80, deadline=None)
+    def test_trace_equals_the_per_phase_choice(self, block_count, config,
+                                               seed):
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        trace = generate_trace(block_count, config, rng)
+        want = _reference_trace(block_count, config, reference_rng)
+        assert trace.dtype == want.dtype == np.int64
+        assert np.array_equal(trace, want)
+        assert rng.random() == reference_rng.random()
+
+    @given(weights=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=60),
+           draws=st.integers(0, 500), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_searchsorted_is_what_choice_draws(self, weights, draws, seed):
+        # A numpy whose choice(p=) samples differently fails here first.
+        pmf = np.asarray(weights) / sum(weights)
+        cdf = pmf.cumsum()
+        cdf /= cdf[-1]
+        rng = np.random.default_rng(seed)
+        choice_rng = np.random.default_rng(seed)
+        picks = cdf.searchsorted(rng.random(draws), side="right")
+        want = choice_rng.choice(len(pmf), size=draws, p=pmf)
+        assert picks.tolist() == want.tolist()
+        assert rng.random() == choice_rng.random()
